@@ -29,7 +29,7 @@ from .problem import (
     lower_order_eval,
     lower_order_inverse,
 )
-from .solver import face_coefficients
+from .solver import face_coefficients, face_upwind_values
 
 __all__ = [
     "DistributionFunction",
@@ -227,16 +227,6 @@ def check_bg_estimate(u: GridFunction, f_values, p: float, t_levels, w,
     return out
 
 
-def _face_upwind_abs(u: GridFunction) -> np.ndarray:
-    """Larger adjacent |u| per face; the Dirichlet face compares against 0."""
-    vals = np.abs(u.values)
-    up = np.empty(u.grid.M + 1)
-    up[0] = vals[0]
-    up[1:u.grid.M] = np.maximum(vals[1:], vals[:-1])
-    up[u.grid.M] = vals[-1]
-    return up
-
-
 def check_weighted_energy(u: GridFunction, f_values, gamma: float, lam: float,
                           alpha: float, w, tol: float = 1e-4) -> EstimateReport:
     """Weighted energy bound with constant alpha*(lam-1):
@@ -250,7 +240,7 @@ def check_weighted_energy(u: GridFunction, f_values, gamma: float, lam: float,
     if not (lam > 1.0):
         raise ValueError(f"lambda must exceed 1, got {lam}")
     grad = face_gradient(u)
-    weight = (1.0 + _face_upwind_abs(u)) ** (-(gamma + lam))
+    weight = (1.0 + np.abs(face_upwind_values(u.grid, u.values))) ** (-(gamma + lam))
     lhs = alpha * (lam - 1.0) * float(np.dot(face_weights(u.grid), grad**2 * weight))
     rhs = float(np.dot(_weights(w), np.abs(_values(f_values))))
     return _report("weighted_energy", lhs, rhs, tol,

@@ -2,11 +2,13 @@
 
 Subcommands: ``solve`` (single run plus outputs), ``sweep`` (Cartesian
 parameter sweep), ``verify`` (run every checker and exit nonzero on any
-failure; can also audit a previously written solution file), ``mms``
-(mesh refinement study) and ``report`` (re-emit outputs from stored
-records).  Configuration lives in an INI-style file; only the mesh size
-and the output directory can be overridden from the command line, so a
-config file pins a reproducible run.
+failure; ``--solution`` audits a previously written solution file with
+the same checkers plus the solver's residual contract), ``mms`` (mesh
+refinement study) and ``report`` (rewrite the outputs from stored
+records, exactly as ``solve`` or ``sweep`` wrote them).  Configuration
+lives in an INI-style file; only the mesh size and the output directory
+can be overridden from the command line, so a config file pins a
+reproducible run.
 
 Exit codes: 0 success, 1 failed check (verify), 2 solver non-convergence,
 3 configuration errors.
@@ -23,15 +25,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .analysis import (
-    check_bg_estimate,
-    check_entropy_inequality,
-    check_lemma_estimate,
-    check_linfty_bound,
-    check_truncation_energy,
-    check_weighted_energy,
-    verify_marcinkiewicz_lemma,
-)
 from .experiments import (
     ALL_CHECKS,
     CheckSettings,
@@ -41,16 +34,12 @@ from .experiments import (
     emit_outputs,
     load_records,
     mesh_refinement_study,
+    run_checks,
     run_single,
     run_sweep,
     save_records,
 )
-from .grid import (
-    grid_function,
-    quadrature_weights,
-    read_grid_function,
-    write_grid_function,
-)
+from .grid import read_grid_function, write_grid_function
 from .problem import (
     BumpDatum,
     CoefficientSpec,
@@ -348,14 +337,20 @@ def _cmd_verify(config: Config, out_dir: Path, solution_path: str | None) -> int
             print("solver did not converge")
             return EXIT_NOT_CONVERGED
         return EXIT_OK if record.all_passed else EXIT_CHECK_FAILED
-    reports, ok = _verify_solution_file(config, solution_path)
-    for name, passed, detail in reports:
-        print(f"  [{'pass' if passed else 'FAIL'}] {name} {detail}")
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+    residual, bound, checked = _verify_solution_file(config, solution_path)
+    res_ok = residual <= bound
+    print(f"  [{'pass' if res_ok else 'FAIL'}] residual |r|={residual:.3e} "
+          f"bound={bound:.3e}")
+    _print_reports(checked)
+    return EXIT_OK if res_ok and checked.all_passed else EXIT_CHECK_FAILED
 
 
 def _verify_solution_file(config: Config, solution_path: str):
-    """Re-run every applicable checker against a stored solution."""
+    """Audit a stored solution: its residual, its bound, and every checker.
+
+    The residual bound is the solver's own convergence contract,
+    newton_tol * (1 + |T_n f|_inf) at the file's final truncation level n.
+    """
     u, extra = read_grid_function(solution_path)
     grid = u.grid
     spec = config.problem
@@ -367,46 +362,12 @@ def _verify_solution_file(config: Config, solution_path: str):
             f"grading={grid.grading}) does not match config "
             f"(N={spec.dimension}, R={spec.radius}, M={config.mesh.cells}, "
             f"grading={config.mesh.grading})"])
-    w = quadrature_weights(grid)
-    f_nodal = grid_function(grid, lambda r: datum_eval(spec.datum, r))
-    tol = config.settings.tolerance
-    u_max = u.max_abs()
-    ks = np.geomspace(0.01 * u_max, 2.0 * u_max, config.settings.truncation_k_count) \
-        if u_max > 0 else np.array([1.0])
-
-    results: list[tuple[str, bool, str]] = []
     n_final = int(extra.get("n_final", config.solver.n_max))
-    res = residual_norm(grid, spec, u, n_final, f_values=f_nodal,
-                        scheme=config.solver.face_scheme)
-    res_ok = res <= config.solver.newton_tol * (1.0 + f_nodal.max_abs()) * 10.0
-    results.append(("residual", res_ok, f"|r|={res:.3e}"))
-
-    reports = []
-    if isinstance(spec.lower, PowerAbsorption):
-        reports.append(check_lemma_estimate(u, f_nodal, spec.lower.p, spec.datum.m, w, tol))
-        ts = np.unique(np.array(config.settings.t_fractions) * u_max)
-        reports.extend(check_bg_estimate(u, f_nodal, spec.lower.p, ts, w, tol))
-    for lam in config.settings.lambdas:
-        reports.append(check_weighted_energy(u, f_nodal, spec.coefficient.gamma,
-                                             lam, spec.coefficient.alpha, w, tol))
-    reports.extend(check_truncation_energy(u, f_nodal, spec.coefficient.gamma,
-                                           spec.coefficient.alpha, ks, w, tol))
-    if isinstance(spec.lower, SingularAbsorption):
-        reports.append(check_linfty_bound(u, spec.lower, f_nodal))
-    ent_ks = np.geomspace(0.01 * u_max, 2.0 * u_max, config.settings.entropy_k_count) \
-        if u_max > 0 else np.array([1.0])
-    reports.extend(check_entropy_inequality(u, spec, None, ent_ks, w, tol,
-                                            f_values=f_nodal))
-    for rep in reports:
-        params = ",".join(f"{k}={v:.4g}" for k, v in rep.params)
-        results.append((f"{rep.name}({params})", rep.passed,
-                        f"lhs={rep.lhs:.6e} rhs={rep.rhs:.6e}"))
-    mk = verify_marcinkiewicz_lemma(u, w, config.settings.tail_tolerance)
-    if mk.applicable:
-        results.append(("marcinkiewicz_lemma", mk.passed,
-                        f"predicted={mk.predicted:.4f} measured={mk.measured:.4f}"))
-    ok = all(passed for _, passed, _ in results)
-    return results, ok
+    f_nodal = np.asarray(datum_eval(spec.datum, grid.nodes), dtype=float)
+    residual = residual_norm(grid, spec, u, n_final, scheme=config.solver.face_scheme)
+    bound = config.solver.newton_tol * (
+        1.0 + float(np.max(np.abs(np.clip(f_nodal, -n_final, n_final)))))
+    return residual, bound, run_checks(u, spec, ALL_CHECKS, config.settings)
 
 
 def _cmd_mms(config: Config, out_dir: Path) -> int:
@@ -433,7 +394,12 @@ def _cmd_report(config: Config, out_dir: Path) -> int:
     if not records_path.exists():
         print(f"no stored records at {records_path}", file=sys.stderr)
         return EXIT_CONFIG
-    emit_from_saved(load_records(records_path), out_dir)
+    try:
+        emit_from_saved(load_records(records_path), out_dir)
+    except (ValueError, KeyError) as err:
+        print(f"cannot re-emit from {records_path} ({type(err).__name__}: {err}); "
+              "rerun solve or sweep to rewrite it", file=sys.stderr)
+        return EXIT_CONFIG
     print(f"re-emitted outputs in {out_dir}")
     return EXIT_OK
 

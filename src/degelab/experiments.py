@@ -66,6 +66,8 @@ __all__ = [
     "ProbeRow",
     "ProbeTable",
     "ALL_CHECKS",
+    "CheckResults",
+    "run_checks",
     "run_single",
     "run_sweep",
     "mesh_refinement_study",
@@ -132,14 +134,14 @@ class RunRecord:
 
     @property
     def all_passed(self) -> bool:
-        if not self.converged:
-            return False
-        for group in self.reports.values():
-            if any(not rep.passed for rep in group):
-                return False
-        if self.marcinkiewicz is not None and self.marcinkiewicz.applicable:
-            return self.marcinkiewicz.passed
-        return True
+        return self.converged and _checks_passed(self.reports, self.marcinkiewicz)
+
+
+def _checks_passed(reports: dict[str, tuple[EstimateReport, ...]],
+                   mk: MarcinkiewiczLemmaReport | None) -> bool:
+    if any(not rep.passed for group in reports.values() for rep in group):
+        return False
+    return mk is None or not mk.applicable or mk.passed
 
 
 def _problem_axes(spec: ProblemSpec) -> dict[str, float]:
@@ -157,6 +159,101 @@ def _checker_levels(u_max: float, count: int) -> np.ndarray:
     return np.geomspace(0.01 * u_max, 2.0 * u_max, count)
 
 
+@dataclass(frozen=True)
+class CheckResults:
+    """What :func:`run_checks` measured on one solution."""
+
+    reports: dict[str, tuple[EstimateReport, ...]] = field(default_factory=dict)
+    skipped: dict[str, str] = field(default_factory=dict)
+    marcinkiewicz: MarcinkiewiczLemmaReport | None = None
+    tail_u: TailFit | None = None
+    tail_grad: TailFit | None = None
+    dist_u: tuple[tuple[float, ...], tuple[float, ...]] | None = None
+    dist_grad: tuple[tuple[float, ...], tuple[float, ...]] | None = None
+
+    @property
+    def all_passed(self) -> bool:
+        return _checks_passed(self.reports, self.marcinkiewicz)
+
+
+def run_checks(u: GridFunction, spec: ProblemSpec, checks: Sequence[str] = ALL_CHECKS,
+               settings: CheckSettings = CheckSettings()) -> CheckResults:
+    """Execute every enabled, applicable checker on u and fit its tails."""
+    grid = u.grid
+    w = quadrature_weights(grid)
+    f_nodal = grid_function(grid, lambda r: datum_eval(spec.datum, r))
+    u_max = u.max_abs()
+    tol = settings.tolerance
+    alpha = spec.coefficient.alpha
+    gamma = spec.coefficient.gamma
+    is_power = isinstance(spec.lower, PowerAbsorption)
+    reports: dict[str, tuple[EstimateReport, ...]] = {}
+    skipped: dict[str, str] = {}
+    mk_report = None
+
+    for name in checks:
+        if name == "lemma":
+            if not is_power:
+                skipped[name] = "needs a power absorption term"
+                continue
+            reports[name] = (check_lemma_estimate(
+                u, f_nodal, spec.lower.p, spec.datum.m, w, tol),)
+        elif name == "bg":
+            if not is_power:
+                skipped[name] = "needs a power absorption term"
+                continue
+            ts = np.array(settings.t_fractions) * u_max
+            reports[name] = tuple(check_bg_estimate(u, f_nodal, spec.lower.p,
+                                                    np.unique(ts), w, tol))
+        elif name == "weighted_energy":
+            reports[name] = tuple(
+                check_weighted_energy(u, f_nodal, gamma, lam, alpha, w, tol)
+                for lam in settings.lambdas)
+        elif name == "truncation_energy":
+            ks = _checker_levels(u_max, settings.truncation_k_count)
+            reports[name] = tuple(check_truncation_energy(
+                u, f_nodal, gamma, alpha, ks, w, tol))
+        elif name == "linfty":
+            if not isinstance(spec.lower, SingularAbsorption):
+                skipped[name] = "needs a singular absorption term"
+                continue
+            reports[name] = (check_linfty_bound(u, spec.lower, f_nodal),)
+        elif name == "entropy":
+            ks = _checker_levels(u_max, settings.entropy_k_count)
+            reports[name] = tuple(check_entropy_inequality(
+                u, spec, None, ks, w, tol, f_values=f_nodal))
+        elif name == "marcinkiewicz":
+            mk_report = verify_marcinkiewicz_lemma(u, w, settings.tail_tolerance)
+            if not mk_report.applicable:
+                skipped[name] = mk_report.reason
+            else:
+                reports[name] = ()
+
+    df_u = distribution_function(u, w)
+    df_g = distribution_function(np.abs(face_gradient(u)), face_weights(grid))
+    return CheckResults(
+        reports=reports, skipped=skipped, marcinkiewicz=mk_report,
+        tail_u=tail_exponent_fit(df_u), tail_grad=tail_exponent_fit(df_g),
+        dist_u=(tuple(map(float, df_u.k_levels)), tuple(map(float, df_u.measures))),
+        dist_grad=(tuple(map(float, df_g.k_levels)), tuple(map(float, df_g.measures))),
+    )
+
+
+def _failed_record(run_id: str, spec: ProblemSpec, mesh: MeshSpec,
+                   checks: Sequence[str], prediction: RegimePrediction | None,
+                   started: str, duration_s: float, reason: str,
+                   err: Exception) -> RunRecord:
+    """Record of a point that produced no solution; every check is skipped."""
+    return RunRecord(
+        run_id=run_id, problem=spec, mesh=mesh, n_final=0, converged=False,
+        truncation_active=True, hit_iteration_cap=False, picard_iters=0,
+        newton_iters_total=0, residual_inf=math.inf, prediction=prediction,
+        started_at=started, duration_s=duration_s,
+        failure=f"{type(err).__name__}: {err}",
+        **vars(CheckResults(skipped={name: reason for name in checks})),
+    )
+
+
 def run_single(spec: ProblemSpec, mesh: MeshSpec, cfg: SolverConfig,
                checks: Sequence[str] = ALL_CHECKS,
                settings: CheckSettings = CheckSettings(),
@@ -170,100 +267,31 @@ def run_single(spec: ProblemSpec, mesh: MeshSpec, cfg: SolverConfig,
         raise ValueError(f"unknown checks: {sorted(unknown)}")
 
     grid = build_radial_grid(spec.dimension, spec.radius, mesh.cells, mesh.grading)
-    w = quadrature_weights(grid)
     prediction = None
     if isinstance(spec.lower, PowerAbsorption):
         prediction = classify_regime(spec.coefficient.gamma, spec.lower.p, spec.datum.m)
 
-    failure = None
     try:
         result = truncation_continuation(grid, spec, cfg)
     except Exception as err:  # isolate solver blowups for sweep robustness
-        return RunRecord(
-            run_id=run_id, problem=spec, mesh=mesh, n_final=0, converged=False,
-            truncation_active=True, hit_iteration_cap=False, picard_iters=0,
-            newton_iters_total=0, residual_inf=math.inf, prediction=prediction,
-            reports={}, skipped={name: "solver failed" for name in checks},
-            marcinkiewicz=None, tail_u=None, tail_grad=None, dist_u=None,
-            dist_grad=None, started_at=started,
-            duration_s=time.perf_counter() - t0, failure=f"{type(err).__name__}: {err}",
-        )
+        return _failed_record(run_id, spec, mesh, checks, prediction, started,
+                              time.perf_counter() - t0, "solver failed", err)
 
-    reports: dict[str, tuple[EstimateReport, ...]] = {}
-    skipped: dict[str, str] = {}
-    mk_report = None
-    tail_u = tail_grad = None
-    dist_u = dist_grad = None
-
-    if result.flags.converged:
-        u = result.u
-        f_nodal = grid_function(grid, lambda r: datum_eval(spec.datum, r))
-        u_max = u.max_abs()
-        tol = settings.tolerance
-        alpha = spec.coefficient.alpha
-        gamma = spec.coefficient.gamma
-        is_power = isinstance(spec.lower, PowerAbsorption)
-
-        for name in checks:
-            if name == "lemma":
-                if not is_power:
-                    skipped[name] = "needs a power absorption term"
-                    continue
-                reports[name] = (check_lemma_estimate(
-                    u, f_nodal, spec.lower.p, spec.datum.m, w, tol),)
-            elif name == "bg":
-                if not is_power:
-                    skipped[name] = "needs a power absorption term"
-                    continue
-                ts = np.array(settings.t_fractions) * u_max
-                reports[name] = tuple(check_bg_estimate(u, f_nodal, spec.lower.p,
-                                                        np.unique(ts), w, tol))
-            elif name == "weighted_energy":
-                reports[name] = tuple(
-                    check_weighted_energy(u, f_nodal, gamma, lam, alpha, w, tol)
-                    for lam in settings.lambdas)
-            elif name == "truncation_energy":
-                ks = _checker_levels(u_max, settings.truncation_k_count)
-                reports[name] = tuple(check_truncation_energy(
-                    u, f_nodal, gamma, alpha, ks, w, tol))
-            elif name == "linfty":
-                if not isinstance(spec.lower, SingularAbsorption):
-                    skipped[name] = "needs a singular absorption term"
-                    continue
-                reports[name] = (check_linfty_bound(u, spec.lower, f_nodal),)
-            elif name == "entropy":
-                ks = _checker_levels(u_max, settings.entropy_k_count)
-                reports[name] = tuple(check_entropy_inequality(
-                    u, spec, None, ks, w, tol, f_values=f_nodal))
-            elif name == "marcinkiewicz":
-                mk_report = verify_marcinkiewicz_lemma(u, w, settings.tail_tolerance)
-                if not mk_report.applicable:
-                    skipped[name] = mk_report.reason
-                else:
-                    reports[name] = ()
-
-        df_u = distribution_function(u, w)
-        tail_u = tail_exponent_fit(df_u)
-        dist_u = (tuple(map(float, df_u.k_levels)), tuple(map(float, df_u.measures)))
-        grad = np.abs(face_gradient(u))
-        df_g = distribution_function(grad, face_weights(grid))
-        tail_grad = tail_exponent_fit(df_g)
-        dist_grad = (tuple(map(float, df_g.k_levels)), tuple(map(float, df_g.measures)))
+    converged = result.flags.converged
+    if converged:
+        checked = run_checks(result.u, spec, checks, settings)
     else:
-        skipped = {name: "solver did not converge" for name in checks}
-
+        checked = CheckResults(skipped={name: "solver did not converge" for name in checks})
     return RunRecord(
         run_id=run_id, problem=spec, mesh=mesh, n_final=result.n_final,
-        converged=result.flags.converged,
+        converged=converged,
         truncation_active=result.flags.truncation_active,
         hit_iteration_cap=result.flags.hit_iteration_cap,
         picard_iters=result.picard_iters,
         newton_iters_total=result.newton_iters_total,
         residual_inf=result.residual_inf, prediction=prediction,
-        reports=reports, skipped=skipped, marcinkiewicz=mk_report,
-        tail_u=tail_u, tail_grad=tail_grad, dist_u=dist_u, dist_grad=dist_grad,
-        started_at=started, duration_s=time.perf_counter() - t0, failure=failure,
-        solution=result.u if result.flags.converged else None,
+        started_at=started, duration_s=time.perf_counter() - t0,
+        solution=result.u if converged else None, **vars(checked),
     )
 
 
@@ -319,16 +347,8 @@ def _sweep_point(args) -> RunRecord:
         spec, mesh = _apply_axis_point(sweep.base, sweep.mesh, point)
         return run_single(spec, mesh, sweep.cfg, sweep.checks, sweep.settings, run_id)
     except Exception as err:
-        return RunRecord(
-            run_id=run_id, problem=sweep.base, mesh=sweep.mesh, n_final=0,
-            converged=False, truncation_active=True, hit_iteration_cap=False,
-            picard_iters=0, newton_iters_total=0, residual_inf=math.inf,
-            prediction=None, reports={},
-            skipped={name: "point construction failed" for name in sweep.checks},
-            marcinkiewicz=None, tail_u=None, tail_grad=None, dist_u=None,
-            dist_grad=None, started_at=started, duration_s=0.0,
-            failure=f"{type(err).__name__}: {err}",
-        )
+        return _failed_record(run_id, sweep.base, sweep.mesh, sweep.checks, None,
+                              started, 0.0, "point construction failed", err)
 
 
 def run_sweep(sweep: SweepSpec) -> list[RunRecord]:
@@ -575,84 +595,35 @@ def _record_rows(rec: RunRecord) -> list[dict]:
     return rows
 
 
+def _payload(rec: RunRecord) -> dict:
+    """Serialized form of one record; every output file is rendered from it."""
+    return {
+        "run_id": rec.run_id,
+        "axes": _problem_axes(rec.problem),
+        "M": rec.mesh.cells,
+        "grading": rec.mesh.grading,
+        "n_final": rec.n_final,
+        "converged": rec.converged,
+        "truncation_active": rec.truncation_active,
+        "rows": _record_rows(rec),
+        "dist_u": rec.dist_u,
+        "dist_grad": rec.dist_grad,
+        "case": regime_label(rec.prediction, rec.problem.datum.m),
+        "duration_s": rec.duration_s,
+        "failure": rec.failure,
+        "all_passed": rec.all_passed,
+        "n_checks": sum(len(g) for g in rec.reports.values()),
+    }
+
+
 def emit_outputs(records: Sequence[RunRecord], out_dir) -> dict[str, Path]:
     """Write records.csv, summary.md, and plotdata/*.dat under out_dir."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    plotdir = out / "plotdata"
-    plotdir.mkdir(exist_ok=True)
-
-    csv_path = out / "records.csv"
-    lines = [f"# generated {datetime.now(timezone.utc).isoformat()}"]
-    lines.append(",".join(CSV_COLUMNS))
-    for rec in records:
-        for row in _record_rows(rec):
-            lines.append(",".join(_fmt(row[col]) for col in CSV_COLUMNS))
-    csv_path.write_text("\n".join(lines) + "\n")
-
-    md_path = out / "summary.md"
-    md_path.write_text(_summary_markdown(records))
-
-    for rec in records:
-        for suffix, dist in (("u", rec.dist_u), ("grad", rec.dist_grad)):
-            if dist is None:
-                continue
-            body = ["# k mu(k)"]
-            body += [f"{k:.17g} {mu:.17g}" for k, mu in zip(*dist)]
-            (plotdir / f"{rec.run_id}_{suffix}.dat").write_text("\n".join(body) + "\n")
-    return {"csv": csv_path, "summary": md_path, "plotdata": plotdir}
-
-
-def _summary_markdown(records: Sequence[RunRecord]) -> str:
-    lines = ["# Run summary", "", "## Regime coverage", ""]
-    order = ["m=1:distributional", "m=1:entropy", "m>1:finite_energy",
-             "m>1:distributional", "m>1:entropy", "unclassified"]
-    by_case: dict[str, list[RunRecord]] = {key: [] for key in order}
-    for rec in records:
-        label = regime_label(rec.prediction, rec.problem.datum.m)
-        by_case.setdefault(label, []).append(rec)
-    lines.append("| case | runs | converged | all checks passed |")
-    lines.append("| --- | --- | --- | --- |")
-    for key in order:
-        group = by_case.get(key, [])
-        if not group and key == "unclassified":
-            continue
-        lines.append(f"| {key} | {len(group)} | "
-                     f"{sum(r.converged for r in group)} | "
-                     f"{sum(r.all_passed for r in group)} |")
-    lines += ["", "## Runs", ""]
-    lines.append("| run | gamma | p | m | N | delta | M | converged | n_final | checks |")
-    lines.append("| --- | --- | --- | --- | --- | --- | --- | --- | --- | --- |")
-    for rec in records:
-        axes = _problem_axes(rec.problem)
-        n_checks = sum(len(g) for g in rec.reports.values())
-        lines.append(
-            f"| {rec.run_id} | {axes['gamma']:g} | {axes['p']:g} | {axes['m']:g} "
-            f"| {int(axes['N'])} | {axes['delta']:g} | {rec.mesh.cells} "
-            f"| {str(rec.converged).lower()} | {rec.n_final} | {n_checks} |")
-    return "\n".join(lines) + "\n"
+    return emit_from_saved([_payload(rec) for rec in records], out_dir)
 
 
 def save_records(records: Sequence[RunRecord], path) -> None:
     """Serialize records to JSON, enough to re-emit every output file."""
-    payload = []
-    for rec in records:
-        axes = _problem_axes(rec.problem)
-        payload.append({
-            "run_id": rec.run_id,
-            "axes": axes,
-            "M": rec.mesh.cells,
-            "grading": rec.mesh.grading,
-            "n_final": rec.n_final,
-            "converged": rec.converged,
-            "truncation_active": rec.truncation_active,
-            "rows": _record_rows(rec),
-            "dist_u": rec.dist_u,
-            "dist_grad": rec.dist_grad,
-            "case": regime_label(rec.prediction, rec.problem.datum.m),
-            "duration_s": rec.duration_s,
-            "failure": rec.failure,
-        })
+    payload = [_payload(rec) for rec in records]
     Path(path).write_text(json.dumps(payload, indent=1, allow_nan=True))
 
 
@@ -661,37 +632,62 @@ def load_records(path) -> list[dict]:
 
 
 def emit_from_saved(saved: Sequence[dict], out_dir) -> dict[str, Path]:
-    """Re-emit output files from :func:`save_records` payloads."""
+    """Write the output files from record payloads, fresh or loaded from JSON.
+
+    :func:`emit_outputs` renders through here too, so ``report`` rewrites
+    exactly what ``solve`` and ``sweep`` wrote, apart from the timestamp.
+    """
+    summary = _summary_markdown(saved)  # a stale payload fails here, before any write
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     plotdir = out / "plotdata"
     plotdir.mkdir(exist_ok=True)
+
     csv_path = out / "records.csv"
     lines = [f"# generated {datetime.now(timezone.utc).isoformat()}"]
     lines.append(",".join(CSV_COLUMNS))
     for rec in saved:
         for row in rec["rows"]:
-            lines.append(",".join(_fmt(_json_cell(row[col])) for col in CSV_COLUMNS))
+            lines.append(",".join(_fmt(row[col]) for col in CSV_COLUMNS))
     csv_path.write_text("\n".join(lines) + "\n")
-    md_lines = ["# Run summary (re-emitted)", "",
-                "| run | case | M | converged | n_final |",
-                "| --- | --- | --- | --- | --- |"]
-    for rec in saved:
-        md_lines.append(f"| {rec['run_id']} | {rec['case']} | {rec['M']} "
-                        f"| {str(rec['converged']).lower()} | {rec['n_final']} |")
-    (out / "summary.md").write_text("\n".join(md_lines) + "\n")
+
+    md_path = out / "summary.md"
+    md_path.write_text(summary)
+
     for rec in saved:
         for suffix in ("u", "grad"):
-            dist = rec.get(f"dist_{suffix}")
-            if not dist:
+            dist = rec[f"dist_{suffix}"]
+            if dist is None:
                 continue
             body = ["# k mu(k)"]
-            body += [f"{k:.17g} {mu:.17g}" for k, mu in zip(dist[0], dist[1])]
+            body += [f"{k:.17g} {mu:.17g}" for k, mu in zip(*dist)]
             (plotdir / f"{rec['run_id']}_{suffix}.dat").write_text("\n".join(body) + "\n")
-    return {"csv": csv_path, "summary": out / "summary.md", "plotdata": plotdir}
+    return {"csv": csv_path, "summary": md_path, "plotdata": plotdir}
 
 
-def _json_cell(value):
-    if value is None:
-        return math.nan
-    return value
+def _summary_markdown(saved: Sequence[dict]) -> str:
+    lines = ["# Run summary", "", "## Regime coverage", ""]
+    order = ["m=1:distributional", "m=1:entropy", "m>1:finite_energy",
+             "m>1:distributional", "m>1:entropy", "unclassified"]
+    by_case: dict[str, list[dict]] = {key: [] for key in order}
+    for rec in saved:
+        by_case.setdefault(rec["case"], []).append(rec)
+    lines.append("| case | runs | converged | all checks passed |")
+    lines.append("| --- | --- | --- | --- |")
+    for key in order:
+        group = by_case.get(key, [])
+        if not group and key == "unclassified":
+            continue
+        lines.append(f"| {key} | {len(group)} | "
+                     f"{sum(r['converged'] for r in group)} | "
+                     f"{sum(r['all_passed'] for r in group)} |")
+    lines += ["", "## Runs", ""]
+    lines.append("| run | gamma | p | m | N | delta | M | converged | n_final | checks |")
+    lines.append("| --- | --- | --- | --- | --- | --- | --- | --- | --- | --- |")
+    for rec in saved:
+        axes = rec["axes"]
+        lines.append(
+            f"| {rec['run_id']} | {axes['gamma']:g} | {axes['p']:g} | {axes['m']:g} "
+            f"| {int(axes['N'])} | {axes['delta']:g} | {rec['M']} "
+            f"| {str(rec['converged']).lower()} | {rec['n_final']} | {rec['n_checks']} |")
+    return "\n".join(lines) + "\n"

@@ -1,3 +1,4 @@
+import json
 from pathlib import Path
 
 import numpy as np
@@ -128,15 +129,16 @@ class TestDispatch:
 
         from degelab.experiments import run_single
         rec = run_single(cfg.problem, cfg.mesh, cfg.solver, cfg.checks, cfg.settings)
-        results, ok = _verify_solution_file(cfg, str(out / "solution.dat"))
-        assert ok
-        file_side = {name: detail for name, _, detail in results}
-        for group in rec.reports.values():
-            for rep in group:
-                params = ",".join(f"{k}={v:.4g}" for k, v in rep.params)
-                key = f"{rep.name}({params})"
-                assert key in file_side
-                assert file_side[key] == f"lhs={rep.lhs:.6e} rhs={rep.rhs:.6e}"
+        residual, bound, checked = _verify_solution_file(cfg, str(out / "solution.dat"))
+        assert residual <= bound
+        assert checked.all_passed
+
+        def table(reports):
+            return {(rep.name, rep.params): (rep.lhs, rep.rhs, rep.passed)
+                    for group in reports.values() for rep in group}
+
+        assert table(checked.reports) == table(rec.reports)
+        assert checked.skipped == rec.skipped
 
     def test_verify_corrupted_solution_fails(self, tmp_path):
         conf, out = write_config(tmp_path, MINIMAL)
@@ -166,15 +168,34 @@ class TestDispatch:
         cfg = parse_config(conf.read_text())
         assert dispatch("sweep", cfg) == EXIT_OK
         csv_before = (out / "records.csv").read_text()
+        summary_before = (out / "summary.md").read_bytes()
+        plots_before = {p.name: p.read_bytes() for p in (out / "plotdata").iterdir()}
         assert dispatch("report", cfg) == EXIT_OK
         body = [l for l in (out / "records.csv").read_text().splitlines()
                 if not l.startswith("#")]
         before = [l for l in csv_before.splitlines() if not l.startswith("#")]
         assert body == before
+        assert (out / "summary.md").read_bytes() == summary_before
+        assert plots_before
+        assert {p.name: p.read_bytes() for p in (out / "plotdata").iterdir()} == plots_before
 
     def test_report_without_records(self, tmp_path):
         conf, out = write_config(tmp_path, MINIMAL)
         assert dispatch("report", parse_config(conf.read_text())) == EXIT_CONFIG
+
+    def test_report_with_unreadable_records(self, tmp_path):
+        conf, out = write_config(tmp_path, MINIMAL)
+        cfg = parse_config(conf.read_text())
+        assert dispatch("solve", cfg) == EXIT_OK
+        stored = out / "records.json"
+        payload = json.loads(stored.read_text())
+        del payload[0]["all_passed"]
+        stored.write_text(json.dumps(payload))
+        summary = (out / "summary.md").read_bytes()
+        assert dispatch("report", cfg) == EXIT_CONFIG
+        assert (out / "summary.md").read_bytes() == summary
+        stored.write_text("[{")
+        assert dispatch("report", cfg) == EXIT_CONFIG
 
     def test_mms_exit_and_table(self, tmp_path, capsys):
         conf, out = write_config(tmp_path, MINIMAL + "\n[mms]\nM_list = 32 64\n")

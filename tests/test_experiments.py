@@ -156,6 +156,7 @@ class TestEmission:
         save_records(records, tmp_path / "records.json")
         again = emit_from_saved(load_records(tmp_path / "records.json"), tmp_path / "b")
         assert csv_body(first["csv"]) == csv_body(again["csv"])
+        assert first["summary"].read_bytes() == again["summary"].read_bytes()
 
     def test_failed_run_still_emits_row(self, tmp_path):
         sweep = SweepSpec(base=power_spec(0.5, 1.0, 1.0), mesh=MeshSpec(32),
