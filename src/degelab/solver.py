@@ -5,7 +5,19 @@ the diffusion coefficient is evaluated at the clipped field T_n(u) and the
 datum is clipped to T_n(f).  Each level is solved by an outer Picard loop
 that freezes the coefficient at the current iterate and an inner damped
 Newton iteration on the remaining monotone semilinear system; levels
-double until the clipping no longer touches either u or f.
+double until the clipping no longer touches either u or f.  Each Picard
+sweep assembles once: the operator frozen at the new iterate measures the
+self-consistent residual and is the next sweep's operator.
+
+A level below max|f| and below n_max stays truncation-active whatever u
+is, so it only supplies the next level's warm start.  Such a provably
+intermediate level also stops once Picard has settled and its residual
+lies within the residual's own rounding error (see
+``ROUNDING_FLOOR_FACTOR``), where the tolerance newton_tol * (1 + n) can
+lie below what double precision resolves.  It then reports neither
+convergence nor the iteration cap, and the continuation climbs on.  Every
+level that might be final keeps the plain rule, so ``converged`` always
+means residual <= newton_tol * (1 + |T_n f|_inf).
 
 Conservative flux form: row i of the operator is
 -(F_{i+1/2} - F_{i-1/2}) / V_i with flux
@@ -23,7 +35,7 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import LinAlgError, solve_banded
+from scipy.linalg.lapack import dgtsv
 
 from .grid import GridFunction, RadialGrid
 from .problem import (
@@ -57,6 +69,14 @@ __all__ = [
 ]
 
 TraceSink = Callable[[str], None]
+
+# A row of the residual A_n(u) u + g(u) - T_n f takes 8 rounded operations:
+# three products, two additions summing them, g, its addition and the
+# subtraction of T_n f.  To first order its evaluation error is therefore
+# below ROUNDING_FLOOR_FACTOR * eps * (|A_n(u)||u| + |g(u)| + |T_n f|)_i
+# (an Oettli-Prager style componentwise bound); a residual whose sup norm
+# lies under the largest row bound is rounding noise.
+ROUNDING_FLOOR_FACTOR = 8.0
 
 
 @dataclass(frozen=True)
@@ -125,6 +145,7 @@ class SolveResult:
     newton_iters_total: int
     residual_inf: float
     flags: SolveFlags
+    diverged: bool = False  # the level aborted on runaway or non-finite iterates
 
 
 class SingularOperatorError(RuntimeError):
@@ -195,15 +216,9 @@ def apply_operator(op: DiscreteOperator, values: np.ndarray) -> np.ndarray:
 def tridiag_solve(op: DiscreteOperator, rhs: np.ndarray | None = None) -> np.ndarray:
     """Direct solve of the tridiagonal system against rhs (default op.rhs)."""
     b = op.rhs if rhs is None else rhs
-    m = op.grid.M
-    banded = np.zeros((3, m))
-    banded[0, 1:] = op.sup[:-1]
-    banded[1] = op.diag
-    banded[2, :-1] = op.sub[1:]
-    try:
-        x = solve_banded((1, 1), banded, b)
-    except LinAlgError as err:
-        raise SingularOperatorError(f"singular tridiagonal assembly: {err}") from err
+    _, _, _, x, info = dgtsv(op.sub[1:], op.diag, op.sup[:-1], b)
+    if info != 0:
+        raise SingularOperatorError(f"singular tridiagonal assembly (dgtsv info {info})")
     if not np.all(np.isfinite(x)):
         raise SingularOperatorError("tridiagonal solve produced non-finite values")
     return x
@@ -226,6 +241,11 @@ def _clamp_singular(term: LowerOrderTerm, values: np.ndarray, margin: float) -> 
     return values
 
 
+def _residual(op: DiscreteOperator, lower: LowerOrderTerm, u: np.ndarray) -> np.ndarray:
+    """Nodal residual L u + g(u) - rhs of the operator op."""
+    return apply_operator(op, u) + lower_order_eval(lower, u) - op.rhs
+
+
 def newton_semilinear(op: DiscreteOperator, lower: LowerOrderTerm, u0: GridFunction,
                       cfg: SolverConfig) -> tuple[GridFunction, int, bool]:
     """Damped Newton on L u + g(u) = rhs with frozen linear part L.
@@ -235,14 +255,10 @@ def newton_semilinear(op: DiscreteOperator, lower: LowerOrderTerm, u0: GridFunct
     absorption term stay clamped inside [0, sigma - margin].  Returns the
     final iterate, the iteration count and a convergence flag.
     """
-    rhs = op.rhs
-    tol = cfg.newton_tol * (1.0 + float(np.max(np.abs(rhs))))
+    tol = cfg.newton_tol * (1.0 + float(np.max(np.abs(op.rhs))))
     u = _clamp_singular(lower, u0.values.copy(), cfg.singular_margin)
 
-    def residual(vals):
-        return apply_operator(op, vals) + lower_order_eval(lower, vals) - rhs
-
-    res = residual(u)
+    res = _residual(op, lower, u)
     res_norm = float(np.max(np.abs(res)))
     iters = 0
     for iters in range(1, cfg.newton_max + 1):
@@ -258,7 +274,7 @@ def newton_semilinear(op: DiscreteOperator, lower: LowerOrderTerm, u0: GridFunct
         accepted = False
         while factor >= cfg.damping_min:
             trial = _clamp_singular(lower, u + factor * step, cfg.singular_margin)
-            trial_res = residual(trial)
+            trial_res = _residual(op, lower, trial)
             trial_norm = float(np.max(np.abs(trial_res)))
             if np.isfinite(trial_norm) and trial_norm < res_norm:
                 u, res, res_norm = trial, trial_res, trial_norm
@@ -280,42 +296,67 @@ def _nodal_datum(grid: RadialGrid, spec: ProblemSpec,
     return np.asarray(datum_eval(spec.datum, grid.nodes), dtype=float)
 
 
+def _rounding_floor(op: DiscreteOperator, lower: LowerOrderTerm, u: np.ndarray) -> float:
+    """Bound on the rounding error of ``_residual(op, lower, u)`` in sup norm."""
+    mag = np.abs(op.diag * u) + np.abs(lower_order_eval(lower, u)) + np.abs(op.rhs)
+    mag[:-1] += np.abs(op.sup[:-1] * u[1:])
+    mag[1:] += np.abs(op.sub[1:] * u[:-1])
+    return ROUNDING_FLOOR_FACTOR * float(np.finfo(float).eps) * float(np.max(mag))
+
+
+def _self_residual(grid: RadialGrid, spec: ProblemSpec, u: np.ndarray, n: int,
+                   rhs: np.ndarray, scheme: str) -> tuple[DiscreteOperator, float]:
+    """Operator frozen at u (right-hand side rhs) and its residual's sup norm at u."""
+    op = assemble_frozen(grid, spec.coefficient, GridFunction(grid, u), n, scheme)
+    op = replace(op, rhs=rhs)
+    return op, float(np.max(np.abs(_residual(op, spec.lower, u))))
+
+
 def picard_solve(grid: RadialGrid, spec: ProblemSpec, n: int, cfg: SolverConfig,
                  f_values: GridFunction | None = None,
                  u_init: GridFunction | None = None,
                  trace: TraceSink | None = None) -> SolveResult:
     """Solve one truncation level by freezing the coefficient and iterating.
 
-    Each sweep assembles the operator at the current iterate, solves the
-    semilinear system by Newton and measures both the relative update and
-    the self-consistent residual (coefficient frozen at the new iterate).
-    Convergence requires the update to fall below picard_tol and the
-    residual below newton_tol * (1 + |T_n f|_inf).  After ``relax_after``
-    sweeps the update is averaged with the previous iterate to damp
-    oscillatory non-convergence.
+    Each sweep solves the semilinear system frozen at the current iterate
+    by Newton, then assembles once at the new iterate: that operator gives
+    the self-consistent residual and is the next sweep's operator.
+    Convergence requires the relative update to fall below picard_tol and
+    the residual below newton_tol * (1 + |T_n f|_inf).  After
+    ``relax_after`` sweeps the update is averaged with the previous iterate
+    to damp oscillatory non-convergence.
+
+    A provably intermediate level (n < max|f| at the nodes and n < n_max,
+    so truncation stays active whatever u is) also stops once the update is
+    below picard_tol and the residual lies within its own rounding bound
+    (``ROUNDING_FLOOR_FACTOR``); it then reports converged=False and
+    hit_iteration_cap=False.  Other levels stop only on the convergence
+    rule, the cap or divergence, which sets ``diverged``.
     """
     f_nodal = _nodal_datum(grid, spec, f_values)
     rhs = np.clip(f_nodal, -n, n)
     rhs_scale = float(np.max(np.abs(rhs))) if rhs.size else 0.0
     res_tol = cfg.newton_tol * (1.0 + rhs_scale)
+    intermediate = n < cfg.n_max and n < float(np.max(np.abs(f_nodal)))
 
     u = np.zeros(grid.M) if u_init is None else u_init.values.copy()
     u = _clamp_singular(spec.lower, u, cfg.singular_margin)
+    op = replace(assemble_frozen(grid, spec.coefficient, GridFunction(grid, u), n,
+                                 cfg.face_scheme), rhs=rhs)
 
     newton_total = 0
     converged = False
     hit_cap = False
+    diverged = False
     picard_iters = 0
     res_inf = np.inf
     for k in range(1, cfg.picard_max + 1):
         picard_iters = k
-        op = assemble_frozen(grid, spec.coefficient, GridFunction(grid, u), n,
-                             cfg.face_scheme)
-        op = replace(op, rhs=rhs)
         try:
             u_gf, newton_iters, _ = newton_semilinear(op, spec.lower,
                                                       GridFunction(grid, u), cfg)
         except FloatingPointError:
+            diverged = True
             break
         newton_total += newton_iters
         u_new = u_gf.values
@@ -323,14 +364,18 @@ def picard_solve(grid: RadialGrid, spec: ProblemSpec, n: int, cfg: SolverConfig,
         if k > cfg.relax_after:
             u_new = 0.5 * (u_new + u)
         u = u_new
-        res_inf = _self_residual(grid, spec, u, n, rhs, cfg.face_scheme)
+        op, res_inf = _self_residual(grid, spec, u, n, rhs, cfg.face_scheme)
         if trace is not None:
             trace(f"level {n}, picard {k}, newton {newton_iters}, residual {res_inf:.6e}")
-        if update < cfg.picard_tol and res_inf <= res_tol:
-            converged = True
-            break
+        if update < cfg.picard_tol:
+            if res_inf <= res_tol:
+                converged = True
+                break
+            if intermediate and res_inf <= _rounding_floor(op, spec.lower, u):
+                break  # settled at the rounding floor; only a warm start
         if float(np.max(np.abs(u))) > 1e6 * (1.0 + rhs_scale):
-            break  # diverging iterates
+            diverged = True
+            break
     else:
         hit_cap = True
 
@@ -339,13 +384,8 @@ def picard_solve(grid: RadialGrid, spec: ProblemSpec, n: int, cfg: SolverConfig,
     return SolveResult(u=u_gf, n_final=n, picard_iters=picard_iters,
                        newton_iters_total=newton_total, residual_inf=res_inf,
                        flags=SolveFlags(converged=converged, truncation_active=active,
-                                        hit_iteration_cap=hit_cap))
-
-
-def _self_residual(grid, spec, u, n, rhs, scheme):
-    op = assemble_frozen(grid, spec.coefficient, GridFunction(grid, u), n, scheme)
-    res = apply_operator(op, u) + lower_order_eval(spec.lower, u) - rhs
-    return float(np.max(np.abs(res)))
+                                        hit_iteration_cap=hit_cap),
+                       diverged=diverged)
 
 
 def _truncation_active(u: np.ndarray, f_nodal: np.ndarray, n: int) -> bool:
@@ -360,8 +400,12 @@ def truncation_continuation(grid: RadialGrid, spec: ProblemSpec, cfg: SolverConf
     Each level warm-starts from the previous solution (unless disabled);
     the march stops as soon as n exceeds max|u| and max|f| at the nodes,
     after which larger levels would reproduce the same discrete problem.
-    If the schedule is exhausted first, the result keeps
-    truncation_active=True rather than hiding it.
+    Only a diverged level ends the march early: a capped level, or an
+    intermediate level stopped at its rounding floor (see picard_solve),
+    still hands its iterate on as the next warm start.  If the schedule is
+    exhausted first, the result keeps truncation_active=True rather than
+    hiding it.  The returned flags are the final level's, so ``converged``
+    keeps the plain residual rule.
     """
     f_nodal = _nodal_datum(grid, spec, f_values)
     f_gf = GridFunction(grid, f_nodal)
@@ -376,14 +420,13 @@ def truncation_continuation(grid: RadialGrid, spec: ProblemSpec, cfg: SolverConf
         picard_total += result.picard_iters
         newton_total += result.newton_iters_total
         warm = result.u
-        if not result.flags.truncation_active:
+        if not result.flags.truncation_active or result.diverged:
             break
-        if not result.flags.converged and not result.flags.hit_iteration_cap:
-            break  # diverged or aborted; climbing further will not help
     assert result is not None
     return SolveResult(u=result.u, n_final=result.n_final, picard_iters=picard_total,
                        newton_iters_total=newton_total,
-                       residual_inf=result.residual_inf, flags=result.flags)
+                       residual_inf=result.residual_inf, flags=result.flags,
+                       diverged=result.diverged)
 
 
 def residual_norm(grid: RadialGrid, spec: ProblemSpec, u: GridFunction, n: int,
@@ -391,7 +434,7 @@ def residual_norm(grid: RadialGrid, spec: ProblemSpec, u: GridFunction, n: int,
                   scheme: str = "upwind") -> float:
     """Sup-norm of A_n(u) u + g(u) - T_n(f) with the coefficient frozen at u."""
     f_nodal = _nodal_datum(grid, spec, f_values)
-    return _self_residual(grid, spec, u.values, n, np.clip(f_nodal, -n, n), scheme)
+    return _self_residual(grid, spec, u.values, n, np.clip(f_nodal, -n, n), scheme)[1]
 
 
 def manufactured_rhs(grid: RadialGrid, spec: ProblemSpec, u_star: GridFunction,

@@ -1,7 +1,9 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.linalg import solve_banded
 from scipy.optimize import brentq
 
 from common import CFG, grid_and_weights, poisson_spec, power_spec, singular_spec
@@ -18,6 +20,7 @@ from degelab.problem import (
     SingularAbsorption,
     lower_order_inverse,
 )
+import degelab.solver as solver
 from degelab.solver import (
     DiscreteOperator,
     SingularOperatorError,
@@ -38,6 +41,15 @@ def synthetic_operator(grid, sub, diag, sup, rhs):
     return DiscreteOperator(grid=grid, sub=np.asarray(sub, float),
                             diag=np.asarray(diag, float), sup=np.asarray(sup, float),
                             rhs=np.asarray(rhs, float))
+
+
+def probe_case():
+    """M = 2048 entropy probe near the L^1 edge: gamma = p = m = 1, delta = 2.55.
+
+    Its first levels settle at residuals their tolerance newton_tol*(1+n)
+    cannot resolve in double precision."""
+    grid = build_radial_grid(3, 1.0, 2048)
+    return grid, power_spec(1.0, 1.0, 1.0, RadialPowerDatum(1.0, 2.55))
 
 
 def identity_operator(grid, rhs):
@@ -119,6 +131,18 @@ class TestTridiagSolve:
         u = tridiag_solve(op, np.ones(grid.M))
         exact = (1 - grid.nodes**2) / 6
         assert np.max(np.abs(u - exact)) < 5e-5
+
+    def test_matches_solve_banded_on_probe_operator(self):
+        grid, spec = probe_case()
+        n = 64
+        warm = picard_solve(grid, spec, n=n, cfg=CFG)
+        op = assemble_frozen(grid, spec.coefficient, warm.u, n)
+        rhs = np.clip(grid.nodes ** -2.55, -n, n)
+        banded = np.zeros((3, grid.M))
+        banded[0, 1:] = op.sup[:-1]
+        banded[1] = op.diag
+        banded[2, :-1] = op.sub[1:]
+        assert np.array_equal(tridiag_solve(op, rhs), solve_banded((1, 1), banded, rhs))
 
     def test_singular_assembly_raises(self):
         grid = build_radial_grid(3, 1.0, 8)
@@ -231,6 +255,27 @@ class TestPicard:
         assert res.flags.hit_iteration_cap
         assert not res.flags.converged
 
+    def test_intermediate_level_stops_at_rounding_floor(self):
+        grid, spec = probe_case()
+        res = picard_solve(grid, spec, n=1, cfg=CFG)
+        assert not res.flags.converged
+        assert not res.flags.hit_iteration_cap
+        assert not res.diverged
+        assert res.flags.truncation_active
+        assert res.picard_iters < CFG.picard_max
+        assert res.residual_inf > CFG.newton_tol * (1 + 1)
+
+    def test_possibly_final_level_never_floor_stops(self):
+        # with n_max = 1 the same level could be the last one, so it keeps
+        # the plain residual rule and runs into the sweep cap instead
+        grid, spec = probe_case()
+        cfg = SolverConfig(n_max=1, picard_max=20)
+        res = picard_solve(grid, spec, n=1, cfg=cfg)
+        assert res.picard_iters == 20
+        assert res.flags.hit_iteration_cap
+        assert not res.flags.converged
+        assert picard_solve(grid, spec, n=1, cfg=replace(cfg, n_max=2)).picard_iters < 20
+
     def test_trace_lines(self):
         grid = build_radial_grid(3, 1.0, 32)
         lines = []
@@ -290,6 +335,27 @@ class TestContinuation:
             warm_total += warm.newton_iters_total
             cold_total += cold.newton_iters_total
         assert warm_total <= cold_total
+
+    def test_probe_levels_skip_the_sweep_cap(self, monkeypatch):
+        grid, spec = probe_case()
+        levels = []
+        original = solver.picard_solve
+
+        def recording(*args, **kwargs):
+            levels.append(original(*args, **kwargs))
+            return levels[-1]
+
+        monkeypatch.setattr(solver, "picard_solve", recording)
+        res = truncation_continuation(grid, spec, CFG)
+        assert len(levels) == len(CFG.n_schedule())
+        assert not any(level.flags.hit_iteration_cap for level in levels)
+        assert not any(level.diverged for level in levels)
+        assert res.picard_iters == sum(level.picard_iters for level in levels) < 800
+        assert res.flags.converged and not res.flags.hit_iteration_cap
+        assert res.n_final == 2**30
+        r = residual_norm(grid, spec, res.u, res.n_final)
+        assert r == res.residual_inf
+        assert r <= CFG.newton_tol * (1 + 2**30)
 
 
 class TestResidualAndManufactured:
