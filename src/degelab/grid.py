@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.optimize import brentq
@@ -48,7 +49,8 @@ class RadialGrid:
     faces[M] = R; ``nodes`` the cell centers.  ``gaps`` holds the
     node-to-node distance across each face (gaps[0] is unused and set to
     inf, gaps[M] is the half-cell distance from the last node to the
-    Dirichlet boundary).
+    Dirichlet boundary).  Shell volumes and face areas are computed once
+    per grid, on first use.
     """
 
     N: int
@@ -60,16 +62,22 @@ class RadialGrid:
     widths: np.ndarray
     gaps: np.ndarray
 
-    @property
+    @cached_property
     def volumes(self) -> np.ndarray:
-        """Exact shell volumes (x_{i+1}^N - x_i^N)/N, without omega_N."""
+        """Exact shell volumes (x_{i+1}^N - x_i^N)/N, without omega_N (read-only)."""
         xs = self.faces**self.N
-        return (xs[1:] - xs[:-1]) / self.N
+        return _read_only((xs[1:] - xs[:-1]) / self.N)
 
-    @property
+    @cached_property
     def face_areas(self) -> np.ndarray:
-        """r^(N-1) at the faces, without omega_N; zero at the origin."""
-        return self.faces ** (self.N - 1)
+        """r^(N-1) at the faces, without omega_N; zero at the origin (read-only)."""
+        return _read_only(self.faces ** (self.N - 1))
+
+
+def _read_only(values: np.ndarray) -> np.ndarray:
+    """Freeze an array computed once per grid and shared by every caller."""
+    values.flags.writeable = False
+    return values
 
 
 @dataclass(frozen=True, eq=False)

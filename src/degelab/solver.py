@@ -2,17 +2,19 @@
 
 The quasilinear equation is attacked level by level: at truncation level n
 the diffusion coefficient is evaluated at the clipped field T_n(u) and the
-datum is clipped to T_n(f).  Each level is solved by an outer Picard loop
-that freezes the coefficient at the current iterate and an inner damped
-Newton iteration on the remaining monotone semilinear system; levels
-double until the clipping no longer touches either u or f.  Each Picard
-sweep assembles once: the operator frozen at the new iterate measures the
-self-consistent residual and is the next sweep's operator.
+datum is clipped to T_n(f); levels double until the clipping no longer
+touches either u or f.  Each level is one damped Newton iteration on the
+full residual F(u) = A_n(u) u + g(u) - T_n f with its exact Jacobian
+A_n(u) + diag(g'(u)) + d_u[A_n(u)] u.  Every face coefficient depends on
+its two adjacent nodes at most, so that Jacobian is tridiagonal.  A step
+that the exact Jacobian does not get accepted at full length is taken
+instead along the frozen-coefficient direction A_n(u) + diag(g'(u)) from
+the same point, with backtracking; every trial point is reassembled.
 
 A level below max|f| and below n_max stays truncation-active whatever u
 is, so it only supplies the next level's warm start.  Such a provably
-intermediate level also stops once Picard has settled and its residual
-lies within the residual's own rounding error (see
+intermediate level also stops once its steps have settled and its
+residual lies within the residual's own rounding error (see
 ``ROUNDING_FLOOR_FACTOR``), where the tolerance newton_tol * (1 + n) can
 lie below what double precision resolves.  It then reports neither
 convergence nor the iteration cap, and the continuation climbs on.  Every
@@ -31,7 +33,8 @@ for convergence studies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -81,19 +84,18 @@ ROUNDING_FLOOR_FACTOR = 8.0
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Tolerances, caps and schedule for the nested iteration."""
+    """Tolerances, caps and schedule for the level-by-level Newton solve."""
 
-    picard_tol: float = 1e-8          # relative sup-norm update tolerance
-    picard_max: int = 200
+    picard_tol: float = 1e-8          # relative sup-norm step of a settled level
+    picard_max: int = 200             # Newton steps per truncation level
     newton_tol: float = 1e-10         # residual tolerance, relative to 1 + |rhs|
-    newton_max: int = 50
+    newton_max: int = 50              # steps of a fixed-operator newton_semilinear
     damping_min: float = 2.0**-20     # smallest line-search step factor
     n0: int = 1
     n_max: int = 2**30
     eps_p: float = 1e-10              # Jacobian regularization for p < 1
     singular_margin: float = 1e-12    # exclusion distance from the barrier
     face_scheme: str = "upwind"       # or "arithmetic"
-    relax_after: int = 30             # Picard sweeps before averaging kicks in
     warm_start: bool = True
 
     def __post_init__(self):
@@ -145,7 +147,6 @@ class SolveResult:
     newton_iters_total: int
     residual_inf: float
     flags: SolveFlags
-    diverged: bool = False  # the level aborted on runaway or non-finite iterates
 
 
 class SingularOperatorError(RuntimeError):
@@ -246,47 +247,182 @@ def _residual(op: DiscreteOperator, lower: LowerOrderTerm, u: np.ndarray) -> np.
     return apply_operator(op, u) + lower_order_eval(lower, u) - op.rhs
 
 
-def newton_semilinear(op: DiscreteOperator, lower: LowerOrderTerm, u0: GridFunction,
-                      cfg: SolverConfig) -> tuple[GridFunction, int, bool]:
-    """Damped Newton on L u + g(u) = rhs with frozen linear part L.
+def _frozen_operator(grid: RadialGrid, coeff: CoefficientSpec, u: np.ndarray, n: int,
+                     rhs: np.ndarray, scheme: str) -> DiscreteOperator:
+    """A_n frozen at u, with right-hand side rhs."""
+    op = assemble_frozen(grid, coeff, GridFunction(grid, u), n, scheme)
+    return DiscreteOperator(grid, op.sub, op.diag, op.sup, rhs)
 
-    The Jacobian uses the (regularized) derivative of g; steps are halved
-    until the residual norm decreases, and iterates with a singular
-    absorption term stay clamped inside [0, sigma - margin].  Returns the
-    final iterate, the iteration count and a convergence flag.
+
+@dataclass(eq=False)
+class _Level:
+    """A truncation level, as ``picard_solve`` hands it to ``newton_semilinear``.
+
+    The first fields say how to reassemble A_n at a trial point and whether
+    the level may stop at its rounding floor.  The iteration leaves why it
+    stopped ("converged", "floor", "capped" or "stalled") and the residual
+    sup norm at its final iterate in the last two.
+    """
+
+    coeff: CoefficientSpec
+    n: int
+    scheme: str
+    floor_stop: bool
+    trace: TraceSink | None = None
+    stop: str = ""
+    residual: float = math.inf
+
+
+def _face_log_slopes(grid: RadialGrid, coeff: CoefficientSpec, u: np.ndarray, n: int,
+                     scheme: str) -> tuple[np.ndarray, np.ndarray]:
+    """d(ln a_f)/du at each face's left node (i-1) and right node (i).
+
+    For either coefficient form da/ds = -gamma sgn(s) a / (1 + |s|), zero
+    where the clip |s| >= n holds.  An upwind face depends only on the node
+    it takes its value from (at a tie, the right one, as in
+    ``face_upwind_values``); an arithmetic face on both, in the shares
+    a_left : a_right, with the ghost value 0 beyond the last node.
+    """
+    mag = np.abs(u)
+    rate = np.where(mag < n, -coeff.gamma * np.sign(u) / (1.0 + mag), 0.0)
+    M = grid.M
+    left = np.zeros(M + 1)
+    right = np.zeros(M + 1)
+    if scheme == "upwind":
+        wins = mag[1:] >= mag[:-1]
+        left[1:M] = np.where(wins, 0.0, rate[:-1])
+        right[1:M] = np.where(wins, rate[1:], 0.0)
+        left[M] = rate[-1]
+    else:
+        clipped = np.clip(u, -n, n)
+        a_left = coefficient_eval(coeff, grid.faces[1:], clipped)
+        a_right = coefficient_eval(coeff, grid.faces[1:], np.append(clipped[1:], 0.0))
+        total = a_left + a_right
+        left[1:] = a_left / total * rate
+        right[1:M] = (a_right / total)[:-1] * rate[1:]
+    return left, right
+
+
+def _exact_jacobian(op: DiscreteOperator, frozen: DiscreteOperator, u: np.ndarray,
+                    level: _Level) -> DiscreteOperator:
+    """frozen + d_u[A_n(u)] u, the level residual's exact Jacobian at u.
+
+    ``op`` is A_n(u) and ``frozen`` is op + diag(g'(u)).  Row i of A_n(u) u
+    is lam_i (u_i - u_{i-1}) - rho_i (u_{i+1} - u_i) with u_M = 0, where
+    lam_i and rho_i are the transmissibilities of the cell's left and right
+    face over its volume, read off the assembled row; each face's
+    transmissibility varies with its nodes at the rates of
+    ``_face_log_slopes``.
+    """
+    slope_left, slope_right = _face_log_slopes(op.grid, level.coeff, u, level.n, level.scheme)
+    lam = -op.sub
+    rho = -op.sup
+    rho[-1] = op.diag[-1] + op.sub[-1]  # the Dirichlet face has no sup entry
+    jump = np.empty(len(u) + 1)
+    jump[0] = 0.0
+    jump[1:-1] = u[1:] - u[:-1]
+    jump[-1] = -u[-1]
+    left_flux = lam * jump[:-1]
+    right_flux = -rho * jump[1:]
+    return DiscreteOperator(frozen.grid, frozen.sub + left_flux * slope_left[:-1],
+                            frozen.diag + left_flux * slope_right[:-1]
+                            + right_flux * slope_left[1:],
+                            frozen.sup + right_flux * slope_right[1:], frozen.rhs)
+
+
+def _line_search(op: DiscreteOperator, lower: LowerOrderTerm, u: np.ndarray,
+                 res: np.ndarray, res_norm: float, jac: DiscreteOperator,
+                 min_factor: float, cfg: SolverConfig, level: _Level | None):
+    """First point along jac's Newton direction, halving from full length
+    down to min_factor, whose residual norm is below res_norm.
+
+    With a level, the operator is reassembled at each trial point.  Returns
+    (u, operator, residual, norm) there, or None if no trial is accepted or
+    jac is singular.
+    """
+    try:
+        step = tridiag_solve(jac, -res)
+    except SingularOperatorError:
+        return None
+    factor = 1.0
+    while factor >= min_factor:
+        trial = _clamp_singular(lower, u + factor * step, cfg.singular_margin)
+        trial_op = op if level is None else _frozen_operator(
+            op.grid, level.coeff, trial, level.n, op.rhs, level.scheme)
+        trial_res = _residual(trial_op, lower, trial)
+        trial_norm = float(np.max(np.abs(trial_res)))
+        if np.isfinite(trial_norm) and trial_norm < res_norm:
+            return trial, trial_op, trial_res, trial_norm
+        factor *= 0.5
+    return None
+
+
+def newton_semilinear(op: DiscreteOperator, lower: LowerOrderTerm, u0: GridFunction,
+                      cfg: SolverConfig, level: _Level | None = None,
+                      ) -> tuple[GridFunction, int, bool]:
+    """Damped Newton on L(u) u + g(u) = rhs.
+
+    Without ``level`` the linear part L = op is fixed: each step solves
+    with op + diag(g') and is halved until the residual norm decreases, for
+    at most newton_max steps.  With ``level`` (from picard_solve), op is
+    A_n(u0) and L(u) = A_n(u) is reassembled at every trial point: a step
+    first tries the exact Jacobian at full length, else backtracks along
+    the frozen-coefficient direction A_n(u) + diag(g') from the same point
+    (for gamma = 0 the two coincide and only the latter is taken), for at
+    most picard_max steps; a provably intermediate level also stops
+    at its rounding floor (see picard_solve), and the outcome is left in
+    ``level``.  Either way g' is regularized for p < 1, iterates with a
+    singular absorption term stay clamped inside [0, sigma - margin], and
+    the iteration stalls when no direction lowers the residual.  Returns
+    the final iterate, the number of accepted steps and whether the
+    residual reached newton_tol * (1 + |rhs|_inf).
     """
     tol = cfg.newton_tol * (1.0 + float(np.max(np.abs(op.rhs))))
     u = _clamp_singular(lower, u0.values.copy(), cfg.singular_margin)
-
     res = _residual(op, lower, u)
     res_norm = float(np.max(np.abs(res)))
-    iters = 0
-    for iters in range(1, cfg.newton_max + 1):
-        if res_norm <= tol:
-            return GridFunction(op.grid, u), iters - 1, True
+    max_steps = cfg.newton_max if level is None else cfg.picard_max
+    # with gamma = 0 A_n does not depend on u: no reassembly, and the
+    # frozen-coefficient Jacobian is the exact one
+    moving = level if level is not None and level.coeff.gamma > 0 else None
+    steps = 0
+    settled = False  # the last step of a floor-stoppable level was below picard_tol
+    while res_norm > tol:
+        if settled and res_norm <= _rounding_floor(op, lower, u):
+            stop = "floor"
+            break
+        if steps == max_steps:
+            stop = "capped"
+            break
         gp = _absorption_prime(lower, u, cfg.eps_p)
-        jac = replace(op, diag=op.diag + gp)
-        try:
-            step = tridiag_solve(jac, -res)
-        except SingularOperatorError:
-            return GridFunction(op.grid, u), iters - 1, False
-        factor = 1.0
-        accepted = False
-        while factor >= cfg.damping_min:
-            trial = _clamp_singular(lower, u + factor * step, cfg.singular_margin)
-            trial_res = _residual(op, lower, trial)
-            trial_norm = float(np.max(np.abs(trial_res)))
-            if np.isfinite(trial_norm) and trial_norm < res_norm:
-                u, res, res_norm = trial, trial_res, trial_norm
-                accepted = True
-                break
-            factor *= 0.5
-        if not accepted:
-            # line search exhausted; report the best iterate found
-            return GridFunction(op.grid, u), iters, res_norm <= tol
-        if not np.isfinite(res_norm):
-            raise FloatingPointError("Newton residual became non-finite")
-    return GridFunction(op.grid, u), iters, res_norm <= tol
+        frozen = DiscreteOperator(op.grid, op.sub, op.diag + gp, op.sup, op.rhs)
+        accepted = None
+        direction = "newton"
+        if moving is not None:
+            accepted = _line_search(op, lower, u, res, res_norm,
+                                    _exact_jacobian(op, frozen, u, moving), 1.0, cfg, moving)
+            direction = "frozen"
+        if accepted is None:
+            accepted = _line_search(op, lower, u, res, res_norm, frozen,
+                                    cfg.damping_min, cfg, moving)
+        if accepted is None:
+            stop = "stalled"
+            break
+        u_prev = u
+        u, op, res, res_norm = accepted
+        steps += 1
+        if level is not None:
+            scale = 1.0 + float(np.max(np.abs(u_prev)))
+            settled = (level.floor_stop
+                       and float(np.max(np.abs(u - u_prev))) < cfg.picard_tol * scale)
+            if level.trace is not None:
+                level.trace(f"level {level.n}, step {steps}, {direction}, "
+                            f"residual {res_norm:.6e}")
+    else:
+        stop = "converged"
+    if level is not None:
+        level.stop, level.residual = stop, res_norm
+    return GridFunction(op.grid, u), steps, stop == "converged"
 
 
 def _nodal_datum(grid: RadialGrid, spec: ProblemSpec,
@@ -304,88 +440,41 @@ def _rounding_floor(op: DiscreteOperator, lower: LowerOrderTerm, u: np.ndarray) 
     return ROUNDING_FLOOR_FACTOR * float(np.finfo(float).eps) * float(np.max(mag))
 
 
-def _self_residual(grid: RadialGrid, spec: ProblemSpec, u: np.ndarray, n: int,
-                   rhs: np.ndarray, scheme: str) -> tuple[DiscreteOperator, float]:
-    """Operator frozen at u (right-hand side rhs) and its residual's sup norm at u."""
-    op = assemble_frozen(grid, spec.coefficient, GridFunction(grid, u), n, scheme)
-    op = replace(op, rhs=rhs)
-    return op, float(np.max(np.abs(_residual(op, spec.lower, u))))
-
-
 def picard_solve(grid: RadialGrid, spec: ProblemSpec, n: int, cfg: SolverConfig,
                  f_values: GridFunction | None = None,
                  u_init: GridFunction | None = None,
                  trace: TraceSink | None = None) -> SolveResult:
-    """Solve one truncation level by freezing the coefficient and iterating.
+    """Solve one truncation level by one coupled damped Newton iteration.
 
-    Each sweep solves the semilinear system frozen at the current iterate
-    by Newton, then assembles once at the new iterate: that operator gives
-    the self-consistent residual and is the next sweep's operator.
-    Convergence requires the relative update to fall below picard_tol and
-    the residual below newton_tol * (1 + |T_n f|_inf).  After
-    ``relax_after`` sweeps the update is averaged with the previous iterate
-    to damp oscillatory non-convergence.
+    From u_init (default 0), ``newton_semilinear`` iterates on the full
+    residual A_n(u) u + g(u) - T_n f with the exact tridiagonal Jacobian
+    and the frozen-coefficient fallback, for at most picard_max steps.
+    ``converged`` means the residual fell below newton_tol * (1 + |T_n f|_inf);
+    ``hit_iteration_cap`` that picard_max steps did not get it there.
 
     A provably intermediate level (n < max|f| at the nodes and n < n_max,
-    so truncation stays active whatever u is) also stops once the update is
-    below picard_tol and the residual lies within its own rounding bound
-    (``ROUNDING_FLOOR_FACTOR``); it then reports converged=False and
-    hit_iteration_cap=False.  Other levels stop only on the convergence
-    rule, the cap or divergence, which sets ``diverged``.
+    so truncation stays active whatever u is) also stops once a step is
+    below picard_tol relative to 1 + |u|_inf and the residual lies within
+    its own rounding bound (``ROUNDING_FLOOR_FACTOR``).  Any level stalls
+    when neither direction lowers the residual.  Both report neither flag.
+    ``picard_iters`` and ``newton_iters_total`` both count the accepted
+    steps; ``trace`` receives one line per step.
     """
     f_nodal = _nodal_datum(grid, spec, f_values)
     rhs = np.clip(f_nodal, -n, n)
-    rhs_scale = float(np.max(np.abs(rhs))) if rhs.size else 0.0
-    res_tol = cfg.newton_tol * (1.0 + rhs_scale)
-    intermediate = n < cfg.n_max and n < float(np.max(np.abs(f_nodal)))
-
+    level = _Level(spec.coefficient, n, cfg.face_scheme,
+                   floor_stop=n < cfg.n_max and n < float(np.max(np.abs(f_nodal))),
+                   trace=trace)
     u = np.zeros(grid.M) if u_init is None else u_init.values.copy()
     u = _clamp_singular(spec.lower, u, cfg.singular_margin)
-    op = replace(assemble_frozen(grid, spec.coefficient, GridFunction(grid, u), n,
-                                 cfg.face_scheme), rhs=rhs)
-
-    newton_total = 0
-    converged = False
-    hit_cap = False
-    diverged = False
-    picard_iters = 0
-    res_inf = np.inf
-    for k in range(1, cfg.picard_max + 1):
-        picard_iters = k
-        try:
-            u_gf, newton_iters, _ = newton_semilinear(op, spec.lower,
-                                                      GridFunction(grid, u), cfg)
-        except FloatingPointError:
-            diverged = True
-            break
-        newton_total += newton_iters
-        u_new = u_gf.values
-        update = float(np.max(np.abs(u_new - u))) / (1.0 + float(np.max(np.abs(u))))
-        if k > cfg.relax_after:
-            u_new = 0.5 * (u_new + u)
-        u = u_new
-        op, res_inf = _self_residual(grid, spec, u, n, rhs, cfg.face_scheme)
-        if trace is not None:
-            trace(f"level {n}, picard {k}, newton {newton_iters}, residual {res_inf:.6e}")
-        if update < cfg.picard_tol:
-            if res_inf <= res_tol:
-                converged = True
-                break
-            if intermediate and res_inf <= _rounding_floor(op, spec.lower, u):
-                break  # settled at the rounding floor; only a warm start
-        if float(np.max(np.abs(u))) > 1e6 * (1.0 + rhs_scale):
-            diverged = True
-            break
-    else:
-        hit_cap = True
-
-    u_gf = GridFunction(grid, u)
-    active = _truncation_active(u, f_nodal, n)
-    return SolveResult(u=u_gf, n_final=n, picard_iters=picard_iters,
-                       newton_iters_total=newton_total, residual_inf=res_inf,
+    op = _frozen_operator(grid, spec.coefficient, u, n, rhs, cfg.face_scheme)
+    u_gf, steps, converged = newton_semilinear(op, spec.lower, GridFunction(grid, u), cfg,
+                                               level=level)
+    active = _truncation_active(u_gf.values, f_nodal, n)
+    return SolveResult(u=u_gf, n_final=n, picard_iters=steps, newton_iters_total=steps,
+                       residual_inf=level.residual,
                        flags=SolveFlags(converged=converged, truncation_active=active,
-                                        hit_iteration_cap=hit_cap),
-                       diverged=diverged)
+                                        hit_iteration_cap=level.stop == "capped"))
 
 
 def _truncation_active(u: np.ndarray, f_nodal: np.ndarray, n: int) -> bool:
@@ -397,15 +486,15 @@ def truncation_continuation(grid: RadialGrid, spec: ProblemSpec, cfg: SolverConf
                             trace: TraceSink | None = None) -> SolveResult:
     """March the truncation level upward until the clipping is inactive.
 
-    Each level warm-starts from the previous solution (unless disabled);
-    the march stops as soon as n exceeds max|u| and max|f| at the nodes,
+    Each level is one coupled Newton solve (see picard_solve) and
+    warm-starts from the previous level's iterate (unless disabled), also
+    when that level was capped, stalled or stopped at its rounding floor.
+    The march stops as soon as n exceeds max|u| and max|f| at the nodes,
     after which larger levels would reproduce the same discrete problem.
-    Only a diverged level ends the march early: a capped level, or an
-    intermediate level stopped at its rounding floor (see picard_solve),
-    still hands its iterate on as the next warm start.  If the schedule is
-    exhausted first, the result keeps truncation_active=True rather than
-    hiding it.  The returned flags are the final level's, so ``converged``
-    keeps the plain residual rule.
+    If the schedule is exhausted first, the result keeps
+    truncation_active=True rather than hiding it.  The returned flags are
+    the final level's, so ``converged`` keeps the plain residual rule;
+    the iteration counts are summed over the levels.
     """
     f_nodal = _nodal_datum(grid, spec, f_values)
     f_gf = GridFunction(grid, f_nodal)
@@ -420,13 +509,12 @@ def truncation_continuation(grid: RadialGrid, spec: ProblemSpec, cfg: SolverConf
         picard_total += result.picard_iters
         newton_total += result.newton_iters_total
         warm = result.u
-        if not result.flags.truncation_active or result.diverged:
+        if not result.flags.truncation_active:
             break
     assert result is not None
     return SolveResult(u=result.u, n_final=result.n_final, picard_iters=picard_total,
                        newton_iters_total=newton_total,
-                       residual_inf=result.residual_inf, flags=result.flags,
-                       diverged=result.diverged)
+                       residual_inf=result.residual_inf, flags=result.flags)
 
 
 def residual_norm(grid: RadialGrid, spec: ProblemSpec, u: GridFunction, n: int,
@@ -434,7 +522,8 @@ def residual_norm(grid: RadialGrid, spec: ProblemSpec, u: GridFunction, n: int,
                   scheme: str = "upwind") -> float:
     """Sup-norm of A_n(u) u + g(u) - T_n(f) with the coefficient frozen at u."""
     f_nodal = _nodal_datum(grid, spec, f_values)
-    return _self_residual(grid, spec, u.values, n, np.clip(f_nodal, -n, n), scheme)[1]
+    op = _frozen_operator(grid, spec.coefficient, u.values, n, np.clip(f_nodal, -n, n), scheme)
+    return float(np.max(np.abs(_residual(op, spec.lower, u.values))))
 
 
 def manufactured_rhs(grid: RadialGrid, spec: ProblemSpec, u_star: GridFunction,

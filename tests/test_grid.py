@@ -72,6 +72,15 @@ class TestQuadrature:
         w = quadrature_weights(grid)
         assert w.values[0] == pytest.approx(4 * math.pi * 0.125**3 / 3, rel=1e-13)
 
+    def test_geometry_computed_once_and_read_only(self):
+        grid = build_radial_grid(3, 1.0, 8, grading=2.0)
+        assert grid.volumes is grid.volumes and grid.face_areas is grid.face_areas
+        xs = grid.faces**3
+        assert np.array_equal(grid.volumes, (xs[1:] - xs[:-1]) / 3)
+        assert np.array_equal(grid.face_areas, grid.faces**2)
+        with pytest.raises(ValueError):
+            grid.volumes[0] = 0.0
+
     def test_integrate_constant(self):
         grid = build_radial_grid(3, 1.0, 128)
         w = quadrature_weights(grid)
