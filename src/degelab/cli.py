@@ -65,7 +65,7 @@ _KNOWN_KEYS = {
     "problem": {"N", "R", "gamma", "alpha", "beta", "p", "sigma", "datum",
                 "amplitude", "delta", "center", "width", "m"},
     "mesh": {"M", "grading"},
-    "solver": {"picard_tol", "picard_max", "newton_tol", "newton_max", "n_max",
+    "solver": {"picard_tol", "picard_max", "newton_tol", "n_max",
                "face_scheme", "eps_p", "singular_margin"},
     "checks": {"enable", "tolerance", "lambdas", "k_levels", "tail_tolerance"},
     "output": {"directory"},
@@ -208,7 +208,6 @@ def parse_config(text: str) -> Config:
     picard_tol = _get(parser, so, "picard_tol", float, 1e-8, errors, positive=True)
     picard_max = _get(parser, so, "picard_max", int, 200, errors, positive=True)
     newton_tol = _get(parser, so, "newton_tol", float, 1e-10, errors, positive=True)
-    newton_max = _get(parser, so, "newton_max", int, 50, errors, positive=True)
     n_max = _get(parser, so, "n_max", int, 2**30, errors, positive=True)
     face_scheme = _get(parser, so, "face_scheme", str, "upwind", errors).strip()
     eps_p = _get(parser, so, "eps_p", float, 1e-10, errors, positive=True)
@@ -270,9 +269,8 @@ def parse_config(text: str) -> Config:
             lower=lower, datum=DatumSpec(family, m),
         )
         solver = SolverConfig(picard_tol=picard_tol, picard_max=picard_max,
-                              newton_tol=newton_tol, newton_max=newton_max,
-                              n_max=n_max, eps_p=eps_p, singular_margin=margin,
-                              face_scheme=face_scheme)
+                              newton_tol=newton_tol, n_max=n_max, eps_p=eps_p,
+                              singular_margin=margin, face_scheme=face_scheme)
     except ValueError as err:
         raise ConfigError([str(err)]) from err
 

@@ -116,8 +116,7 @@ class RunRecord:
     converged: bool
     truncation_active: bool
     hit_iteration_cap: bool
-    picard_iters: int
-    newton_iters_total: int
+    picard_iters: int  # accepted Newton steps summed over the truncation levels
     residual_inf: float
     prediction: RegimePrediction | None
     reports: dict[str, tuple[EstimateReport, ...]]
@@ -247,7 +246,7 @@ def _failed_record(run_id: str, spec: ProblemSpec, mesh: MeshSpec,
     return RunRecord(
         run_id=run_id, problem=spec, mesh=mesh, n_final=0, converged=False,
         truncation_active=True, hit_iteration_cap=False, picard_iters=0,
-        newton_iters_total=0, residual_inf=math.inf, prediction=prediction,
+        residual_inf=math.inf, prediction=prediction,
         started_at=started, duration_s=duration_s,
         failure=f"{type(err).__name__}: {err}",
         **vars(CheckResults(skipped={name: reason for name in checks})),
@@ -288,7 +287,6 @@ def run_single(spec: ProblemSpec, mesh: MeshSpec, cfg: SolverConfig,
         truncation_active=result.flags.truncation_active,
         hit_iteration_cap=result.flags.hit_iteration_cap,
         picard_iters=result.picard_iters,
-        newton_iters_total=result.newton_iters_total,
         residual_inf=result.residual_inf, prediction=prediction,
         started_at=started, duration_s=time.perf_counter() - t0,
         solution=result.u if converged else None, **vars(checked),

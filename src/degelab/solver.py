@@ -87,9 +87,8 @@ class SolverConfig:
     """Tolerances, caps and schedule for the level-by-level Newton solve."""
 
     picard_tol: float = 1e-8          # relative sup-norm step of a settled level
-    picard_max: int = 200             # Newton steps per truncation level
+    picard_max: int = 200             # Newton steps per truncation level or Newton solve
     newton_tol: float = 1e-10         # residual tolerance, relative to 1 + |rhs|
-    newton_max: int = 50              # steps of a fixed-operator newton_semilinear
     damping_min: float = 2.0**-20     # smallest line-search step factor
     n0: int = 1
     n_max: int = 2**30
@@ -143,8 +142,7 @@ class SolveFlags:
 class SolveResult:
     u: GridFunction
     n_final: int
-    picard_iters: int
-    newton_iters_total: int
+    picard_iters: int  # accepted Newton steps; perfbench/tracing.py reads this name
     residual_inf: float
     flags: SolveFlags
 
@@ -363,25 +361,25 @@ def newton_semilinear(op: DiscreteOperator, lower: LowerOrderTerm, u0: GridFunct
     """Damped Newton on L(u) u + g(u) = rhs.
 
     Without ``level`` the linear part L = op is fixed: each step solves
-    with op + diag(g') and is halved until the residual norm decreases, for
-    at most newton_max steps.  With ``level`` (from picard_solve), op is
-    A_n(u0) and L(u) = A_n(u) is reassembled at every trial point: a step
-    first tries the exact Jacobian at full length, else backtracks along
+    with op + diag(g') and is halved until the residual norm decreases.
+    With ``level`` (from picard_solve), op is A_n(u0) and L(u) = A_n(u) is
+    reassembled at every trial point: a step first tries the exact
+    Jacobian at full length (traced as ``newton``), else backtracks along
     the frozen-coefficient direction A_n(u) + diag(g') from the same point
-    (for gamma = 0 the two coincide and only the latter is taken), for at
-    most picard_max steps; a provably intermediate level also stops
-    at its rounding floor (see picard_solve), and the outcome is left in
-    ``level``.  Either way g' is regularized for p < 1, iterates with a
-    singular absorption term stay clamped inside [0, sigma - margin], and
-    the iteration stalls when no direction lowers the residual.  Returns
-    the final iterate, the number of accepted steps and whether the
-    residual reached newton_tol * (1 + |rhs|_inf).
+    (traced as ``frozen``; for gamma = 0 the two coincide, only the latter
+    is taken and it is traced as ``newton``); a provably intermediate level
+    also stops at its rounding floor (see picard_solve), and the outcome is
+    left in ``level``.  Either way at most picard_max steps are taken, g'
+    is regularized for p < 1, iterates with a singular absorption term stay
+    clamped inside [0, sigma - margin], and the iteration stalls when no
+    direction lowers the residual.  Returns the final iterate, the number
+    of accepted steps and whether the residual reached
+    newton_tol * (1 + |rhs|_inf).
     """
     tol = cfg.newton_tol * (1.0 + float(np.max(np.abs(op.rhs))))
     u = _clamp_singular(lower, u0.values.copy(), cfg.singular_margin)
     res = _residual(op, lower, u)
     res_norm = float(np.max(np.abs(res)))
-    max_steps = cfg.newton_max if level is None else cfg.picard_max
     # with gamma = 0 A_n does not depend on u: no reassembly, and the
     # frozen-coefficient Jacobian is the exact one
     moving = level if level is not None and level.coeff.gamma > 0 else None
@@ -391,7 +389,7 @@ def newton_semilinear(op: DiscreteOperator, lower: LowerOrderTerm, u0: GridFunct
         if settled and res_norm <= _rounding_floor(op, lower, u):
             stop = "floor"
             break
-        if steps == max_steps:
+        if steps == cfg.picard_max:
             stop = "capped"
             break
         gp = _absorption_prime(lower, u, cfg.eps_p)
@@ -401,7 +399,8 @@ def newton_semilinear(op: DiscreteOperator, lower: LowerOrderTerm, u0: GridFunct
         if moving is not None:
             accepted = _line_search(op, lower, u, res, res_norm,
                                     _exact_jacobian(op, frozen, u, moving), 1.0, cfg, moving)
-            direction = "frozen"
+            if accepted is None:
+                direction = "frozen"
         if accepted is None:
             accepted = _line_search(op, lower, u, res, res_norm, frozen,
                                     cfg.damping_min, cfg, moving)
@@ -457,8 +456,8 @@ def picard_solve(grid: RadialGrid, spec: ProblemSpec, n: int, cfg: SolverConfig,
     below picard_tol relative to 1 + |u|_inf and the residual lies within
     its own rounding bound (``ROUNDING_FLOOR_FACTOR``).  Any level stalls
     when neither direction lowers the residual.  Both report neither flag.
-    ``picard_iters`` and ``newton_iters_total`` both count the accepted
-    steps; ``trace`` receives one line per step.
+    ``picard_iters`` counts the accepted steps; ``trace`` receives one line
+    per step.
     """
     f_nodal = _nodal_datum(grid, spec, f_values)
     rhs = np.clip(f_nodal, -n, n)
@@ -471,7 +470,7 @@ def picard_solve(grid: RadialGrid, spec: ProblemSpec, n: int, cfg: SolverConfig,
     u_gf, steps, converged = newton_semilinear(op, spec.lower, GridFunction(grid, u), cfg,
                                                level=level)
     active = _truncation_active(u_gf.values, f_nodal, n)
-    return SolveResult(u=u_gf, n_final=n, picard_iters=steps, newton_iters_total=steps,
+    return SolveResult(u=u_gf, n_final=n, picard_iters=steps,
                        residual_inf=level.residual,
                        flags=SolveFlags(converged=converged, truncation_active=active,
                                         hit_iteration_cap=level.stop == "capped"))
@@ -494,26 +493,23 @@ def truncation_continuation(grid: RadialGrid, spec: ProblemSpec, cfg: SolverConf
     If the schedule is exhausted first, the result keeps
     truncation_active=True rather than hiding it.  The returned flags are
     the final level's, so ``converged`` keeps the plain residual rule;
-    the iteration counts are summed over the levels.
+    ``picard_iters`` is summed over the levels.
     """
     f_nodal = _nodal_datum(grid, spec, f_values)
     f_gf = GridFunction(grid, f_nodal)
 
-    picard_total = 0
-    newton_total = 0
+    steps = 0
     result: SolveResult | None = None
     warm: GridFunction | None = None
     for n in cfg.n_schedule():
         result = picard_solve(grid, spec, n, cfg, f_values=f_gf,
                               u_init=warm if cfg.warm_start else None, trace=trace)
-        picard_total += result.picard_iters
-        newton_total += result.newton_iters_total
+        steps += result.picard_iters
         warm = result.u
         if not result.flags.truncation_active:
             break
     assert result is not None
-    return SolveResult(u=result.u, n_final=result.n_final, picard_iters=picard_total,
-                       newton_iters_total=newton_total,
+    return SolveResult(u=result.u, n_final=result.n_final, picard_iters=steps,
                        residual_inf=result.residual_inf, flags=result.flags)
 
 

@@ -327,13 +327,18 @@ class TestPicard:
         assert floor_stopped.picard_iters < res.picard_iters
 
     def test_trace_lines(self):
+        # on these mild levels every exact-Jacobian step is accepted at full
+        # length, so each line names the exact direction; for gamma = 0 the
+        # frozen-coefficient Jacobian is the exact one
         grid = build_radial_grid(3, 1.0, 32)
-        lines = []
-        res = picard_solve(grid, power_spec(0.5, 1.0, 1.0), n=4, cfg=CFG,
-                           trace=lines.append)
-        assert len(lines) == res.picard_iters > 0  # one line per Newton step
-        assert all(line.startswith("level 4, step ") for line in lines)
-        assert "residual" in lines[0]
+        for gamma in (0.0, 0.5):
+            lines = []
+            res = picard_solve(grid, power_spec(gamma, 1.0, 1.0), n=4, cfg=CFG,
+                               trace=lines.append)
+            assert len(lines) == res.picard_iters > 0  # one line per Newton step
+            assert [line.split(", ")[:3] for line in lines] == [
+                ["level 4", f"step {k}", "newton"] for k in range(1, len(lines) + 1)]
+            assert "residual" in lines[0]
 
 
 class TestContinuation:
@@ -383,8 +388,8 @@ class TestContinuation:
             warm = truncation_continuation(grid, spec, SolverConfig(warm_start=True))
             cold = truncation_continuation(grid, spec, SolverConfig(warm_start=False))
             assert warm.flags.converged and cold.flags.converged
-            warm_total += warm.newton_iters_total
-            cold_total += cold.newton_iters_total
+            warm_total += warm.picard_iters
+            cold_total += cold.picard_iters
         assert warm_total <= cold_total
 
     def test_probe_levels_skip_the_sweep_cap(self, monkeypatch):
@@ -418,15 +423,21 @@ class TestContinuation:
         f_peak = float(np.max(grid.nodes ** -2.0912546988088936))
         assert r <= CFG.newton_tol * (1 + min(f_peak, res.n_final))
 
-    def test_exact_jacobian_stall_needs_frozen_fallback(self):
-        # full-length steps along the exact Jacobian alone stall at level
-        # 2^27 of this case with the iterate swung to -1.7e7; steps along
-        # the frozen-coefficient direction carry it through
-        grid, spec = matrix_radial_case(2.2695845868115727)
-        res = truncation_continuation(grid, spec, CFG)
+    @pytest.mark.parametrize("delta", [2.2695845868115727, 2.3621931384412047])
+    def test_frozen_direction_carries_exact_jacobian_stalls(self, delta):
+        # without a fallback, full-length exact-Jacobian steps stall at
+        # level 2^27 of the first case with the iterate swung to -1.7e7.
+        # Halving along the exact direction gets through the first case
+        # but stalls at levels 2^29 and 2^30 of the second, with the
+        # iterate swung to -2.4e8; the frozen-coefficient direction
+        # carries both
+        grid, spec = matrix_radial_case(delta)
+        lines = []
+        res = truncation_continuation(grid, spec, CFG, trace=lines.append)
         assert res.flags.converged and not res.flags.hit_iteration_cap
-        f_peak = float(np.max(grid.nodes ** -2.2695845868115727))
+        f_peak = float(np.max(grid.nodes ** -delta))
         assert res.residual_inf <= CFG.newton_tol * (1 + min(f_peak, res.n_final))
+        assert any(", frozen, " in line for line in lines)
 
 
 class TestResidualAndManufactured:
