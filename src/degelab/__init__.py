@@ -4,88 +4,44 @@ Solves -div(a(r,u) grad u) + g(u) = f on the N-dimensional ball with a
 diffusion coefficient that decays like (1+|u|)^(-gamma), via truncation
 continuation, and checks the a-priori estimates, entropy inequalities and
 weak-Lebesgue tail predictions the discrete solutions must satisfy.
+
+The package namespace holds what a quickstart needs: problem data, the
+grid, the solver and one checker.  Everything else is imported from its
+submodule (``degelab.experiments``, ``degelab.analysis``, ...).
 """
 
-from .grid import (
-    GridFunction,
-    QuadratureWeights,
-    RadialGrid,
-    build_radial_grid,
-    face_gradient,
-    face_weights,
-    grid_function,
-    integrate,
-    quadrature_weights,
-    read_grid_function,
-    sphere_surface,
-    truncate,
-    write_grid_function,
-)
+from .grid import build_radial_grid, grid_function, quadrature_weights
 from .problem import (
-    BaselineExponents,
-    BoundedRegimeError,
-    BumpDatum,
-    CoefficientForm,
     CoefficientSpec,
     ConstantDatum,
     DatumSpec,
-    GradientSpace,
     NoAbsorption,
     PowerAbsorption,
     ProblemSpec,
     RadialPowerDatum,
-    RegimeCase,
-    RegimePrediction,
     SingularAbsorption,
-    baseline_exponents,
-    classify_regime,
-    coefficient_eval,
     datum_eval,
-    datum_norm_exact,
-    lower_order_eval,
-    lower_order_inverse,
 )
-from .solver import (
-    DiscreteOperator,
-    SolveFlags,
-    SolveResult,
-    SolverConfig,
-    assemble_frozen,
-    manufactured_rhs,
-    newton_semilinear,
-    picard_solve,
-    residual_norm,
-    tridiag_solve,
-    truncation_continuation,
-)
-from .analysis import (
-    DistributionFunction,
-    EstimateReport,
-    MarcinkiewiczLemmaReport,
-    TailFit,
-    check_bg_estimate,
-    check_entropy_inequality,
-    check_lemma_estimate,
-    check_linfty_bound,
-    check_truncation_energy,
-    check_weighted_energy,
-    dirichlet_energy,
-    distribution_function,
-    lebesgue_norm,
-    marcinkiewicz_constant,
-    tail_exponent_fit,
-    verify_marcinkiewicz_lemma,
-)
-from .experiments import (
-    CheckSettings,
-    MeshSpec,
-    RunRecord,
-    SweepSpec,
-    emit_outputs,
-    exponent_probe,
-    mesh_refinement_study,
-    run_single,
-    run_sweep,
-)
+from .solver import SolverConfig, truncation_continuation
+from .analysis import check_lemma_estimate
+
+__all__ = [
+    "CoefficientSpec",
+    "ConstantDatum",
+    "DatumSpec",
+    "NoAbsorption",
+    "PowerAbsorption",
+    "ProblemSpec",
+    "RadialPowerDatum",
+    "SingularAbsorption",
+    "SolverConfig",
+    "build_radial_grid",
+    "check_lemma_estimate",
+    "datum_eval",
+    "grid_function",
+    "quadrature_weights",
+    "truncation_continuation",
+    "__version__",
+]
 
 __version__ = "0.1.0"

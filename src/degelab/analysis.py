@@ -25,7 +25,6 @@ from .grid import (
 from .problem import (
     ProblemSpec,
     SingularAbsorption,
-    datum_eval,
     lower_order_eval,
     lower_order_inverse,
 )
@@ -36,7 +35,6 @@ __all__ = [
     "TailFit",
     "EstimateReport",
     "MarcinkiewiczLemmaReport",
-    "default_levels",
     "lebesgue_norm",
     "distribution_function",
     "marcinkiewicz_constant",
@@ -55,6 +53,14 @@ __all__ = [
 TINY = 1e-300
 DEFAULT_LEVEL_COUNT = 48
 DEFAULT_LEVEL_FLOOR = 1e-3
+
+# Tail-fit window: the top TAIL_WINDOW_FRACTION of the usable levels, at
+# least TAIL_MIN_LEVELS of them, each with TAIL_MIN_CELLS nodes above it,
+# spanning TAIL_MIN_DECADES decades of k.
+TAIL_WINDOW_FRACTION = 0.4
+TAIL_MIN_LEVELS = 5
+TAIL_MIN_CELLS = 3
+TAIL_MIN_DECADES = 1.0
 
 
 def _values(u) -> np.ndarray:
@@ -126,17 +132,17 @@ def lebesgue_norm(u, s: float, w) -> float:
     return float(np.dot(wts, np.abs(vals) ** s) ** (1.0 / s))
 
 
-def default_levels(max_abs: float, count: int = DEFAULT_LEVEL_COUNT) -> np.ndarray:
+def _default_levels(max_abs: float) -> np.ndarray:
     """Log-spaced levels spanning [1e-3, 2 max|u|]."""
     hi = max(2.0 * max_abs, 2.0 * DEFAULT_LEVEL_FLOOR)
-    return np.geomspace(DEFAULT_LEVEL_FLOOR, hi, count)
+    return np.geomspace(DEFAULT_LEVEL_FLOOR, hi, DEFAULT_LEVEL_COUNT)
 
 
 def distribution_function(u, w, k_levels: np.ndarray | None = None) -> DistributionFunction:
     """Exact discrete superlevel-set measures at the given (or default) levels."""
     vals, wts = np.abs(_values(u)), _weights(w)
     if k_levels is None:
-        k_levels = default_levels(float(vals.max()) if vals.size else 0.0)
+        k_levels = _default_levels(float(vals.max()) if vals.size else 0.0)
     k_levels = np.asarray(k_levels, dtype=float)
     if k_levels.size and (np.any(k_levels <= 0) or np.any(np.diff(k_levels) <= 0)):
         raise ValueError("levels must be positive and strictly increasing")
@@ -159,28 +165,26 @@ def marcinkiewicz_constant(df: DistributionFunction, s: float) -> float:
     return float(np.max(df.k_levels**s * df.measures))
 
 
-def tail_exponent_fit(df: DistributionFunction, window_fraction: float = 0.4,
-                      min_levels: int = 5, min_cells: int = 3,
-                      min_decades: float = 1.0) -> TailFit:
+def tail_exponent_fit(df: DistributionFunction) -> TailFit:
     """Least-squares slope of log mu against log k over the upper tail.
 
-    Levels with empty superlevel sets or with fewer than ``min_cells``
+    Levels with empty superlevel sets or with fewer than ``TAIL_MIN_CELLS``
     nodes above them are not fit material (the mesh no longer resolves
-    the set); of the rest, the top ``window_fraction`` by level forms the
-    window.  A window with too few levels, spanning less than
-    ``min_decades`` decades, or with no decay in mu is reported as an
+    the set); of the rest, the top ``TAIL_WINDOW_FRACTION`` by level forms
+    the window.  A window with too few levels, spanning less than
+    ``TAIL_MIN_DECADES`` decades, or with no decay in mu is reported as an
     insufficient tail instead of producing a meaningless slope.
     """
-    eligible = (df.measures > 0) & (df.counts >= min_cells)
+    eligible = (df.measures > 0) & (df.counts >= TAIL_MIN_CELLS)
     ks = df.k_levels[eligible]
     mus = df.measures[eligible]
-    if ks.size < min_levels:
+    if ks.size < TAIL_MIN_LEVELS:
         return TailFit(np.nan, (np.nan, np.nan), 0.0, int(ks.size), False,
-                       "fewer than 5 usable levels")
-    take = max(int(np.ceil(window_fraction * ks.size)), min_levels)
+                       f"fewer than {TAIL_MIN_LEVELS} usable levels")
+    take = max(int(np.ceil(TAIL_WINDOW_FRACTION * ks.size)), TAIL_MIN_LEVELS)
     ks, mus = ks[-take:], mus[-take:]
     window = (float(ks[0]), float(ks[-1]))
-    if np.log10(ks[-1] / ks[0]) < min_decades:
+    if np.log10(ks[-1] / ks[0]) < TAIL_MIN_DECADES:
         return TailFit(np.nan, window, 0.0, int(ks.size), False,
                        "window spans less than a decade; solution essentially bounded")
     if mus[0] <= mus[-1]:
@@ -288,21 +292,22 @@ def default_entropy_test_functions(u: GridFunction) -> list[tuple[str, GridFunct
 
 
 def check_entropy_inequality(u: GridFunction, spec: ProblemSpec, phi_samples,
-                             k_levels, w, tol: float = 1e-4,
-                             f_values=None) -> list[EstimateReport]:
+                             k_levels, w, tol: float = 1e-4, *,
+                             f_values) -> list[EstimateReport]:
     """Inequalities defining the entropy solution notion, sampled over (phi, k):
 
         sum_f wf a_f grad u . grad T_k(u - phi) + sum w g(u) T_k(u - phi)
             <= sum w f T_k(u - phi)
 
     with the same upwinded face coefficients as the assembly, for bounded
-    phi vanishing at the boundary.  On a converged solve this holds with
-    equality up to the solver residual for every test pair.
+    phi vanishing at the boundary.  ``phi_samples`` holds (label, phi)
+    pairs (default: ``default_entropy_test_functions``).  On a converged
+    solve this holds with equality up to the solver residual for every
+    test pair.
     """
     grid = u.grid
     wts = _weights(w)
-    fv = _values(f_values) if f_values is not None else np.asarray(
-        datum_eval(spec.datum, grid.nodes), dtype=float)
+    fv = _values(f_values)
     a_face = face_coefficients(grid, spec.coefficient, u.values, None, "upwind")
     wf = face_weights(grid)
     grad_u = face_gradient(u)
@@ -312,8 +317,7 @@ def check_entropy_inequality(u: GridFunction, spec: ProblemSpec, phi_samples,
     if phi_samples is None:
         phi_samples = default_entropy_test_functions(u)
     out = []
-    for idx, item in enumerate(phi_samples):
-        label, phi = item if isinstance(item, tuple) else (f"phi{idx}", item)
+    for label, phi in phi_samples:
         diff = GridFunction(grid, u.values - phi.values)
         for k in np.asarray(k_levels, dtype=float):
             test = truncate(diff, float(k))

@@ -334,6 +334,9 @@ def _cmd_verify(config: Config, out_dir: Path, solution_path: str | None) -> int
         if not record.converged:
             print("solver did not converge")
             return EXIT_NOT_CONVERGED
+        if record.truncation_active or record.hit_iteration_cap:
+            print(f"  [FAIL] solve flags truncation_active={record.truncation_active} "
+                  f"hit_iteration_cap={record.hit_iteration_cap} at n_final={record.n_final}")
         return EXIT_OK if record.all_passed else EXIT_CHECK_FAILED
     residual, bound, checked = _verify_solution_file(config, solution_path)
     res_ok = residual <= bound

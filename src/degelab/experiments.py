@@ -10,6 +10,8 @@ from a timestamp comment so repeated executions can be diffed.
 
 from __future__ import annotations
 
+import csv
+import io
 import itertools
 import json
 import math
@@ -82,6 +84,23 @@ __all__ = [
 ALL_CHECKS = ("lemma", "bg", "weighted_energy", "truncation_energy",
               "linfty", "entropy", "marcinkiewicz")
 
+# Superlevel thresholds of the bg checker, as fractions of max|u|, and the
+# number of cutoff levels k of the entropy checker.
+BG_T_FRACTIONS = (0.0, 0.25, 0.5, 0.75)
+ENTROPY_K_COUNT = 4
+
+SWEEP_CAP = 4096  # largest number of points one sweep may have
+
+# mesh_refinement_study's discrete surrogate datum is manufactured on a mesh
+# this many times finer than the largest study mesh.
+REFERENCE_FACTOR = 8
+
+# exponent_probe: a row is consistent when its gradient tail reaches this
+# share of the predicted exponent and its absorption integral changes by
+# at most this fraction between the mesh and the mesh half as fine.
+PROBE_TAIL_THRESHOLD = 0.85
+PROBE_STABILITY_THRESHOLD = 0.25
+
 CSV_COLUMNS = ("run_id", "gamma", "p", "m", "N", "delta", "M", "n_final",
                "converged", "check_name", "lhs", "rhs", "slack", "passed",
                "tail_u", "tail_grad", "predicted_grad")
@@ -100,8 +119,6 @@ class CheckSettings:
     tolerance: float = 1e-4
     lambdas: tuple[float, ...] = (1.25, 2.0, 4.0)
     truncation_k_count: int = 8
-    entropy_k_count: int = 4
-    t_fractions: tuple[float, ...] = (0.0, 0.25, 0.5, 0.75)
     tail_tolerance: float = 0.15
 
 
@@ -133,7 +150,11 @@ class RunRecord:
 
     @property
     def all_passed(self) -> bool:
-        return self.converged and _checks_passed(self.reports, self.marcinkiewicz)
+        """Solved (converged, truncation inactive, no level capped) and
+        every check passed."""
+        return (self.converged and not self.truncation_active
+                and not self.hit_iteration_cap
+                and _checks_passed(self.reports, self.marcinkiewicz))
 
 
 def _checks_passed(reports: dict[str, tuple[EstimateReport, ...]],
@@ -201,7 +222,7 @@ def run_checks(u: GridFunction, spec: ProblemSpec, checks: Sequence[str] = ALL_C
             if not is_power:
                 skipped[name] = "needs a power absorption term"
                 continue
-            ts = np.array(settings.t_fractions) * u_max
+            ts = np.array(BG_T_FRACTIONS) * u_max
             reports[name] = tuple(check_bg_estimate(u, f_nodal, spec.lower.p,
                                                     np.unique(ts), w, tol))
         elif name == "weighted_energy":
@@ -218,7 +239,7 @@ def run_checks(u: GridFunction, spec: ProblemSpec, checks: Sequence[str] = ALL_C
                 continue
             reports[name] = (check_linfty_bound(u, spec.lower, f_nodal),)
         elif name == "entropy":
-            ks = _checker_levels(u_max, settings.entropy_k_count)
+            ks = _checker_levels(u_max, ENTROPY_K_COUNT)
             reports[name] = tuple(check_entropy_inequality(
                 u, spec, None, ks, w, tol, f_values=f_nodal))
         elif name == "marcinkiewicz":
@@ -298,7 +319,8 @@ class SweepSpec:
     """Cartesian sweep over problem and mesh axes around a base problem.
 
     Axis names: gamma, p, m, N, delta, M.  Every point yields a record,
-    flagged rather than dropped on failure; the product size is capped.
+    flagged rather than dropped on failure; the product size is capped at
+    ``SWEEP_CAP``.
     """
 
     base: ProblemSpec
@@ -308,7 +330,6 @@ class SweepSpec:
     checks: tuple[str, ...] = ALL_CHECKS
     settings: CheckSettings = CheckSettings()
     parallelism: int = 1
-    cap: int = 4096
 
 
 def _apply_axis_point(base: ProblemSpec, mesh: MeshSpec,
@@ -354,8 +375,8 @@ def run_sweep(sweep: SweepSpec) -> list[RunRecord]:
     names = list(sweep.axes.keys())
     values = [tuple(sweep.axes[name]) for name in names]
     combos = list(itertools.product(*values)) if names else [()]
-    if len(combos) > sweep.cap:
-        raise ValueError(f"sweep size {len(combos)} exceeds cap {sweep.cap}")
+    if len(combos) > SWEEP_CAP:
+        raise ValueError(f"sweep size {len(combos)} exceeds cap {SWEEP_CAP}")
     tasks = [(sweep, idx, dict(zip(names, combo)))
              for idx, combo in enumerate(combos)]
     if sweep.parallelism > 1:
@@ -385,21 +406,20 @@ class ConvergenceStudy:
 def mesh_refinement_study(spec: ProblemSpec, u_star: Callable[[np.ndarray], np.ndarray],
                           M_list: Sequence[int], cfg: SolverConfig,
                           rhs: Callable[[np.ndarray], np.ndarray] | None = None,
-                          grading: float | None = None,
-                          reference_factor: int = 8) -> ConvergenceStudy:
+                          grading: float | None = None) -> ConvergenceStudy:
     """Max-norm errors against a manufactured field under mesh refinement.
 
     The datum is the continuum source for which u_star solves the
     equation: either the closed form ``rhs`` when available, or a
     high-resolution discrete surrogate (manufactured on a mesh
-    ``reference_factor`` times finer than the largest study mesh and
+    ``REFERENCE_FACTOR`` times finer than the largest study mesh and
     interpolated down, so its consistency error is negligible next to the
     study's own).
     """
     M_list = [int(m) for m in M_list]
     if rhs is None:
         fine = build_radial_grid(spec.dimension, spec.radius,
-                                 reference_factor * max(M_list), grading)
+                                 REFERENCE_FACTOR * max(M_list), grading)
         star_fine = grid_function(fine, u_star)
         level = _inactive_level(cfg, star_fine.values)
         f_fine = manufactured_rhs(fine, spec, star_fine, level, cfg.face_scheme)
@@ -460,18 +480,18 @@ class ProbeTable:
 
 
 def exponent_probe(base: ProblemSpec, deltas: Sequence[float], mesh: MeshSpec,
-                   cfg: SolverConfig, settings: CheckSettings = CheckSettings(),
-                   tail_threshold: float = 0.85,
-                   stability_threshold: float = 0.25) -> ProbeTable:
+                   cfg: SolverConfig) -> ProbeTable:
     """Sweep the datum singularity toward the integrability edge.
 
     For each delta the run is repeated on a mesh half as fine; a row is
     consistent when the absorption integral sum w |u|^(pm) is finite and
-    stable under that refinement and the measured gradient tail exponent
-    reaches ``tail_threshold`` of the predicted one.  Rows whose solution
-    is too tame for a tail fit are only marked insufficient.  At points
-    sitting exactly on a regime boundary both neighbouring cases predict
-    the same gradient exponent; the row is flagged rather than judged.
+    changes by at most ``PROBE_STABILITY_THRESHOLD`` under that refinement
+    and the measured gradient tail exponent reaches
+    ``PROBE_TAIL_THRESHOLD`` of the predicted one.  Rows whose solution is
+    too tame for a tail fit, or where either solve raised or did not
+    converge, are only marked insufficient.  At points sitting exactly on
+    a regime boundary both neighbouring cases predict the same gradient
+    exponent; the row is flagged rather than judged.
     """
     if not isinstance(base.lower, PowerAbsorption):
         raise ValueError("exponent probe requires a power absorption term")
@@ -481,41 +501,35 @@ def exponent_probe(base: ProblemSpec, deltas: Sequence[float], mesh: MeshSpec,
     p = base.lower.p
     m = base.datum.m
     prediction = classify_regime(gamma, p, m)
-    boundary = False
     if m > 1:
         boundary = math.isclose(p, gamma / (m - 1)) or math.isclose(p, (gamma + 1) / (m - 1))
     else:
         boundary = math.isclose(p, gamma + 1)
 
     pm = p * m
+    coarse_mesh = MeshSpec(max(mesh.cells // 2, 8), mesh.grading)
     rows = []
     for delta in deltas:
         spec = replace(base, datum=replace(
             base.datum, family=replace(base.datum.family, delta=float(delta))))
-        fine = _probe_solve(spec, mesh, cfg)
-        coarse = _probe_solve(spec, MeshSpec(max(mesh.cells // 2, 8), mesh.grading), cfg)
+        fine = run_single(spec, mesh, cfg, checks=())
+        coarse = run_single(spec, coarse_mesh, cfg, checks=())
 
-        integral = integral_coarse = math.nan
+        integral = integral_coarse = change = math.nan
         tail_u_val = tail_grad_val = math.nan
         insufficient = True
         consistent = False
-        if fine is not None and coarse is not None:
-            (u, w), (uc, wc) = fine, coarse
-            integral = float(np.dot(w.values, np.abs(u.values) ** pm))
-            integral_coarse = float(np.dot(wc.values, np.abs(uc.values) ** pm))
-            fit_u = tail_exponent_fit(distribution_function(u, w))
-            grad = np.abs(face_gradient(u))
-            fit_g = tail_exponent_fit(distribution_function(grad, face_weights(u.grid)))
-            tail_u_val = fit_u.exponent if fit_u.sufficient else math.nan
-            tail_grad_val = fit_g.exponent if fit_g.sufficient else math.nan
-            insufficient = not (fit_u.sufficient and fit_g.sufficient)
-            if not insufficient:
+        if fine.converged and coarse.converged:
+            integral = _absorption_integral(fine.solution, pm)
+            integral_coarse = _absorption_integral(coarse.solution, pm)
+            if math.isfinite(integral):
                 change = abs(integral - integral_coarse) / max(abs(integral), 1e-300)
-                consistent = (math.isfinite(integral)
-                              and change <= stability_threshold
-                              and tail_grad_val >= tail_threshold * prediction.gradient_exponent)
-        change = (abs(integral - integral_coarse) / max(abs(integral), 1e-300)
-                  if math.isfinite(integral) else math.nan)
+            tail_u_val = fine.tail_u.exponent if fine.tail_u.sufficient else math.nan
+            tail_grad_val = fine.tail_grad.exponent if fine.tail_grad.sufficient else math.nan
+            insufficient = not (fine.tail_u.sufficient and fine.tail_grad.sufficient)
+            consistent = (not insufficient and math.isfinite(integral)
+                          and change <= PROBE_STABILITY_THRESHOLD
+                          and tail_grad_val >= PROBE_TAIL_THRESHOLD * prediction.gradient_exponent)
         rows.append(ProbeRow(
             delta=float(delta), lebesgue_exponent=pm, lebesgue_integral=integral,
             lebesgue_integral_refined=integral_coarse, refinement_change=change,
@@ -526,12 +540,8 @@ def exponent_probe(base: ProblemSpec, deltas: Sequence[float], mesh: MeshSpec,
     return ProbeTable(rows=tuple(rows))
 
 
-def _probe_solve(spec: ProblemSpec, mesh: MeshSpec, cfg: SolverConfig):
-    grid = build_radial_grid(spec.dimension, spec.radius, mesh.cells, mesh.grading)
-    result = truncation_continuation(grid, spec, cfg)
-    if not result.flags.converged:
-        return None
-    return result.u, quadrature_weights(grid)
+def _absorption_integral(u: GridFunction, pm: float) -> float:
+    return float(np.dot(quadrature_weights(u.grid).values, np.abs(u.values) ** pm))
 
 
 # --- output emission -------------------------------------------------------
@@ -642,12 +652,13 @@ def emit_from_saved(saved: Sequence[dict], out_dir) -> dict[str, Path]:
     plotdir.mkdir(exist_ok=True)
 
     csv_path = out / "records.csv"
-    lines = [f"# generated {datetime.now(timezone.utc).isoformat()}"]
-    lines.append(",".join(CSV_COLUMNS))
+    text = io.StringIO()
+    text.write(f"# generated {datetime.now(timezone.utc).isoformat()}\n")
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
     for rec in saved:
-        for row in rec["rows"]:
-            lines.append(",".join(_fmt(row[col]) for col in CSV_COLUMNS))
-    csv_path.write_text("\n".join(lines) + "\n")
+        writer.writerows([_fmt(row[col]) for col in CSV_COLUMNS] for row in rec["rows"])
+    csv_path.write_text(text.getvalue())
 
     md_path = out / "summary.md"
     md_path.write_text(summary)

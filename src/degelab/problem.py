@@ -26,7 +26,6 @@ from scipy.integrate import quad
 from .grid import sphere_surface
 
 __all__ = [
-    "CoefficientForm",
     "CoefficientSpec",
     "NoAbsorption",
     "PowerAbsorption",
@@ -51,11 +50,6 @@ __all__ = [
     "classify_regime",
     "baseline_exponents",
 ]
-
-
-class CoefficientForm(Enum):
-    SHARP = "sharp"    # a(r, s) = alpha / (1 + |s|)^gamma
-    SCALED = "scaled"  # a(r, s) = b(r) * alpha / (1 + |s|)^gamma
 
 
 @dataclass(frozen=True)
@@ -90,10 +84,6 @@ class CoefficientSpec:
                 raise ValueError("spatial factor bounds must satisfy 1 <= b_min <= b_max")
             if self.alpha * b_max > self.beta * (1 + 1e-12):
                 raise ValueError("alpha * b_max must not exceed beta")
-
-    @property
-    def form(self) -> CoefficientForm:
-        return CoefficientForm.SHARP if self.spatial_factor is None else CoefficientForm.SCALED
 
 
 def coefficient_eval(spec: CoefficientSpec, r, s):

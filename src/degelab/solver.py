@@ -81,34 +81,37 @@ TraceSink = Callable[[str], None]
 # lies under the largest row bound is rounding noise.
 ROUNDING_FLOOR_FACTOR = 8.0
 
+FIRST_LEVEL = 1            # truncation level the continuation starts from
+DAMPING_MIN = 2.0**-20     # smallest line-search step factor
+
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Tolerances, caps and schedule for the level-by-level Newton solve."""
+    """Tolerances, caps and schedule for the level-by-level Newton solve.
+
+    The fields are exactly the ``[solver]`` keys of a config file.
+    """
 
     picard_tol: float = 1e-8          # relative sup-norm step of a settled level
     picard_max: int = 200             # Newton steps per truncation level or Newton solve
     newton_tol: float = 1e-10         # residual tolerance, relative to 1 + |rhs|
-    damping_min: float = 2.0**-20     # smallest line-search step factor
-    n0: int = 1
     n_max: int = 2**30
     eps_p: float = 1e-10              # Jacobian regularization for p < 1
     singular_margin: float = 1e-12    # exclusion distance from the barrier
     face_scheme: str = "upwind"       # or "arithmetic"
-    warm_start: bool = True
 
     def __post_init__(self):
-        for name in ("picard_tol", "newton_tol", "damping_min", "eps_p", "singular_margin"):
+        for name in ("picard_tol", "newton_tol", "eps_p", "singular_margin"):
             if not (getattr(self, name) > 0):
                 raise ValueError(f"{name} must be positive")
         if self.face_scheme not in ("upwind", "arithmetic"):
             raise ValueError(f"face_scheme must be 'upwind' or 'arithmetic', got {self.face_scheme!r}")
-        if not (1 <= self.n0 <= self.n_max):
-            raise ValueError("truncation schedule requires 1 <= n0 <= n_max")
+        if not (self.n_max >= FIRST_LEVEL):
+            raise ValueError(f"truncation schedule requires n_max >= {FIRST_LEVEL}")
 
     def n_schedule(self) -> list[int]:
-        """Truncation levels doubling from n0 up to and including n_max."""
-        levels = [self.n0]
+        """Truncation levels doubling from FIRST_LEVEL up to and including n_max."""
+        levels = [FIRST_LEVEL]
         while levels[-1] < self.n_max:
             levels.append(min(2 * levels[-1], self.n_max))
         return levels
@@ -403,7 +406,7 @@ def newton_semilinear(op: DiscreteOperator, lower: LowerOrderTerm, u0: GridFunct
                 direction = "frozen"
         if accepted is None:
             accepted = _line_search(op, lower, u, res, res_norm, frozen,
-                                    cfg.damping_min, cfg, moving)
+                                    DAMPING_MIN, cfg, moving)
         if accepted is None:
             stop = "stalled"
             break
@@ -486,7 +489,7 @@ def truncation_continuation(grid: RadialGrid, spec: ProblemSpec, cfg: SolverConf
     """March the truncation level upward until the clipping is inactive.
 
     Each level is one coupled Newton solve (see picard_solve) and
-    warm-starts from the previous level's iterate (unless disabled), also
+    warm-starts from the previous level's iterate, also
     when that level was capped, stalled or stopped at its rounding floor.
     The march stops as soon as n exceeds max|u| and max|f| at the nodes,
     after which larger levels would reproduce the same discrete problem.
@@ -502,8 +505,7 @@ def truncation_continuation(grid: RadialGrid, spec: ProblemSpec, cfg: SolverConf
     result: SolveResult | None = None
     warm: GridFunction | None = None
     for n in cfg.n_schedule():
-        result = picard_solve(grid, spec, n, cfg, f_values=f_gf,
-                              u_init=warm if cfg.warm_start else None, trace=trace)
+        result = picard_solve(grid, spec, n, cfg, f_values=f_gf, u_init=warm, trace=trace)
         steps += result.picard_iters
         warm = result.u
         if not result.flags.truncation_active:

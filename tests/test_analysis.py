@@ -14,7 +14,6 @@ from degelab.analysis import (
     check_linfty_bound,
     check_truncation_energy,
     check_weighted_energy,
-    default_levels,
     dirichlet_energy,
     distribution_function,
     lebesgue_norm,

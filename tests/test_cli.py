@@ -1,3 +1,4 @@
+import dataclasses
 import json
 from pathlib import Path
 
@@ -9,6 +10,7 @@ from degelab.cli import (
     EXIT_CONFIG,
     EXIT_NOT_CONVERGED,
     EXIT_OK,
+    _KNOWN_KEYS,
     Config,
     ConfigError,
     dispatch,
@@ -22,6 +24,7 @@ from degelab.problem import (
     RadialPowerDatum,
     SingularAbsorption,
 )
+from degelab.solver import SolverConfig
 
 MINIMAL = """
 [problem]
@@ -108,6 +111,10 @@ class TestParse:
         cfg = parse_config("[problem]\nN = 4  # four dimensions\np = 1.0\n")
         assert cfg.problem.dimension == 4
 
+    def test_solver_fields_are_the_config_keys(self):
+        # a SolverConfig field no config can set is a knob only tests turn
+        assert {f.name for f in dataclasses.fields(SolverConfig)} == _KNOWN_KEYS["solver"]
+
 
 class TestDispatch:
     def test_solve_writes_everything(self, tmp_path):
@@ -139,6 +146,15 @@ class TestDispatch:
 
         assert table(checked.reports) == table(rec.reports)
         assert checked.skipped == rec.skipped
+
+    def test_verify_fails_when_truncation_stays_active(self, tmp_path, capsys):
+        # f(r_0) ~ 1.9e9 exceeds n_max = 2^30: the last level converges but
+        # still clips the datum, so the problem was not solved
+        text = (MINIMAL.replace("p = 2.0", "p = 1.0").replace("M = 96", "M = 1024")
+                .replace("datum = constant", "datum = radial_power\ndelta = 2.8"))
+        conf, out = write_config(tmp_path, text)
+        assert dispatch("verify", parse_config(conf.read_text())) == EXIT_CHECK_FAILED
+        assert "truncation_active=True" in capsys.readouterr().out
 
     def test_verify_corrupted_solution_fails(self, tmp_path):
         conf, out = write_config(tmp_path, MINIMAL)

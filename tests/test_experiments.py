@@ -1,3 +1,4 @@
+import csv
 import math
 from pathlib import Path
 
@@ -75,6 +76,13 @@ class TestRunSingle:
             run_single(power_spec(0.5, 1.0, 1.0), MeshSpec(32), CFG,
                        checks=("lemma", "bogus"))
 
+    def test_truncation_active_run_not_all_passed(self):
+        # f(r_0) ~ 1.9e9 exceeds n_max = 2^30, so the schedule runs out
+        rec = run_single(power_spec(1.0, 1.0, 1.0, RadialPowerDatum(1.0, 2.8)),
+                         MeshSpec(1024), CFG)
+        assert rec.converged and rec.truncation_active
+        assert not rec.all_passed
+
     def test_prediction_attached(self):
         rec = run_single(power_spec(1.0, 4.0, 1.5), MeshSpec(32), CFG)
         assert rec.prediction is not None
@@ -128,6 +136,18 @@ class TestEmission:
         # header + 1 lemma row + 4 tail rows
         assert body[0].startswith("run_id,gamma,p,m,N,delta,M,n_final,converged,")
         assert len(body) == 1 + 1 + 4
+
+    def test_csv_reader_reads_every_column(self, tmp_path):
+        rec = run_single(power_spec(1.0, 2.0, 1.0), MeshSpec(64), CFG)
+        paths = emit_outputs([rec], tmp_path)
+        save_records([rec], tmp_path / "records.json")
+        with open(paths["csv"], newline="") as fh:
+            rows = list(csv.reader(line for line in fh if not line.startswith("#")))
+        assert all(len(row) == 17 for row in rows)
+        names = [row[rows[0].index("check_name")] for row in rows[1:]]
+        assert names == [row["check_name"]
+                         for row in load_records(tmp_path / "records.json")[0]["rows"]]
+        assert "lemma_estimate(p=2,m=1)" in names
 
     def test_empty_records_header_only(self, tmp_path):
         paths = emit_outputs([], tmp_path)

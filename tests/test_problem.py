@@ -9,7 +9,6 @@ from degelab.grid import build_radial_grid, grid_function, integrate, quadrature
 from degelab.problem import (
     BoundedRegimeError,
     BumpDatum,
-    CoefficientForm,
     CoefficientSpec,
     ConstantDatum,
     DatumSpec,
@@ -55,7 +54,6 @@ class TestCoefficient:
     def test_scaled_form(self):
         spec = CoefficientSpec(1.0, 3.0, 1.0, spatial_factor=lambda r: 1.0 + r,
                                spatial_bounds=(1.0, 2.0))
-        assert spec.form is CoefficientForm.SCALED
         assert coefficient_eval(spec, 1.0, 0.0) == pytest.approx(2.0)
 
     @settings(max_examples=100, deadline=None)

@@ -370,6 +370,8 @@ class TestContinuation:
         assert res.n_final == levels[0]
 
     def test_warm_start_never_costs_more_newton_steps(self):
+        # the cold baseline solves the same schedule level by level, each
+        # level from zero instead of the previous level's iterate
         specs = [
             power_spec(0.0, 0.5, 1.0, ConstantDatum(1.0)),
             power_spec(0.0, 2.0, 1.5, ConstantDatum(4.0)),
@@ -385,11 +387,15 @@ class TestContinuation:
         grid = build_radial_grid(3, 1.0, 64)
         warm_total = cold_total = 0
         for spec in specs:
-            warm = truncation_continuation(grid, spec, SolverConfig(warm_start=True))
-            cold = truncation_continuation(grid, spec, SolverConfig(warm_start=False))
-            assert warm.flags.converged and cold.flags.converged
+            warm = truncation_continuation(grid, spec, CFG)
+            assert warm.flags.converged
             warm_total += warm.picard_iters
-            cold_total += cold.picard_iters
+            for n in CFG.n_schedule():
+                cold = picard_solve(grid, spec, n, CFG)
+                cold_total += cold.picard_iters
+                if not cold.flags.truncation_active:
+                    break
+            assert cold.flags.converged
         assert warm_total <= cold_total
 
     def test_probe_levels_skip_the_sweep_cap(self, monkeypatch):
