@@ -10,8 +10,9 @@ lives in an INI-style file; only the mesh size and the output directory
 can be overridden from the command line, so a config file pins a
 reproducible run.
 
-Exit codes: 0 success, 1 failed check (verify), 2 solver non-convergence,
-3 configuration errors.
+Exit codes: 0 success, 1 failed check (verify), 2 solver non-convergence
+(for ``solve`` also a final level that still clips the datum or the
+solution), 3 configuration errors.
 """
 
 from __future__ import annotations
@@ -65,8 +66,8 @@ _KNOWN_KEYS = {
     "problem": {"N", "R", "gamma", "alpha", "beta", "p", "sigma", "datum",
                 "amplitude", "delta", "center", "width", "m"},
     "mesh": {"M", "grading"},
-    "solver": {"picard_tol", "picard_max", "newton_tol", "n_max",
-               "face_scheme", "eps_p", "singular_margin"},
+    "solver": {"picard_max", "newton_tol", "n_max", "face_scheme", "eps_p",
+               "singular_margin"},
     "checks": {"enable", "tolerance", "lambdas", "k_levels", "tail_tolerance"},
     "output": {"directory"},
     "sweep": {"gamma", "p", "m", "N", "delta", "M", "parallelism"},
@@ -205,7 +206,6 @@ def parse_config(text: str) -> Config:
         errors.append(f"[mesh] grading: must lie in [1, 4], got {grading}")
 
     so = "solver"
-    picard_tol = _get(parser, so, "picard_tol", float, 1e-8, errors, positive=True)
     picard_max = _get(parser, so, "picard_max", int, 200, errors, positive=True)
     newton_tol = _get(parser, so, "newton_tol", float, 1e-10, errors, positive=True)
     n_max = _get(parser, so, "n_max", int, 2**30, errors, positive=True)
@@ -268,9 +268,8 @@ def parse_config(text: str) -> Config:
             coefficient=CoefficientSpec(alpha=alpha, beta=beta, gamma=gamma),
             lower=lower, datum=DatumSpec(family, m),
         )
-        solver = SolverConfig(picard_tol=picard_tol, picard_max=picard_max,
-                              newton_tol=newton_tol, n_max=n_max, eps_p=eps_p,
-                              singular_margin=margin, face_scheme=face_scheme)
+        solver = SolverConfig(picard_max=picard_max, newton_tol=newton_tol, n_max=n_max,
+                              eps_p=eps_p, singular_margin=margin, face_scheme=face_scheme)
     except ValueError as err:
         raise ConfigError([str(err)]) from err
 
@@ -308,9 +307,9 @@ def _cmd_solve(config: Config, out_dir: Path) -> int:
     emit_outputs([record], out_dir)
     save_records([record], out_dir / "records.json")
     _print_reports(record)
-    print(f"converged={record.converged} n_final={record.n_final} "
-          f"residual={record.residual_inf:.3e}")
-    return EXIT_OK if record.converged else EXIT_NOT_CONVERGED
+    print(f"converged={record.converged} truncation_active={record.truncation_active} "
+          f"n_final={record.n_final} residual={record.residual_inf:.3e}")
+    return EXIT_OK if record.converged and not record.truncation_active else EXIT_NOT_CONVERGED
 
 
 def _cmd_sweep(config: Config, out_dir: Path) -> int:

@@ -2,24 +2,18 @@
 
 The quasilinear equation is attacked level by level: at truncation level n
 the diffusion coefficient is evaluated at the clipped field T_n(u) and the
-datum is clipped to T_n(f); levels double until the clipping no longer
-touches either u or f.  Each level is one damped Newton iteration on the
-full residual F(u) = A_n(u) u + g(u) - T_n f with its exact Jacobian
-A_n(u) + diag(g'(u)) + d_u[A_n(u)] u.  Every face coefficient depends on
-its two adjacent nodes at most, so that Jacobian is tridiagonal.  A step
-that the exact Jacobian does not get accepted at full length is taken
-instead along the frozen-coefficient direction A_n(u) + diag(g'(u)) from
-the same point, with backtracking; every trial point is reassembled.
-
-A level below max|f| and below n_max stays truncation-active whatever u
-is, so it only supplies the next level's warm start.  Such a provably
-intermediate level also stops once its steps have settled and its
-residual lies within the residual's own rounding error (see
-``ROUNDING_FLOOR_FACTOR``), where the tolerance newton_tol * (1 + n) can
-lie below what double precision resolves.  It then reports neither
-convergence nor the iteration cap, and the continuation climbs on.  Every
-level that might be final keeps the plain rule, so ``converged`` always
-means residual <= newton_tol * (1 + |T_n f|_inf).
+datum is clipped to T_n(f).  A level below max|f| clips the datum whatever
+u is, so it cannot be the answer; the climb therefore starts at the first
+level of the schedule that reaches max|f| at the nodes, from u = 0, and
+doubles until the clipping no longer touches u either.  Each level is one
+damped Newton iteration on the full residual F(u) = A_n(u) u + g(u) - T_n f
+with its exact Jacobian A_n(u) + diag(g'(u)) + d_u[A_n(u)] u.  Every face
+coefficient depends on its two adjacent nodes at most, so that Jacobian is
+tridiagonal.  A step that the exact Jacobian does not get accepted at full
+length is taken instead along the frozen-coefficient direction
+A_n(u) + diag(g'(u)) from the same point, with backtracking; every trial
+point is reassembled.  ``converged`` always means
+residual <= newton_tol * (1 + |T_n f|_inf).
 
 Conservative flux form: row i of the operator is
 -(F_{i+1/2} - F_{i-1/2}) / V_i with flux
@@ -73,15 +67,7 @@ __all__ = [
 
 TraceSink = Callable[[str], None]
 
-# A row of the residual A_n(u) u + g(u) - T_n f takes 8 rounded operations:
-# three products, two additions summing them, g, its addition and the
-# subtraction of T_n f.  To first order its evaluation error is therefore
-# below ROUNDING_FLOOR_FACTOR * eps * (|A_n(u)||u| + |g(u)| + |T_n f|)_i
-# (an Oettli-Prager style componentwise bound); a residual whose sup norm
-# lies under the largest row bound is rounding noise.
-ROUNDING_FLOOR_FACTOR = 8.0
-
-FIRST_LEVEL = 1            # truncation level the continuation starts from
+FIRST_LEVEL = 1            # first level of the truncation schedule
 DAMPING_MIN = 2.0**-20     # smallest line-search step factor
 
 
@@ -92,7 +78,6 @@ class SolverConfig:
     The fields are exactly the ``[solver]`` keys of a config file.
     """
 
-    picard_tol: float = 1e-8          # relative sup-norm step of a settled level
     picard_max: int = 200             # Newton steps per truncation level or Newton solve
     newton_tol: float = 1e-10         # residual tolerance, relative to 1 + |rhs|
     n_max: int = 2**30
@@ -101,7 +86,7 @@ class SolverConfig:
     face_scheme: str = "upwind"       # or "arithmetic"
 
     def __post_init__(self):
-        for name in ("picard_tol", "newton_tol", "eps_p", "singular_margin"):
+        for name in ("newton_tol", "eps_p", "singular_margin"):
             if not (getattr(self, name) > 0):
                 raise ValueError(f"{name} must be positive")
         if self.face_scheme not in ("upwind", "arithmetic"):
@@ -259,16 +244,14 @@ def _frozen_operator(grid: RadialGrid, coeff: CoefficientSpec, u: np.ndarray, n:
 class _Level:
     """A truncation level, as ``picard_solve`` hands it to ``newton_semilinear``.
 
-    The first fields say how to reassemble A_n at a trial point and whether
-    the level may stop at its rounding floor.  The iteration leaves why it
-    stopped ("converged", "floor", "capped" or "stalled") and the residual
-    sup norm at its final iterate in the last two.
+    The first fields say how to reassemble A_n at a trial point.  The
+    iteration leaves why it stopped ("converged", "capped" or "stalled")
+    and the residual sup norm at its final iterate in the last two.
     """
 
     coeff: CoefficientSpec
     n: int
     scheme: str
-    floor_stop: bool
     trace: TraceSink | None = None
     stop: str = ""
     residual: float = math.inf
@@ -370,9 +353,8 @@ def newton_semilinear(op: DiscreteOperator, lower: LowerOrderTerm, u0: GridFunct
     Jacobian at full length (traced as ``newton``), else backtracks along
     the frozen-coefficient direction A_n(u) + diag(g') from the same point
     (traced as ``frozen``; for gamma = 0 the two coincide, only the latter
-    is taken and it is traced as ``newton``); a provably intermediate level
-    also stops at its rounding floor (see picard_solve), and the outcome is
-    left in ``level``.  Either way at most picard_max steps are taken, g'
+    is taken and it is traced as ``newton``), and the outcome is left in
+    ``level``.  Either way at most picard_max steps are taken, g'
     is regularized for p < 1, iterates with a singular absorption term stay
     clamped inside [0, sigma - margin], and the iteration stalls when no
     direction lowers the residual.  Returns the final iterate, the number
@@ -387,11 +369,7 @@ def newton_semilinear(op: DiscreteOperator, lower: LowerOrderTerm, u0: GridFunct
     # frozen-coefficient Jacobian is the exact one
     moving = level if level is not None and level.coeff.gamma > 0 else None
     steps = 0
-    settled = False  # the last step of a floor-stoppable level was below picard_tol
     while res_norm > tol:
-        if settled and res_norm <= _rounding_floor(op, lower, u):
-            stop = "floor"
-            break
         if steps == cfg.picard_max:
             stop = "capped"
             break
@@ -410,16 +388,11 @@ def newton_semilinear(op: DiscreteOperator, lower: LowerOrderTerm, u0: GridFunct
         if accepted is None:
             stop = "stalled"
             break
-        u_prev = u
         u, op, res, res_norm = accepted
         steps += 1
-        if level is not None:
-            scale = 1.0 + float(np.max(np.abs(u_prev)))
-            settled = (level.floor_stop
-                       and float(np.max(np.abs(u - u_prev))) < cfg.picard_tol * scale)
-            if level.trace is not None:
-                level.trace(f"level {level.n}, step {steps}, {direction}, "
-                            f"residual {res_norm:.6e}")
+        if level is not None and level.trace is not None:
+            level.trace(f"level {level.n}, step {steps}, {direction}, "
+                        f"residual {res_norm:.6e}")
     else:
         stop = "converged"
     if level is not None:
@@ -434,14 +407,6 @@ def _nodal_datum(grid: RadialGrid, spec: ProblemSpec,
     return np.asarray(datum_eval(spec.datum, grid.nodes), dtype=float)
 
 
-def _rounding_floor(op: DiscreteOperator, lower: LowerOrderTerm, u: np.ndarray) -> float:
-    """Bound on the rounding error of ``_residual(op, lower, u)`` in sup norm."""
-    mag = np.abs(op.diag * u) + np.abs(lower_order_eval(lower, u)) + np.abs(op.rhs)
-    mag[:-1] += np.abs(op.sup[:-1] * u[1:])
-    mag[1:] += np.abs(op.sub[1:] * u[:-1])
-    return ROUNDING_FLOOR_FACTOR * float(np.finfo(float).eps) * float(np.max(mag))
-
-
 def picard_solve(grid: RadialGrid, spec: ProblemSpec, n: int, cfg: SolverConfig,
                  f_values: GridFunction | None = None,
                  u_init: GridFunction | None = None,
@@ -452,21 +417,14 @@ def picard_solve(grid: RadialGrid, spec: ProblemSpec, n: int, cfg: SolverConfig,
     residual A_n(u) u + g(u) - T_n f with the exact tridiagonal Jacobian
     and the frozen-coefficient fallback, for at most picard_max steps.
     ``converged`` means the residual fell below newton_tol * (1 + |T_n f|_inf);
-    ``hit_iteration_cap`` that picard_max steps did not get it there.
-
-    A provably intermediate level (n < max|f| at the nodes and n < n_max,
-    so truncation stays active whatever u is) also stops once a step is
-    below picard_tol relative to 1 + |u|_inf and the residual lies within
-    its own rounding bound (``ROUNDING_FLOOR_FACTOR``).  Any level stalls
-    when neither direction lowers the residual.  Both report neither flag.
-    ``picard_iters`` counts the accepted steps; ``trace`` receives one line
-    per step.
+    ``hit_iteration_cap`` that picard_max steps did not get it there.  A
+    level that stalls, because neither direction lowers the residual,
+    reports neither flag.  ``picard_iters`` counts the accepted steps;
+    ``trace`` receives one line per step.
     """
     f_nodal = _nodal_datum(grid, spec, f_values)
     rhs = np.clip(f_nodal, -n, n)
-    level = _Level(spec.coefficient, n, cfg.face_scheme,
-                   floor_stop=n < cfg.n_max and n < float(np.max(np.abs(f_nodal))),
-                   trace=trace)
+    level = _Level(spec.coefficient, n, cfg.face_scheme, trace=trace)
     u = np.zeros(grid.M) if u_init is None else u_init.values.copy()
     u = _clamp_singular(spec.lower, u, cfg.singular_margin)
     op = _frozen_operator(grid, spec.coefficient, u, n, rhs, cfg.face_scheme)
@@ -488,26 +446,29 @@ def truncation_continuation(grid: RadialGrid, spec: ProblemSpec, cfg: SolverConf
                             trace: TraceSink | None = None) -> SolveResult:
     """March the truncation level upward until the clipping is inactive.
 
-    Each level is one coupled Newton solve (see picard_solve) and
-    warm-starts from the previous level's iterate, also
-    when that level was capped, stalled or stopped at its rounding floor.
-    The march stops as soon as n exceeds max|u| and max|f| at the nodes,
-    after which larger levels would reproduce the same discrete problem.
-    If the schedule is exhausted first, the result keeps
-    truncation_active=True rather than hiding it.  The returned flags are
-    the final level's, so ``converged`` keeps the plain residual rule;
-    ``picard_iters`` is summed over the levels.
+    The march runs the levels of ``cfg.n_schedule()`` from the first one
+    that reaches max|f| at the nodes (n_max if none does): every lower
+    level would clip the datum whatever u is.  That first level starts
+    from u = 0; each later one is one coupled Newton solve (see
+    picard_solve) warm-started from the previous level's iterate, also
+    when that level was capped or stalled.  The march stops as soon as n
+    exceeds max|u| and max|f| at the nodes, after which larger levels would
+    reproduce the same discrete problem.  If the schedule is exhausted
+    first, the result keeps truncation_active=True rather than hiding it.
+    The returned flags are the final level's; ``picard_iters`` is summed
+    over the levels.
     """
     f_nodal = _nodal_datum(grid, spec, f_values)
     f_gf = GridFunction(grid, f_nodal)
+    f_peak = float(np.max(np.abs(f_nodal)))
+    levels = [n for n in cfg.n_schedule() if n >= f_peak] or [cfg.n_max]
 
     steps = 0
     result: SolveResult | None = None
-    warm: GridFunction | None = None
-    for n in cfg.n_schedule():
-        result = picard_solve(grid, spec, n, cfg, f_values=f_gf, u_init=warm, trace=trace)
+    for n in levels:
+        result = picard_solve(grid, spec, n, cfg, f_values=f_gf,
+                              u_init=None if result is None else result.u, trace=trace)
         steps += result.picard_iters
-        warm = result.u
         if not result.flags.truncation_active:
             break
     assert result is not None

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import numpy as np
-
 from degelab import (
     CoefficientSpec,
     ConstantDatum,
@@ -11,7 +9,6 @@ from degelab import (
     NoAbsorption,
     PowerAbsorption,
     ProblemSpec,
-    RadialPowerDatum,
     SingularAbsorption,
     SolverConfig,
     build_radial_grid,

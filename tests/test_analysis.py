@@ -21,15 +21,8 @@ from degelab.analysis import (
     tail_exponent_fit,
     verify_marcinkiewicz_lemma,
 )
-from degelab.grid import (
-    build_radial_grid,
-    face_gradient,
-    face_weights,
-    grid_function,
-    quadrature_weights,
-    sphere_surface,
-)
-from degelab.problem import ConstantDatum, SingularAbsorption
+from degelab.grid import grid_function
+from degelab.problem import ConstantDatum
 from degelab.solver import truncation_continuation
 
 

@@ -2,7 +2,6 @@ import dataclasses
 import json
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from degelab.cli import (
@@ -11,19 +10,13 @@ from degelab.cli import (
     EXIT_NOT_CONVERGED,
     EXIT_OK,
     _KNOWN_KEYS,
-    Config,
     ConfigError,
     dispatch,
     main,
     parse_config,
     _verify_solution_file,
 )
-from degelab.problem import (
-    ConstantDatum,
-    PowerAbsorption,
-    RadialPowerDatum,
-    SingularAbsorption,
-)
+from degelab.problem import PowerAbsorption, SingularAbsorption
 from degelab.solver import SolverConfig
 
 MINIMAL = """
@@ -54,7 +47,6 @@ class TestParse:
         assert cfg.problem.dimension == 3
         assert isinstance(cfg.problem.lower, PowerAbsorption)
         assert cfg.mesh.cells == 96
-        assert cfg.solver.picard_tol == 1e-8
         assert cfg.checks == ("lemma", "bg", "weighted_energy", "truncation_energy",
                               "linfty", "entropy", "marcinkiewicz")
         assert cfg.settings.lambdas == (1.25, 2.0, 4.0)
@@ -147,14 +139,23 @@ class TestDispatch:
         assert table(checked.reports) == table(rec.reports)
         assert checked.skipped == rec.skipped
 
+    # f(r_0) ~ 1.9e9 exceeds n_max = 2^30: the last level converges but
+    # still clips the datum, so the problem was not solved
+    CLIPPED = (MINIMAL.replace("p = 2.0", "p = 1.0").replace("M = 96", "M = 1024")
+               .replace("datum = constant", "datum = radial_power\ndelta = 2.8"))
+
     def test_verify_fails_when_truncation_stays_active(self, tmp_path, capsys):
-        # f(r_0) ~ 1.9e9 exceeds n_max = 2^30: the last level converges but
-        # still clips the datum, so the problem was not solved
-        text = (MINIMAL.replace("p = 2.0", "p = 1.0").replace("M = 96", "M = 1024")
-                .replace("datum = constant", "datum = radial_power\ndelta = 2.8"))
-        conf, out = write_config(tmp_path, text)
+        conf, out = write_config(tmp_path, self.CLIPPED)
         assert dispatch("verify", parse_config(conf.read_text())) == EXIT_CHECK_FAILED
         assert "truncation_active=True" in capsys.readouterr().out
+
+    def test_solve_fails_when_truncation_stays_active(self, tmp_path, capsys):
+        conf, out = write_config(tmp_path, self.CLIPPED)
+        assert dispatch("solve", parse_config(conf.read_text())) == EXIT_NOT_CONVERGED
+        assert "converged=True truncation_active=True" in capsys.readouterr().out
+        names = {p.name for p in out.iterdir()}
+        assert {"solution.dat", "records.csv", "records.json",
+                "summary.md", "plotdata"} <= names
 
     def test_verify_corrupted_solution_fails(self, tmp_path):
         conf, out = write_config(tmp_path, MINIMAL)
@@ -235,6 +236,12 @@ class TestDispatch:
 class TestMain:
     def test_missing_config_file(self):
         assert main(["solve", "/nonexistent/path.ini"]) == EXIT_CONFIG
+
+    def test_removed_picard_tol_rejected(self, tmp_path, capsys):
+        conf, out = write_config(tmp_path, MINIMAL + "\n[solver]\npicard_tol = 1e-8\n")
+        assert main(["solve", str(conf)]) == EXIT_CONFIG
+        assert "unknown key 'picard_tol' in section [solver]" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_config_errors_reported(self, tmp_path, capsys):
         path = tmp_path / "bad.ini"

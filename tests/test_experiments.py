@@ -10,7 +10,6 @@ from common import CFG, power_spec, singular_spec
 from degelab.analysis import dirichlet_energy
 from degelab.experiments import (
     ALL_CHECKS,
-    CheckSettings,
     MeshSpec,
     SweepSpec,
     emit_from_saved,

@@ -6,7 +6,7 @@ import pytest
 from scipy.linalg import solve_banded
 from scipy.optimize import brentq
 
-from common import CFG, grid_and_weights, poisson_spec, power_spec, singular_spec
+from common import CFG, poisson_spec, power_spec, singular_spec
 
 from degelab.grid import build_radial_grid, grid_function
 from degelab.problem import (
@@ -18,8 +18,8 @@ from degelab.problem import (
     ProblemSpec,
     RadialPowerDatum,
     SingularAbsorption,
+    datum_eval,
     lower_order_eval,
-    lower_order_inverse,
 )
 import degelab.solver as solver
 from degelab.solver import (
@@ -47,8 +47,7 @@ def synthetic_operator(grid, sub, diag, sup, rhs):
 def probe_case():
     """M = 2048 entropy probe near the L^1 edge: gamma = p = m = 1, delta = 2.55.
 
-    Its first levels settle at residuals their tolerance newton_tol*(1+n)
-    cannot resolve in double precision."""
+    Its datum peaks above n_max = 2^30 at the first node."""
     grid = build_radial_grid(3, 1.0, 2048)
     return grid, power_spec(1.0, 1.0, 1.0, RadialPowerDatum(1.0, 2.55))
 
@@ -188,7 +187,7 @@ class TestExactJacobian:
                               for e in np.eye(grid.M)])
         op = replace(assemble_frozen(grid, coeff, grid_function(grid, u), n, scheme), rhs=rhs)
         frozen = replace(op, diag=op.diag + 2 * np.abs(u))  # g'(u) of |u| u
-        jac = solver._exact_jacobian(op, frozen, u, solver._Level(coeff, n, scheme, False))
+        jac = solver._exact_jacobian(op, frozen, u, solver._Level(coeff, n, scheme))
 
         def dense(t):
             return np.diag(t.diag) + np.diag(t.sub[1:], -1) + np.diag(t.sup[:-1], 1)
@@ -304,28 +303,6 @@ class TestPicard:
         assert res.flags.hit_iteration_cap
         assert not res.flags.converged
 
-    def test_intermediate_level_stops_at_rounding_floor(self):
-        grid, spec = probe_case()
-        res = picard_solve(grid, spec, n=1, cfg=CFG)
-        assert not res.flags.converged
-        assert not res.flags.hit_iteration_cap
-        assert res.flags.truncation_active
-        assert res.picard_iters < CFG.picard_max
-        assert res.residual_inf > CFG.newton_tol * (1 + 1)
-
-    def test_possibly_final_level_never_floor_stops(self):
-        # with n_max = 1 the same level could be the last one, so it keeps
-        # the plain residual rule: it steps on past the point where the
-        # intermediate level stops at its floor, until no direction lowers
-        # the residual, and never reports convergence
-        grid, spec = probe_case()
-        cfg = SolverConfig(n_max=1, picard_max=20)
-        res = picard_solve(grid, spec, n=1, cfg=cfg)
-        assert not res.flags.converged
-        assert res.residual_inf > cfg.newton_tol * (1 + 1)
-        floor_stopped = picard_solve(grid, spec, n=1, cfg=replace(cfg, n_max=2))
-        assert floor_stopped.picard_iters < res.picard_iters
-
     def test_trace_lines(self):
         # on these mild levels every exact-Jacobian step is accepted at full
         # length, so each line names the exact direction; for gamma = 0 the
@@ -370,8 +347,9 @@ class TestContinuation:
         assert res.n_final == levels[0]
 
     def test_warm_start_never_costs_more_newton_steps(self):
-        # the cold baseline solves the same schedule level by level, each
-        # level from zero instead of the previous level's iterate
+        # the cold baseline solves the same levels, from the first one that
+        # reaches the datum's peak, each from zero instead of the previous
+        # level's iterate
         specs = [
             power_spec(0.0, 0.5, 1.0, ConstantDatum(1.0)),
             power_spec(0.0, 2.0, 1.5, ConstantDatum(4.0)),
@@ -383,6 +361,8 @@ class TestContinuation:
             power_spec(0.5, 2.0, 1.0, RadialPowerDatum(1.0, 1.0)),
             power_spec(1.0, 1.0, 1.0, RadialPowerDatum(1.0, 2.0)),
             power_spec(0.0, 1.0, 2.0, ConstantDatum(8.0)),
+            # u outgrows the datum here, so the climb passes 15 levels
+            power_spec(1.0, 0.5, 1.0, RadialPowerDatum(1.0, 2.2)),
         ]
         grid = build_radial_grid(3, 1.0, 64)
         warm_total = cold_total = 0
@@ -390,7 +370,8 @@ class TestContinuation:
             warm = truncation_continuation(grid, spec, CFG)
             assert warm.flags.converged
             warm_total += warm.picard_iters
-            for n in CFG.n_schedule():
+            f_peak = float(np.max(datum_eval(spec.datum, grid.nodes)))
+            for n in [n for n in CFG.n_schedule() if n >= f_peak]:
                 cold = picard_solve(grid, spec, n, CFG)
                 cold_total += cold.picard_iters
                 if not cold.flags.truncation_active:
@@ -398,8 +379,9 @@ class TestContinuation:
             assert cold.flags.converged
         assert warm_total <= cold_total
 
-    def test_probe_levels_skip_the_sweep_cap(self, monkeypatch):
-        grid, spec = probe_case()
+    @staticmethod
+    def record_levels(monkeypatch):
+        """Results of the picard_solve calls truncation_continuation makes."""
         levels = []
         original = solver.picard_solve
 
@@ -408,15 +390,29 @@ class TestContinuation:
             return levels[-1]
 
         monkeypatch.setattr(solver, "picard_solve", recording)
+        return levels
+
+    def test_probe_runs_only_the_top_level(self, monkeypatch):
+        # the datum peaks above n_max, so every lower level would clip it
+        # whatever u is: the climb is the single level n_max, from zero
+        grid, spec = probe_case()
+        levels = self.record_levels(monkeypatch)
         res = truncation_continuation(grid, spec, CFG)
-        assert len(levels) == len(CFG.n_schedule())
-        assert not any(level.flags.hit_iteration_cap for level in levels)
-        assert res.picard_iters == sum(level.picard_iters for level in levels) < 800
+        assert [level.n_final for level in levels] == [2**30]
         assert res.flags.converged and not res.flags.hit_iteration_cap
         assert res.n_final == 2**30
+        assert res.picard_iters == levels[0].picard_iters < 20
         r = residual_norm(grid, spec, res.u, res.n_final)
         assert r == res.residual_inf
         assert r <= CFG.newton_tol * (1 + 2**30)
+
+    def test_climb_starts_at_the_datum_peak(self, monkeypatch):
+        grid = build_radial_grid(3, 1.0, 64)
+        levels = self.record_levels(monkeypatch)
+        res = truncation_continuation(grid, power_spec(1.0, 1.0, 1.0, ConstantDatum(5.0)),
+                                      CFG)
+        assert levels[0].n_final == 8
+        assert res.flags.converged and not res.flags.truncation_active
 
 
     def test_slow_picard_matrix_case_converges(self):
@@ -496,4 +492,4 @@ class TestResidualAndManufactured:
         assert res.flags.converged
         assert not res.flags.truncation_active
         err = np.max(np.abs(res.u.values - u_star.values))
-        assert err <= 10 * CFG.picard_tol * (1 + peak)
+        assert err <= 1e-7 * (1 + peak)
