@@ -7,6 +7,11 @@ discrete solutions are expected to satisfy.  The checkers reuse the same
 face weights and upwinded face coefficients as the assembly, so on a
 converged solve the inequalities hold up to the nonlinear-solve residual,
 absorbed by the check tolerance (default 1e-4 relative).
+
+A checker sampled over cutoff levels k clips the field at every level in
+one array and takes all the face gradients at once; each level's sums are
+still single dot products in the order of the per-level formula, so every
+value is bit-identical to truncating and differencing level by level.
 """
 
 from __future__ import annotations
@@ -18,9 +23,9 @@ import numpy as np
 from .grid import (
     GridFunction,
     QuadratureWeights,
+    RadialGrid,
+    face_differences,
     face_gradient,
-    face_weights,
-    truncate,
 )
 from .problem import (
     ProblemSpec,
@@ -200,11 +205,33 @@ def tail_exponent_fit(df: DistributionFunction) -> TailFit:
                    n_levels=int(ks.size), sufficient=True)
 
 
+def _cutoffs(grid: RadialGrid, values: np.ndarray,
+             k_levels) -> tuple[np.ndarray, np.ndarray]:
+    """T_k of every row of ``values`` at every level, and their face gradients.
+
+    ``values`` is (M,) or (P, M); the result rows run over (row, level),
+    level fastest: shapes (P*K, M) and (P*K, M+1).  Each entry is the same
+    float operation as ``face_gradient(truncate(u, k))``.
+    """
+    ks = np.asarray(k_levels, dtype=float)
+    if not np.all(ks > 0):
+        raise ValueError(f"truncation level must be positive, got {ks[~(ks > 0)][0]}")
+    clipped = np.clip(values[..., None, :], -ks[:, None], ks[:, None]).reshape(-1, grid.M)
+    return clipped, face_differences(grid, clipped)
+
+
+def _cutoff_energies(u: GridFunction, k_levels) -> list[float]:
+    """Face-weighted squared gradient of T_k(u) at every level k."""
+    _, grads = _cutoffs(u.grid, u.values, k_levels)
+    wf = u.grid.face_weights
+    return [float(np.dot(wf, row)) for row in grads**2]
+
+
 def dirichlet_energy(u: GridFunction, k: float | None = None) -> float:
     """Face-weighted squared gradient of u, optionally of its cutoff T_k(u)."""
-    v = u if k is None else truncate(u, k)
-    grad = face_gradient(v)
-    return float(np.dot(face_weights(u.grid), grad**2))
+    if k is not None:
+        return _cutoff_energies(u, [k])[0]
+    return float(np.dot(u.grid.face_weights, face_gradient(u) ** 2))
 
 
 def check_lemma_estimate(u: GridFunction, f_values, p: float, m: float, w,
@@ -245,7 +272,7 @@ def check_weighted_energy(u: GridFunction, f_values, gamma: float, lam: float,
         raise ValueError(f"lambda must exceed 1, got {lam}")
     grad = face_gradient(u)
     weight = (1.0 + np.abs(face_upwind_values(u.grid, u.values))) ** (-(gamma + lam))
-    lhs = alpha * (lam - 1.0) * float(np.dot(face_weights(u.grid), grad**2 * weight))
+    lhs = alpha * (lam - 1.0) * float(np.dot(u.grid.face_weights, grad**2 * weight))
     rhs = float(np.dot(_weights(w), np.abs(_values(f_values))))
     return _report("weighted_energy", lhs, rhs, tol,
                    params=(("lambda", lam), ("gamma", gamma)))
@@ -255,9 +282,10 @@ def check_truncation_energy(u: GridFunction, f_values, gamma: float, alpha: floa
                             k_levels, w, tol: float = 1e-4) -> list[EstimateReport]:
     """Cutoff energy growth: alpha |grad T_k(u)|^2 <= k (1+k)^gamma |f|_1 per k."""
     f_l1 = float(np.dot(_weights(w), np.abs(_values(f_values))))
+    ks = np.asarray(k_levels, dtype=float)
     out = []
-    for k in np.asarray(k_levels, dtype=float):
-        lhs = alpha * dirichlet_energy(u, k=float(k))
+    for k, energy in zip(ks, _cutoff_energies(u, ks)):
+        lhs = alpha * energy
         rhs = float(k) * (1.0 + float(k)) ** gamma * f_l1
         out.append(_report("truncation_energy", lhs, rhs, tol, params=(("k", k),)))
     return out
@@ -309,25 +337,27 @@ def check_entropy_inequality(u: GridFunction, spec: ProblemSpec, phi_samples,
     wts = _weights(w)
     fv = _values(f_values)
     a_face = face_coefficients(grid, spec.coefficient, u.values, None, "upwind")
-    wf = face_weights(grid)
-    grad_u = face_gradient(u)
+    wf = grid.face_weights
+    flux = a_face * face_gradient(u)
     g_u = lower_order_eval(spec.lower, u.values)
     f_l1 = float(np.dot(wts, np.abs(fv)))
 
-    if phi_samples is None:
-        phi_samples = default_entropy_test_functions(u)
+    samples = default_entropy_test_functions(u) if phi_samples is None else list(phi_samples)
+    ks = np.asarray(k_levels, dtype=float)
+    diffs = np.array([u.values - phi.values for _, phi in samples]).reshape(-1, grid.M)
+    tests, grad_tests = _cutoffs(grid, diffs, ks)
+    face_terms = flux * grad_tests
+    absorbed = g_u * tests
+    sourced = fv * tests
     out = []
-    for label, phi in phi_samples:
-        diff = GridFunction(grid, u.values - phi.values)
-        for k in np.asarray(k_levels, dtype=float):
-            test = truncate(diff, float(k))
-            grad_test = face_gradient(test)
-            lhs = float(np.dot(wf, a_face * grad_u * grad_test))
-            lhs += float(np.dot(wts, g_u * test.values))
-            rhs = float(np.dot(wts, fv * test.values))
-            scale = max(abs(rhs), float(k) * f_l1)
-            out.append(_report(f"entropy[{label}]", lhs, rhs, tol, scale=scale,
-                               params=(("k", k),)))
+    pairs = [(label, k) for label, _ in samples for k in ks]
+    for i, (label, k) in enumerate(pairs):
+        lhs = float(np.dot(wf, face_terms[i]))
+        lhs += float(np.dot(wts, absorbed[i]))
+        rhs = float(np.dot(wts, sourced[i]))
+        scale = max(abs(rhs), float(k) * f_l1)
+        out.append(_report(f"entropy[{label}]", lhs, rhs, tol, scale=scale,
+                           params=(("k", k),)))
     return out
 
 
@@ -352,18 +382,27 @@ class MarcinkiewiczLemmaReport:
     grad_fit: TailFit | None = None
 
 
-def verify_marcinkiewicz_lemma(u: GridFunction, w,
-                               tol_exponent: float = 0.15) -> MarcinkiewiczLemmaReport:
-    """Check the cutoff-energy route to the gradient's weak-Lebesgue class."""
-    df_u = distribution_function(u, w)
-    u_fit = tail_exponent_fit(df_u)
+def verify_marcinkiewicz_lemma(u: GridFunction, w, tol_exponent: float = 0.15, *,
+                               tails: tuple[DistributionFunction, TailFit, TailFit]
+                               | None = None) -> MarcinkiewiczLemmaReport:
+    """Check the cutoff-energy route to the gradient's weak-Lebesgue class.
+
+    ``tails`` is (distribution function of u on w, its tail fit, tail fit
+    of |grad u| on the face weights) for a caller that already has them;
+    without it they are computed here.
+    """
+    if tails is None:
+        df_u = distribution_function(u, w)
+        df_g = distribution_function(np.abs(face_gradient(u)), u.grid.face_weights)
+        tails = (df_u, tail_exponent_fit(df_u), tail_exponent_fit(df_g))
+    df_u, u_fit, grad_fit = tails
     if not u_fit.sufficient:
         return MarcinkiewiczLemmaReport(applicable=False,
                                         reason=f"insufficient tail in u: {u_fit.reason}",
                                         u_fit=u_fit)
     window_mask = (df_u.k_levels >= u_fit.window[0]) & (df_u.k_levels <= u_fit.window[1])
     ks = df_u.k_levels[window_mask]
-    energies = np.array([dirichlet_energy(u, k=float(k)) for k in ks])
+    energies = np.array(_cutoff_energies(u, ks))
     positive = energies > 0
     if np.count_nonzero(positive) < 3:
         return MarcinkiewiczLemmaReport(applicable=False,
@@ -372,11 +411,6 @@ def verify_marcinkiewicz_lemma(u: GridFunction, w,
     rho = float(np.polyfit(np.log(ks[positive]), np.log(energies[positive]), 1)[0])
     s = u_fit.exponent
     predicted = 2.0 * s / (rho + s)
-
-    grad = np.abs(face_gradient(u))
-    wf = face_weights(u.grid)
-    df_g = distribution_function(grad, wf)
-    grad_fit = tail_exponent_fit(df_g)
     if not grad_fit.sufficient:
         return MarcinkiewiczLemmaReport(applicable=False,
                                         reason=f"insufficient tail in grad u: {grad_fit.reason}",

@@ -53,7 +53,7 @@ from .problem import (
     SingularAbsorption,
     datum_eval,
 )
-from .solver import SolverConfig, residual_norm
+from .solver import FACE_SCHEMES, SolverConfig, residual_norm
 
 __all__ = ["Config", "ConfigError", "parse_config", "dispatch", "main"]
 
@@ -205,23 +205,25 @@ def parse_config(text: str) -> Config:
     if not (1.0 <= grading <= 4.0):
         errors.append(f"[mesh] grading: must lie in [1, 4], got {grading}")
 
-    so = "solver"
-    picard_max = _get(parser, so, "picard_max", int, 200, errors, positive=True)
-    newton_tol = _get(parser, so, "newton_tol", float, 1e-10, errors, positive=True)
-    n_max = _get(parser, so, "n_max", int, 2**30, errors, positive=True)
-    face_scheme = _get(parser, so, "face_scheme", str, "upwind", errors).strip()
-    eps_p = _get(parser, so, "eps_p", float, 1e-10, errors, positive=True)
-    margin = _get(parser, so, "singular_margin", float, 1e-12, errors, positive=True)
-    if face_scheme not in ("upwind", "arithmetic"):
-        errors.append(f"[solver] face_scheme: must be upwind or arithmetic, "
+    so, sd = "solver", SolverConfig()
+    picard_max = _get(parser, so, "picard_max", int, sd.picard_max, errors, positive=True)
+    newton_tol = _get(parser, so, "newton_tol", float, sd.newton_tol, errors, positive=True)
+    n_max = _get(parser, so, "n_max", int, sd.n_max, errors, positive=True)
+    face_scheme = _get(parser, so, "face_scheme", str, sd.face_scheme, errors).strip()
+    eps_p = _get(parser, so, "eps_p", float, sd.eps_p, errors, positive=True)
+    margin = _get(parser, so, "singular_margin", float, sd.singular_margin, errors,
+                  positive=True)
+    if face_scheme not in FACE_SCHEMES:
+        errors.append(f"[solver] face_scheme: must be {' or '.join(FACE_SCHEMES)}, "
                       f"got {face_scheme!r}")
 
-    ch = "checks"
+    ch, cd = "checks", CheckSettings()
     enable_raw = _get(parser, ch, "enable", str, "all", errors)
-    tolerance = _get(parser, ch, "tolerance", float, 1e-4, errors, positive=True)
-    lambdas = _get(parser, ch, "lambdas", _float_list, (1.25, 2.0, 4.0), errors)
-    k_count = _get(parser, ch, "k_levels", int, 8, errors, positive=True)
-    tail_tol = _get(parser, ch, "tail_tolerance", float, 0.15, errors, positive=True)
+    tolerance = _get(parser, ch, "tolerance", float, cd.tolerance, errors, positive=True)
+    lambdas = _get(parser, ch, "lambdas", _float_list, cd.lambdas, errors)
+    k_count = _get(parser, ch, "k_levels", int, cd.truncation_k_count, errors, positive=True)
+    tail_tol = _get(parser, ch, "tail_tolerance", float, cd.tail_tolerance, errors,
+                    positive=True)
     if enable_raw.strip().lower() == "all":
         enabled = ALL_CHECKS
     else:

@@ -42,7 +42,6 @@ from .grid import (
     GridFunction,
     build_radial_grid,
     face_gradient,
-    face_weights,
     grid_function,
     quadrature_weights,
 )
@@ -198,10 +197,19 @@ class CheckResults:
 
 def run_checks(u: GridFunction, spec: ProblemSpec, checks: Sequence[str] = ALL_CHECKS,
                settings: CheckSettings = CheckSettings()) -> CheckResults:
-    """Execute every enabled, applicable checker on u and fit its tails."""
+    """Execute every enabled, applicable checker on u and fit its tails.
+
+    Each quantity of the solution is computed once and shared: the
+    distribution functions and tail fits of u and |grad u| feed both the
+    Marcinkiewicz check and the record, and each checker sampled over
+    cutoff levels evaluates all its levels in one array pass.
+    """
     grid = u.grid
     w = quadrature_weights(grid)
     f_nodal = grid_function(grid, lambda r: datum_eval(spec.datum, r))
+    df_u = distribution_function(u, w)
+    df_g = distribution_function(np.abs(face_gradient(u)), grid.face_weights)
+    tail_u, tail_grad = tail_exponent_fit(df_u), tail_exponent_fit(df_g)
     u_max = u.max_abs()
     tol = settings.tolerance
     alpha = spec.coefficient.alpha
@@ -243,17 +251,16 @@ def run_checks(u: GridFunction, spec: ProblemSpec, checks: Sequence[str] = ALL_C
             reports[name] = tuple(check_entropy_inequality(
                 u, spec, None, ks, w, tol, f_values=f_nodal))
         elif name == "marcinkiewicz":
-            mk_report = verify_marcinkiewicz_lemma(u, w, settings.tail_tolerance)
+            mk_report = verify_marcinkiewicz_lemma(u, w, settings.tail_tolerance,
+                                                   tails=(df_u, tail_u, tail_grad))
             if not mk_report.applicable:
                 skipped[name] = mk_report.reason
             else:
                 reports[name] = ()
 
-    df_u = distribution_function(u, w)
-    df_g = distribution_function(np.abs(face_gradient(u)), face_weights(grid))
     return CheckResults(
         reports=reports, skipped=skipped, marcinkiewicz=mk_report,
-        tail_u=tail_exponent_fit(df_u), tail_grad=tail_exponent_fit(df_g),
+        tail_u=tail_u, tail_grad=tail_grad,
         dist_u=(tuple(map(float, df_u.k_levels)), tuple(map(float, df_u.measures))),
         dist_grad=(tuple(map(float, df_g.k_levels)), tuple(map(float, df_g.measures))),
     )

@@ -25,6 +25,7 @@ __all__ = [
     "face_weights",
     "integrate",
     "face_gradient",
+    "face_differences",
     "truncate",
     "grid_function",
     "write_grid_function",
@@ -49,8 +50,8 @@ class RadialGrid:
     faces[M] = R; ``nodes`` the cell centers.  ``gaps`` holds the
     node-to-node distance across each face (gaps[0] is unused and set to
     inf, gaps[M] is the half-cell distance from the last node to the
-    Dirichlet boundary).  Shell volumes and face areas are computed once
-    per grid, on first use.
+    Dirichlet boundary).  Shell volumes, face areas and face weights are
+    computed once per grid, on first use, and shared read-only.
     """
 
     N: int
@@ -72,6 +73,20 @@ class RadialGrid:
     def face_areas(self) -> np.ndarray:
         """r^(N-1) at the faces, without omega_N; zero at the origin (read-only)."""
         return _read_only(self.faces ** (self.N - 1))
+
+    @cached_property
+    def face_weights(self) -> np.ndarray:
+        """Face measure omega_N r_f^(N-1) d_f pairing with squared face gradients.
+
+        Entry 0 (origin face) is zero; entry M belongs to the Dirichlet face
+        at r = R with the half-cell gap.  These weights make the discrete
+        Dirichlet form sum(face_weights * face_gradient(u) * face_gradient(v))
+        exactly equal to the weak pairing of the assembled operator
+        (read-only).
+        """
+        w = np.zeros(self.M + 1)
+        w[1:] = sphere_surface(self.N) * self.face_areas[1:] * self.gaps[1:]
+        return _read_only(w)
 
 
 def _read_only(values: np.ndarray) -> np.ndarray:
@@ -167,16 +182,8 @@ def quadrature_weights(grid: RadialGrid) -> QuadratureWeights:
 
 
 def face_weights(grid: RadialGrid) -> np.ndarray:
-    """Face measure omega_N r_f^(N-1) d_f pairing with squared face gradients.
-
-    Entry 0 (origin face) is zero; entry M belongs to the Dirichlet face
-    at r = R with the half-cell gap.  These weights make the discrete
-    Dirichlet form sum(face_weights * face_gradient(u) * face_gradient(v))
-    exactly equal to the weak pairing of the assembled operator.
-    """
-    w = np.zeros(grid.M + 1)
-    w[1:] = sphere_surface(grid.N) * grid.face_areas[1:] * grid.gaps[1:]
-    return w
+    """The grid's cached, read-only :attr:`RadialGrid.face_weights`."""
+    return grid.face_weights
 
 
 def integrate(u: GridFunction, w: QuadratureWeights) -> float:
@@ -192,11 +199,20 @@ def face_gradient(u: GridFunction) -> np.ndarray:
     The origin face carries 0 (radial symmetry); the outer face uses the
     homogeneous Dirichlet ghost value 0 at r = R over the half-cell gap.
     """
-    grid = u.grid
-    grad = np.empty(grid.M + 1)
-    grad[0] = 0.0
-    grad[1:grid.M] = (u.values[1:] - u.values[:-1]) / grid.gaps[1:grid.M]
-    grad[grid.M] = (0.0 - u.values[-1]) / grid.gaps[grid.M]
+    return face_differences(u.grid, u.values)
+
+
+def face_differences(grid: RadialGrid, values: np.ndarray) -> np.ndarray:
+    """:func:`face_gradient` of every row of a (..., M) array of nodal values.
+
+    Returns a (..., M+1) array; each row is computed by the same float
+    operations as a single field's gradient.
+    """
+    M = grid.M
+    grad = np.empty(values.shape[:-1] + (M + 1,))
+    grad[..., 0] = 0.0
+    grad[..., 1:M] = (values[..., 1:] - values[..., :-1]) / grid.gaps[1:M]
+    grad[..., M] = (0.0 - values[..., -1]) / grid.gaps[M]
     return grad
 
 

@@ -48,6 +48,7 @@ from .problem import (
 )
 
 __all__ = [
+    "FACE_SCHEMES",
     "SolverConfig",
     "DiscreteOperator",
     "SolveFlags",
@@ -69,6 +70,7 @@ TraceSink = Callable[[str], None]
 
 FIRST_LEVEL = 1            # first level of the truncation schedule
 DAMPING_MIN = 2.0**-20     # smallest line-search step factor
+FACE_SCHEMES = ("upwind", "arithmetic")
 
 
 @dataclass(frozen=True)
@@ -83,14 +85,15 @@ class SolverConfig:
     n_max: int = 2**30
     eps_p: float = 1e-10              # Jacobian regularization for p < 1
     singular_margin: float = 1e-12    # exclusion distance from the barrier
-    face_scheme: str = "upwind"       # or "arithmetic"
+    face_scheme: str = "upwind"       # one of FACE_SCHEMES
 
     def __post_init__(self):
         for name in ("newton_tol", "eps_p", "singular_margin"):
             if not (getattr(self, name) > 0):
                 raise ValueError(f"{name} must be positive")
-        if self.face_scheme not in ("upwind", "arithmetic"):
-            raise ValueError(f"face_scheme must be 'upwind' or 'arithmetic', got {self.face_scheme!r}")
+        if self.face_scheme not in FACE_SCHEMES:
+            raise ValueError(f"face_scheme must be {' or '.join(map(repr, FACE_SCHEMES))}, "
+                             f"got {self.face_scheme!r}")
         if not (self.n_max >= FIRST_LEVEL):
             raise ValueError(f"truncation schedule requires n_max >= {FIRST_LEVEL}")
 

@@ -21,9 +21,15 @@ from degelab.analysis import (
     tail_exponent_fit,
     verify_marcinkiewicz_lemma,
 )
-from degelab.grid import grid_function
-from degelab.problem import ConstantDatum
-from degelab.solver import truncation_continuation
+from degelab.grid import (
+    GridFunction,
+    face_gradient,
+    face_weights,
+    grid_function,
+    truncate,
+)
+from degelab.problem import ConstantDatum, lower_order_eval
+from degelab.solver import face_coefficients, truncation_continuation
 
 
 class TestLebesgueNorm:
@@ -285,3 +291,66 @@ class TestMarcinkiewiczLemma:
         rep = verify_marcinkiewicz_lemma(grid_function(grid, lambda r: 1 - r), w)
         assert not rep.applicable
         assert "insufficient tail" in rep.reason
+
+
+@st.composite
+def cutoff_cases(draw):
+    """A grid, a signed field and increasing positive levels, with some
+    nodal values exactly at +-k so the clip's boundary case is exercised."""
+    M = draw(st.integers(8, 300))
+    grading = draw(st.sampled_from([None, 1.5, 4.0]))
+    grid, w = grid_and_weights(M, grading=grading)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.normal(0.0, draw(st.floats(0.01, 100.0)), M)
+    ks = np.unique(draw(st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=12)))
+    for k in ks:
+        values[rng.integers(M)] = k * rng.choice([-1.0, 1.0])
+    return grid, w, GridFunction(grid, values), ks
+
+
+class TestBatchedCutoffs:
+    """The checkers evaluate all cutoff levels in one array pass; every
+    value must equal the per-level formula exactly."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=cutoff_cases())
+    def test_cutoff_energies_equal_per_level_formula(self, case):
+        grid, w, u, ks = case
+        expect = [float(np.dot(face_weights(grid), face_gradient(truncate(u, k)) ** 2))
+                  for k in ks]
+        reps = check_truncation_energy(u, grid_function(grid, 1.0), 0.0, 1.0, ks, w)
+        assert [rep.lhs for rep in reps] == expect
+        assert [dirichlet_energy(u, k) for k in ks] == expect
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=cutoff_cases(), gamma=st.sampled_from([0.0, 0.5, 1.0]),
+           p=st.sampled_from([0.5, 2.0]))
+    def test_entropy_sums_equal_per_pair_loop(self, case, gamma, p):
+        grid, w, u, ks = case
+        spec = power_spec(gamma, p, 1.0)
+        f = grid_function(grid, lambda r: 1.0 + r)
+        phis = [("zero", grid_function(grid, 0.0)),
+                ("ramp", grid_function(grid, lambda r: 0.3 * (1.0 - r)))]
+        a_face = face_coefficients(grid, spec.coefficient, u.values, None, "upwind")
+        wf = face_weights(grid)
+        grad_u = face_gradient(u)
+        g_u = lower_order_eval(spec.lower, u.values)
+        expect = []
+        for _, phi in phis:
+            for k in ks:
+                test = truncate(GridFunction(grid, u.values - phi.values), k)
+                lhs = float(np.dot(wf, a_face * grad_u * face_gradient(test)))
+                lhs += float(np.dot(w.values, g_u * test.values))
+                expect.append((lhs, float(np.dot(w.values, f.values * test.values))))
+        reps = check_entropy_inequality(u, spec, phis, ks, w, f_values=f)
+        assert [(rep.lhs, rep.rhs) for rep in reps] == expect
+        assert [rep.name for rep in reps] == [f"entropy[{label}]"
+                                              for label, _ in phis for _ in ks]
+
+    def test_nonpositive_level_rejected(self):
+        grid, w = grid_and_weights(16)
+        u = grid_function(grid, 1.0)
+        with pytest.raises(ValueError, match="must be positive"):
+            dirichlet_energy(u, 0.0)
+        with pytest.raises(ValueError, match="must be positive"):
+            check_truncation_energy(u, u, 0.0, 1.0, [1.0, -1.0], w)

@@ -16,6 +16,7 @@ from degelab.cli import (
     parse_config,
     _verify_solution_file,
 )
+from degelab.experiments import CheckSettings
 from degelab.problem import PowerAbsorption, SingularAbsorption
 from degelab.solver import SolverConfig
 
@@ -69,12 +70,14 @@ class TestParse:
             parse_config("[nonsense]\nx = 1\n")
 
     def test_all_violations_collected(self):
-        bad = "[problem]\nN = 2\np = -1\nm = 0.5\nfoo = 3\n"
+        bad = ("[problem]\nN = 2\np = -1\nm = 0.5\nfoo = 3\n"
+               "[solver]\nface_scheme = central\n")
         with pytest.raises(ConfigError) as err:
             parse_config(bad)
         text = "\n".join(err.value.violations)
-        assert len(err.value.violations) >= 4
+        assert len(err.value.violations) >= 5
         assert "N" in text and "p" in text and "m" in text and "foo" in text
+        assert "face_scheme" in text
 
     def test_singular_family(self):
         cfg = parse_config("[problem]\nsigma = 1.0\namplitude = 3.0\n")
@@ -102,6 +105,11 @@ class TestParse:
     def test_inline_comments(self):
         cfg = parse_config("[problem]\nN = 4  # four dimensions\np = 1.0\n")
         assert cfg.problem.dimension == 4
+
+    def test_defaults_are_the_dataclass_defaults(self):
+        cfg = parse_config(MINIMAL)
+        assert cfg.solver == SolverConfig()
+        assert cfg.settings == CheckSettings()
 
     def test_solver_fields_are_the_config_keys(self):
         # a SolverConfig field no config can set is a knob only tests turn

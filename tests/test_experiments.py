@@ -7,7 +7,7 @@ import pytest
 
 from common import CFG, power_spec, singular_spec
 
-from degelab.analysis import dirichlet_energy
+from degelab.analysis import dirichlet_energy, verify_marcinkiewicz_lemma
 from degelab.experiments import (
     ALL_CHECKS,
     MeshSpec,
@@ -18,11 +18,12 @@ from degelab.experiments import (
     load_records,
     mesh_refinement_study,
     regime_label,
+    run_checks,
     run_single,
     run_sweep,
     save_records,
 )
-from degelab.grid import build_radial_grid
+from degelab.grid import build_radial_grid, grid_function, quadrature_weights
 from degelab.problem import ConstantDatum, RadialPowerDatum
 from degelab.solver import SolverConfig, truncation_continuation
 
@@ -81,6 +82,16 @@ class TestRunSingle:
                          MeshSpec(1024), CFG)
         assert rec.converged and rec.truncation_active
         assert not rec.all_passed
+
+    def test_marcinkiewicz_shares_the_record_tail_fits(self):
+        # r^-2 has a fittable tail in u and in grad u, so the check applies
+        grid = build_radial_grid(3, 1.0, 512)
+        u = grid_function(grid, lambda r: r**-2.0)
+        res = run_checks(u, power_spec(1.0, 1.0, 1.0), checks=("marcinkiewicz",))
+        mk = res.marcinkiewicz
+        assert mk.applicable
+        assert mk.u_fit == res.tail_u and mk.grad_fit == res.tail_grad
+        assert mk == verify_marcinkiewicz_lemma(u, quadrature_weights(grid))
 
     def test_prediction_attached(self):
         rec = run_single(power_spec(1.0, 4.0, 1.5), MeshSpec(32), CFG)

@@ -75,11 +75,17 @@ class TestQuadrature:
     def test_geometry_computed_once_and_read_only(self):
         grid = build_radial_grid(3, 1.0, 8, grading=2.0)
         assert grid.volumes is grid.volumes and grid.face_areas is grid.face_areas
+        assert grid.face_weights is grid.face_weights is face_weights(grid)
         xs = grid.faces**3
         assert np.array_equal(grid.volumes, (xs[1:] - xs[:-1]) / 3)
         assert np.array_equal(grid.face_areas, grid.faces**2)
+        wf = np.zeros(grid.M + 1)
+        wf[1:] = sphere_surface(3) * grid.faces[1:] ** 2 * grid.gaps[1:]
+        assert np.array_equal(grid.face_weights, wf)
         with pytest.raises(ValueError):
             grid.volumes[0] = 0.0
+        with pytest.raises(ValueError):
+            grid.face_weights[1] = 0.0
 
     def test_integrate_constant(self):
         grid = build_radial_grid(3, 1.0, 128)
