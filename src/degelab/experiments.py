@@ -100,9 +100,14 @@ REFERENCE_FACTOR = 8
 PROBE_TAIL_THRESHOLD = 0.85
 PROBE_STABILITY_THRESHOLD = 0.25
 
-CSV_COLUMNS = ("run_id", "gamma", "p", "m", "N", "delta", "M", "n_final",
-               "converged", "check_name", "lhs", "rhs", "slack", "passed",
-               "tail_u", "tail_grad", "predicted_grad")
+# A records.csv row is the run cells its record shares with every other row
+# of that record, then the cells of one check, then the shared tail and
+# prediction cells.  A payload stores the shared cells once.
+RUN_COLUMNS = ("run_id", "gamma", "p", "m", "N", "delta", "M", "n_final",
+               "converged")
+ROW_COLUMNS = ("check_name", "lhs", "rhs", "slack", "passed")
+FIT_COLUMNS = ("tail_u", "tail_grad", "predicted_grad")
+CSV_COLUMNS = RUN_COLUMNS + ROW_COLUMNS + FIT_COLUMNS
 
 
 @dataclass(frozen=True)
@@ -574,9 +579,10 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _record_rows(rec: RunRecord) -> list[dict]:
+def _shared_cells(rec: RunRecord) -> dict:
+    """The CSV cells that every row of one record shares."""
     axes = _problem_axes(rec.problem)
-    base = {
+    return {
         "run_id": rec.run_id,
         "gamma": axes["gamma"], "p": axes["p"], "m": axes["m"],
         "N": int(axes["N"]), "delta": axes["delta"], "M": rec.mesh.cells,
@@ -587,11 +593,15 @@ def _record_rows(rec: RunRecord) -> list[dict]:
         "predicted_grad": (rec.prediction.gradient_exponent
                            if rec.prediction else math.nan),
     }
+
+
+def _check_rows(rec: RunRecord) -> list[dict]:
+    """One dict of the ``ROW_COLUMNS`` cells per check of the record."""
     rows = []
     for name, group in rec.reports.items():
         if name == "marcinkiewicz" and rec.marcinkiewicz is not None:
             mk = rec.marcinkiewicz
-            rows.append({**base, "check_name": "marcinkiewicz_lemma",
+            rows.append({"check_name": "marcinkiewicz_lemma",
                          "lhs": mk.predicted, "rhs": mk.measured,
                          "slack": (mk.measured - mk.predicted) / max(abs(mk.predicted), 1e-300),
                          "passed": mk.passed})
@@ -601,10 +611,10 @@ def _record_rows(rec: RunRecord) -> list[dict]:
             if rep.params:
                 inner = ",".join(f"{k}={v:.6g}" for k, v in rep.params)
                 label = f"{rep.name}({inner})"
-            rows.append({**base, "check_name": label, "lhs": rep.lhs, "rhs": rep.rhs,
+            rows.append({"check_name": label, "lhs": rep.lhs, "rhs": rep.rhs,
                          "slack": rep.relative_slack, "passed": rep.passed})
     if not rows:
-        rows.append({**base, "check_name": "solve_failed" if not rec.converged else "solve",
+        rows.append({"check_name": "solve_failed" if not rec.converged else "solve",
                      "lhs": rec.residual_inf, "rhs": math.nan, "slack": math.nan,
                      "passed": rec.converged})
     return rows
@@ -613,14 +623,10 @@ def _record_rows(rec: RunRecord) -> list[dict]:
 def _payload(rec: RunRecord) -> dict:
     """Serialized form of one record; every output file is rendered from it."""
     return {
-        "run_id": rec.run_id,
-        "axes": _problem_axes(rec.problem),
-        "M": rec.mesh.cells,
+        "cells": _shared_cells(rec),
+        "rows": _check_rows(rec),
         "grading": rec.mesh.grading,
-        "n_final": rec.n_final,
-        "converged": rec.converged,
         "truncation_active": rec.truncation_active,
-        "rows": _record_rows(rec),
         "dist_u": rec.dist_u,
         "dist_grad": rec.dist_grad,
         "case": regime_label(rec.prediction, rec.problem.datum.m),
@@ -637,9 +643,15 @@ def emit_outputs(records: Sequence[RunRecord], out_dir) -> dict[str, Path]:
 
 
 def save_records(records: Sequence[RunRecord], path) -> None:
-    """Serialize records to JSON, enough to re-emit every output file."""
-    payload = [_payload(rec) for rec in records]
-    Path(path).write_text(json.dumps(payload, indent=1, allow_nan=True))
+    """Serialize records to JSON, enough to re-emit every output file.
+
+    The file is one JSON list with one record payload per line, so it
+    diffs record by record.  A payload stores its shared CSV cells once,
+    under ``cells``; each entry of its ``rows`` holds only the
+    ``ROW_COLUMNS`` cells of one check.
+    """
+    body = ",\n".join(json.dumps(_payload(rec), allow_nan=True) for rec in records)
+    Path(path).write_text(f"[\n{body}\n]\n" if body else "[]\n")
 
 
 def load_records(path) -> list[dict]:
@@ -651,34 +663,48 @@ def emit_from_saved(saved: Sequence[dict], out_dir) -> dict[str, Path]:
 
     :func:`emit_outputs` renders through here too, so ``report`` rewrites
     exactly what ``solve`` and ``sweep`` wrote, apart from the timestamp.
+    Every file is rendered in memory before the first directory is made or
+    file written, so a stale or malformed payload (one missing a key, or
+    one saved before the shared cells moved under ``cells``) raises and
+    leaves the output directory as it was.
     """
-    summary = _summary_markdown(saved)  # a stale payload fails here, before any write
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    plotdir = out / "plotdata"
-    plotdir.mkdir(exist_ok=True)
+    csv_text = _csv_text(saved)
+    summary = _summary_markdown(saved)
+    plots = {f"{rec['cells']['run_id']}_{suffix}.dat": _plot_body(rec[f"dist_{suffix}"])
+             for rec in saved for suffix in ("u", "grad")
+             if rec[f"dist_{suffix}"] is not None}
 
+    out = Path(out_dir)
+    plotdir = out / "plotdata"
+    plotdir.mkdir(parents=True, exist_ok=True)
     csv_path = out / "records.csv"
+    csv_path.write_text(csv_text)
+    md_path = out / "summary.md"
+    md_path.write_text(summary)
+    for name, body in plots.items():
+        (plotdir / name).write_text(body)
+    return {"csv": csv_path, "summary": md_path, "plotdata": plotdir}
+
+
+def _csv_text(saved: Sequence[dict]) -> str:
+    """records.csv: each record's shared cells are formatted once."""
     text = io.StringIO()
     text.write(f"# generated {datetime.now(timezone.utc).isoformat()}\n")
     writer = csv.writer(text, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     for rec in saved:
-        writer.writerows([_fmt(row[col]) for col in CSV_COLUMNS] for row in rec["rows"])
-    csv_path.write_text(text.getvalue())
+        cells = rec["cells"]
+        head = [_fmt(cells[col]) for col in RUN_COLUMNS]
+        tail = [_fmt(cells[col]) for col in FIT_COLUMNS]
+        writer.writerows([*head, *[_fmt(row[col]) for col in ROW_COLUMNS], *tail]
+                         for row in rec["rows"])
+    return text.getvalue()
 
-    md_path = out / "summary.md"
-    md_path.write_text(summary)
 
-    for rec in saved:
-        for suffix in ("u", "grad"):
-            dist = rec[f"dist_{suffix}"]
-            if dist is None:
-                continue
-            body = ["# k mu(k)"]
-            body += [f"{k:.17g} {mu:.17g}" for k, mu in zip(*dist)]
-            (plotdir / f"{rec['run_id']}_{suffix}.dat").write_text("\n".join(body) + "\n")
-    return {"csv": csv_path, "summary": md_path, "plotdata": plotdir}
+def _plot_body(dist) -> str:
+    body = ["# k mu(k)"]
+    body += [f"{k:.17g} {mu:.17g}" for k, mu in zip(*dist)]
+    return "\n".join(body) + "\n"
 
 
 def _summary_markdown(saved: Sequence[dict]) -> str:
@@ -695,15 +721,15 @@ def _summary_markdown(saved: Sequence[dict]) -> str:
         if not group and key == "unclassified":
             continue
         lines.append(f"| {key} | {len(group)} | "
-                     f"{sum(r['converged'] for r in group)} | "
+                     f"{sum(r['cells']['converged'] for r in group)} | "
                      f"{sum(r['all_passed'] for r in group)} |")
     lines += ["", "## Runs", ""]
     lines.append("| run | gamma | p | m | N | delta | M | converged | n_final | checks |")
     lines.append("| --- | --- | --- | --- | --- | --- | --- | --- | --- | --- |")
     for rec in saved:
-        axes = rec["axes"]
+        cells = rec["cells"]
         lines.append(
-            f"| {rec['run_id']} | {axes['gamma']:g} | {axes['p']:g} | {axes['m']:g} "
-            f"| {int(axes['N'])} | {axes['delta']:g} | {rec['M']} "
-            f"| {str(rec['converged']).lower()} | {rec['n_final']} | {rec['n_checks']} |")
+            f"| {cells['run_id']} | {cells['gamma']:g} | {cells['p']:g} | {cells['m']:g} "
+            f"| {cells['N']} | {cells['delta']:g} | {cells['M']} "
+            f"| {str(cells['converged']).lower()} | {cells['n_final']} | {rec['n_checks']} |")
     return "\n".join(lines) + "\n"

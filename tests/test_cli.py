@@ -208,19 +208,42 @@ class TestDispatch:
         conf, out = write_config(tmp_path, MINIMAL)
         assert dispatch("report", parse_config(conf.read_text())) == EXIT_CONFIG
 
-    def test_report_with_unreadable_records(self, tmp_path):
-        conf, out = write_config(tmp_path, MINIMAL)
+    def test_report_with_unreadable_records(self, tmp_path, capsys):
+        conf, out = write_config(tmp_path, MINIMAL + "\n[sweep]\np = 1, 2\n")
         cfg = parse_config(conf.read_text())
-        assert dispatch("solve", cfg) == EXIT_OK
+        assert dispatch("sweep", cfg) == EXIT_OK
         stored = out / "records.json"
-        payload = json.loads(stored.read_text())
-        del payload[0]["all_passed"]
-        stored.write_text(json.dumps(payload))
-        summary = (out / "summary.md").read_bytes()
-        assert dispatch("report", cfg) == EXIT_CONFIG
-        assert (out / "summary.md").read_bytes() == summary
+        saved = json.loads(stored.read_text())
+
+        def outputs():
+            paths = [out / "records.csv", out / "summary.md",
+                     *sorted((out / "plotdata").iterdir())]
+            return {path.name: path.read_bytes() for path in paths}
+
+        def without(rec, key):
+            return {k: v for k, v in rec.items() if k != key}
+
+        def old_layout(rec):
+            # shared cells copied into every row, run fields at the top level
+            cells = rec["cells"]
+            return {**without(rec, "cells"),
+                    "rows": [{**cells, **row} for row in rec["rows"]],
+                    "run_id": cells["run_id"], "M": cells["M"],
+                    "n_final": cells["n_final"], "converged": cells["converged"],
+                    "axes": {k: cells[k] for k in ("gamma", "p", "m", "N", "delta")}}
+
+        before = outputs()
+        assert len(before) == 2 + 2 * len(saved)
+        for stale in ([without(saved[0], "all_passed"), saved[1]],
+                      [saved[0], without(saved[1], "dist_u")],
+                      [old_layout(rec) for rec in saved]):
+            stored.write_text(json.dumps(stale))
+            assert dispatch("report", cfg) == EXIT_CONFIG
+            assert "rerun solve or sweep" in capsys.readouterr().err
+            assert outputs() == before
         stored.write_text("[{")
         assert dispatch("report", cfg) == EXIT_CONFIG
+        assert outputs() == before
 
     def test_mms_exit_and_table(self, tmp_path, capsys):
         conf, out = write_config(tmp_path, MINIMAL + "\n[mms]\nM_list = 32 64\n")

@@ -1,4 +1,6 @@
 import csv
+import io
+import json
 import math
 from pathlib import Path
 
@@ -10,6 +12,8 @@ from common import CFG, power_spec, singular_spec
 from degelab.analysis import dirichlet_energy, verify_marcinkiewicz_lemma
 from degelab.experiments import (
     ALL_CHECKS,
+    CSV_COLUMNS,
+    ROW_COLUMNS,
     MeshSpec,
     SweepSpec,
     emit_from_saved,
@@ -22,6 +26,7 @@ from degelab.experiments import (
     run_single,
     run_sweep,
     save_records,
+    _fmt,
 )
 from degelab.grid import build_radial_grid, grid_function, quadrature_weights
 from degelab.problem import ConstantDatum, RadialPowerDatum
@@ -41,6 +46,18 @@ def canonical_sweep(parallelism=1, M=64):
 def csv_body(path: Path) -> list[str]:
     return [line for line in path.read_text().splitlines()
             if not line.startswith("#")]
+
+
+def plain_csv_body(saved: list[dict]) -> list[str]:
+    """records.csv body by the plain rule: csv.writer over _fmt of every cell."""
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    for rec in saved:
+        for row in rec["rows"]:
+            cells = {**rec["cells"], **row}
+            writer.writerow([_fmt(cells[col]) for col in CSV_COLUMNS])
+    return text.getvalue().splitlines()
 
 
 class TestRunSingle:
@@ -187,6 +204,36 @@ class TestEmission:
         again = emit_from_saved(load_records(tmp_path / "records.json"), tmp_path / "b")
         assert csv_body(first["csv"]) == csv_body(again["csv"])
         assert first["summary"].read_bytes() == again["summary"].read_bytes()
+
+    def test_fast_emitter_matches_plain_rule(self, tmp_path):
+        failing = SweepSpec(base=power_spec(0.5, 1.0, 1.0), mesh=MeshSpec(32),
+                            axes={"delta": (0.5,)})
+        records = run_sweep(canonical_sweep(M=32)) + run_sweep(failing)
+        path = tmp_path / "records.json"
+        for recs in (records, []):
+            save_records(recs, path)
+            saved = load_records(path)
+            plain = plain_csv_body(saved)
+            assert csv_body(emit_outputs(recs, tmp_path / "fresh")["csv"]) == plain
+            assert csv_body(emit_from_saved(saved, tmp_path / "saved")["csv"]) == plain
+        body = csv_body(emit_outputs(records, tmp_path / "fresh")["csv"])
+        assert any(',"lemma_estimate(p=0.5,m=1)",' in line for line in body)
+        assert any(",solve_failed,inf,nan,nan,false,nan,nan,nan" in line for line in body)
+        assert body[0] == ",".join(CSV_COLUMNS)
+
+    def test_records_json_layout(self, tmp_path):
+        records = run_sweep(canonical_sweep(M=32))
+        path = tmp_path / "records.json"
+        save_records(records, path)
+        lines = path.read_text().splitlines()
+        assert lines[0] == "[" and lines[-1] == "]"
+        assert len(lines) == len(records) + 2
+        for line, rec in zip(lines[1:-1], records):
+            payload = json.loads(line.rstrip(","))
+            assert payload["cells"]["run_id"] == rec.run_id
+            assert all(set(row) == set(ROW_COLUMNS) for row in payload["rows"])
+        save_records([], path)
+        assert load_records(path) == []
 
     def test_failed_run_still_emits_row(self, tmp_path):
         sweep = SweepSpec(base=power_spec(0.5, 1.0, 1.0), mesh=MeshSpec(32),
