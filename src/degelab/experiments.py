@@ -104,7 +104,7 @@ PROBE_STABILITY_THRESHOLD = 0.25
 # of that record, then the cells of one check, then the shared tail and
 # prediction cells.  A payload stores the shared cells once.
 RUN_COLUMNS = ("run_id", "gamma", "p", "m", "N", "delta", "M", "n_final",
-               "converged")
+               "converged", "truncation_active", "hit_iteration_cap")
 ROW_COLUMNS = ("check_name", "lhs", "rhs", "slack", "passed")
 FIT_COLUMNS = ("tail_u", "tail_grad", "predicted_grad")
 CSV_COLUMNS = RUN_COLUMNS + ROW_COLUMNS + FIT_COLUMNS
@@ -587,6 +587,8 @@ def _shared_cells(rec: RunRecord) -> dict:
         "gamma": axes["gamma"], "p": axes["p"], "m": axes["m"],
         "N": int(axes["N"]), "delta": axes["delta"], "M": rec.mesh.cells,
         "n_final": rec.n_final, "converged": rec.converged,
+        "truncation_active": rec.truncation_active,
+        "hit_iteration_cap": rec.hit_iteration_cap,
         "tail_u": rec.tail_u.exponent if rec.tail_u and rec.tail_u.sufficient else math.nan,
         "tail_grad": (rec.tail_grad.exponent
                       if rec.tail_grad and rec.tail_grad.sufficient else math.nan),
@@ -626,7 +628,6 @@ def _payload(rec: RunRecord) -> dict:
         "cells": _shared_cells(rec),
         "rows": _check_rows(rec),
         "grading": rec.mesh.grading,
-        "truncation_active": rec.truncation_active,
         "dist_u": rec.dist_u,
         "dist_grad": rec.dist_grad,
         "case": regime_label(rec.prediction, rec.problem.datum.m),
@@ -724,12 +725,14 @@ def _summary_markdown(saved: Sequence[dict]) -> str:
                      f"{sum(r['cells']['converged'] for r in group)} | "
                      f"{sum(r['all_passed'] for r in group)} |")
     lines += ["", "## Runs", ""]
-    lines.append("| run | gamma | p | m | N | delta | M | converged | n_final | checks |")
-    lines.append("| --- | --- | --- | --- | --- | --- | --- | --- | --- | --- |")
+    lines.append("| run | gamma | p | m | N | delta | M | converged | truncation_active "
+                 "| hit_iteration_cap | n_final | checks |")
+    lines.append("| --- " * 12 + "|")
     for rec in saved:
         cells = rec["cells"]
         lines.append(
             f"| {cells['run_id']} | {cells['gamma']:g} | {cells['p']:g} | {cells['m']:g} "
             f"| {cells['N']} | {cells['delta']:g} | {cells['M']} "
-            f"| {str(cells['converged']).lower()} | {cells['n_final']} | {rec['n_checks']} |")
+            f"| {_fmt(cells['converged'])} | {_fmt(cells['truncation_active'])} "
+            f"| {_fmt(cells['hit_iteration_cap'])} | {cells['n_final']} | {rec['n_checks']} |")
     return "\n".join(lines) + "\n"

@@ -170,7 +170,7 @@ class TestEmission:
         save_records([rec], tmp_path / "records.json")
         with open(paths["csv"], newline="") as fh:
             rows = list(csv.reader(line for line in fh if not line.startswith("#")))
-        assert all(len(row) == 17 for row in rows)
+        assert all(len(row) == 19 for row in rows)
         names = [row[rows[0].index("check_name")] for row in rows[1:]]
         assert names == [row["check_name"]
                          for row in load_records(tmp_path / "records.json")[0]["rows"]]
