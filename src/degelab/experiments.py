@@ -651,7 +651,8 @@ def save_records(records: Sequence[RunRecord], path) -> None:
     under ``cells``; each entry of its ``rows`` holds only the
     ``ROW_COLUMNS`` cells of one check.
     """
-    body = ",\n".join(json.dumps(_payload(rec), allow_nan=True) for rec in records)
+    body = ",\n".join(json.dumps(_payload(rec), allow_nan=True, separators=(",", ":"))
+                       for rec in records)
     Path(path).write_text(f"[\n{body}\n]\n" if body else "[]\n")
 
 
