@@ -398,7 +398,7 @@ def _cmd_report(config: Config, out_dir: Path) -> int:
         return EXIT_CONFIG
     try:
         emit_from_saved(load_records(records_path), out_dir)
-    except (ValueError, KeyError) as err:
+    except (ValueError, KeyError, TypeError) as err:
         print(f"cannot re-emit from {records_path} ({type(err).__name__}: {err}); "
               "rerun solve or sweep to rewrite it", file=sys.stderr)
         return EXIT_CONFIG

@@ -236,6 +236,7 @@ class TestDispatch:
         assert len(before) == 2 + 2 * len(saved)
         for stale in ([without(saved[0], "all_passed"), saved[1]],
                       [saved[0], without(saved[1], "dist_u")],
+                      [{**saved[0], "cells": list(saved[0]["cells"])}, saved[1]],
                       [old_layout(rec) for rec in saved]):
             stored.write_text(json.dumps(stale))
             assert dispatch("report", cfg) == EXIT_CONFIG
