@@ -12,11 +12,19 @@ A checker sampled over cutoff levels k clips the field at every level in
 one array and takes all the face gradients at once; each level's sums are
 still single dot products in the order of the per-level formula, so every
 value is bit-identical to truncating and differencing level by level.
+The weighted-energy checker likewise shares one face gradient across all
+its exponents lambda.  The level grids and line fits are exact
+re-implementations of ``np.geomspace`` and ``np.polyfit(x, y, 1)``: the
+same float operations in the same order without numpy's argument
+handling, so their results equal numpy's bit for bit.
 """
 
 from __future__ import annotations
 
+import math
+import warnings
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -56,6 +64,7 @@ __all__ = [
 ]
 
 TINY = 1e-300
+EPS = np.finfo(float).eps
 DEFAULT_LEVEL_COUNT = 48
 DEFAULT_LEVEL_FLOOR = 1e-3
 
@@ -117,16 +126,12 @@ class EstimateReport:
     params: tuple[tuple[str, float], ...] = ()
 
 
-def _report(name, lhs, rhs, tol, scale=None, params=()) -> EstimateReport:
+def _report(name, lhs, rhs, tol: float, scale=None, params=()) -> EstimateReport:
+    """``tol`` and every value of ``params`` must already be Python floats."""
     lhs, rhs = float(lhs), float(rhs)
     scale = max(abs(rhs), TINY) if scale is None else max(float(scale), TINY)
-    return EstimateReport(
-        name=name, lhs=lhs, rhs=rhs,
-        passed=bool(lhs <= rhs + tol * scale),
-        relative_slack=(rhs - lhs) / scale,
-        tolerance=float(tol), scale=scale,
-        params=tuple((str(k), float(v)) for k, v in params),
-    )
+    return EstimateReport(name, lhs, rhs, lhs <= rhs + tol * scale,
+                          (rhs - lhs) / scale, tol, scale, params)
 
 
 def lebesgue_norm(u, s: float, w) -> float:
@@ -137,24 +142,51 @@ def lebesgue_norm(u, s: float, w) -> float:
     return float(np.dot(wts, np.abs(vals) ** s) ** (1.0 / s))
 
 
+def geomspace(start: float, stop: float, num: int) -> np.ndarray:
+    """``np.geomspace(start, stop, num)`` for positive ends and num >= 2.
+
+    numpy's float operations in numpy's order: log10 of both ends, the
+    linspace ``arange(num) * step + log10(start)`` with its last entry set
+    to log10(stop), ``10 ** y``, and both ends restored.  numpy's branch for
+    a zero step is left out: the step of two log10 values is zero only when
+    they are equal, and then both branches give zeros.
+    """
+    if not (start > 0 and stop > 0):
+        raise ValueError(f"geometric levels need positive ends, got {start}, {stop}")
+    lo = np.log10(start)
+    hi = np.log10(stop)
+    y = np.arange(num, dtype=float)
+    y *= (hi - lo) / (num - 1)
+    y += lo
+    y[-1] = hi
+    out = np.power(10.0, y)
+    out[0] = start
+    out[-1] = stop
+    return out
+
+
 def _default_levels(max_abs: float) -> np.ndarray:
     """Log-spaced levels spanning [1e-3, 2 max|u|]."""
     hi = max(2.0 * max_abs, 2.0 * DEFAULT_LEVEL_FLOOR)
-    return np.geomspace(DEFAULT_LEVEL_FLOOR, hi, DEFAULT_LEVEL_COUNT)
+    return geomspace(DEFAULT_LEVEL_FLOOR, hi, DEFAULT_LEVEL_COUNT)
 
 
 def distribution_function(u, w, k_levels: np.ndarray | None = None) -> DistributionFunction:
-    """Exact discrete superlevel-set measures at the given (or default) levels."""
+    """Exact discrete superlevel-set measures at the given (or default) levels.
+
+    Given levels must be positive and strictly increasing; the default
+    geometric levels are so by construction and are not checked again.
+    """
     vals, wts = np.abs(_values(u)), _weights(w)
     if k_levels is None:
         k_levels = _default_levels(float(vals.max()) if vals.size else 0.0)
-    k_levels = np.asarray(k_levels, dtype=float)
-    if k_levels.size and (np.any(k_levels <= 0) or np.any(np.diff(k_levels) <= 0)):
-        raise ValueError("levels must be positive and strictly increasing")
-    order = np.argsort(vals)
-    sorted_vals = vals[order]
-    tail_weight = np.concatenate((np.cumsum(wts[order][::-1])[::-1], [0.0]))
-    idx = np.searchsorted(sorted_vals, k_levels, side="left")
+    else:
+        k_levels = np.asarray(k_levels, dtype=float)
+        if k_levels.size and ((k_levels <= 0).any() or (np.diff(k_levels) <= 0).any()):
+            raise ValueError("levels must be positive and strictly increasing")
+    order = vals.argsort()
+    tail_weight = np.concatenate((wts[order][::-1].cumsum()[::-1], [0.0]))
+    idx = vals[order].searchsorted(k_levels, side="left")
     measures = tail_weight[idx]
     counts = vals.size - idx
     return DistributionFunction(k_levels=k_levels, measures=measures,
@@ -168,6 +200,26 @@ def marcinkiewicz_constant(df: DistributionFunction, s: float) -> float:
     if df.k_levels.size == 0:
         return 0.0
     return float(np.max(df.k_levels**s * df.measures))
+
+
+def _line_fit(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """``np.polyfit(x, y, 1)``: (slope, intercept) of the least-squares line.
+
+    numpy's operations in numpy's order: the Vandermonde columns [x, 1]
+    (x and y plus 0.0, as polyfit copies them), each column scaled to unit
+    norm, ``np.linalg.lstsq`` with rcond = len(x) * eps, the scaling undone,
+    and polyfit's RankWarning when the columns are rank deficient.
+    """
+    lhs = np.empty((x.size, 2))
+    np.add(x, 0.0, out=lhs[:, 0])
+    lhs[:, 1] = 1.0
+    scale = np.sqrt((lhs * lhs).sum(axis=0))
+    lhs /= scale
+    coef, _, rank, _ = np.linalg.lstsq(lhs, y + 0.0, x.size * EPS)
+    if rank != 2:
+        warnings.warn("Polyfit may be poorly conditioned", np.exceptions.RankWarning,
+                      stacklevel=2)
+    return coef / scale
 
 
 def tail_exponent_fit(df: DistributionFunction) -> TailFit:
@@ -186,7 +238,7 @@ def tail_exponent_fit(df: DistributionFunction) -> TailFit:
     if ks.size < TAIL_MIN_LEVELS:
         return TailFit(np.nan, (np.nan, np.nan), 0.0, int(ks.size), False,
                        f"fewer than {TAIL_MIN_LEVELS} usable levels")
-    take = max(int(np.ceil(TAIL_WINDOW_FRACTION * ks.size)), TAIL_MIN_LEVELS)
+    take = max(math.ceil(TAIL_WINDOW_FRACTION * ks.size), TAIL_MIN_LEVELS)
     ks, mus = ks[-take:], mus[-take:]
     window = (float(ks[0]), float(ks[-1]))
     if np.log10(ks[-1] / ks[0]) < TAIL_MIN_DECADES:
@@ -196,10 +248,10 @@ def tail_exponent_fit(df: DistributionFunction) -> TailFit:
         return TailFit(np.nan, window, 0.0, int(ks.size), False,
                        "no decay across the window")
     x, y = np.log(ks), np.log(mus)
-    slope, intercept = np.polyfit(x, y, 1)
+    slope, intercept = _line_fit(x, y)
     fitted = slope * x + intercept
-    ss_res = float(np.sum((y - fitted) ** 2))
-    ss_tot = float(np.sum((y - y.mean()) ** 2))
+    ss_res = float(((y - fitted) ** 2).sum())
+    ss_tot = float(((y - y.mean()) ** 2).sum())
     quality = 0.0 if ss_tot == 0 else max(0.0, min(1.0, 1.0 - ss_res / ss_tot))
     return TailFit(exponent=float(-slope), window=window, fit_quality=quality,
                    n_levels=int(ks.size), sufficient=True)
@@ -214,9 +266,9 @@ def _cutoffs(grid: RadialGrid, values: np.ndarray,
     float operation as ``face_gradient(truncate(u, k))``.
     """
     ks = np.asarray(k_levels, dtype=float)
-    if not np.all(ks > 0):
+    if not (ks > 0).all():
         raise ValueError(f"truncation level must be positive, got {ks[~(ks > 0)][0]}")
-    clipped = np.clip(values[..., None, :], -ks[:, None], ks[:, None]).reshape(-1, grid.M)
+    clipped = values[..., None, :].clip(-ks[:, None], ks[:, None]).reshape(-1, grid.M)
     return clipped, face_differences(grid, clipped)
 
 
@@ -240,42 +292,54 @@ def check_lemma_estimate(u: GridFunction, f_values, p: float, m: float, w,
     wts = _weights(w)
     lhs = float(np.dot(wts, np.abs(_values(u)) ** (p * m)))
     rhs = float(np.dot(wts, np.abs(_values(f_values)) ** m))
-    return _report("lemma_estimate", lhs, rhs, tol, params=(("p", p), ("m", m)))
+    return _report("lemma_estimate", lhs, rhs, float(tol),
+                   params=(("p", float(p)), ("m", float(m))))
 
 
 def check_bg_estimate(u: GridFunction, f_values, p: float, t_levels, w,
                       tol: float = 1e-4) -> list[EstimateReport]:
     """Superlevel tail bound: sum_{|u|>t} w|u|^p <= sum_{|u|>t} w|f| per t."""
     vals, fv, wts = _values(u), _values(f_values), _weights(w)
+    f_l1 = float(np.dot(wts, np.abs(fv)))
+    tol, p_param = float(tol), ("p", float(p))
     out = []
-    for t in np.asarray(t_levels, dtype=float):
+    for t in np.asarray(t_levels, dtype=float).tolist():
         mask = np.abs(vals) > t
         lhs = float(np.dot(wts[mask], np.abs(vals[mask]) ** p))
         rhs = float(np.dot(wts[mask], np.abs(fv[mask])))
-        out.append(_report("bg_estimate", lhs, rhs, tol,
-                           scale=max(abs(rhs), float(np.dot(wts, np.abs(fv)))),
-                           params=(("t", t), ("p", p))))
+        out.append(_report("bg_estimate", lhs, rhs, tol, scale=max(abs(rhs), f_l1),
+                           params=(("t", t), p_param)))
     return out
 
 
-def check_weighted_energy(u: GridFunction, f_values, gamma: float, lam: float,
-                          alpha: float, w, tol: float = 1e-4) -> EstimateReport:
+def check_weighted_energy(u: GridFunction, f_values, gamma: float,
+                          lam: float | Sequence[float], alpha: float, w,
+                          tol: float = 1e-4) -> EstimateReport | list[EstimateReport]:
     """Weighted energy bound with constant alpha*(lam-1):
 
         alpha (lam-1) sum_faces wf |grad u|^2 (1 + max adj |u|)^(-gamma-lam)
             <= sum w |f|.
 
     Follows from testing the discrete equation with the bounded monotone
-    function [1 - (1+|s|)^(1-lam)] sgn(s); requires lam > 1.
+    function [1 - (1+|s|)^(1-lam)] sgn(s); requires lam > 1.  A sequence of
+    lam gives one report per entry, in order: the face gradient, the base
+    of the weight and |f|_1 are formed once, and each lam's sum is the dot
+    product of the single-lam call.
     """
-    if not (lam > 1.0):
-        raise ValueError(f"lambda must exceed 1, got {lam}")
-    grad = face_gradient(u)
-    weight = (1.0 + np.abs(face_upwind_values(u.grid, u.values))) ** (-(gamma + lam))
-    lhs = alpha * (lam - 1.0) * float(np.dot(u.grid.face_weights, grad**2 * weight))
+    lams = [float(lam)] if np.ndim(lam) == 0 else [float(x) for x in lam]
+    for x in lams:
+        if not (x > 1.0):
+            raise ValueError(f"lambda must exceed 1, got {x}")
+    grad_sq = face_gradient(u) ** 2
+    base = 1.0 + np.abs(face_upwind_values(u.grid, u.values))
+    wf = u.grid.face_weights
     rhs = float(np.dot(_weights(w), np.abs(_values(f_values))))
-    return _report("weighted_energy", lhs, rhs, tol,
-                   params=(("lambda", lam), ("gamma", gamma)))
+    tol, gamma_param = float(tol), ("gamma", float(gamma))
+    out = [_report("weighted_energy",
+                   alpha * (x - 1.0) * float(np.dot(wf, grad_sq * base ** (-(gamma + x)))),
+                   rhs, tol, params=(("lambda", x), gamma_param))
+           for x in lams]
+    return out[0] if np.ndim(lam) == 0 else out
 
 
 def check_truncation_energy(u: GridFunction, f_values, gamma: float, alpha: float,
@@ -283,10 +347,11 @@ def check_truncation_energy(u: GridFunction, f_values, gamma: float, alpha: floa
     """Cutoff energy growth: alpha |grad T_k(u)|^2 <= k (1+k)^gamma |f|_1 per k."""
     f_l1 = float(np.dot(_weights(w), np.abs(_values(f_values))))
     ks = np.asarray(k_levels, dtype=float)
+    tol = float(tol)
     out = []
-    for k, energy in zip(ks, _cutoff_energies(u, ks)):
+    for k, energy in zip(ks.tolist(), _cutoff_energies(u, ks)):
         lhs = alpha * energy
-        rhs = float(k) * (1.0 + float(k)) ** gamma * f_l1
+        rhs = k * (1.0 + k) ** gamma * f_l1
         out.append(_report("truncation_energy", lhs, rhs, tol, params=(("k", k),)))
     return out
 
@@ -309,13 +374,18 @@ def check_linfty_bound(u: GridFunction, lower: SingularAbsorption,
 
 def default_entropy_test_functions(u: GridFunction) -> list[tuple[str, GridFunction]]:
     """Zero plus a pair of parabolic bumps scaled to half the solution range."""
+    return [(label, GridFunction(u.grid, phi)) for label, phi in _default_phis(u)]
+
+
+def _default_phis(u: GridFunction) -> list[tuple[str, np.ndarray]]:
+    """The nodal values of :func:`default_entropy_test_functions`."""
     grid = u.grid
-    out = [("zero", GridFunction(grid, np.zeros(grid.M)))]
+    out = [("zero", np.zeros(grid.M))]
     c = 0.5 * u.max_abs()
     if c > 0:
         bump = 1.0 - (grid.nodes / grid.R) ** 2
-        out.append(("+bump", GridFunction(grid, c * bump)))
-        out.append(("-bump", GridFunction(grid, -c * bump)))
+        out.append(("+bump", c * bump))
+        out.append(("-bump", -c * bump))
     return out
 
 
@@ -342,20 +412,22 @@ def check_entropy_inequality(u: GridFunction, spec: ProblemSpec, phi_samples,
     g_u = lower_order_eval(spec.lower, u.values)
     f_l1 = float(np.dot(wts, np.abs(fv)))
 
-    samples = default_entropy_test_functions(u) if phi_samples is None else list(phi_samples)
+    samples = (_default_phis(u) if phi_samples is None
+               else [(label, phi.values) for label, phi in phi_samples])
     ks = np.asarray(k_levels, dtype=float)
-    diffs = np.array([u.values - phi.values for _, phi in samples]).reshape(-1, grid.M)
+    diffs = np.array([u.values - phi for _, phi in samples]).reshape(-1, grid.M)
     tests, grad_tests = _cutoffs(grid, diffs, ks)
     face_terms = flux * grad_tests
     absorbed = g_u * tests
     sourced = fv * tests
+    tol = float(tol)
     out = []
-    pairs = [(label, k) for label, _ in samples for k in ks]
+    pairs = [(label, k) for label, _ in samples for k in ks.tolist()]
     for i, (label, k) in enumerate(pairs):
         lhs = float(np.dot(wf, face_terms[i]))
         lhs += float(np.dot(wts, absorbed[i]))
         rhs = float(np.dot(wts, sourced[i]))
-        scale = max(abs(rhs), float(k) * f_l1)
+        scale = max(abs(rhs), k * f_l1)
         out.append(_report(f"entropy[{label}]", lhs, rhs, tol, scale=scale,
                            params=(("k", k),)))
     return out
@@ -408,7 +480,7 @@ def verify_marcinkiewicz_lemma(u: GridFunction, w, tol_exponent: float = 0.15, *
         return MarcinkiewiczLemmaReport(applicable=False,
                                         reason="cutoff energies vanish on the window",
                                         u_fit=u_fit)
-    rho = float(np.polyfit(np.log(ks[positive]), np.log(energies[positive]), 1)[0])
+    rho = float(_line_fit(np.log(ks[positive]), np.log(energies[positive]))[0])
     s = u_fit.exponent
     predicted = 2.0 * s / (rho + s)
     if not grad_fit.sufficient:

@@ -15,10 +15,12 @@ import io
 import itertools
 import json
 import math
+import re
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
+from functools import cached_property
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -35,6 +37,7 @@ from .analysis import (
     check_truncation_energy,
     check_weighted_energy,
     distribution_function,
+    geomspace,
     tail_exponent_fit,
     verify_marcinkiewicz_lemma,
 )
@@ -109,6 +112,9 @@ ROW_COLUMNS = ("check_name", "lhs", "rhs", "slack", "passed")
 FIT_COLUMNS = ("tail_u", "tail_grad", "predicted_grad")
 CSV_COLUMNS = RUN_COLUMNS + ROW_COLUMNS + FIT_COLUMNS
 
+# Names of the plotdata files emission writes, one pair per record.
+PLOT_NAME = re.compile(r"run_\d+_(u|grad)\.dat")
+
 
 @dataclass(frozen=True)
 class MeshSpec:
@@ -160,6 +166,12 @@ class RunRecord:
                 and not self.hit_iteration_cap
                 and _checks_passed(self.reports, self.marcinkiewicz))
 
+    @cached_property
+    def payload(self) -> dict:
+        """Serialized form, built on first use; :func:`emit_outputs` and
+        :func:`save_records` share it.  Read it, never modify it."""
+        return _payload(self)
+
 
 def _checks_passed(reports: dict[str, tuple[EstimateReport, ...]],
                    mk: MarcinkiewiczLemmaReport | None) -> bool:
@@ -180,7 +192,7 @@ def _problem_axes(spec: ProblemSpec) -> dict[str, float]:
 def _checker_levels(u_max: float, count: int) -> np.ndarray:
     if u_max <= 0:
         return np.array([1.0])
-    return np.geomspace(0.01 * u_max, 2.0 * u_max, count)
+    return geomspace(0.01 * u_max, 2.0 * u_max, count)
 
 
 @dataclass(frozen=True)
@@ -235,13 +247,11 @@ def run_checks(u: GridFunction, spec: ProblemSpec, checks: Sequence[str] = ALL_C
             if not is_power:
                 skipped[name] = "needs a power absorption term"
                 continue
-            ts = np.array(BG_T_FRACTIONS) * u_max
-            reports[name] = tuple(check_bg_estimate(u, f_nodal, spec.lower.p,
-                                                    np.unique(ts), w, tol))
+            ts = sorted({frac * u_max for frac in BG_T_FRACTIONS})
+            reports[name] = tuple(check_bg_estimate(u, f_nodal, spec.lower.p, ts, w, tol))
         elif name == "weighted_energy":
-            reports[name] = tuple(
-                check_weighted_energy(u, f_nodal, gamma, lam, alpha, w, tol)
-                for lam in settings.lambdas)
+            reports[name] = tuple(check_weighted_energy(u, f_nodal, gamma, settings.lambdas,
+                                                        alpha, w, tol))
         elif name == "truncation_energy":
             ks = _checker_levels(u_max, settings.truncation_k_count)
             reports[name] = tuple(check_truncation_energy(
@@ -266,8 +276,8 @@ def run_checks(u: GridFunction, spec: ProblemSpec, checks: Sequence[str] = ALL_C
     return CheckResults(
         reports=reports, skipped=skipped, marcinkiewicz=mk_report,
         tail_u=tail_u, tail_grad=tail_grad,
-        dist_u=(tuple(map(float, df_u.k_levels)), tuple(map(float, df_u.measures))),
-        dist_grad=(tuple(map(float, df_g.k_levels)), tuple(map(float, df_g.measures))),
+        dist_u=(tuple(df_u.k_levels.tolist()), tuple(df_u.measures.tolist())),
+        dist_grad=(tuple(df_g.k_levels.tolist()), tuple(df_g.measures.tolist())),
     )
 
 
@@ -640,7 +650,7 @@ def _payload(rec: RunRecord) -> dict:
 
 def emit_outputs(records: Sequence[RunRecord], out_dir) -> dict[str, Path]:
     """Write records.csv, summary.md, and plotdata/*.dat under out_dir."""
-    return emit_from_saved([_payload(rec) for rec in records], out_dir)
+    return emit_from_saved([rec.payload for rec in records], out_dir)
 
 
 def save_records(records: Sequence[RunRecord], path) -> None:
@@ -651,7 +661,7 @@ def save_records(records: Sequence[RunRecord], path) -> None:
     under ``cells``; each entry of its ``rows`` holds only the
     ``ROW_COLUMNS`` cells of one check.
     """
-    body = ",\n".join(json.dumps(_payload(rec), allow_nan=True, separators=(",", ":"))
+    body = ",\n".join(json.dumps(rec.payload, allow_nan=True, separators=(",", ":"))
                        for rec in records)
     Path(path).write_text(f"[\n{body}\n]\n" if body else "[]\n")
 
@@ -668,7 +678,10 @@ def emit_from_saved(saved: Sequence[dict], out_dir) -> dict[str, Path]:
     Every file is rendered in memory before the first directory is made or
     file written, so a stale or malformed payload (one missing a key, or
     one saved before the shared cells moved under ``cells``) raises and
-    leaves the output directory as it was.
+    leaves the output directory as it was.  Once every file is written,
+    the ``plotdata/run_NNNN_{u,grad}.dat`` files that this call did not
+    write, left by an earlier and larger run, are deleted; no other file
+    is touched.
     """
     csv_text = _csv_text(saved)
     summary = _summary_markdown(saved)
@@ -685,6 +698,9 @@ def emit_from_saved(saved: Sequence[dict], out_dir) -> dict[str, Path]:
     md_path.write_text(summary)
     for name, body in plots.items():
         (plotdir / name).write_text(body)
+    for path in plotdir.iterdir():
+        if PLOT_NAME.fullmatch(path.name) and path.name not in plots:
+            path.unlink()
     return {"csv": csv_path, "summary": md_path, "plotdata": plotdir}
 
 

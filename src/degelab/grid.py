@@ -108,12 +108,12 @@ class GridFunction:
             raise ValueError(
                 f"values must have length M={self.grid.M}, got shape {vals.shape}"
             )
-        if not np.all(np.isfinite(vals)):
+        if not np.isfinite(vals).all():
             raise ValueError("grid function values must be finite")
         object.__setattr__(self, "values", vals)
 
     def max_abs(self) -> float:
-        return float(np.max(np.abs(self.values))) if self.grid.M else 0.0
+        return float(np.abs(self.values).max()) if self.grid.M else 0.0
 
 
 @dataclass(frozen=True, eq=False)

@@ -319,13 +319,14 @@ def _exact_jacobian(op: DiscreteOperator, frozen: DiscreteOperator, u: np.ndarra
 
 def _line_search(op: DiscreteOperator, lower: LowerOrderTerm, u: np.ndarray,
                  res: np.ndarray, res_norm: float, jac: DiscreteOperator,
-                 min_factor: float, cfg: SolverConfig, level: _Level | None):
+                 min_factor: float, cfg: SolverConfig, level: _Level):
     """First point along jac's Newton direction, halving from full length
     down to min_factor, whose residual norm is below res_norm.
 
-    With a level, the operator is reassembled at each trial point.  Returns
-    (u, operator, residual, norm) there, or None if no trial is accepted or
-    jac is singular.
+    The level's operator is reassembled at each trial point, unless
+    gamma = 0, where A_n does not depend on u.  Returns (u, operator,
+    residual, norm) there, or None if no trial is accepted or jac is
+    singular.
     """
     try:
         step = tridiag_solve(jac, -res)
@@ -334,8 +335,8 @@ def _line_search(op: DiscreteOperator, lower: LowerOrderTerm, u: np.ndarray,
     factor = 1.0
     while factor >= min_factor:
         trial = _clamp_singular(lower, u + factor * step, cfg.singular_margin)
-        trial_op = op if level is None else _frozen_operator(
-            op.grid, level.coeff, trial, level.n, op.rhs, level.scheme)
+        trial_op = _frozen_operator(op.grid, level.coeff, trial, level.n, op.rhs,
+                                    level.scheme) if level.coeff.gamma > 0 else op
         trial_res = _residual(trial_op, lower, trial)
         trial_norm = float(np.max(np.abs(trial_res)))
         if np.isfinite(trial_norm) and trial_norm < res_norm:
@@ -345,32 +346,28 @@ def _line_search(op: DiscreteOperator, lower: LowerOrderTerm, u: np.ndarray,
 
 
 def newton_semilinear(op: DiscreteOperator, lower: LowerOrderTerm, u0: GridFunction,
-                      cfg: SolverConfig, level: _Level | None = None,
+                      cfg: SolverConfig, level: _Level,
                       ) -> tuple[GridFunction, int, bool]:
-    """Damped Newton on L(u) u + g(u) = rhs.
+    """Damped Newton on A_n(u) u + g(u) = rhs at one truncation level.
 
-    Without ``level`` the linear part L = op is fixed: each step solves
-    with op + diag(g') and is halved until the residual norm decreases.
-    With ``level`` (from picard_solve), op is A_n(u0) and L(u) = A_n(u) is
-    reassembled at every trial point: a step first tries the exact
+    ``level`` comes from picard_solve and op is A_n(u0); A_n(u) is
+    reassembled at every trial point.  A step first tries the exact
     Jacobian at full length (traced as ``newton``), else backtracks along
     the frozen-coefficient direction A_n(u) + diag(g') from the same point
     (traced as ``frozen``; for gamma = 0 the two coincide, only the latter
     is taken and it is traced as ``newton``), and the outcome is left in
-    ``level``.  Either way at most picard_max steps are taken, g'
-    is regularized for p < 1, iterates with a singular absorption term stay
-    clamped inside [0, sigma - margin], and the iteration stalls when no
-    direction lowers the residual.  Returns the final iterate, the number
-    of accepted steps and whether the residual reached
-    newton_tol * (1 + |rhs|_inf).
+    ``level``.  At most picard_max steps are taken, g' is regularized for
+    p < 1, iterates with a singular absorption term stay clamped inside
+    [0, sigma - margin], and the iteration stalls when no direction lowers
+    the residual.  Returns the final iterate, the number of accepted steps
+    and whether the residual reached newton_tol * (1 + |rhs|_inf).
     """
     tol = cfg.newton_tol * (1.0 + float(np.max(np.abs(op.rhs))))
     u = _clamp_singular(lower, u0.values.copy(), cfg.singular_margin)
     res = _residual(op, lower, u)
     res_norm = float(np.max(np.abs(res)))
-    # with gamma = 0 A_n does not depend on u: no reassembly, and the
-    # frozen-coefficient Jacobian is the exact one
-    moving = level if level is not None and level.coeff.gamma > 0 else None
+    # with gamma = 0 the frozen-coefficient Jacobian is the exact one
+    moving = level.coeff.gamma > 0
     steps = 0
     while res_norm > tol:
         if steps == cfg.picard_max:
@@ -380,26 +377,25 @@ def newton_semilinear(op: DiscreteOperator, lower: LowerOrderTerm, u0: GridFunct
         frozen = DiscreteOperator(op.grid, op.sub, op.diag + gp, op.sup, op.rhs)
         accepted = None
         direction = "newton"
-        if moving is not None:
+        if moving:
             accepted = _line_search(op, lower, u, res, res_norm,
-                                    _exact_jacobian(op, frozen, u, moving), 1.0, cfg, moving)
+                                    _exact_jacobian(op, frozen, u, level), 1.0, cfg, level)
             if accepted is None:
                 direction = "frozen"
         if accepted is None:
             accepted = _line_search(op, lower, u, res, res_norm, frozen,
-                                    DAMPING_MIN, cfg, moving)
+                                    DAMPING_MIN, cfg, level)
         if accepted is None:
             stop = "stalled"
             break
         u, op, res, res_norm = accepted
         steps += 1
-        if level is not None and level.trace is not None:
+        if level.trace is not None:
             level.trace(f"level {level.n}, step {steps}, {direction}, "
                         f"residual {res_norm:.6e}")
     else:
         stop = "converged"
-    if level is not None:
-        level.stop, level.residual = stop, res_norm
+    level.stop, level.residual = stop, res_norm
     return GridFunction(op.grid, u), steps, stop == "converged"
 
 

@@ -13,7 +13,6 @@ from degelab.problem import (
     CoefficientSpec,
     ConstantDatum,
     DatumSpec,
-    NoAbsorption,
     PowerAbsorption,
     ProblemSpec,
     RadialPowerDatum,
@@ -30,7 +29,6 @@ from degelab.solver import (
     apply_operator,
     face_coefficients,
     manufactured_rhs,
-    newton_semilinear,
     picard_solve,
     residual_norm,
     tridiag_solve,
@@ -56,12 +54,6 @@ def matrix_radial_case(delta):
     """Acceptance-matrix corner gamma = 1, p = 0.5, m = 1, radial datum, M = 256."""
     grid = build_radial_grid(3, 1.0, 256)
     return grid, power_spec(1.0, 0.5, 1.0, RadialPowerDatum(1.0, delta))
-
-
-def identity_operator(grid, rhs):
-    M = grid.M
-    return synthetic_operator(grid, np.zeros(M), np.ones(M), np.zeros(M),
-                              np.full(M, float(rhs)))
 
 
 class TestAssemble:
@@ -199,48 +191,51 @@ class TestExactJacobian:
 
 
 class TestNewton:
+    """newton_semilinear at gamma = 0 levels, through picard_solve: A_n does
+    not depend on u there, so the frozen-coefficient Jacobian is exact."""
+
     def test_linear_problem_single_solve(self):
         grid = build_radial_grid(3, 1.0, 16)
-        op = assemble_frozen(grid, CoefficientSpec(1.0, 1.0, 0.0),
-                             grid_function(grid, 0.0), n=1)
-        op = DiscreteOperator(grid=grid, sub=op.sub, diag=op.diag, sup=op.sup,
-                              rhs=np.ones(grid.M))
-        u, iters, ok = newton_semilinear(op, NoAbsorption(), grid_function(grid, 0.0), CFG)
-        assert ok and iters <= 1
-        res = apply_operator(op, u.values) - op.rhs
-        assert np.max(np.abs(res)) <= 1e-12 * (1 + 1)
+        res = picard_solve(grid, poisson_spec(), n=1, cfg=CFG)
+        assert res.flags.converged and res.picard_iters <= 1
+        assert residual_norm(grid, poisson_spec(), res.u, 1) <= 1e-12 * (1 + 1)
+
+    @staticmethod
+    def constant_root_level(absorption, root):
+        """The gamma = 0 level whose exact discrete solution is u = root at
+        every node: its datum is manufactured from that constant field."""
+        grid = build_radial_grid(3, 1.0, 8)
+        spec = ProblemSpec(3, 1.0, CoefficientSpec(1.0, 1.0, 0.0), absorption,
+                           DatumSpec(ConstantDatum(1.0), 1.0))
+        star = grid_function(grid, root)
+        n = 2 ** 12
+        f_h = manufactured_rhs(grid, spec, star, n)
+        assert np.max(np.abs(f_h.values)) < n
+        return picard_solve(grid, spec, n, CFG, f_values=f_h)
 
     def test_cubic_scalar_root(self):
-        # bisection oracle for u + u^3 = 2
+        # field value: the bisection root of u + u^3 = 2
         root = brentq(lambda s: s + s**3 - 2.0, 0.0, 2.0, xtol=1e-14)
-        grid = build_radial_grid(3, 1.0, 8)
-        op = identity_operator(grid, 2.0)
-        u, _, ok = newton_semilinear(op, PowerAbsorption(3.0),
-                                     grid_function(grid, 0.0), CFG)
-        assert ok
-        assert np.allclose(u.values, root, rtol=1e-10)
+        res = self.constant_root_level(PowerAbsorption(3.0), root)
+        assert res.flags.converged
+        assert np.allclose(res.u.values, root, rtol=1e-10)
         assert root == pytest.approx(1.0, abs=1e-12)
 
     def test_barrier_scalar_root(self):
-        # bisection oracle for u + u/(1-u) = 3 on [0, 1)
+        # field value: the bisection root of u + u/(1-u) = 3 on [0, 1)
         root = brentq(lambda s: s + s / (1.0 - s) - 3.0, 0.0, 1.0 - 1e-12, xtol=1e-15)
-        grid = build_radial_grid(3, 1.0, 8)
-        op = identity_operator(grid, 3.0)
-        u, _, ok = newton_semilinear(op, SingularAbsorption(1.0),
-                                     grid_function(grid, 0.0), CFG)
-        assert ok
-        assert np.allclose(u.values, root, rtol=1e-9)
+        res = self.constant_root_level(SingularAbsorption(1.0), root)
+        assert res.flags.converged
+        assert np.allclose(res.u.values, root, rtol=1e-9)
         assert root == pytest.approx((5.0 - math.sqrt(13.0)) / 2.0, abs=1e-12)
 
     def test_fractional_power_root(self):
-        # regularized Jacobian still finds the root of u + sqrt(u) = 2
+        # the regularized Jacobian still finds the field; its value is the
+        # root of u + sqrt(u) = 2
         root = brentq(lambda s: s + math.sqrt(s) - 2.0, 0.0, 4.0, xtol=1e-14)
-        grid = build_radial_grid(3, 1.0, 8)
-        op = identity_operator(grid, 2.0)
-        u, _, ok = newton_semilinear(op, PowerAbsorption(0.5),
-                                     grid_function(grid, 0.0), CFG)
-        assert ok
-        assert np.allclose(u.values, root, rtol=1e-9)
+        res = self.constant_root_level(PowerAbsorption(0.5), root)
+        assert res.flags.converged
+        assert np.allclose(res.u.values, root, rtol=1e-9)
 
 
 class TestPicard:
