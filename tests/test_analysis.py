@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from common import CFG, grid_and_weights, power_spec, singular_spec
 
 from degelab.analysis import (
+    _line_fit,
     check_bg_estimate,
     check_entropy_inequality,
     check_lemma_estimate,
@@ -16,6 +17,7 @@ from degelab.analysis import (
     check_weighted_energy,
     dirichlet_energy,
     distribution_function,
+    geomspace,
     lebesgue_norm,
     marcinkiewicz_constant,
     tail_exponent_fit,
@@ -29,7 +31,7 @@ from degelab.grid import (
     truncate,
 )
 from degelab.problem import ConstantDatum, lower_order_eval
-from degelab.solver import face_coefficients, truncation_continuation
+from degelab.solver import face_coefficients, face_upwind_values, truncation_continuation
 
 
 class TestLebesgueNorm:
@@ -354,3 +356,55 @@ class TestBatchedCutoffs:
             dirichlet_energy(u, 0.0)
         with pytest.raises(ValueError, match="must be positive"):
             check_truncation_energy(u, u, 0.0, 1.0, [1.0, -1.0], w)
+
+
+class TestExactReplicas:
+    """The audit's level grids, line fits and weighted-energy pass replace
+    numpy calls and per-lambda calls; each result must be equal exactly."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(start=st.floats(1e-12, 1e12), ratio=st.floats(1.01, 1e5),
+           num=st.integers(2, 64))
+    def test_geomspace_equals_numpy(self, start, ratio, num):
+        stop = start * ratio
+        assert geomspace(start, stop, num).tobytes() == \
+            np.geomspace(start, stop, num).tobytes()
+
+    def test_geomspace_rejects_nonpositive_ends(self):
+        with pytest.raises(ValueError, match="positive ends"):
+            geomspace(0.0, 1.0, 4)
+
+    @settings(max_examples=200, deadline=None)
+    @given(ks=st.lists(st.floats(1e-3, 1e6), min_size=2, max_size=48, unique=True),
+           seed=st.integers(0, 2**32 - 1))
+    def test_line_fit_equals_polyfit(self, ks, seed):
+        x = np.log(np.sort(np.array(ks)))
+        y = np.random.default_rng(seed).normal(-1.5 * x, 0.1)
+        if np.unique(x).size < 2:
+            return
+        assert _line_fit(x, y).tobytes() == np.polyfit(x, y, 1).tobytes()
+
+    def test_line_fit_warns_like_polyfit_on_rank_deficiency(self):
+        x, y = np.full(5, 2.0), np.arange(5.0)  # the columns [x, 1] are parallel
+        with pytest.warns(np.exceptions.RankWarning):
+            got = _line_fit(x, y)
+        with pytest.warns(np.exceptions.RankWarning):
+            expect = np.polyfit(x, y, 1)
+        assert got.tobytes() == expect.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=cutoff_cases(), gamma=st.sampled_from([0.0, 0.5, 1.0]),
+           lams=st.lists(st.floats(1.01, 8.0), min_size=1, max_size=4),
+           alpha=st.sampled_from([0.5, 1.0]))
+    def test_weighted_energy_pass_equals_per_lambda_formula(self, case, gamma, lams,
+                                                            alpha):
+        grid, w, u, _ = case
+        f = grid_function(grid, lambda r: 1.0 + r)
+        grad = face_gradient(u)
+        upwind = face_upwind_values(grid, u.values)
+        expect = [alpha * (lam - 1.0) * float(np.dot(
+            face_weights(grid), grad**2 * (1.0 + np.abs(upwind)) ** (-(gamma + lam))))
+            for lam in lams]
+        reps = check_weighted_energy(u, f, gamma, lams, alpha, w)
+        assert [rep.lhs for rep in reps] == expect
+        assert reps == [check_weighted_energy(u, f, gamma, lam, alpha, w) for lam in lams]

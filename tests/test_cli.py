@@ -16,6 +16,7 @@ from degelab.cli import (
     parse_config,
     _verify_solution_file,
 )
+import degelab.experiments as experiments
 from degelab.experiments import CheckSettings
 from degelab.problem import PowerAbsorption, SingularAbsorption
 from degelab.solver import SolverConfig
@@ -203,6 +204,39 @@ class TestDispatch:
         assert (out / "summary.md").read_bytes() == summary_before
         assert plots_before
         assert {p.name: p.read_bytes() for p in (out / "plotdata").iterdir()} == plots_before
+
+    def test_smaller_sweep_removes_stale_plotdata(self, tmp_path):
+        # a 36-point sweep, then a 12-point one into the same directory:
+        # only the second sweep's plotdata remains, other files stay
+        small = MINIMAL.replace("M = 96", "M = 16")
+        conf, out = write_config(tmp_path, small + "\n[sweep]\ngamma = 0, 0.5, 1\n"
+                                 "p = 0.5, 1, 2, 4\nm = 1, 1.5, 2\n")
+        assert dispatch("sweep", parse_config(conf.read_text())) == EXIT_OK
+        assert len(list((out / "plotdata").iterdir())) == 72
+        (out / "plotdata" / "notes.txt").write_text("kept\n")
+        conf, out = write_config(tmp_path, small + "\n[sweep]\ngamma = 0, 0.5, 1\n"
+                                 "p = 0.5, 1, 2, 4\n")
+        cfg = parse_config(conf.read_text())
+        assert dispatch("sweep", cfg) == EXIT_OK
+        expect = {f"run_{i:04d}_{s}.dat" for i in range(12) for s in ("u", "grad")}
+        assert {p.name for p in (out / "plotdata").iterdir()} == expect | {"notes.txt"}
+        assert dispatch("report", cfg) == EXIT_OK
+        assert {p.name for p in (out / "plotdata").iterdir()} == expect | {"notes.txt"}
+
+    def test_solve_and_sweep_build_each_payload_once(self, tmp_path, monkeypatch):
+        built = []
+        original = experiments._payload
+        monkeypatch.setattr(experiments, "_payload",
+                            lambda rec: built.append(rec.run_id) or original(rec))
+        conf, out = write_config(tmp_path, MINIMAL + "\n[sweep]\np = 1, 2\n")
+        cfg = parse_config(conf.read_text())
+        assert dispatch("solve", cfg) == EXIT_OK
+        assert built == ["run_0000"]
+        built.clear()
+        assert dispatch("sweep", cfg) == EXIT_OK
+        assert built == ["run_0000", "run_0001"]
+        saved = json.loads((out / "records.json").read_text())
+        assert [rec["cells"]["run_id"] for rec in saved] == built
 
     def test_report_without_records(self, tmp_path):
         conf, out = write_config(tmp_path, MINIMAL)

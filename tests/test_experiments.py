@@ -9,11 +9,23 @@ import pytest
 
 from common import CFG, power_spec, singular_spec
 
-from degelab.analysis import dirichlet_energy, verify_marcinkiewicz_lemma
+from degelab.analysis import (
+    check_bg_estimate,
+    check_entropy_inequality,
+    check_lemma_estimate,
+    check_truncation_energy,
+    check_weighted_energy,
+    dirichlet_energy,
+    distribution_function,
+    tail_exponent_fit,
+    verify_marcinkiewicz_lemma,
+)
 from degelab.experiments import (
     ALL_CHECKS,
     CSV_COLUMNS,
     ROW_COLUMNS,
+    CheckResults,
+    CheckSettings,
     MeshSpec,
     SweepSpec,
     emit_from_saved,
@@ -28,8 +40,8 @@ from degelab.experiments import (
     save_records,
     _fmt,
 )
-from degelab.grid import build_radial_grid, grid_function, quadrature_weights
-from degelab.problem import ConstantDatum, RadialPowerDatum
+from degelab.grid import build_radial_grid, face_gradient, grid_function, quadrature_weights
+from degelab.problem import ConstantDatum, RadialPowerDatum, datum_eval
 from degelab.solver import SolverConfig, truncation_continuation
 
 
@@ -109,6 +121,51 @@ class TestRunSingle:
         assert mk.applicable
         assert mk.u_fit == res.tail_u and mk.grad_fit == res.tail_grad
         assert mk == verify_marcinkiewicz_lemma(u, quadrature_weights(grid))
+
+    @pytest.mark.parametrize("spec", [
+        power_spec(0.5, 2.0, 1.0, ConstantDatum(3.0)),
+        power_spec(1.0, 1.0, 1.0, RadialPowerDatum(1.0, 2.0)),
+    ], ids=["constant", "radial"])
+    def test_run_checks_equals_checkers_called_one_by_one(self, spec):
+        # run_checks shares its passes and level grids across checkers; the
+        # standalone checkers, fed numpy's own level grids, must give the
+        # same reports, skips and tail data, equal by repr
+        grid = build_radial_grid(3, 1.0, 256)
+        res = truncation_continuation(grid, spec, CFG)
+        assert res.flags.converged
+        u, w, settings = res.u, quadrature_weights(grid), CheckSettings()
+        f = grid_function(grid, lambda r: datum_eval(spec.datum, r))
+        gamma, alpha, p, tol = spec.coefficient.gamma, spec.coefficient.alpha, spec.lower.p, 1e-4
+        peak = u.max_abs()
+        levels = np.geomspace(1e-3, max(2.0 * peak, 2e-3), 48)
+        df_u = distribution_function(u, w, levels)
+        grad = np.abs(face_gradient(u))
+        df_g = distribution_function(grad, grid.face_weights,
+                                     np.geomspace(1e-3, max(2.0 * grad.max(), 2e-3), 48))
+        mk = verify_marcinkiewicz_lemma(u, w, settings.tail_tolerance)
+        assert mk.applicable
+        expect = CheckResults(
+            reports={
+                "lemma": (check_lemma_estimate(u, f, p, spec.datum.m, w, tol),),
+                "bg": tuple(check_bg_estimate(u, f, p, np.unique(
+                    np.array([0.0, 0.25, 0.5, 0.75]) * peak), w, tol)),
+                "weighted_energy": tuple(check_weighted_energy(u, f, gamma, lam, alpha,
+                                                               w, tol)
+                                         for lam in settings.lambdas),
+                "truncation_energy": tuple(check_truncation_energy(
+                    u, f, gamma, alpha, np.geomspace(0.01 * peak, 2.0 * peak, 8), w, tol)),
+                "entropy": tuple(check_entropy_inequality(
+                    u, spec, None, np.geomspace(0.01 * peak, 2.0 * peak, 4), w, tol,
+                    f_values=f)),
+                "marcinkiewicz": (),
+            },
+            skipped={"linfty": "needs a singular absorption term"},
+            marcinkiewicz=mk, tail_u=tail_exponent_fit(df_u),
+            tail_grad=tail_exponent_fit(df_g),
+            dist_u=(tuple(map(float, df_u.k_levels)), tuple(map(float, df_u.measures))),
+            dist_grad=(tuple(map(float, df_g.k_levels)), tuple(map(float, df_g.measures))),
+        )
+        assert repr(run_checks(u, spec)) == repr(expect)
 
     def test_prediction_attached(self):
         rec = run_single(power_spec(1.0, 4.0, 1.5), MeshSpec(32), CFG)
