@@ -299,14 +299,15 @@ def check_lemma_estimate(u: GridFunction, f_values, p: float, m: float, w,
 def check_bg_estimate(u: GridFunction, f_values, p: float, t_levels, w,
                       tol: float = 1e-4) -> list[EstimateReport]:
     """Superlevel tail bound: sum_{|u|>t} w|u|^p <= sum_{|u|>t} w|f| per t."""
-    vals, fv, wts = _values(u), _values(f_values), _weights(w)
-    f_l1 = float(np.dot(wts, np.abs(fv)))
+    abs_u, abs_f, wts = np.abs(_values(u)), np.abs(_values(f_values)), _weights(w)
+    f_l1 = float(np.dot(wts, abs_f))
     tol, p_param = float(tol), ("p", float(p))
     out = []
     for t in np.asarray(t_levels, dtype=float).tolist():
-        mask = np.abs(vals) > t
-        lhs = float(np.dot(wts[mask], np.abs(vals[mask]) ** p))
-        rhs = float(np.dot(wts[mask], np.abs(fv[mask])))
+        mask = abs_u > t
+        w_t = wts[mask]
+        lhs = float(np.dot(w_t, abs_u[mask] ** p))
+        rhs = float(np.dot(w_t, abs_f[mask]))
         out.append(_report("bg_estimate", lhs, rhs, tol, scale=max(abs(rhs), f_l1),
                            params=(("t", t), p_param)))
     return out
@@ -326,7 +327,8 @@ def check_weighted_energy(u: GridFunction, f_values, gamma: float,
     of the weight and |f|_1 are formed once, and each lam's sum is the dot
     product of the single-lam call.
     """
-    lams = [float(lam)] if np.ndim(lam) == 0 else [float(x) for x in lam]
+    scalar = np.ndim(lam) == 0
+    lams = [float(lam)] if scalar else [float(x) for x in lam]
     for x in lams:
         if not (x > 1.0):
             raise ValueError(f"lambda must exceed 1, got {x}")
@@ -339,7 +341,7 @@ def check_weighted_energy(u: GridFunction, f_values, gamma: float,
                    alpha * (x - 1.0) * float(np.dot(wf, grad_sq * base ** (-(gamma + x)))),
                    rhs, tol, params=(("lambda", x), gamma_param))
            for x in lams]
-    return out[0] if np.ndim(lam) == 0 else out
+    return out[0] if scalar else out
 
 
 def check_truncation_energy(u: GridFunction, f_values, gamma: float, alpha: float,
@@ -422,14 +424,13 @@ def check_entropy_inequality(u: GridFunction, spec: ProblemSpec, phi_samples,
     sourced = fv * tests
     tol = float(tol)
     out = []
-    pairs = [(label, k) for label, _ in samples for k in ks.tolist()]
-    for i, (label, k) in enumerate(pairs):
+    pairs = [(f"entropy[{label}]", k) for label, _ in samples for k in ks.tolist()]
+    for i, (name, k) in enumerate(pairs):
         lhs = float(np.dot(wf, face_terms[i]))
         lhs += float(np.dot(wts, absorbed[i]))
         rhs = float(np.dot(wts, sourced[i]))
         scale = max(abs(rhs), k * f_l1)
-        out.append(_report(f"entropy[{label}]", lhs, rhs, tol, scale=scale,
-                           params=(("k", k),)))
+        out.append(_report(name, lhs, rhs, tol, scale=scale, params=(("k", k),)))
     return out
 
 
