@@ -135,10 +135,10 @@ class TestRunSingle:
         assert res.flags.converged
         u, w, settings = res.u, quadrature_weights(grid), CheckSettings()
         f = grid_function(grid, lambda r: datum_eval(spec.datum, r))
-        gamma, alpha, p, tol = spec.coefficient.gamma, spec.coefficient.alpha, spec.lower.p, 1e-4
+        gamma, alpha, p, tol = (spec.coefficient.gamma, spec.coefficient.alpha,
+                                spec.lower.p, settings.tolerance)
         peak = u.max_abs()
-        levels = np.geomspace(1e-3, max(2.0 * peak, 2e-3), 48)
-        df_u = distribution_function(u, w, levels)
+        df_u = distribution_function(u, w, np.geomspace(1e-3, max(2.0 * peak, 2e-3), 48))
         grad = np.abs(face_gradient(u))
         df_g = distribution_function(grad, grid.face_weights,
                                      np.geomspace(1e-3, max(2.0 * grad.max(), 2e-3), 48))
