@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.optimize import brentq
 
 __all__ = [
     "RadialGrid",
@@ -153,6 +152,9 @@ def build_radial_grid(N: int, R: float, M: int, grading: float | None = None) ->
     if g == 1.0:
         widths = np.full(M, R / M)
     else:
+        # scipy.optimize loads here, not at import: only graded meshes need it
+        from scipy.optimize import brentq
+
         first = R / (M * g)
 
         # solve (ratio^M - 1)/(ratio - 1) = M*g for the common ratio, in the

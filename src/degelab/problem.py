@@ -21,7 +21,6 @@ from enum import Enum
 from typing import Callable, Union
 
 import numpy as np
-from scipy.integrate import quad
 
 from .grid import sphere_surface
 
@@ -245,6 +244,9 @@ def datum_norm_exact(spec: DatumSpec, m: float, N: int, R: float) -> float:
         power = N - fam.delta * m
         return abs(fam.amplitude) ** m * omega * R**power / power
     if isinstance(fam, BumpDatum):
+        # scipy.integrate loads here, not at import: only this branch needs it
+        from scipy.integrate import quad
+
         val, _ = quad(
             lambda r: abs(fam.amplitude * math.exp(-(((r - fam.center) / fam.width) ** 2))) ** m
             * r ** (N - 1),

@@ -1,5 +1,8 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -16,9 +19,17 @@ from degelab.cli import (
     parse_config,
     _verify_solution_file,
 )
+import degelab
 import degelab.experiments as experiments
 from degelab.experiments import CheckSettings
-from degelab.problem import PowerAbsorption, SingularAbsorption
+from degelab.grid import build_radial_grid
+from degelab.problem import (
+    BumpDatum,
+    DatumSpec,
+    PowerAbsorption,
+    SingularAbsorption,
+    datum_norm_exact,
+)
 from degelab.solver import SolverConfig
 
 MINIMAL = """
@@ -327,3 +338,32 @@ class TestMain:
         assert main(["solve", str(conf)]) == EXIT_OK
         assert main(["verify", str(conf), "--solution",
                      str(out / "solution.dat")]) == EXIT_OK
+
+
+class TestImports:
+    # Run in a fresh interpreter: this process has long since loaded the
+    # scipy subpackages that the CLI defers.
+    PROGRAM = """
+import sys
+import degelab.cli
+from degelab.grid import build_radial_grid
+from degelab.problem import BumpDatum, DatumSpec, datum_norm_exact
+print(sorted(m for m in ("scipy.optimize", "scipy.integrate") if m in sys.modules))
+print(build_radial_grid(3, 1.0, 64, grading=2.0).faces.tobytes().hex())
+print(repr(datum_norm_exact(DatumSpec(BumpDatum(2.0, 0.5, 0.2), 1.5), 1.5, 3, 1.0)))
+print(sorted(m for m in ("scipy.optimize", "scipy.integrate") if m in sys.modules))
+"""
+
+    def test_cli_import_defers_root_finder_and_quadrature(self):
+        src = str(Path(degelab.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        run = subprocess.run([sys.executable, "-c", self.PROGRAM], capture_output=True,
+                             text=True, env={**os.environ, "PYTHONPATH": path},
+                             timeout=120)
+        assert run.returncode == 0, run.stderr
+        before, faces, norm, after = run.stdout.splitlines()
+        assert before == "[]"
+        assert faces == build_radial_grid(3, 1.0, 64, grading=2.0).faces.tobytes().hex()
+        assert norm == repr(datum_norm_exact(DatumSpec(BumpDatum(2.0, 0.5, 0.2), 1.5),
+                                             1.5, 3, 1.0))
+        assert after == "['scipy.integrate', 'scipy.optimize']"

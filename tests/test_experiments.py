@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from common import CFG, power_spec, singular_spec
 
 from degelab.analysis import (
+    MarcinkiewiczLemmaReport,
     check_bg_estimate,
     check_entropy_inequality,
     check_lemma_estimate,
@@ -111,6 +113,17 @@ class TestRunSingle:
                          MeshSpec(1024), CFG)
         assert rec.converged and rec.truncation_active
         assert not rec.all_passed
+
+    def test_failed_marcinkiewicz_gate_is_not_all_passed(self):
+        rec = run_single(power_spec(1.0, 2.0, 1.0), MeshSpec(64), CFG)
+        assert rec.all_passed and rec.reports
+        failed = MarcinkiewiczLemmaReport(applicable=True, predicted=1.0, measured=0.5,
+                                          passed=False)
+        not_applicable = MarcinkiewiczLemmaReport(applicable=False, reason="no tail")
+        for mk, verdict in ((failed, False), (not_applicable, True)):
+            assert replace(rec, marcinkiewicz=mk).all_passed is verdict
+            assert CheckResults(reports=rec.reports,
+                                marcinkiewicz=mk).all_passed is verdict
 
     def test_marcinkiewicz_shares_the_record_tail_fits(self):
         # r^-2 has a fittable tail in u and in grad u, so the check applies
