@@ -6,8 +6,9 @@
 Runs the first R rounds of the seeded ``matrix`` or ``probe`` workload of
 perfbench/workloads.py (each op one ``experiments.run_single`` with every
 check) and prints, per op, a digest of the ``repr`` of the record's
-payload without ``duration_s``, of its reports, its skips and its
-Marcinkiewicz report.  Two source trees give the same output exactly when
+payload without ``duration_s``, of its reports (the Marcinkiewicz gate's
+verdict among them), its skips and its Marcinkiewicz report (the gate's
+diagnostics).  Two source trees give the same output exactly when
 every op's outputs are bit-identical, so comparing them is one ``diff``
 of two runs of this script, one from each checkout.
 """

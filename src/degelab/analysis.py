@@ -125,6 +125,14 @@ class EstimateReport:
     scale: float
     params: tuple[tuple[str, float], ...] = ()
 
+    @property
+    def label(self) -> str:
+        """The check's name in records.csv and the CLI: ``name(k=v,...)``,
+        or just ``name`` without params."""
+        if not self.params:
+            return self.name
+        return f"{self.name}({','.join(f'{k}={v:.6g}' for k, v in self.params)})"
+
 
 def _report(name, lhs, rhs, tol: float, scale=None, params=()) -> EstimateReport:
     """``tol`` and every value of ``params`` must already be Python floats."""
@@ -441,18 +449,28 @@ class MarcinkiewiczLemmaReport:
     From the solution's own tail exponent s and the growth rate rho of the
     cutoff energy |grad T_k(u)|^2 ~ k^rho, the gradient must lie in
     weak-L^(2s/(rho+s)); ``measured`` is the fitted tail exponent of the
-    face gradient, which passes if it is at least predicted*(1 - tol).
+    face gradient.  ``verdict`` is the gate's report, set only when the
+    check applies: it passes if predicted <= measured + tol*|predicted|,
+    i.e. for predicted > 0 if measured >= predicted*(1 - tol).  The other
+    fields are diagnostics.
     """
 
-    applicable: bool
     reason: str = ""
     s_exponent: float = np.nan
     rho_exponent: float = np.nan
     predicted: float = np.nan
     measured: float = np.nan
-    passed: bool = False
     u_fit: TailFit | None = None
     grad_fit: TailFit | None = None
+    verdict: EstimateReport | None = None
+
+    @property
+    def applicable(self) -> bool:
+        return self.verdict is not None
+
+    @property
+    def passed(self) -> bool:
+        return self.verdict is not None and self.verdict.passed
 
 
 def verify_marcinkiewicz_lemma(u: GridFunction, w, tol_exponent: float = 0.15, *,
@@ -470,29 +488,27 @@ def verify_marcinkiewicz_lemma(u: GridFunction, w, tol_exponent: float = 0.15, *
         tails = (df_u, tail_exponent_fit(df_u), tail_exponent_fit(df_g))
     df_u, u_fit, grad_fit = tails
     if not u_fit.sufficient:
-        return MarcinkiewiczLemmaReport(applicable=False,
-                                        reason=f"insufficient tail in u: {u_fit.reason}",
+        return MarcinkiewiczLemmaReport(reason=f"insufficient tail in u: {u_fit.reason}",
                                         u_fit=u_fit)
     window_mask = (df_u.k_levels >= u_fit.window[0]) & (df_u.k_levels <= u_fit.window[1])
     ks = df_u.k_levels[window_mask]
     energies = np.array(_cutoff_energies(u, ks))
     positive = energies > 0
     if np.count_nonzero(positive) < 3:
-        return MarcinkiewiczLemmaReport(applicable=False,
-                                        reason="cutoff energies vanish on the window",
+        return MarcinkiewiczLemmaReport(reason="cutoff energies vanish on the window",
                                         u_fit=u_fit)
     rho = float(_line_fit(np.log(ks[positive]), np.log(energies[positive]))[0])
     s = u_fit.exponent
     predicted = 2.0 * s / (rho + s)
     if not grad_fit.sufficient:
-        return MarcinkiewiczLemmaReport(applicable=False,
-                                        reason=f"insufficient tail in grad u: {grad_fit.reason}",
+        return MarcinkiewiczLemmaReport(reason=f"insufficient tail in grad u: {grad_fit.reason}",
                                         s_exponent=s, rho_exponent=rho,
                                         predicted=predicted, u_fit=u_fit,
                                         grad_fit=grad_fit)
     measured = grad_fit.exponent
     return MarcinkiewiczLemmaReport(
-        applicable=True, s_exponent=s, rho_exponent=rho, predicted=predicted,
-        measured=measured, passed=bool(measured >= predicted * (1.0 - tol_exponent)),
+        s_exponent=s, rho_exponent=rho, predicted=predicted, measured=measured,
         u_fit=u_fit, grad_fit=grad_fit,
+        verdict=_report("marcinkiewicz_lemma", predicted, measured, float(tol_exponent),
+                        scale=abs(predicted)),
     )

@@ -286,15 +286,9 @@ def parse_config(text: str) -> Config:
 def _print_reports(record) -> None:
     for name, group in sorted(record.reports.items()):
         for rep in group:
-            params = ",".join(f"{k}={v:.4g}" for k, v in rep.params)
             status = "pass" if rep.passed else "FAIL"
-            print(f"  [{status}] {rep.name}({params}) lhs={rep.lhs:.6e} "
+            print(f"  [{status}] {rep.label} lhs={rep.lhs:.6e} "
                   f"rhs={rep.rhs:.6e} slack={rep.relative_slack:.3e}")
-    if record.marcinkiewicz is not None and record.marcinkiewicz.applicable:
-        mk = record.marcinkiewicz
-        status = "pass" if mk.passed else "FAIL"
-        print(f"  [{status}] marcinkiewicz_lemma predicted={mk.predicted:.4f} "
-              f"measured={mk.measured:.4f}")
     for name, reason in sorted(record.skipped.items()):
         print(f"  [skip] {name}: {reason}")
 

@@ -164,7 +164,7 @@ class RunRecord:
         every check passed."""
         return (self.converged and not self.truncation_active
                 and not self.hit_iteration_cap
-                and _checks_passed(self.reports, self.marcinkiewicz))
+                and _checks_passed(self.reports))
 
     @cached_property
     def payload(self) -> dict:
@@ -173,11 +173,8 @@ class RunRecord:
         return _payload(self)
 
 
-def _checks_passed(reports: dict[str, tuple[EstimateReport, ...]],
-                   mk: MarcinkiewiczLemmaReport | None) -> bool:
-    if any(not rep.passed for group in reports.values() for rep in group):
-        return False
-    return mk is None or not mk.applicable or mk.passed
+def _checks_passed(reports: dict[str, tuple[EstimateReport, ...]]) -> bool:
+    return all(rep.passed for group in reports.values() for rep in group)
 
 
 def _problem_axes(spec: ProblemSpec) -> dict[str, float]:
@@ -209,7 +206,7 @@ class CheckResults:
 
     @property
     def all_passed(self) -> bool:
-        return _checks_passed(self.reports, self.marcinkiewicz)
+        return _checks_passed(self.reports)
 
 
 def run_checks(u: GridFunction, spec: ProblemSpec, checks: Sequence[str] = ALL_CHECKS,
@@ -268,10 +265,10 @@ def run_checks(u: GridFunction, spec: ProblemSpec, checks: Sequence[str] = ALL_C
         elif name == "marcinkiewicz":
             mk_report = verify_marcinkiewicz_lemma(u, w, settings.tail_tolerance,
                                                    tails=(df_u, tail_u, tail_grad))
-            if not mk_report.applicable:
-                skipped[name] = mk_report.reason
+            if mk_report.applicable:
+                reports[name] = (mk_report.verdict,)
             else:
-                reports[name] = ()
+                skipped[name] = mk_report.reason
 
     return CheckResults(
         reports=reports, skipped=skipped, marcinkiewicz=mk_report,
@@ -609,22 +606,9 @@ def _shared_cells(rec: RunRecord) -> dict:
 
 def _check_rows(rec: RunRecord) -> list[dict]:
     """One dict of the ``ROW_COLUMNS`` cells per check of the record."""
-    rows = []
-    for name, group in rec.reports.items():
-        if name == "marcinkiewicz" and rec.marcinkiewicz is not None:
-            mk = rec.marcinkiewicz
-            rows.append({"check_name": "marcinkiewicz_lemma",
-                         "lhs": mk.predicted, "rhs": mk.measured,
-                         "slack": (mk.measured - mk.predicted) / max(abs(mk.predicted), 1e-300),
-                         "passed": mk.passed})
-            continue
-        for rep in group:
-            label = rep.name
-            if rep.params:
-                inner = ",".join(f"{k}={v:.6g}" for k, v in rep.params)
-                label = f"{rep.name}({inner})"
-            rows.append({"check_name": label, "lhs": rep.lhs, "rhs": rep.rhs,
-                         "slack": rep.relative_slack, "passed": rep.passed})
+    rows = [{"check_name": rep.label, "lhs": rep.lhs, "rhs": rep.rhs,
+             "slack": rep.relative_slack, "passed": rep.passed}
+            for group in rec.reports.values() for rep in group]
     if not rows:
         rows.append({"check_name": "solve_failed" if not rec.converged else "solve",
                      "lhs": rec.residual_inf, "rhs": math.nan, "slack": math.nan,

@@ -294,6 +294,23 @@ class TestMarcinkiewiczLemma:
         assert not rep.applicable
         assert "insufficient tail" in rep.reason
 
+    def test_gate_at_its_tolerance_edge(self):
+        # a bounded solution whose fitted window sees the bulk of u: the
+        # gradient tail falls short of the prediction by 75.4%, so the gate
+        # fails at a tolerance of 0.5 and passes at 0.9
+        grid, w = grid_and_weights(256)
+        res = truncation_continuation(grid, power_spec(0.0, 0.5, 1.0, ConstantDatum(2.64)),
+                                      CFG)
+        assert res.flags.converged and not res.flags.truncation_active
+        short = verify_marcinkiewicz_lemma(res.u, w, 0.5)
+        assert short.applicable and not short.passed
+        gate = short.verdict
+        assert gate.name == gate.label == "marcinkiewicz_lemma"
+        assert (gate.lhs, gate.rhs) == (short.predicted, short.measured)
+        assert gate.scale == abs(short.predicted) and gate.tolerance == 0.5
+        assert gate.relative_slack == pytest.approx(-0.754, abs=1e-3)
+        assert verify_marcinkiewicz_lemma(res.u, w, 0.9).passed
+
 
 @st.composite
 def cutoff_cases(draw):

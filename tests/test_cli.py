@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import os
@@ -158,6 +159,21 @@ class TestDispatch:
 
         assert table(checked.reports) == table(rec.reports)
         assert checked.skipped == rec.skipped
+
+    def test_solve_prints_every_check_under_its_csv_label(self, tmp_path, capsys):
+        # radial delta=2.5 reaches the Marcinkiewicz gate, which prints like
+        # every other check
+        text = (MINIMAL.replace("p = 2.0", "p = 1.0").replace("M = 96", "M = 512")
+                .replace("datum = constant", "datum = radial_power\ndelta = 2.5"))
+        conf, out = write_config(tmp_path, text)
+        assert dispatch("solve", parse_config(conf.read_text())) == EXIT_OK
+        printed = [line.split(" lhs=")[0].split("] ", 1)[1]
+                   for line in capsys.readouterr().out.splitlines() if " lhs=" in line]
+        rows = list(csv.DictReader(line for line in
+                                   (out / "records.csv").read_text().splitlines()
+                                   if not line.startswith("#")))
+        assert "marcinkiewicz_lemma" in printed
+        assert sorted(printed) == sorted(row["check_name"] for row in rows)
 
     # f(r_0) ~ 1.9e9 exceeds n_max = 2^30: the last level converges but
     # still clips the datum, so the problem was not solved

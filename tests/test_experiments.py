@@ -11,7 +11,7 @@ import pytest
 from common import CFG, power_spec, singular_spec
 
 from degelab.analysis import (
-    MarcinkiewiczLemmaReport,
+    _report,
     check_bg_estimate,
     check_entropy_inequality,
     check_lemma_estimate,
@@ -115,15 +115,16 @@ class TestRunSingle:
         assert not rec.all_passed
 
     def test_failed_marcinkiewicz_gate_is_not_all_passed(self):
+        # the gate skipped (bounded solution) leaves the run all-passed; an
+        # applied gate counts like any other report
         rec = run_single(power_spec(1.0, 2.0, 1.0), MeshSpec(64), CFG)
-        assert rec.all_passed and rec.reports
-        failed = MarcinkiewiczLemmaReport(applicable=True, predicted=1.0, measured=0.5,
-                                          passed=False)
-        not_applicable = MarcinkiewiczLemmaReport(applicable=False, reason="no tail")
-        for mk, verdict in ((failed, False), (not_applicable, True)):
-            assert replace(rec, marcinkiewicz=mk).all_passed is verdict
-            assert CheckResults(reports=rec.reports,
-                                marcinkiewicz=mk).all_passed is verdict
+        assert rec.all_passed and rec.reports and "marcinkiewicz" in rec.skipped
+        failed = _report("marcinkiewicz_lemma", 1.0, 0.5, 0.15, scale=1.0)
+        passed = _report("marcinkiewicz_lemma", 1.0, 0.9, 0.15, scale=1.0)
+        for gate, verdict in ((failed, False), (passed, True)):
+            reports = {**rec.reports, "marcinkiewicz": (gate,)}
+            assert replace(rec, reports=reports).all_passed is verdict
+            assert CheckResults(reports=reports).all_passed is verdict
 
     def test_marcinkiewicz_shares_the_record_tail_fits(self):
         # r^-2 has a fittable tail in u and in grad u, so the check applies
@@ -134,6 +135,7 @@ class TestRunSingle:
         assert mk.applicable
         assert mk.u_fit == res.tail_u and mk.grad_fit == res.tail_grad
         assert mk == verify_marcinkiewicz_lemma(u, quadrature_weights(grid))
+        assert res.reports == {"marcinkiewicz": (mk.verdict,)}
 
     @pytest.mark.parametrize("spec", [
         power_spec(0.5, 2.0, 1.0, ConstantDatum(3.0)),
@@ -170,7 +172,7 @@ class TestRunSingle:
                 "entropy": tuple(check_entropy_inequality(
                     u, spec, None, np.geomspace(0.01 * peak, 2.0 * peak, 4), w, tol,
                     f_values=f)),
-                "marcinkiewicz": (),
+                "marcinkiewicz": (mk.verdict,),
             },
             skipped={"linfty": "needs a singular absorption term"},
             marcinkiewicz=mk, tail_u=tail_exponent_fit(df_u),
@@ -245,6 +247,20 @@ class TestEmission:
         assert names == [row["check_name"]
                          for row in load_records(tmp_path / "records.json")[0]["rows"]]
         assert "lemma_estimate(p=2,m=1)" in names
+
+    def test_summary_checks_column_counts_the_marcinkiewicz_row(self, tmp_path):
+        # radial delta=2.5 has a gradient tail, so the gate applies and
+        # writes one of the run's 29 records.csv rows
+        rec = run_single(power_spec(1.0, 1.0, 1.0, RadialPowerDatum(1.0, 2.5)),
+                         MeshSpec(512), CFG)
+        assert rec.marcinkiewicz.applicable
+        paths = emit_outputs([rec], tmp_path)
+        names = [row[CSV_COLUMNS.index("check_name")]
+                 for row in csv.reader(csv_body(paths["csv"])[1:])]
+        assert len(names) == 29 and names.count("marcinkiewicz_lemma") == 1
+        run_row = paths["summary"].read_text().splitlines()[-1]
+        assert run_row.startswith("| run_0000 |")
+        assert run_row.split("|")[-2].strip() == "29"
 
     def test_empty_records_header_only(self, tmp_path):
         paths = emit_outputs([], tmp_path)
