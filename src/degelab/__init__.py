@@ -10,7 +10,7 @@ grid, the solver and one checker.  Everything else is imported from its
 submodule (``degelab.experiments``, ``degelab.analysis``, ...).
 """
 
-from .grid import build_radial_grid, grid_function, quadrature_weights
+from .grid import build_radial_grid, grid_function
 from .problem import (
     CoefficientSpec,
     ConstantDatum,
@@ -39,7 +39,6 @@ __all__ = [
     "check_lemma_estimate",
     "datum_eval",
     "grid_function",
-    "quadrature_weights",
     "truncation_continuation",
     "__version__",
 ]

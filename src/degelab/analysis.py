@@ -1,6 +1,6 @@
 """Measure-theoretic post-processing and a-priori estimate checkers.
 
-Everything here is a pure function of nodal data and quadrature weights:
+Everything here is a pure function of nodal data and the grid's weights:
 Lebesgue norms, superlevel-set measures, weak-Lebesgue (Marcinkiewicz)
 constants, log-log tail-exponent fits, and one checker per inequality the
 discrete solutions are expected to satisfy.  The checkers reuse the same
@@ -28,13 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .grid import (
-    GridFunction,
-    QuadratureWeights,
-    RadialGrid,
-    face_differences,
-    face_gradient,
-)
+from .grid import GridFunction, RadialGrid, face_differences, face_gradient
 from .problem import (
     ProblemSpec,
     SingularAbsorption,
@@ -59,7 +53,6 @@ __all__ = [
     "check_truncation_energy",
     "check_linfty_bound",
     "check_entropy_inequality",
-    "default_entropy_test_functions",
     "verify_marcinkiewicz_lemma",
 ]
 
@@ -75,14 +68,6 @@ TAIL_WINDOW_FRACTION = 0.4
 TAIL_MIN_LEVELS = 5
 TAIL_MIN_CELLS = 3
 TAIL_MIN_DECADES = 1.0
-
-
-def _values(u) -> np.ndarray:
-    return u.values if isinstance(u, GridFunction) else np.asarray(u, dtype=float)
-
-
-def _weights(w) -> np.ndarray:
-    return w.values if isinstance(w, QuadratureWeights) else np.asarray(w, dtype=float)
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,12 +127,11 @@ def _report(name, lhs, rhs, tol: float, scale=None, params=()) -> EstimateReport
                           (rhs - lhs) / scale, tol, scale, params)
 
 
-def lebesgue_norm(u, s: float, w) -> float:
-    """(sum w |u|^s)^(1/s)."""
+def lebesgue_norm(u: GridFunction, s: float) -> float:
+    """(sum w |u|^s)^(1/s) over the grid's volume weights w."""
     if not (s > 0):
         raise ValueError(f"exponent must be positive, got {s}")
-    vals, wts = _values(u), _weights(w)
-    return float(np.dot(wts, np.abs(vals) ** s) ** (1.0 / s))
+    return float(np.dot(u.grid.weights, np.abs(u.values) ** s) ** (1.0 / s))
 
 
 def geomspace(start: float, stop: float, num: int) -> np.ndarray:
@@ -179,13 +163,15 @@ def _default_levels(max_abs: float) -> np.ndarray:
     return geomspace(DEFAULT_LEVEL_FLOOR, hi, DEFAULT_LEVEL_COUNT)
 
 
-def distribution_function(u, w, k_levels: np.ndarray | None = None) -> DistributionFunction:
-    """Exact discrete superlevel-set measures at the given (or default) levels.
+def distribution_function(values: np.ndarray, weights: np.ndarray,
+                          k_levels: np.ndarray | None = None) -> DistributionFunction:
+    """Exact discrete superlevel-set measures of |values| under ``weights``
+    (a grid's volume or face weights) at the given (or default) levels.
 
     Given levels must be positive and strictly increasing; the default
     geometric levels are so by construction and are not checked again.
     """
-    vals, wts = np.abs(_values(u)), _weights(w)
+    vals = np.abs(values)
     if k_levels is None:
         k_levels = _default_levels(float(vals.max()) if vals.size else 0.0)
     else:
@@ -193,12 +179,12 @@ def distribution_function(u, w, k_levels: np.ndarray | None = None) -> Distribut
         if k_levels.size and ((k_levels <= 0).any() or (np.diff(k_levels) <= 0).any()):
             raise ValueError("levels must be positive and strictly increasing")
     order = vals.argsort()
-    tail_weight = np.concatenate((wts[order][::-1].cumsum()[::-1], [0.0]))
+    tail_weight = np.concatenate((weights[order][::-1].cumsum()[::-1], [0.0]))
     idx = vals[order].searchsorted(k_levels, side="left")
     measures = tail_weight[idx]
     counts = vals.size - idx
     return DistributionFunction(k_levels=k_levels, measures=measures,
-                                counts=counts, total_measure=float(wts.sum()))
+                                counts=counts, total_measure=float(weights.sum()))
 
 
 def marcinkiewicz_constant(df: DistributionFunction, s: float) -> float:
@@ -294,20 +280,20 @@ def dirichlet_energy(u: GridFunction, k: float | None = None) -> float:
     return float(np.dot(u.grid.face_weights, face_gradient(u) ** 2))
 
 
-def check_lemma_estimate(u: GridFunction, f_values, p: float, m: float, w,
+def check_lemma_estimate(u: GridFunction, f: GridFunction, p: float, m: float,
                          tol: float = 1e-4) -> EstimateReport:
     """Absorption summability against the datum: sum w|u|^(pm) <= sum w|f|^m."""
-    wts = _weights(w)
-    lhs = float(np.dot(wts, np.abs(_values(u)) ** (p * m)))
-    rhs = float(np.dot(wts, np.abs(_values(f_values)) ** m))
+    wts = u.grid.weights
+    lhs = float(np.dot(wts, np.abs(u.values) ** (p * m)))
+    rhs = float(np.dot(wts, np.abs(f.values) ** m))
     return _report("lemma_estimate", lhs, rhs, float(tol),
                    params=(("p", float(p)), ("m", float(m))))
 
 
-def check_bg_estimate(u: GridFunction, f_values, p: float, t_levels, w,
+def check_bg_estimate(u: GridFunction, f: GridFunction, p: float, t_levels,
                       tol: float = 1e-4) -> list[EstimateReport]:
     """Superlevel tail bound: sum_{|u|>t} w|u|^p <= sum_{|u|>t} w|f| per t."""
-    abs_u, abs_f, wts = np.abs(_values(u)), np.abs(_values(f_values)), _weights(w)
+    abs_u, abs_f, wts = np.abs(u.values), np.abs(f.values), u.grid.weights
     f_l1 = float(np.dot(wts, abs_f))
     tol, p_param = float(tol), ("p", float(p))
     out = []
@@ -321,41 +307,38 @@ def check_bg_estimate(u: GridFunction, f_values, p: float, t_levels, w,
     return out
 
 
-def check_weighted_energy(u: GridFunction, f_values, gamma: float,
-                          lam: float | Sequence[float], alpha: float, w,
-                          tol: float = 1e-4) -> EstimateReport | list[EstimateReport]:
+def check_weighted_energy(u: GridFunction, f: GridFunction, gamma: float,
+                          lams: Sequence[float], alpha: float,
+                          tol: float = 1e-4) -> list[EstimateReport]:
     """Weighted energy bound with constant alpha*(lam-1):
 
         alpha (lam-1) sum_faces wf |grad u|^2 (1 + max adj |u|)^(-gamma-lam)
             <= sum w |f|.
 
     Follows from testing the discrete equation with the bounded monotone
-    function [1 - (1+|s|)^(1-lam)] sgn(s); requires lam > 1.  A sequence of
-    lam gives one report per entry, in order: the face gradient, the base
-    of the weight and |f|_1 are formed once, and each lam's sum is the dot
-    product of the single-lam call.
+    function [1 - (1+|s|)^(1-lam)] sgn(s); requires lam > 1.  One report
+    per entry of ``lams``, in order: the face gradient, the base of the
+    weight and |f|_1 are formed once, and each lam's sum is one dot product.
     """
-    scalar = np.ndim(lam) == 0
-    lams = [float(lam)] if scalar else [float(x) for x in lam]
+    lams = [float(x) for x in lams]
     for x in lams:
         if not (x > 1.0):
             raise ValueError(f"lambda must exceed 1, got {x}")
     grad_sq = face_gradient(u) ** 2
     base = 1.0 + np.abs(face_upwind_values(u.grid, u.values))
     wf = u.grid.face_weights
-    rhs = float(np.dot(_weights(w), np.abs(_values(f_values))))
+    rhs = float(np.dot(u.grid.weights, np.abs(f.values)))
     tol, gamma_param = float(tol), ("gamma", float(gamma))
-    out = [_report("weighted_energy",
-                   alpha * (x - 1.0) * float(np.dot(wf, grad_sq * base ** (-(gamma + x)))),
-                   rhs, tol, params=(("lambda", x), gamma_param))
-           for x in lams]
-    return out[0] if scalar else out
+    return [_report("weighted_energy",
+                    alpha * (x - 1.0) * float(np.dot(wf, grad_sq * base ** (-(gamma + x)))),
+                    rhs, tol, params=(("lambda", x), gamma_param))
+            for x in lams]
 
 
-def check_truncation_energy(u: GridFunction, f_values, gamma: float, alpha: float,
-                            k_levels, w, tol: float = 1e-4) -> list[EstimateReport]:
+def check_truncation_energy(u: GridFunction, f: GridFunction, gamma: float, alpha: float,
+                            k_levels, tol: float = 1e-4) -> list[EstimateReport]:
     """Cutoff energy growth: alpha |grad T_k(u)|^2 <= k (1+k)^gamma |f|_1 per k."""
-    f_l1 = float(np.dot(_weights(w), np.abs(_values(f_values))))
+    f_l1 = float(np.dot(u.grid.weights, np.abs(f.values)))
     ks = np.asarray(k_levels, dtype=float)
     tol = float(tol)
     out = []
@@ -367,9 +350,9 @@ def check_truncation_energy(u: GridFunction, f_values, gamma: float, alpha: floa
 
 
 def check_linfty_bound(u: GridFunction, lower: SingularAbsorption,
-                       f_values) -> EstimateReport:
+                       f: GridFunction) -> EstimateReport:
     """Barrier-absorption sup bound: 0 <= u <= h^{-1}(|f|_inf), within 1e-8."""
-    f_inf = float(np.max(np.abs(_values(f_values))))
+    f_inf = float(np.max(np.abs(f.values)))
     bound = float(lower_order_inverse(lower, f_inf))
     u_max = float(np.max(u.values))
     u_min = float(np.min(u.values))
@@ -382,13 +365,9 @@ def check_linfty_bound(u: GridFunction, lower: SingularAbsorption,
     )
 
 
-def default_entropy_test_functions(u: GridFunction) -> list[tuple[str, GridFunction]]:
-    """Zero plus a pair of parabolic bumps scaled to half the solution range."""
-    return [(label, GridFunction(u.grid, phi)) for label, phi in _default_phis(u)]
-
-
 def _default_phis(u: GridFunction) -> list[tuple[str, np.ndarray]]:
-    """The nodal values of :func:`default_entropy_test_functions`."""
+    """Entropy test functions: zero plus a pair of parabolic bumps scaled to
+    half the solution range, as (label, nodal values) pairs."""
     grid = u.grid
     out = [("zero", np.zeros(grid.M))]
     c = 0.5 * u.max_abs()
@@ -399,9 +378,9 @@ def _default_phis(u: GridFunction) -> list[tuple[str, np.ndarray]]:
     return out
 
 
-def check_entropy_inequality(u: GridFunction, spec: ProblemSpec, phi_samples,
-                             k_levels, w, tol: float = 1e-4, *,
-                             f_values) -> list[EstimateReport]:
+def check_entropy_inequality(u: GridFunction, f: GridFunction, spec: ProblemSpec,
+                             k_levels, tol: float = 1e-4, *,
+                             phi_samples=None) -> list[EstimateReport]:
     """Inequalities defining the entropy solution notion, sampled over (phi, k):
 
         sum_f wf a_f grad u . grad T_k(u - phi) + sum w g(u) T_k(u - phi)
@@ -409,13 +388,13 @@ def check_entropy_inequality(u: GridFunction, spec: ProblemSpec, phi_samples,
 
     with the same upwinded face coefficients as the assembly, for bounded
     phi vanishing at the boundary.  ``phi_samples`` holds (label, phi)
-    pairs (default: ``default_entropy_test_functions``).  On a converged
-    solve this holds with equality up to the solver residual for every
-    test pair.
+    pairs of GridFunctions (default: zero and two parabolic bumps of half
+    the solution range).  On a converged solve this holds with equality up
+    to the solver residual for every test pair.
     """
     grid = u.grid
-    wts = _weights(w)
-    fv = _values(f_values)
+    wts = grid.weights
+    fv = f.values
     a_face = face_coefficients(grid, spec.coefficient, u.values, None, "upwind")
     wf = grid.face_weights
     flux = a_face * face_gradient(u)
@@ -473,17 +452,17 @@ class MarcinkiewiczLemmaReport:
         return self.verdict is not None and self.verdict.passed
 
 
-def verify_marcinkiewicz_lemma(u: GridFunction, w, tol_exponent: float = 0.15, *,
+def verify_marcinkiewicz_lemma(u: GridFunction, tol_exponent: float = 0.15, *,
                                tails: tuple[DistributionFunction, TailFit, TailFit]
                                | None = None) -> MarcinkiewiczLemmaReport:
     """Check the cutoff-energy route to the gradient's weak-Lebesgue class.
 
-    ``tails`` is (distribution function of u on w, its tail fit, tail fit
-    of |grad u| on the face weights) for a caller that already has them;
-    without it they are computed here.
+    ``tails`` is (distribution function of u on the volume weights, its
+    tail fit, tail fit of |grad u| on the face weights) for a caller that
+    already has them; without it they are computed here.
     """
     if tails is None:
-        df_u = distribution_function(u, w)
+        df_u = distribution_function(u.values, u.grid.weights)
         df_g = distribution_function(np.abs(face_gradient(u)), u.grid.face_weights)
         tails = (df_u, tail_exponent_fit(df_u), tail_exponent_fit(df_g))
     df_u, u_fit, grad_fit = tails

@@ -346,8 +346,14 @@ def _verify_solution_file(config: Config, solution_path: str):
 
     The residual bound is the solver's own convergence contract,
     newton_tol * (1 + |T_n f|_inf) at the file's final truncation level n.
+    A file that cannot be read or parsed is reported as a ConfigError.
     """
-    u, extra = read_grid_function(solution_path)
+    try:
+        u, extra = read_grid_function(solution_path)
+        n_final = int(extra.get("n_final", config.solver.n_max))
+    except (OSError, ValueError) as err:
+        raise ConfigError([f"cannot read solution {solution_path} "
+                           f"({type(err).__name__}: {err})"]) from err
     grid = u.grid
     spec = config.problem
     if (grid.N, grid.M) != (spec.dimension, config.mesh.cells) or \
@@ -358,7 +364,6 @@ def _verify_solution_file(config: Config, solution_path: str):
             f"grading={grid.grading}) does not match config "
             f"(N={spec.dimension}, R={spec.radius}, M={config.mesh.cells}, "
             f"grading={config.mesh.grading})"])
-    n_final = int(extra.get("n_final", config.solver.n_max))
     f_nodal = np.asarray(datum_eval(spec.datum, grid.nodes), dtype=float)
     residual = residual_norm(grid, spec, u, n_final, scheme=config.solver.face_scheme)
     bound = config.solver.newton_tol * (

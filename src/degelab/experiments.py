@@ -46,7 +46,6 @@ from .grid import (
     build_radial_grid,
     face_gradient,
     grid_function,
-    quadrature_weights,
 )
 from .problem import (
     PowerAbsorption,
@@ -219,9 +218,8 @@ def run_checks(u: GridFunction, spec: ProblemSpec, checks: Sequence[str] = ALL_C
     cutoff levels evaluates all its levels in one array pass.
     """
     grid = u.grid
-    w = quadrature_weights(grid)
     f_nodal = grid_function(grid, lambda r: datum_eval(spec.datum, r))
-    df_u = distribution_function(u, w)
+    df_u = distribution_function(u.values, grid.weights)
     df_g = distribution_function(np.abs(face_gradient(u)), grid.face_weights)
     tail_u, tail_grad = tail_exponent_fit(df_u), tail_exponent_fit(df_g)
     u_max = u.max_abs()
@@ -238,21 +236,19 @@ def run_checks(u: GridFunction, spec: ProblemSpec, checks: Sequence[str] = ALL_C
             if not is_power:
                 skipped[name] = "needs a power absorption term"
                 continue
-            reports[name] = (check_lemma_estimate(
-                u, f_nodal, spec.lower.p, spec.datum.m, w, tol),)
+            reports[name] = (check_lemma_estimate(u, f_nodal, spec.lower.p, spec.datum.m, tol),)
         elif name == "bg":
             if not is_power:
                 skipped[name] = "needs a power absorption term"
                 continue
             ts = sorted({frac * u_max for frac in BG_T_FRACTIONS})
-            reports[name] = tuple(check_bg_estimate(u, f_nodal, spec.lower.p, ts, w, tol))
+            reports[name] = tuple(check_bg_estimate(u, f_nodal, spec.lower.p, ts, tol))
         elif name == "weighted_energy":
             reports[name] = tuple(check_weighted_energy(u, f_nodal, gamma, settings.lambdas,
-                                                        alpha, w, tol))
+                                                        alpha, tol))
         elif name == "truncation_energy":
             ks = _checker_levels(u_max, settings.truncation_k_count)
-            reports[name] = tuple(check_truncation_energy(
-                u, f_nodal, gamma, alpha, ks, w, tol))
+            reports[name] = tuple(check_truncation_energy(u, f_nodal, gamma, alpha, ks, tol))
         elif name == "linfty":
             if not isinstance(spec.lower, SingularAbsorption):
                 skipped[name] = "needs a singular absorption term"
@@ -260,10 +256,9 @@ def run_checks(u: GridFunction, spec: ProblemSpec, checks: Sequence[str] = ALL_C
             reports[name] = (check_linfty_bound(u, spec.lower, f_nodal),)
         elif name == "entropy":
             ks = _checker_levels(u_max, ENTROPY_K_COUNT)
-            reports[name] = tuple(check_entropy_inequality(
-                u, spec, None, ks, w, tol, f_values=f_nodal))
+            reports[name] = tuple(check_entropy_inequality(u, f_nodal, spec, ks, tol))
         elif name == "marcinkiewicz":
-            mk_report = verify_marcinkiewicz_lemma(u, w, settings.tail_tolerance,
+            mk_report = verify_marcinkiewicz_lemma(u, settings.tail_tolerance,
                                                    tails=(df_u, tail_u, tail_grad))
             if mk_report.applicable:
                 reports[name] = (mk_report.verdict,)
@@ -560,7 +555,7 @@ def exponent_probe(base: ProblemSpec, deltas: Sequence[float], mesh: MeshSpec,
 
 
 def _absorption_integral(u: GridFunction, pm: float) -> float:
-    return float(np.dot(quadrature_weights(u.grid).values, np.abs(u.values) ** pm))
+    return float(np.dot(u.grid.weights, np.abs(u.values) ** pm))
 
 
 # --- output emission -------------------------------------------------------

@@ -17,12 +17,8 @@ import numpy as np
 __all__ = [
     "RadialGrid",
     "GridFunction",
-    "QuadratureWeights",
     "sphere_surface",
     "build_radial_grid",
-    "quadrature_weights",
-    "face_weights",
-    "integrate",
     "face_gradient",
     "face_differences",
     "truncate",
@@ -49,8 +45,9 @@ class RadialGrid:
     faces[M] = R; ``nodes`` the cell centers.  ``gaps`` holds the
     node-to-node distance across each face (gaps[0] is unused and set to
     inf, gaps[M] is the half-cell distance from the last node to the
-    Dirichlet boundary).  Shell volumes, face areas and face weights are
-    computed once per grid, on first use, and shared read-only.
+    Dirichlet boundary).  Shell volumes, volume weights, face areas and
+    face weights are computed once per grid, on first use, and shared
+    read-only.
     """
 
     N: int
@@ -67,6 +64,13 @@ class RadialGrid:
         """Exact shell volumes (x_{i+1}^N - x_i^N)/N, without omega_N (read-only)."""
         xs = self.faces**self.N
         return _read_only((xs[1:] - xs[:-1]) / self.N)
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """Volume weights omega_N (x_{i+1}^N - x_i^N)/N realizing the integral
+        over the ball: sum(weights) is the ball volume omega_N R^N / N to
+        rounding (read-only)."""
+        return _read_only(sphere_surface(self.N) * self.volumes)
 
     @cached_property
     def face_areas(self) -> np.ndarray:
@@ -115,22 +119,6 @@ class GridFunction:
         return float(np.abs(self.values).max()) if self.grid.M else 0.0
 
 
-@dataclass(frozen=True, eq=False)
-class QuadratureWeights:
-    """Per-node weights realizing the volume integral over the ball.
-
-    w_i = omega_N * (x_{i+1}^N - x_i^N) / N, the exact volume of shell i,
-    so that sum(w) equals the ball volume omega_N R^N / N to rounding.
-    """
-
-    grid: RadialGrid
-    values: np.ndarray
-
-    @property
-    def total(self) -> float:
-        return float(np.sum(self.values))
-
-
 def build_radial_grid(N: int, R: float, M: int, grading: float | None = None) -> RadialGrid:
     """Build the cell-centered mesh, optionally graded toward the origin.
 
@@ -176,23 +164,6 @@ def build_radial_grid(N: int, R: float, M: int, grading: float | None = None) ->
     gaps[M] = R - nodes[-1]
     return RadialGrid(N=N, R=float(R), M=M, grading=g, faces=faces, nodes=nodes,
                       widths=widths, gaps=gaps)
-
-
-def quadrature_weights(grid: RadialGrid) -> QuadratureWeights:
-    """Volume weights w_i = omega_N (x_{i+1}^N - x_i^N)/N."""
-    return QuadratureWeights(grid=grid, values=sphere_surface(grid.N) * grid.volumes)
-
-
-def face_weights(grid: RadialGrid) -> np.ndarray:
-    """The grid's cached, read-only :attr:`RadialGrid.face_weights`."""
-    return grid.face_weights
-
-
-def integrate(u: GridFunction, w: QuadratureWeights) -> float:
-    """Discrete integral of u over the ball."""
-    if u.grid is not w.grid and not np.array_equal(u.grid.nodes, w.grid.nodes):
-        raise ValueError("mismatched grids between function and weights")
-    return float(np.dot(w.values, u.values))
 
 
 def face_gradient(u: GridFunction) -> np.ndarray:

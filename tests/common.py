@@ -13,7 +13,6 @@ from degelab import (
     SolverConfig,
     build_radial_grid,
     grid_function,
-    quadrature_weights,
 )
 
 CFG = SolverConfig()
@@ -38,7 +37,7 @@ def singular_spec(gamma, sigma, amplitude, N=3):
 
 def grid_and_weights(M, N=3, R=1.0, grading=None):
     grid = build_radial_grid(N, R, M, grading)
-    return grid, quadrature_weights(grid)
+    return grid, grid.weights
 
 
 def field(grid, fn):

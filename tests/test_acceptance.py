@@ -27,10 +27,7 @@ from degelab.experiments import MeshSpec, SweepSpec, emit_outputs, run_sweep
 from degelab.grid import (
     build_radial_grid,
     face_gradient,
-    face_weights,
     grid_function,
-    integrate,
-    quadrature_weights,
 )
 from degelab.problem import (
     CoefficientSpec,
@@ -83,12 +80,11 @@ def matrix_runs():
     t0 = time.perf_counter()
     for spec in MATRIX:
         grid = build_radial_grid(3, 1.0, 256)
-        w = quadrature_weights(grid)
         result = truncation_continuation(grid, spec, CFG)
         assert result.flags.converged, f"matrix solve failed for {spec}"
         assert not result.flags.truncation_active
         f = grid_function(grid, lambda r: datum_eval(spec.datum, r))
-        runs.append((spec, grid, w, result.u, f))
+        runs.append((spec, grid, result.u, f))
     elapsed = time.perf_counter() - t0
     return runs, elapsed
 
@@ -97,13 +93,12 @@ def matrix_runs():
 def probe_run():
     spec = _power_problem(1.0, 1.0, 1.0, RadialPowerDatum(1.0, 2.8))
     grid = build_radial_grid(3, 1.0, 512)
-    w = quadrature_weights(grid)
     t0 = time.perf_counter()
     result = truncation_continuation(grid, spec, CFG)
     elapsed = time.perf_counter() - t0
     assert result.flags.converged and not result.flags.truncation_active
     f = grid_function(grid, lambda r: datum_eval(spec.datum, r))
-    return spec, grid, w, result.u, f, elapsed
+    return spec, grid, result.u, f, elapsed
 
 
 def test_criterion_01_analytic_baseline():
@@ -128,8 +123,8 @@ def test_criterion_01_analytic_baseline():
 def test_criterion_02_absorption_summability(matrix_runs):
     runs, elapsed = matrix_runs
     worst = math.inf
-    for spec, grid, w, u, f in runs:
-        rep = check_lemma_estimate(u, f, spec.lower.p, spec.datum.m, w, CHECK_TOL)
+    for spec, grid, u, f in runs:
+        rep = check_lemma_estimate(u, f, spec.lower.p, spec.datum.m, CHECK_TOL)
         worst = min(worst, rep.relative_slack)
         assert rep.passed
     ok = worst >= -1e-4 and elapsed < 30.0
@@ -142,9 +137,9 @@ def test_criterion_03_superlevel_tail_bound(matrix_runs):
     runs, _ = matrix_runs
     worst = math.inf
     count = 0
-    for spec, grid, w, u, f in runs:
+    for spec, grid, u, f in runs:
         ts = np.array([0.0, 0.25, 0.5, 0.75]) * u.max_abs()
-        for rep in check_bg_estimate(u, f, spec.lower.p, np.unique(ts), w, CHECK_TOL):
+        for rep in check_bg_estimate(u, f, spec.lower.p, np.unique(ts), CHECK_TOL):
             worst = min(worst, rep.relative_slack)
             count += 1
             assert rep.passed
@@ -156,11 +151,11 @@ def test_criterion_03_superlevel_tail_bound(matrix_runs):
 def test_criterion_04_truncation_energy(matrix_runs):
     runs, _ = matrix_runs
     worst = math.inf
-    for spec, grid, w, u, f in runs:
+    for spec, grid, u, f in runs:
         peak = u.max_abs()
         ks = np.geomspace(0.01 * peak, 2.0 * peak, 8)
         for rep in check_truncation_energy(u, f, spec.coefficient.gamma,
-                                           spec.coefficient.alpha, ks, w, CHECK_TOL):
+                                           spec.coefficient.alpha, ks, CHECK_TOL):
             worst = min(worst, rep.relative_slack)
             assert rep.passed
     verdict(4, worst >= -1e-4,
@@ -172,12 +167,11 @@ def test_criterion_05_weighted_energy(matrix_runs):
     runs, _ = matrix_runs
     worst = math.inf
     count = 0
-    for spec, grid, w, u, f in runs:
+    for spec, grid, u, f in runs:
         if spec.datum.m != 1.0:
             continue
-        for lam in (1.25, 2.0, 4.0):
-            rep = check_weighted_energy(u, f, spec.coefficient.gamma, lam,
-                                        spec.coefficient.alpha, w, CHECK_TOL)
+        for rep in check_weighted_energy(u, f, spec.coefficient.gamma, [1.25, 2.0, 4.0],
+                                         spec.coefficient.alpha, CHECK_TOL):
             worst = min(worst, rep.relative_slack)
             count += 1
             assert rep.passed
@@ -193,7 +187,6 @@ def test_criterion_06_singular_absorption_bounds():
         spec = ProblemSpec(3, 1.0, CoefficientSpec(1.0, 1.0, gamma),
                            SingularAbsorption(1.0), DatumSpec(ConstantDatum(3.0), 1.0))
         grid = build_radial_grid(3, 1.0, 256)
-        w = quadrature_weights(grid)
         result = truncation_continuation(grid, spec, CFG)
         assert result.flags.converged
         u = result.u
@@ -202,7 +195,7 @@ def test_criterion_06_singular_absorption_bounds():
         sup_ok = rep.passed and float(np.max(u.values)) <= 0.75 + 1e-8 \
             and float(np.min(u.values)) >= -1e-12
         energy_lhs = spec.coefficient.alpha * dirichlet_energy(u) / (1.0 + 1.0) ** gamma
-        energy_rhs = 1.0 * integrate(grid_function(grid, np.abs(f.values)), w)
+        energy_rhs = 1.0 * float(np.dot(grid.weights, np.abs(f.values)))
         energy_ok = energy_lhs <= energy_rhs * (1 + 1e-4)
         ok = ok and sup_ok and energy_ok
         details.append(f"gamma={gamma}: max u={float(np.max(u.values)):.6f} "
@@ -212,9 +205,8 @@ def test_criterion_06_singular_absorption_bounds():
 
 def test_criterion_07_gradient_tail_prediction_synthetic():
     grid = build_radial_grid(3, 1.0, 512)
-    w = quadrature_weights(grid)
     u = grid_function(grid, lambda r: r**-2.0)
-    rep = verify_marcinkiewicz_lemma(u, w)
+    rep = verify_marcinkiewicz_lemma(u)
     assert rep.applicable
     spread = abs(rep.predicted - rep.measured) / rep.predicted
     verdict(7, spread <= 0.15,
@@ -223,9 +215,9 @@ def test_criterion_07_gradient_tail_prediction_synthetic():
 
 
 def test_criterion_08_entropy_regime_probe(probe_run):
-    spec, grid, w, u, f, elapsed = probe_run
+    spec, grid, u, f, elapsed = probe_run
     grad = np.abs(face_gradient(u))
-    fit = tail_exponent_fit(distribution_function(grad, face_weights(grid)))
+    fit = tail_exponent_fit(distribution_function(grad, grid.face_weights))
     assert fit.sufficient
     target = 0.85 * (2.0 / 3.0)
     ok = fit.exponent >= target and elapsed < 10.0
@@ -234,10 +226,10 @@ def test_criterion_08_entropy_regime_probe(probe_run):
 
 
 def test_criterion_09_entropy_inequality(probe_run):
-    spec, grid, w, u, f, _ = probe_run
+    spec, grid, u, f, _ = probe_run
     peak = u.max_abs()
     ks = np.geomspace(0.01 * peak, 2.0 * peak, 4)
-    reps = check_entropy_inequality(u, spec, None, ks, w, CHECK_TOL, f_values=f)
+    reps = check_entropy_inequality(u, f, spec, ks, CHECK_TOL)
     worst = min(rep.relative_slack for rep in reps)
     ok = all(rep.passed for rep in reps)
     verdict(9, ok, f"entropy inequality over {len(reps)} (phi, k) samples, "
@@ -247,14 +239,13 @@ def test_criterion_09_entropy_inequality(probe_run):
 def test_criterion_10_weak_strong_embedding():
     rng = np.random.default_rng(20240817)
     grid = build_radial_grid(3, 1.0, 64)
-    w = quadrature_weights(grid)
     failures = 0
     for _ in range(100):
         scale = 10.0 ** rng.uniform(-2, 3)
         u = grid_function(grid, rng.normal(0.0, scale, grid.M))
         s = rng.uniform(0.3, 4.0)
-        weak = marcinkiewicz_constant(distribution_function(u, w), s)
-        strong = lebesgue_norm(u, s, w) ** s
+        weak = marcinkiewicz_constant(distribution_function(u.values, grid.weights), s)
+        strong = lebesgue_norm(u, s) ** s
         if weak > strong:
             failures += 1
     verdict(10, failures == 0,

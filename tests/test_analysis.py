@@ -26,7 +26,6 @@ from degelab.analysis import (
 from degelab.grid import (
     GridFunction,
     face_gradient,
-    face_weights,
     grid_function,
     truncate,
 )
@@ -36,35 +35,35 @@ from degelab.solver import face_coefficients, face_upwind_values, truncation_con
 
 class TestLebesgueNorm:
     def test_constant(self):
-        grid, w = grid_and_weights(256)
-        val = lebesgue_norm(grid_function(grid, 1.0), 1.0, w)
+        grid, _ = grid_and_weights(256)
+        val = lebesgue_norm(grid_function(grid, 1.0), 1.0)
         assert val == pytest.approx(4 * math.pi / 3, rel=5e-3)
 
     def test_zero(self):
-        grid, w = grid_and_weights(16)
-        assert lebesgue_norm(grid_function(grid, 0.0), 2.5, w) == 0.0
+        grid, _ = grid_and_weights(16)
+        assert lebesgue_norm(grid_function(grid, 0.0), 2.5) == 0.0
 
     def test_inverse_radius_in_l2(self):
-        grid, w = grid_and_weights(256)
-        val = lebesgue_norm(grid_function(grid, lambda r: 1.0 / r), 2.0, w)
+        grid, _ = grid_and_weights(256)
+        val = lebesgue_norm(grid_function(grid, lambda r: 1.0 / r), 2.0)
         assert val == pytest.approx(math.sqrt(4 * math.pi), rel=1e-2)
 
     def test_rejects_nonpositive_exponent(self):
-        grid, w = grid_and_weights(16)
+        grid, _ = grid_and_weights(16)
         with pytest.raises(ValueError):
-            lebesgue_norm(grid_function(grid, 1.0), 0.0, w)
+            lebesgue_norm(grid_function(grid, 1.0), 0.0)
 
 
 class TestDistributionFunction:
     def test_constant_below_level(self):
         grid, w = grid_and_weights(64)
-        df = distribution_function(grid_function(grid, 2.0), w,
+        df = distribution_function(grid_function(grid, 2.0).values, w,
                                    k_levels=np.array([1.0]))
-        assert df.measures[0] == pytest.approx(w.total)
+        assert df.measures[0] == pytest.approx(w.sum())
 
     def test_constant_above_level(self):
         grid, w = grid_and_weights(64)
-        df = distribution_function(grid_function(grid, 2.0), w,
+        df = distribution_function(grid_function(grid, 2.0).values, w,
                                    k_levels=np.array([3.0]))
         assert df.measures[0] == 0.0
 
@@ -75,7 +74,7 @@ class TestDistributionFunction:
         grid, w = grid_and_weights(2048)
         u = grid_function(grid, lambda r: r**-a)
         ks = np.array([1.0, 2.0, 5.0, 10.0])
-        df = distribution_function(u, w, ks)
+        df = distribution_function(u.values, w, ks)
         expect = (4 * math.pi / 3) * ks ** (-3.0 / a)
         assert np.allclose(df.measures, expect, rtol=2e-2)
 
@@ -83,22 +82,22 @@ class TestDistributionFunction:
         grid, w = grid_and_weights(32)
         rng = np.random.default_rng(5)
         u = grid_function(grid, rng.normal(0, 2, grid.M))
-        df = distribution_function(u, w)
+        df = distribution_function(u.values, w)
         assert np.all(np.diff(df.measures) <= 0)
         # >= semantics: a level equal to a nodal value includes that node
         v = np.abs(u.values)
         k = float(np.sort(v)[grid.M // 2])
-        df2 = distribution_function(u, w, np.array([k]))
+        df2 = distribution_function(u.values, w, np.array([k]))
         mask = v >= k
-        assert df2.measures[0] == pytest.approx(float(w.values[mask].sum()), rel=1e-14)
+        assert df2.measures[0] == pytest.approx(float(w[mask].sum()), rel=1e-14)
 
     def test_rejects_bad_levels(self):
         grid, w = grid_and_weights(16)
         u = grid_function(grid, 1.0)
         with pytest.raises(ValueError):
-            distribution_function(u, w, np.array([2.0, 1.0]))
+            distribution_function(u.values, w, np.array([2.0, 1.0]))
         with pytest.raises(ValueError):
-            distribution_function(u, w, np.array([-1.0, 1.0]))
+            distribution_function(u.values, w, np.array([-1.0, 1.0]))
 
 
 class TestMarcinkiewiczConstant:
@@ -107,20 +106,20 @@ class TestMarcinkiewiczConstant:
         grid, w = grid_and_weights(4096)
         u = grid_function(grid, lambda r: r**-a)
         ks = np.geomspace(1.0, 100.0, 40)
-        df = distribution_function(u, w, ks)
+        df = distribution_function(u.values, w, ks)
         got = marcinkiewicz_constant(df, 3.0 / a)
         assert got == pytest.approx(4 * math.pi / 3, rel=3e-2)
 
     def test_bounded_function_finite(self):
         grid, w = grid_and_weights(64)
         u = grid_function(grid, lambda r: 1 - r)
-        df = distribution_function(u, w)
+        df = distribution_function(u.values, w)
         val = marcinkiewicz_constant(df, 2.0)
         assert 0 < val < math.inf
 
     def test_zero_function(self):
         grid, w = grid_and_weights(64)
-        df = distribution_function(grid_function(grid, 0.0), w)
+        df = distribution_function(grid_function(grid, 0.0).values, w)
         assert marcinkiewicz_constant(df, 1.5) == 0.0
 
     @settings(max_examples=50, deadline=None)
@@ -131,15 +130,15 @@ class TestMarcinkiewiczConstant:
         rng = np.random.default_rng(seed)
         grid, w = grid_and_weights(32)
         u = grid_function(grid, rng.normal(0, scale, grid.M))
-        df = distribution_function(u, w)
-        assert marcinkiewicz_constant(df, s) <= lebesgue_norm(u, s, w) ** s * (1 + 1e-12)
+        df = distribution_function(u.values, w)
+        assert marcinkiewicz_constant(df, s) <= lebesgue_norm(u, s) ** s * (1 + 1e-12)
 
 
 class TestTailFit:
     def test_inverse_square_in_three_dimensions(self):
         grid, w = grid_and_weights(512)
         u = grid_function(grid, lambda r: r**-2.0)
-        fit = tail_exponent_fit(distribution_function(u, w))
+        fit = tail_exponent_fit(distribution_function(u.values, w))
         assert fit.sufficient
         assert fit.exponent == pytest.approx(1.5, rel=0.10)
         assert fit.fit_quality > 0.98
@@ -147,70 +146,70 @@ class TestTailFit:
     def test_inverse_radius_in_four_dimensions(self):
         grid, w = grid_and_weights(512, N=4)
         u = grid_function(grid, lambda r: r**-1.0)
-        fit = tail_exponent_fit(distribution_function(u, w))
+        fit = tail_exponent_fit(distribution_function(u.values, w))
         assert fit.sufficient
         assert fit.exponent == pytest.approx(4.0, rel=0.10)
 
     def test_constant_has_no_tail(self):
         grid, w = grid_and_weights(128)
-        fit = tail_exponent_fit(distribution_function(grid_function(grid, 1.0), w))
+        fit = tail_exponent_fit(distribution_function(grid_function(grid, 1.0).values, w))
         assert not fit.sufficient
         assert "no decay" in fit.reason or "decade" in fit.reason
 
     def test_bounded_smooth_solution_reported_insufficient(self):
         grid, w = grid_and_weights(128)
         u = grid_function(grid, lambda r: (1 - r**2) / 6)
-        fit = tail_exponent_fit(distribution_function(u, w))
+        fit = tail_exponent_fit(distribution_function(u.values, w))
         assert not fit.sufficient
 
 
 @pytest.fixture(scope="module")
 def converged_run():
-    grid, w = grid_and_weights(128)
+    grid, _ = grid_and_weights(128)
     spec = power_spec(1.0, 2.0, 1.0, ConstantDatum(1.0))
     res = truncation_continuation(grid, spec, CFG)
     assert res.flags.converged
     f = grid_function(grid, 1.0)
-    return grid, w, spec, res.u, f
+    return grid, spec, res.u, f
 
 
 class TestCheckers:
     def test_lemma_zero_case(self):
-        grid, w = grid_and_weights(32)
+        grid, _ = grid_and_weights(32)
         zero = grid_function(grid, 0.0)
-        rep = check_lemma_estimate(zero, zero, 2.0, 1.0, w)
+        rep = check_lemma_estimate(zero, zero, 2.0, 1.0)
         assert rep.passed and rep.lhs == 0.0 and rep.rhs == 0.0
 
     def test_lemma_on_converged_run(self, converged_run):
-        grid, w, spec, u, f = converged_run
-        rep = check_lemma_estimate(u, f, 2.0, 1.0, w)
+        grid, spec, u, f = converged_run
+        rep = check_lemma_estimate(u, f, 2.0, 1.0)
         assert rep.passed
         assert rep.relative_slack > 0
 
     def test_bg_matches_lemma_at_zero_threshold(self, converged_run):
-        grid, w, spec, u, f = converged_run
+        grid, spec, u, f = converged_run
         # m = 1 and t = 0 reduce to the lemma inequality (positive solution)
         assert np.all(u.values > 0)
-        lem = check_lemma_estimate(u, f, 2.0, 1.0, w)
-        bg = check_bg_estimate(u, f, 2.0, [0.0], w)[0]
+        lem = check_lemma_estimate(u, f, 2.0, 1.0)
+        bg = check_bg_estimate(u, f, 2.0, [0.0])[0]
         assert bg.lhs == pytest.approx(lem.lhs, rel=1e-12)
         assert bg.rhs == pytest.approx(lem.rhs, rel=1e-12)
 
     def test_bg_empty_superlevel_set(self, converged_run):
-        grid, w, spec, u, f = converged_run
-        rep = check_bg_estimate(u, f, 2.0, [2 * u.max_abs()], w)[0]
+        grid, spec, u, f = converged_run
+        rep = check_bg_estimate(u, f, 2.0, [2 * u.max_abs()])[0]
         assert rep.passed and rep.lhs == 0.0 and rep.rhs == 0.0
 
     def test_weighted_energy_zero_field(self):
-        grid, w = grid_and_weights(32)
+        grid, _ = grid_and_weights(32)
         zero = grid_function(grid, 0.0)
         f = grid_function(grid, 1.0)
-        rep = check_weighted_energy(zero, f, 0.5, 2.0, 1.0, w)
+        [rep] = check_weighted_energy(zero, f, 0.5, [2.0], 1.0)
         assert rep.passed and rep.lhs == 0.0
 
     def test_weighted_energy_scales_with_lambda(self, converged_run):
-        grid, w, spec, u, f = converged_run
-        reps = {lam: check_weighted_energy(u, f, 1.0, lam, 1.0, w)
+        grid, spec, u, f = converged_run
+        reps = {lam: check_weighted_energy(u, f, 1.0, [lam], 1.0)[0]
                 for lam in (1.25, 2.0, 4.0)}
         assert all(rep.passed for rep in reps.values())
         # the constant (lam-1) shrinks the left side faster than the weight
@@ -218,26 +217,26 @@ class TestCheckers:
         assert reps[1.25].lhs < reps[2.0].lhs
 
     def test_weighted_energy_rejects_lambda_at_most_one(self, converged_run):
-        grid, w, spec, u, f = converged_run
+        grid, spec, u, f = converged_run
         with pytest.raises(ValueError):
-            check_weighted_energy(u, f, 1.0, 1.0, 1.0, w)
+            check_weighted_energy(u, f, 1.0, [1.0], 1.0)
 
     def test_truncation_energy_all_levels(self, converged_run):
-        grid, w, spec, u, f = converged_run
+        grid, spec, u, f = converged_run
         ks = np.geomspace(0.1, 10.0, 8)
-        reps = check_truncation_energy(u, f, 1.0, 1.0, ks, w)
+        reps = check_truncation_energy(u, f, 1.0, 1.0, ks)
         assert all(rep.passed for rep in reps)
 
     def test_truncation_energy_saturated_level(self, converged_run):
         # k above max|u|: reduces to the plain energy inequality
-        grid, w, spec, u, f = converged_run
+        grid, spec, u, f = converged_run
         k = 2.0 * u.max_abs()
-        rep = check_truncation_energy(u, f, 1.0, 1.0, [k], w)[0]
+        rep = check_truncation_energy(u, f, 1.0, 1.0, [k])[0]
         assert rep.passed
         assert rep.lhs == pytest.approx(dirichlet_energy(u), rel=1e-14)
 
     def test_linfty_bound(self):
-        grid, w = grid_and_weights(64)
+        grid, _ = grid_and_weights(64)
         spec = singular_spec(0.5, 1.0, 3.0)
         res = truncation_continuation(grid, spec, CFG)
         f = grid_function(grid, 3.0)
@@ -246,7 +245,7 @@ class TestCheckers:
         assert rep.rhs == pytest.approx(0.75)
 
     def test_linfty_zero_datum(self):
-        grid, w = grid_and_weights(64)
+        grid, _ = grid_and_weights(64)
         spec = singular_spec(0.5, 1.0, 0.0)
         res = truncation_continuation(grid, spec, CFG)
         assert np.all(res.u.values == 0.0)
@@ -254,32 +253,32 @@ class TestCheckers:
         assert rep.passed and rep.rhs == 0.0
 
     def test_entropy_inequality_on_run(self, converged_run):
-        grid, w, spec, u, f = converged_run
+        grid, spec, u, f = converged_run
         ks = np.geomspace(0.01 * u.max_abs(), 2 * u.max_abs(), 4)
-        reps = check_entropy_inequality(u, spec, None, ks, w, f_values=f)
+        reps = check_entropy_inequality(u, f, spec, ks)
         assert len(reps) == 12  # 3 test functions x 4 levels
         assert all(rep.passed for rep in reps)
 
     def test_entropy_with_solution_as_test_function(self, converged_run):
-        grid, w, spec, u, f = converged_run
-        reps = check_entropy_inequality(u, spec, [("self", u)], [1.0], w, f_values=f)
+        grid, spec, u, f = converged_run
+        reps = check_entropy_inequality(u, f, spec, [1.0], phi_samples=[("self", u)])
         assert reps[0].lhs == 0.0 and reps[0].rhs == 0.0 and reps[0].passed
 
     def test_checkers_are_pure(self, converged_run):
-        grid, w, spec, u, f = converged_run
-        assert check_lemma_estimate(u, f, 2.0, 1.0, w) == \
-            check_lemma_estimate(u, f, 2.0, 1.0, w)
-        assert check_weighted_energy(u, f, 1.0, 2.0, 1.0, w) == \
-            check_weighted_energy(u, f, 1.0, 2.0, 1.0, w)
-        assert check_truncation_energy(u, f, 1.0, 1.0, [1.0], w) == \
-            check_truncation_energy(u, f, 1.0, 1.0, [1.0], w)
+        grid, spec, u, f = converged_run
+        assert check_lemma_estimate(u, f, 2.0, 1.0) == \
+            check_lemma_estimate(u, f, 2.0, 1.0)
+        assert check_weighted_energy(u, f, 1.0, [2.0], 1.0) == \
+            check_weighted_energy(u, f, 1.0, [2.0], 1.0)
+        assert check_truncation_energy(u, f, 1.0, 1.0, [1.0]) == \
+            check_truncation_energy(u, f, 1.0, 1.0, [1.0])
 
 
 class TestMarcinkiewiczLemma:
     def test_synthetic_inverse_square(self):
-        grid, w = grid_and_weights(512)
+        grid, _ = grid_and_weights(512)
         u = grid_function(grid, lambda r: r**-2.0)
-        rep = verify_marcinkiewicz_lemma(u, w)
+        rep = verify_marcinkiewicz_lemma(u)
         assert rep.applicable
         # closed forms: s = N/a = 1.5, cutoff energy ~ k^1.5, so the
         # prediction 2s/(rho+s) = 1 matches the gradient tail N/(a+1) = 1
@@ -289,8 +288,8 @@ class TestMarcinkiewiczLemma:
         assert rep.passed
 
     def test_bounded_field_not_applicable(self):
-        grid, w = grid_and_weights(128)
-        rep = verify_marcinkiewicz_lemma(grid_function(grid, lambda r: 1 - r), w)
+        grid, _ = grid_and_weights(128)
+        rep = verify_marcinkiewicz_lemma(grid_function(grid, lambda r: 1 - r))
         assert not rep.applicable
         assert "insufficient tail" in rep.reason
 
@@ -298,18 +297,18 @@ class TestMarcinkiewiczLemma:
         # a bounded solution whose fitted window sees the bulk of u: the
         # gradient tail falls short of the prediction by 75.4%, so the gate
         # fails at a tolerance of 0.5 and passes at 0.9
-        grid, w = grid_and_weights(256)
+        grid, _ = grid_and_weights(256)
         res = truncation_continuation(grid, power_spec(0.0, 0.5, 1.0, ConstantDatum(2.64)),
                                       CFG)
         assert res.flags.converged and not res.flags.truncation_active
-        short = verify_marcinkiewicz_lemma(res.u, w, 0.5)
+        short = verify_marcinkiewicz_lemma(res.u, 0.5)
         assert short.applicable and not short.passed
         gate = short.verdict
         assert gate.name == gate.label == "marcinkiewicz_lemma"
         assert (gate.lhs, gate.rhs) == (short.predicted, short.measured)
         assert gate.scale == abs(short.predicted) and gate.tolerance == 0.5
         assert gate.relative_slack == pytest.approx(-0.754, abs=1e-3)
-        assert verify_marcinkiewicz_lemma(res.u, w, 0.9).passed
+        assert verify_marcinkiewicz_lemma(res.u, 0.9).passed
 
 
 @st.composite
@@ -334,10 +333,10 @@ class TestBatchedCutoffs:
     @settings(max_examples=60, deadline=None)
     @given(case=cutoff_cases())
     def test_cutoff_energies_equal_per_level_formula(self, case):
-        grid, w, u, ks = case
-        expect = [float(np.dot(face_weights(grid), face_gradient(truncate(u, k)) ** 2))
+        grid, _, u, ks = case
+        expect = [float(np.dot(grid.face_weights, face_gradient(truncate(u, k)) ** 2))
                   for k in ks]
-        reps = check_truncation_energy(u, grid_function(grid, 1.0), 0.0, 1.0, ks, w)
+        reps = check_truncation_energy(u, grid_function(grid, 1.0), 0.0, 1.0, ks)
         assert [rep.lhs for rep in reps] == expect
         assert [dirichlet_energy(u, k) for k in ks] == expect
 
@@ -351,7 +350,7 @@ class TestBatchedCutoffs:
         phis = [("zero", grid_function(grid, 0.0)),
                 ("ramp", grid_function(grid, lambda r: 0.3 * (1.0 - r)))]
         a_face = face_coefficients(grid, spec.coefficient, u.values, None, "upwind")
-        wf = face_weights(grid)
+        wf = grid.face_weights
         grad_u = face_gradient(u)
         g_u = lower_order_eval(spec.lower, u.values)
         expect = []
@@ -359,20 +358,20 @@ class TestBatchedCutoffs:
             for k in ks:
                 test = truncate(GridFunction(grid, u.values - phi.values), k)
                 lhs = float(np.dot(wf, a_face * grad_u * face_gradient(test)))
-                lhs += float(np.dot(w.values, g_u * test.values))
-                expect.append((lhs, float(np.dot(w.values, f.values * test.values))))
-        reps = check_entropy_inequality(u, spec, phis, ks, w, f_values=f)
+                lhs += float(np.dot(w, g_u * test.values))
+                expect.append((lhs, float(np.dot(w, f.values * test.values))))
+        reps = check_entropy_inequality(u, f, spec, ks, phi_samples=phis)
         assert [(rep.lhs, rep.rhs) for rep in reps] == expect
         assert [rep.name for rep in reps] == [f"entropy[{label}]"
                                               for label, _ in phis for _ in ks]
 
     def test_nonpositive_level_rejected(self):
-        grid, w = grid_and_weights(16)
+        grid, _ = grid_and_weights(16)
         u = grid_function(grid, 1.0)
         with pytest.raises(ValueError, match="must be positive"):
             dirichlet_energy(u, 0.0)
         with pytest.raises(ValueError, match="must be positive"):
-            check_truncation_energy(u, u, 0.0, 1.0, [1.0, -1.0], w)
+            check_truncation_energy(u, u, 0.0, 1.0, [1.0, -1.0])
 
 
 class TestExactReplicas:
@@ -415,13 +414,13 @@ class TestExactReplicas:
            alpha=st.sampled_from([0.5, 1.0]))
     def test_weighted_energy_pass_equals_per_lambda_formula(self, case, gamma, lams,
                                                             alpha):
-        grid, w, u, _ = case
+        grid, _, u, _ = case
         f = grid_function(grid, lambda r: 1.0 + r)
         grad = face_gradient(u)
         upwind = face_upwind_values(grid, u.values)
         expect = [alpha * (lam - 1.0) * float(np.dot(
-            face_weights(grid), grad**2 * (1.0 + np.abs(upwind)) ** (-(gamma + lam))))
+            grid.face_weights, grad**2 * (1.0 + np.abs(upwind)) ** (-(gamma + lam))))
             for lam in lams]
-        reps = check_weighted_energy(u, f, gamma, lams, alpha, w)
+        reps = check_weighted_energy(u, f, gamma, lams, alpha)
         assert [rep.lhs for rep in reps] == expect
-        assert reps == [check_weighted_energy(u, f, gamma, lam, alpha, w) for lam in lams]
+        assert reps == [check_weighted_energy(u, f, gamma, [lam], alpha)[0] for lam in lams]

@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -216,6 +217,31 @@ class TestDispatch:
         code = dispatch("verify", other, solution_path=str(out / "solution.dat"))
         assert code == EXIT_CONFIG
 
+    # a solution file that cannot be read is a bad input (exit 3), not a
+    # failed check (exit 1); None deletes the file
+    UNREADABLE = {
+        "missing": None,
+        "garbage_line": lambda text: text + "garbage\n",
+        "bad_n_final": lambda text: re.sub(r"# n_final .*", "# n_final abc", text),
+        "non_finite_value": lambda text: text.rstrip("\n").rsplit(" ", 1)[0] + " nan\n",
+    }
+
+    @pytest.mark.parametrize("corruption", sorted(UNREADABLE))
+    def test_verify_unreadable_solution_is_config_error(self, tmp_path, capsys, corruption):
+        conf, out = write_config(tmp_path, MINIMAL)
+        cfg = parse_config(conf.read_text())
+        assert dispatch("solve", cfg) == EXIT_OK
+        sol = out / "solution.dat"
+        edit = self.UNREADABLE[corruption]
+        if edit is None:
+            sol.unlink()
+        else:
+            sol.write_text(edit(sol.read_text()))
+        capsys.readouterr()
+        assert dispatch("verify", cfg, solution_path=str(sol)) == EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "cannot read solution" in err[0], err
+
     def test_sweep_and_report(self, tmp_path):
         conf, out = write_config(tmp_path, MINIMAL + "\n[sweep]\np = 1, 2\n")
         cfg = parse_config(conf.read_text())
@@ -383,3 +409,13 @@ print(sorted(m for m in ("scipy.optimize", "scipy.integrate") if m in sys.module
         assert norm == repr(datum_norm_exact(DatumSpec(BumpDatum(2.0, 0.5, 0.2), 1.5),
                                              1.5, 3, 1.0))
         assert after == "['scipy.integrate', 'scipy.optimize']"
+
+    def test_readme_quickstart_runs(self, capsys):
+        # the README's library quickstart is the package namespace's one
+        # documented use; run it as written
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("## Library quickstart\n", 1)[1].split("\n## ", 1)[0]
+        code = section.split("```python\n", 1)[1].split("```", 1)[0]
+        exec(compile(code, "README.md quickstart", "exec"), {})
+        passed, slack = capsys.readouterr().out.split()
+        assert passed == "True" and float(slack) > 0

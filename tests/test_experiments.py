@@ -42,7 +42,7 @@ from degelab.experiments import (
     save_records,
     _fmt,
 )
-from degelab.grid import build_radial_grid, face_gradient, grid_function, quadrature_weights
+from degelab.grid import build_radial_grid, face_gradient, grid_function
 from degelab.problem import ConstantDatum, RadialPowerDatum, datum_eval
 from degelab.solver import SolverConfig, truncation_continuation
 
@@ -134,7 +134,7 @@ class TestRunSingle:
         mk = res.marcinkiewicz
         assert mk.applicable
         assert mk.u_fit == res.tail_u and mk.grad_fit == res.tail_grad
-        assert mk == verify_marcinkiewicz_lemma(u, quadrature_weights(grid))
+        assert mk == verify_marcinkiewicz_lemma(u)
         assert res.reports == {"marcinkiewicz": (mk.verdict,)}
 
     @pytest.mark.parametrize("spec", [
@@ -148,30 +148,29 @@ class TestRunSingle:
         grid = build_radial_grid(3, 1.0, 256)
         res = truncation_continuation(grid, spec, CFG)
         assert res.flags.converged
-        u, w, settings = res.u, quadrature_weights(grid), CheckSettings()
+        u, settings = res.u, CheckSettings()
         f = grid_function(grid, lambda r: datum_eval(spec.datum, r))
         gamma, alpha, p, tol = (spec.coefficient.gamma, spec.coefficient.alpha,
                                 spec.lower.p, settings.tolerance)
         peak = u.max_abs()
-        df_u = distribution_function(u, w, np.geomspace(1e-3, max(2.0 * peak, 2e-3), 48))
+        df_u = distribution_function(u.values, grid.weights,
+                                     np.geomspace(1e-3, max(2.0 * peak, 2e-3), 48))
         grad = np.abs(face_gradient(u))
         df_g = distribution_function(grad, grid.face_weights,
                                      np.geomspace(1e-3, max(2.0 * grad.max(), 2e-3), 48))
-        mk = verify_marcinkiewicz_lemma(u, w, settings.tail_tolerance)
+        mk = verify_marcinkiewicz_lemma(u, settings.tail_tolerance)
         assert mk.applicable
         expect = CheckResults(
             reports={
-                "lemma": (check_lemma_estimate(u, f, p, spec.datum.m, w, tol),),
+                "lemma": (check_lemma_estimate(u, f, p, spec.datum.m, tol),),
                 "bg": tuple(check_bg_estimate(u, f, p, np.unique(
-                    np.array([0.0, 0.25, 0.5, 0.75]) * peak), w, tol)),
-                "weighted_energy": tuple(check_weighted_energy(u, f, gamma, lam, alpha,
-                                                               w, tol)
+                    np.array([0.0, 0.25, 0.5, 0.75]) * peak), tol)),
+                "weighted_energy": tuple(check_weighted_energy(u, f, gamma, [lam], alpha, tol)[0]
                                          for lam in settings.lambdas),
                 "truncation_energy": tuple(check_truncation_energy(
-                    u, f, gamma, alpha, np.geomspace(0.01 * peak, 2.0 * peak, 8), w, tol)),
+                    u, f, gamma, alpha, np.geomspace(0.01 * peak, 2.0 * peak, 8), tol)),
                 "entropy": tuple(check_entropy_inequality(
-                    u, spec, None, np.geomspace(0.01 * peak, 2.0 * peak, 4), w, tol,
-                    f_values=f)),
+                    u, f, spec, np.geomspace(0.01 * peak, 2.0 * peak, 4), tol)),
                 "marcinkiewicz": (mk.verdict,),
             },
             skipped={"linfty": "needs a singular absorption term"},

@@ -8,10 +8,7 @@ from hypothesis import strategies as st
 from degelab.grid import (
     build_radial_grid,
     face_gradient,
-    face_weights,
     grid_function,
-    integrate,
-    quadrature_weights,
     read_grid_function,
     sphere_surface,
     truncate,
@@ -21,6 +18,11 @@ from degelab.grid import (
 
 def ball_volume(N, R):
     return sphere_surface(N) * R**N / N
+
+
+def integral(u):
+    """Discrete integral of u over the ball."""
+    return float(np.dot(u.grid.weights, u.values))
 
 
 class TestBuild:
@@ -60,8 +62,7 @@ class TestQuadrature:
     def test_total_weight_is_ball_volume(self):
         for N in (3, 4, 5, 7):
             grid = build_radial_grid(N, 1.0, 64)
-            w = quadrature_weights(grid)
-            assert w.total == pytest.approx(ball_volume(N, 1.0), rel=5e-13)
+            assert grid.weights.sum() == pytest.approx(ball_volume(N, 1.0), rel=5e-13)
 
     def test_sphere_surface_values(self):
         assert sphere_surface(3) == pytest.approx(4 * math.pi, rel=1e-14)
@@ -69,15 +70,15 @@ class TestQuadrature:
 
     def test_first_weight_is_exact_shell_volume(self):
         grid = build_radial_grid(3, 1.0, 8)
-        w = quadrature_weights(grid)
-        assert w.values[0] == pytest.approx(4 * math.pi * 0.125**3 / 3, rel=1e-13)
+        assert grid.weights[0] == pytest.approx(4 * math.pi * 0.125**3 / 3, rel=1e-13)
 
     def test_geometry_computed_once_and_read_only(self):
         grid = build_radial_grid(3, 1.0, 8, grading=2.0)
         assert grid.volumes is grid.volumes and grid.face_areas is grid.face_areas
-        assert grid.face_weights is grid.face_weights is face_weights(grid)
+        assert grid.weights is grid.weights and grid.face_weights is grid.face_weights
         xs = grid.faces**3
         assert np.array_equal(grid.volumes, (xs[1:] - xs[:-1]) / 3)
+        assert np.array_equal(grid.weights, sphere_surface(3) * grid.volumes)
         assert np.array_equal(grid.face_areas, grid.faces**2)
         wf = np.zeros(grid.M + 1)
         wf[1:] = sphere_surface(3) * grid.faces[1:] ** 2 * grid.gaps[1:]
@@ -85,23 +86,21 @@ class TestQuadrature:
         with pytest.raises(ValueError):
             grid.volumes[0] = 0.0
         with pytest.raises(ValueError):
+            grid.weights[0] = 0.0
+        with pytest.raises(ValueError):
             grid.face_weights[1] = 0.0
 
     def test_integrate_constant(self):
         grid = build_radial_grid(3, 1.0, 128)
-        w = quadrature_weights(grid)
-        assert integrate(grid_function(grid, 1.0), w) == pytest.approx(
-            4 * math.pi / 3, rel=5e-3)
+        assert integral(grid_function(grid, 1.0)) == pytest.approx(4 * math.pi / 3, rel=5e-3)
 
     def test_integrate_zero(self):
         grid = build_radial_grid(3, 1.0, 16)
-        w = quadrature_weights(grid)
-        assert integrate(grid_function(grid, 0.0), w) == 0.0
+        assert integral(grid_function(grid, 0.0)) == 0.0
 
     def test_integrate_r_squared(self):
         grid = build_radial_grid(3, 1.0, 128)
-        w = quadrature_weights(grid)
-        val = integrate(grid_function(grid, lambda r: r**2), w)
+        val = integral(grid_function(grid, lambda r: r**2))
         assert val == pytest.approx(4 * math.pi / 5, rel=1e-2)
 
     def test_linear_integrand_second_order(self):
@@ -109,16 +108,9 @@ class TestQuadrature:
         errs = []
         for M in (32, 64, 128):
             grid = build_radial_grid(3, 1.0, M)
-            w = quadrature_weights(grid)
-            errs.append(abs(integrate(grid_function(grid, lambda r: r), w) - exact))
+            errs.append(abs(integral(grid_function(grid, lambda r: r)) - exact))
         assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.2)
         assert errs[1] / errs[2] == pytest.approx(4.0, rel=0.2)
-
-    def test_mismatched_grids_rejected(self):
-        g1 = build_radial_grid(3, 1.0, 16)
-        g2 = build_radial_grid(3, 1.0, 32)
-        with pytest.raises(ValueError, match="mismatched"):
-            integrate(grid_function(g1, 1.0), quadrature_weights(g2))
 
 
 class TestFaceGradient:
@@ -141,7 +133,7 @@ class TestFaceGradient:
     def test_face_weights_pair_with_volume(self):
         # sum of face measures covers [r_0, R] of the radial extent
         grid = build_radial_grid(3, 1.0, 64)
-        wf = face_weights(grid)
+        wf = grid.face_weights
         assert wf[0] == 0.0
         assert np.all(wf[1:] > 0)
 
@@ -185,10 +177,9 @@ class TestTruncate:
     def test_truncated_power_integral_monotone_in_k(self):
         rng = np.random.default_rng(7)
         grid = build_radial_grid(3, 1.0, 64)
-        w = quadrature_weights(grid)
         u = grid_function(grid, rng.normal(0, 3, grid.M))
         for s in (0.5, 1.0, 2.0):
-            vals = [integrate(grid_function(grid, np.abs(truncate(u, k).values) ** s), w)
+            vals = [integral(grid_function(grid, np.abs(truncate(u, k).values) ** s))
                     for k in (0.5, 1.0, 2.0, 4.0, 8.0)]
             assert all(v2 >= v1 - 1e-14 for v1, v2 in zip(vals, vals[1:]))
 

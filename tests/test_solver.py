@@ -446,6 +446,21 @@ class TestResidualAndManufactured:
         r = residual_norm(grid, spec, res.u, res.n_final)
         assert r <= CFG.newton_tol * (1 + 1.0)
 
+    def test_returned_residual_within_contract_one_step_past_it(self):
+        # the next-to-last Newton step of the final level (n = 2048) leaves
+        # the residual at 2.3 times the contract; the last one takes it to
+        # 1.2e-5 times it. A looser stop test would return the earlier
+        # iterate, still marked converged
+        grid = build_radial_grid(3, 1.0, 64)
+        spec = power_spec(0.5, 1.0, 1.0, RadialPowerDatum(1.0, 1.5))
+        res = truncation_continuation(grid, spec, CFG)
+        assert res.flags.converged and not res.flags.truncation_active
+        assert res.n_final == 2048
+        f_peak = float(np.max(datum_eval(spec.datum, grid.nodes)))
+        r = residual_norm(grid, spec, res.u, res.n_final)
+        assert r == res.residual_inf
+        assert r <= CFG.newton_tol * (1 + min(f_peak, res.n_final))
+
     def test_zero_field_residual_is_datum(self):
         grid = build_radial_grid(3, 1.0, 32)
         spec = poisson_spec()
