@@ -30,7 +30,6 @@ def main():
     ap.add_argument("--gamma", type=float, default=1.0)
     ap.add_argument("--cells", type=int, default=256)
     ap.add_argument("--out", default="out/regime_sweep")
-    ap.add_argument("--parallelism", type=int, default=1)
     args = ap.parse_args()
 
     base = ProblemSpec(
@@ -42,7 +41,6 @@ def main():
     sweep = SweepSpec(
         base=base, mesh=MeshSpec(args.cells),
         axes={"p": (0.5, 1.0, 2.0, 3.0, 4.0), "m": (1.0, 1.5, 2.0)},
-        parallelism=args.parallelism,
     )
     records = run_sweep(sweep)
     emit_outputs(records, args.out)

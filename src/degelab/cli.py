@@ -21,6 +21,7 @@ import argparse
 import configparser
 import math
 import sys
+import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -53,7 +54,7 @@ from .problem import (
     SingularAbsorption,
     datum_eval,
 )
-from .solver import FACE_SCHEMES, SolverConfig, residual_norm
+from .solver import FACE_SCHEMES, FIRST_LEVEL, SolverConfig, residual_norm
 
 __all__ = ["Config", "ConfigError", "parse_config", "dispatch", "main"]
 
@@ -92,7 +93,6 @@ class Config:
     settings: CheckSettings
     output_dir: str
     sweep_axes: dict[str, tuple[float, ...]]
-    sweep_parallelism: int
     mms_cells: tuple[int, ...]
     mms_amplitude: float
 
@@ -239,12 +239,12 @@ def parse_config(text: str) -> Config:
     output_dir = _get(parser, "output", "directory", str, "out", errors)
 
     axes: dict[str, tuple[float, ...]] = {}
-    parallelism = 1
     if parser.has_section("sweep"):
         for key in parser.options("sweep"):
             if key == "parallelism":
-                parallelism = _get(parser, "sweep", "parallelism", int, 1, errors,
-                                   positive=True)
+                _get(parser, "sweep", "parallelism", int, 1, errors, positive=True)
+                warnings.warn("[sweep] parallelism has no effect: every sweep runs its "
+                              "points in one process", FutureWarning, stacklevel=2)
             elif key in _KNOWN_KEYS["sweep"]:
                 try:
                     axes[key] = _float_list(parser.get("sweep", key))
@@ -279,7 +279,7 @@ def parse_config(text: str) -> Config:
                              truncation_k_count=k_count, tail_tolerance=tail_tol)
     return Config(problem=problem, mesh=MeshSpec(M, grading), solver=solver,
                   checks=enabled, settings=settings, output_dir=output_dir,
-                  sweep_axes=axes, sweep_parallelism=parallelism,
+                  sweep_axes=axes,
                   mms_cells=mms_cells, mms_amplitude=mms_amplitude)
 
 
@@ -311,7 +311,7 @@ def _cmd_solve(config: Config, out_dir: Path) -> int:
 def _cmd_sweep(config: Config, out_dir: Path) -> int:
     sweep = SweepSpec(base=config.problem, mesh=config.mesh, axes=config.sweep_axes,
                       cfg=config.solver, checks=config.checks,
-                      settings=config.settings, parallelism=config.sweep_parallelism)
+                      settings=config.settings)
     records = run_sweep(sweep)
     emit_outputs(records, out_dir)
     save_records(records, out_dir / "records.json")
@@ -351,6 +351,9 @@ def _verify_solution_file(config: Config, solution_path: str):
     try:
         u, extra = read_grid_function(solution_path)
         n_final = int(extra.get("n_final", config.solver.n_max))
+        if n_final < FIRST_LEVEL:
+            raise ValueError(f"n_final {n_final} is below the first truncation "
+                             f"level {FIRST_LEVEL}")
     except (OSError, ValueError) as err:
         raise ConfigError([f"cannot read solution {solution_path} "
                            f"({type(err).__name__}: {err})"]) from err

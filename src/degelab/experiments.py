@@ -17,7 +17,6 @@ import json
 import math
 import re
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from functools import cached_property
@@ -343,7 +342,6 @@ class SweepSpec:
     cfg: SolverConfig = SolverConfig()
     checks: tuple[str, ...] = ALL_CHECKS
     settings: CheckSettings = CheckSettings()
-    parallelism: int = 1
 
 
 def _apply_axis_point(base: ProblemSpec, mesh: MeshSpec,
@@ -372,8 +370,7 @@ def _apply_axis_point(base: ProblemSpec, mesh: MeshSpec,
     return spec, mesh
 
 
-def _sweep_point(args) -> RunRecord:
-    sweep, idx, point = args
+def _sweep_point(sweep: SweepSpec, idx: int, point: dict[str, float]) -> RunRecord:
     run_id = f"run_{idx:04d}"
     started = datetime.now(timezone.utc).isoformat()
     try:
@@ -385,20 +382,14 @@ def _sweep_point(args) -> RunRecord:
 
 
 def run_sweep(sweep: SweepSpec) -> list[RunRecord]:
-    """Run every point of the sweep in deterministic axis order."""
+    """Run every point of the sweep in deterministic axis order, in this process."""
     names = list(sweep.axes.keys())
     values = [tuple(sweep.axes[name]) for name in names]
     combos = list(itertools.product(*values)) if names else [()]
     if len(combos) > SWEEP_CAP:
         raise ValueError(f"sweep size {len(combos)} exceeds cap {SWEEP_CAP}")
-    tasks = [(sweep, idx, dict(zip(names, combo)))
-             for idx, combo in enumerate(combos)]
-    if sweep.parallelism > 1:
-        with ProcessPoolExecutor(max_workers=sweep.parallelism) as pool:
-            records = list(pool.map(_sweep_point, tasks))
-    else:
-        records = [_sweep_point(task) for task in tasks]
-    return records
+    return [_sweep_point(sweep, idx, dict(zip(names, combo)))
+            for idx, combo in enumerate(combos)]
 
 
 @dataclass(frozen=True)

@@ -104,10 +104,17 @@ class TestParse:
             parse_config("[problem]\ndatum = radial_power\ndelta = 2.0\nm = 2.0\n")
 
     def test_sweep_axes(self):
-        cfg = parse_config(MINIMAL + "\n[sweep]\np = 0.5, 1, 2\nm = 1, 1.5\n"
-                                     "parallelism = 2\n")
+        with pytest.warns(FutureWarning, match="parallelism has no effect"):
+            cfg = parse_config(MINIMAL + "\n[sweep]\np = 0.5, 1, 2\nm = 1, 1.5\n"
+                                         "parallelism = 2\n")
         assert cfg.sweep_axes == {"p": (0.5, 1.0, 2.0), "m": (1.0, 1.5)}
-        assert cfg.sweep_parallelism == 2
+
+    @pytest.mark.parametrize("value", ["0", "abc"])
+    def test_bad_parallelism_is_config_error(self, tmp_path, value):
+        conf = tmp_path / "bad.ini"
+        conf.write_text(MINIMAL + f"\n[sweep]\np = 1, 2\nparallelism = {value}\n")
+        with pytest.warns(FutureWarning, match="parallelism has no effect"):
+            assert main(["sweep", str(conf), "-o", str(tmp_path / "out")]) == EXIT_CONFIG
 
     def test_checks_selection(self):
         cfg = parse_config(MINIMAL + "\n[checks]\nenable = lemma, bg\ntolerance = 1e-5\n")
@@ -223,6 +230,9 @@ class TestDispatch:
         "missing": None,
         "garbage_line": lambda text: text + "garbage\n",
         "bad_n_final": lambda text: re.sub(r"# n_final .*", "# n_final abc", text),
+        # below the schedule's first level, so no solve wrote it
+        "zero_n_final": lambda text: re.sub(r"# n_final .*", "# n_final 0", text),
+        "negative_n_final": lambda text: re.sub(r"# n_final .*", "# n_final -4", text),
         "non_finite_value": lambda text: text.rstrip("\n").rsplit(" ", 1)[0] + " nan\n",
     }
 

@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import math
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -22,6 +23,7 @@ from degelab.analysis import (
     tail_exponent_fit,
     verify_marcinkiewicz_lemma,
 )
+from degelab.cli import EXIT_OK, main
 from degelab.experiments import (
     ALL_CHECKS,
     CSV_COLUMNS,
@@ -47,13 +49,12 @@ from degelab.problem import ConstantDatum, RadialPowerDatum, datum_eval
 from degelab.solver import SolverConfig, truncation_continuation
 
 
-def canonical_sweep(parallelism=1, M=64):
+def canonical_sweep(M=64):
     # covers both m=1 cases and all three m>1 cases
     return SweepSpec(
         base=power_spec(1.0, 2.0, 1.0, ConstantDatum(1.0)),
         mesh=MeshSpec(M),
         axes={"p": (0.5, 3.0, 4.0), "m": (1.0, 1.5)},
-        parallelism=parallelism,
     )
 
 
@@ -217,12 +218,25 @@ class TestSweep:
         assert all(rec.failure is not None for rec in records)
         assert all(not rec.converged for rec in records)
 
-    def test_parallel_matches_serial(self):
-        serial = run_sweep(canonical_sweep(parallelism=1, M=32))
-        parallel = run_sweep(canonical_sweep(parallelism=2, M=32))
-        assert [r.run_id for r in serial] == [r.run_id for r in parallel]
-        for a, b in zip(serial, parallel):
-            assert np.array_equal(a.solution.values, b.solution.values)
+    def test_parallelism_key_is_ignored(self, tmp_path):
+        # the benchmark's sweep configs still set the key; it warns and
+        # changes nothing
+        base = ("[problem]\nN = 3\np = 2.0\n[mesh]\nM = 32\n"
+                "[sweep]\np = 0.5, 3, 4\nm = 1, 1.5\n")
+        bodies, caught = [], []
+        for extra in ("", "parallelism = 2\n"):
+            conf = tmp_path / f"sweep{len(bodies)}.ini"
+            conf.write_text(base + extra)
+            out = tmp_path / f"out{len(bodies)}"
+            with warnings.catch_warnings(record=True) as seen:
+                warnings.simplefilter("always")
+                assert main(["sweep", str(conf), "-o", str(out)]) == EXIT_OK
+            caught.append([(w.category, str(w.message)) for w in seen])
+            bodies.append(csv_body(out / "records.csv"))
+        assert caught[0] == []
+        assert caught[1] == [(FutureWarning, "[sweep] parallelism has no effect: "
+                                             "every sweep runs its points in one process")]
+        assert bodies[0] == bodies[1]
 
 
 class TestEmission:
