@@ -351,9 +351,10 @@ def _verify_solution_file(config: Config, solution_path: str):
     try:
         u, extra = read_grid_function(solution_path)
         n_final = int(extra.get("n_final", config.solver.n_max))
-        if n_final < FIRST_LEVEL:
-            raise ValueError(f"n_final {n_final} is below the first truncation "
-                             f"level {FIRST_LEVEL}")
+        if n_final not in config.solver.n_schedule():
+            raise ValueError(f"n_final {n_final} is not a level of the truncation "
+                             f"schedule, doubling from {FIRST_LEVEL} to "
+                             f"{config.solver.n_max}")
     except (OSError, ValueError) as err:
         raise ConfigError([f"cannot read solution {solution_path} "
                            f"({type(err).__name__}: {err})"]) from err

@@ -287,6 +287,12 @@ def _failed_record(run_id: str, spec: ProblemSpec, mesh: MeshSpec,
     )
 
 
+def _prediction(spec: ProblemSpec) -> RegimePrediction | None:
+    if isinstance(spec.lower, PowerAbsorption):
+        return classify_regime(spec.coefficient.gamma, spec.lower.p, spec.datum.m)
+    return None
+
+
 def run_single(spec: ProblemSpec, mesh: MeshSpec, cfg: SolverConfig,
                checks: Sequence[str] = ALL_CHECKS,
                settings: CheckSettings = CheckSettings(),
@@ -300,9 +306,7 @@ def run_single(spec: ProblemSpec, mesh: MeshSpec, cfg: SolverConfig,
         raise ValueError(f"unknown checks: {sorted(unknown)}")
 
     grid = build_radial_grid(spec.dimension, spec.radius, mesh.cells, mesh.grading)
-    prediction = None
-    if isinstance(spec.lower, PowerAbsorption):
-        prediction = classify_regime(spec.coefficient.gamma, spec.lower.p, spec.datum.m)
+    prediction = _prediction(spec)
 
     try:
         result = truncation_continuation(grid, spec, cfg)
@@ -370,25 +374,70 @@ def _apply_axis_point(base: ProblemSpec, mesh: MeshSpec,
     return spec, mesh
 
 
-def _sweep_point(sweep: SweepSpec, idx: int, point: dict[str, float]) -> RunRecord:
+def _discrete_problem(spec: ProblemSpec, mesh: MeshSpec) -> tuple:
+    """Key of the discrete problem a sweep point solves and audits.
+
+    It is everything :func:`truncation_continuation` and :func:`run_checks`
+    read of the point except the claimed class ``spec.datum.m``, which
+    enters only the regime prediction and the ``lemma`` check.
+    """
+    return (spec.dimension, spec.radius, spec.coefficient, spec.lower,
+            spec.datum.family, mesh)
+
+
+def _reuse(first: RunRecord, spec: ProblemSpec, run_id: str, started: str,
+           t0: float, tolerance: float) -> RunRecord:
+    """The record of a point whose discrete problem ``first`` already solved
+    and audited: its prediction and ``lemma`` report are recomputed for its
+    own m, everything else (flags, skips, failure, other reports) is shared."""
+    reports = first.reports
+    if "lemma" in reports:
+        u = first.solution
+        f_nodal = grid_function(u.grid, lambda r: datum_eval(spec.datum, r))
+        reports = {**reports, "lemma": (check_lemma_estimate(
+            u, f_nodal, spec.lower.p, spec.datum.m, tolerance),)}
+    return replace(first, run_id=run_id, problem=spec, prediction=_prediction(spec),
+                   reports=reports, started_at=started,
+                   duration_s=time.perf_counter() - t0)
+
+
+def _sweep_point(sweep: SweepSpec, idx: int, point: dict[str, float],
+                 solved: dict[tuple, RunRecord]) -> RunRecord:
+    """Run one point, or reuse the record in ``solved`` of its discrete problem."""
     run_id = f"run_{idx:04d}"
     started = datetime.now(timezone.utc).isoformat()
+    t0 = time.perf_counter()
     try:
         spec, mesh = _apply_axis_point(sweep.base, sweep.mesh, point)
-        return run_single(spec, mesh, sweep.cfg, sweep.checks, sweep.settings, run_id)
+        key = _discrete_problem(spec, mesh)
+        if key in solved:
+            return _reuse(solved[key], spec, run_id, started, t0,
+                          sweep.settings.tolerance)
+        solved[key] = run_single(spec, mesh, sweep.cfg, sweep.checks, sweep.settings, run_id)
+        return solved[key]
     except Exception as err:
         return _failed_record(run_id, sweep.base, sweep.mesh, sweep.checks, None,
                               started, 0.0, "point construction failed", err)
 
 
 def run_sweep(sweep: SweepSpec) -> list[RunRecord]:
-    """Run every point of the sweep in deterministic axis order, in this process."""
+    """Run every point of the sweep in deterministic axis order, in this process.
+
+    Each distinct discrete problem is solved and audited once.  A later
+    point that differs from an earlier one only in the claimed class m
+    copies that record and recomputes what depends on m: its regime
+    prediction and, when the ``lemma`` check ran, its ``lemma`` report,
+    which keeps its place among the reports.  Flags, skips and failures
+    are shared, and the copy's ``duration_s`` is its own work only.  A
+    point that cannot be built is its own failed record.
+    """
     names = list(sweep.axes.keys())
     values = [tuple(sweep.axes[name]) for name in names]
     combos = list(itertools.product(*values)) if names else [()]
     if len(combos) > SWEEP_CAP:
         raise ValueError(f"sweep size {len(combos)} exceeds cap {SWEEP_CAP}")
-    return [_sweep_point(sweep, idx, dict(zip(names, combo)))
+    solved: dict[tuple, RunRecord] = {}
+    return [_sweep_point(sweep, idx, dict(zip(names, combo)), solved)
             for idx, combo in enumerate(combos)]
 
 

@@ -230,9 +230,14 @@ class TestDispatch:
         "missing": None,
         "garbage_line": lambda text: text + "garbage\n",
         "bad_n_final": lambda text: re.sub(r"# n_final .*", "# n_final abc", text),
-        # below the schedule's first level, so no solve wrote it
+        # not a level of the config's schedule, so no solve wrote it: below
+        # its first level, between two of its levels, or above n_max = 2^30
         "zero_n_final": lambda text: re.sub(r"# n_final .*", "# n_final 0", text),
         "negative_n_final": lambda text: re.sub(r"# n_final .*", "# n_final -4", text),
+        "off_schedule_n_final_3": lambda text: re.sub(r"# n_final .*", "# n_final 3", text),
+        "off_schedule_n_final_5": lambda text: re.sub(r"# n_final .*", "# n_final 5", text),
+        "above_n_max_n_final": lambda text: re.sub(r"# n_final .*", f"# n_final {2**40}",
+                                                   text),
         "non_finite_value": lambda text: text.rstrip("\n").rsplit(" ", 1)[0] + " nan\n",
     }
 
@@ -390,6 +395,68 @@ class TestMain:
         assert main(["solve", str(conf)]) == EXIT_OK
         assert main(["verify", str(conf), "--solution",
                      str(out / "solution.dat")]) == EXIT_OK
+
+
+class TestStalledSolve:
+    """A solve whose Newton iteration stalls below the schedule's top level
+    (example.ini with p = 0.5, amplitude = 64, M = 64) exits 2 from every
+    command and writes its flags, not an audit."""
+
+    EXAMPLE = Path(__file__).resolve().parents[1] / "configs" / "example.ini"
+    CHECKS = ("bg", "entropy", "lemma", "linfty", "marcinkiewicz", "truncation_energy",
+              "weighted_energy")
+
+    def config(self, tmp_path):
+        """The stalled example; its [sweep] varies only m = 1, 1.5, 2."""
+        head, sep, sweep = self.EXAMPLE.read_text().partition("[sweep]")
+        for key, value in (("p", "0.5"), ("amplitude", "64"), ("M", "64")):
+            head, count = re.subn(rf"^{key} = \S+", f"{key} = {value}", head, flags=re.M)
+            assert count == 1, key
+        sweep, count = re.subn(r"^(gamma|p) = .*\n", "", sweep, flags=re.M)
+        assert count == 2
+        sweep, count = re.subn(r"^# (m = 1, 1\.5, 2)$", r"\1", sweep, flags=re.M)
+        assert count == 1
+        path = tmp_path / "stall.ini"
+        path.write_text(head + sep + sweep)
+        return path
+
+    @staticmethod
+    def rows(out):
+        with open(out / "records.csv", newline="") as fh:
+            return list(csv.DictReader(line for line in fh if not line.startswith("#")))
+
+    def test_solve_verify_and_sweep_exit_2(self, tmp_path, capsys):
+        conf = self.config(tmp_path)
+        skips = [f"  [skip] {name}: solver did not converge" for name in self.CHECKS]
+
+        out = tmp_path / "solve"
+        assert main(["solve", str(conf), "-o", str(out)]) == EXIT_NOT_CONVERGED
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:-1] == skips
+        assert re.fullmatch(r"converged=False truncation_active=False n_final=64 "
+                            r"residual=\S+", lines[-1]), lines[-1]
+        assert not (out / "solution.dat").exists()
+        (row,) = self.rows(out)
+        assert {key: row[key] for key in ("n_final", "converged", "truncation_active",
+                                          "hit_iteration_cap", "check_name", "passed")} == {
+            "n_final": "64", "converged": "false", "truncation_active": "false",
+            "hit_iteration_cap": "false", "check_name": "solve_failed", "passed": "false"}
+        assert float(row["lhs"]) > 1.0  # the stalled residual
+
+        assert main(["verify", str(conf)]) == EXIT_NOT_CONVERGED
+        assert capsys.readouterr().out.splitlines() == skips + ["solver did not converge"]
+
+        # the three points share one discrete problem, and so one stalled
+        # solve; each record is still flagged
+        out = tmp_path / "sweep"
+        assert main(["sweep", str(conf), "-o", str(out)]) == EXIT_NOT_CONVERGED
+        assert capsys.readouterr().out.startswith("3 runs, 0 converged")
+        rows = self.rows(out)
+        assert [row["m"] for row in rows] == ["1.0", "1.5", "2.0"]
+        own = ("run_id", "m", "predicted_grad")  # what a point's m changes
+        for sweep_row in rows:
+            assert {key: sweep_row[key] for key in row if key not in own} == \
+                {key: row[key] for key in row if key not in own}
 
 
 class TestImports:

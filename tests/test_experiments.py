@@ -23,6 +23,7 @@ from degelab.analysis import (
     tail_exponent_fit,
     verify_marcinkiewicz_lemma,
 )
+import degelab.experiments as experiments
 from degelab.cli import EXIT_OK, main
 from degelab.experiments import (
     ALL_CHECKS,
@@ -217,6 +218,45 @@ class TestSweep:
         assert len(records) == 2
         assert all(rec.failure is not None for rec in records)
         assert all(not rec.converged for rec in records)
+
+    # (base, M, axes, checks, distinct discrete problems, converged points):
+    # gamma x p x m shaped as the benchmark's sweep, the same without the
+    # lemma check, and a problem whose solve stalls, over m alone
+    GAMMA_P_M = {"gamma": (0.0, 0.5, 1.0), "p": (0.5, 1.0, 2.0, 4.0), "m": (1.0, 1.5, 2.0)}
+    SHARED_SOLVES = {
+        "gamma_p_m": (power_spec(1.0, 2.0, 1.0, ConstantDatum(1.7)), 256, GAMMA_P_M,
+                      ALL_CHECKS, 12, 36),
+        "gamma_p_m_no_lemma": (power_spec(1.0, 2.0, 1.0, ConstantDatum(1.7)), 256, GAMMA_P_M,
+                               tuple(c for c in ALL_CHECKS if c != "lemma"), 12, 36),
+        "stalled": (power_spec(1.0, 0.5, 1.0, ConstantDatum(64.0)), 64,
+                    {"m": (1.0, 1.5, 2.0)}, ALL_CHECKS, 1, 0),
+    }
+
+    @staticmethod
+    def outcome(rec):
+        """Everything a record holds but its timing, as compared text."""
+        payload = {key: value for key, value in rec.payload.items() if key != "duration_s"}
+        return repr((payload, rec.reports, rec.skipped, rec.marcinkiewicz))
+
+    @pytest.mark.parametrize("case", sorted(SHARED_SOLVES))
+    def test_points_differing_only_in_m_share_one_solve(self, case, monkeypatch):
+        base, cells, axes, checks, problems, converged = self.SHARED_SOLVES[case]
+        sweep = SweepSpec(base=base, mesh=MeshSpec(cells), axes=axes, checks=checks)
+        solves = []
+
+        def counted(*args, **kwargs):
+            solves.append(args)
+            return truncation_continuation(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "truncation_continuation", counted)
+        records = run_sweep(sweep)
+        monkeypatch.undo()
+        assert len(solves) == problems
+        assert sum(rec.converged for rec in records) == converged
+        assert len(records) == math.prod(map(len, axes.values()))
+        for rec in records:
+            alone = run_single(rec.problem, rec.mesh, CFG, checks, run_id=rec.run_id)
+            assert self.outcome(rec) == self.outcome(alone), rec.run_id
 
     def test_parallelism_key_is_ignored(self, tmp_path):
         # the benchmark's sweep configs still set the key; it warns and

@@ -154,13 +154,14 @@ class TestExactJacobian:
     @pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0])
     @pytest.mark.parametrize("scaled", [False, True])
     def test_matches_central_differences(self, scheme, gamma, scaled):
+        # the frozen part comes from the solver's own g', at two powers p
+        # so that a wrong factor or exponent in g' shows
         grid = build_radial_grid(3, 1.0, 24, grading=2.0)
         if scaled:
             coeff = CoefficientSpec(1.0, 2.0, gamma, spatial_factor=lambda r: 1.0 + r**2,
                                     spatial_bounds=(1.0, 2.0))
         else:
             coeff = CoefficientSpec(1.0, 1.0, gamma)
-        lower = PowerAbsorption(2.0)
         n, h = 4, 1e-6
         rng = np.random.default_rng(5)
         u = rng.normal(0.0, 3.0, grid.M)
@@ -170,24 +171,26 @@ class TestExactJacobian:
         assert np.min(np.abs(np.abs(u[1:]) - np.abs(u[:-1]))) > 100 * h
         assert np.min(np.abs(np.abs(u) - n)) > 100 * h
         assert np.any(np.abs(u) > n)
-
-        def F(v):
-            op = assemble_frozen(grid, coeff, grid_function(grid, v), n, scheme)
-            return apply_operator(op, v) + lower_order_eval(lower, v) - rhs
-
-        fd = np.column_stack([(F(u + h * e) - F(u - h * e)) / (2 * h)
-                              for e in np.eye(grid.M)])
         op = replace(assemble_frozen(grid, coeff, grid_function(grid, u), n, scheme), rhs=rhs)
-        frozen = replace(op, diag=op.diag + 2 * np.abs(u))  # g'(u) of |u| u
-        jac = solver._exact_jacobian(op, frozen, u, solver._Level(coeff, n, scheme))
 
         def dense(t):
             return np.diag(t.diag) + np.diag(t.sub[1:], -1) + np.diag(t.sup[:-1], 1)
 
-        scale = np.max(np.abs(fd))
-        assert np.max(np.abs(dense(jac) - fd)) <= 1e-6 * scale
-        coefficient_part = np.max(np.abs(dense(jac) - dense(frozen)))
-        assert coefficient_part == 0.0 if gamma == 0.0 else coefficient_part > 1e-3 * scale
+        for p in (2.0, 3.0):
+            lower = PowerAbsorption(p)
+
+            def F(v):
+                op = assemble_frozen(grid, coeff, grid_function(grid, v), n, scheme)
+                return apply_operator(op, v) + lower_order_eval(lower, v) - rhs
+
+            fd = np.column_stack([(F(u + h * e) - F(u - h * e)) / (2 * h)
+                                  for e in np.eye(grid.M)])
+            frozen = replace(op, diag=op.diag + solver._absorption_prime(lower, u, CFG.eps_p))
+            jac = solver._exact_jacobian(op, frozen, u, solver._Level(coeff, n, scheme))
+            scale = np.max(np.abs(fd))
+            assert np.max(np.abs(dense(jac) - fd)) <= 1e-6 * scale, p
+            coefficient_part = np.max(np.abs(dense(jac) - dense(frozen)))
+            assert coefficient_part == 0.0 if gamma == 0.0 else coefficient_part > 1e-3 * scale
 
 
 class TestNewton:
