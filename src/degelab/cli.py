@@ -300,6 +300,9 @@ def _cmd_solve(config: Config, out_dir: Path) -> int:
     if record.solution is not None:
         write_grid_function(record.solution, out_dir / "solution.dat",
                             extra={"n_final": record.n_final})
+    else:
+        # an older run's field must not sit beside this run's solve_failed records
+        (out_dir / "solution.dat").unlink(missing_ok=True)
     emit_outputs([record], out_dir)
     save_records([record], out_dir / "records.json")
     _print_reports(record)

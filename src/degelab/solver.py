@@ -27,12 +27,16 @@ for convergence studies.
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import sys
 from dataclasses import dataclass
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
+from pathlib import Path
 from typing import Callable
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
+import scipy
 
 from .grid import GridFunction, RadialGrid
 from .problem import (
@@ -46,6 +50,40 @@ from .problem import (
     datum_eval,
     lower_order_eval,
 )
+
+
+def _load_flapack():
+    """scipy's f2py LAPACK extension ``scipy.linalg._flapack``, loaded by file.
+
+    The solver needs one routine from it, ``dgtsv``.  Importing it through
+    ``scipy.linalg`` runs that package's init, which clones numpy's namespace
+    for array-API support and with it loads ``numpy.f2py``, ``numpy.testing``
+    and ``numpy.ma``: about half of the CLI's start-up, none of it used here.
+    ``import scipy`` alone still runs scipy's own init (DLL paths on Windows
+    wheels).  The module is registered under its own name, so a later
+    ``import scipy.linalg`` reuses it and ``scipy.linalg.lapack.dgtsv`` is
+    the same function object as the one taken here; if ``scipy.linalg`` is
+    already loaded, its module is taken as it is.
+    """
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    stem = Path(scipy.__file__).parent / "linalg" / "_flapack"
+    for suffix in EXTENSION_SUFFIXES:
+        path = stem.with_name(stem.name + suffix)
+        if path.is_file():
+            spec = importlib.util.spec_from_file_location(
+                name, path, loader=ExtensionFileLoader(name, str(path)))
+            module = importlib.util.module_from_spec(spec)
+            sys.modules[name] = module
+            spec.loader.exec_module(module)
+            return module
+    raise ImportError(f"no LAPACK extension {stem}{{{','.join(EXTENSION_SUFFIXES)}}} "
+                      f"in scipy {scipy.__version__}")
+
+
+dgtsv = _load_flapack().dgtsv
+
 
 __all__ = [
     "FACE_SCHEMES",

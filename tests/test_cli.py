@@ -458,6 +458,17 @@ class TestStalledSolve:
             assert {key: sweep_row[key] for key in row if key not in own} == \
                 {key: row[key] for key in row if key not in own}
 
+    def test_stalled_solve_removes_an_older_solution(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["solve", str(self.EXAMPLE), "-M", "64", "-o", str(out)]) == EXIT_OK
+        assert (out / "solution.dat").exists()
+        assert main(["solve", str(self.config(tmp_path)), "-o", str(out)]) == \
+            EXIT_NOT_CONVERGED
+        assert [row["check_name"] for row in self.rows(out)] == ["solve_failed"]
+        assert not (out / "solution.dat").exists()
+        assert main(["verify", str(self.EXAMPLE), "-M", "64",
+                     "--solution", str(out / "solution.dat")]) == EXIT_CONFIG
+
 
 class TestImports:
     # Run in a fresh interpreter: this process has long since loaded the
@@ -465,12 +476,24 @@ class TestImports:
     PROGRAM = """
 import sys
 import degelab.cli
+import degelab.solver
 from degelab.grid import build_radial_grid
-from degelab.problem import BumpDatum, DatumSpec, datum_norm_exact
+from degelab.problem import (BumpDatum, CoefficientSpec, ConstantDatum, DatumSpec,
+                             PowerAbsorption, ProblemSpec, datum_norm_exact)
+spec = ProblemSpec(3, 1.0, CoefficientSpec(1.0, 1.0, 1.0), PowerAbsorption(1.0),
+                   DatumSpec(ConstantDatum(5.0), 1.0))
+def solve():
+    grid = build_radial_grid(3, 1.0, 64)
+    res = degelab.solver.truncation_continuation(grid, spec, degelab.solver.SolverConfig())
+    return res.u.values.tobytes().hex()
+print(solve())
 print(sorted(m for m in ("scipy.optimize", "scipy.integrate") if m in sys.modules))
+print(sorted(m for m in sys.modules if m.split(".")[:2] == ["scipy", "linalg"]))
 print(build_radial_grid(3, 1.0, 64, grading=2.0).faces.tobytes().hex())
 print(repr(datum_norm_exact(DatumSpec(BumpDatum(2.0, 0.5, 0.2), 1.5), 1.5, 3, 1.0)))
 print(sorted(m for m in ("scipy.optimize", "scipy.integrate") if m in sys.modules))
+print(sys.modules["scipy.linalg.lapack"].dgtsv is degelab.solver.dgtsv)
+print(solve())
 """
 
     def test_cli_import_defers_root_finder_and_quadrature(self):
@@ -480,12 +503,18 @@ print(sorted(m for m in ("scipy.optimize", "scipy.integrate") if m in sys.module
                              text=True, env={**os.environ, "PYTHONPATH": path},
                              timeout=120)
         assert run.returncode == 0, run.stderr
-        before, faces, norm, after = run.stdout.splitlines()
+        (solved, before, linalg, faces, norm, after, same_dgtsv,
+         resolved) = run.stdout.splitlines()
         assert before == "[]"
+        # the solver loads LAPACK's extension by file, not scipy.linalg
+        assert linalg == "['scipy.linalg._flapack']"
         assert faces == build_radial_grid(3, 1.0, 64, grading=2.0).faces.tobytes().hex()
         assert norm == repr(datum_norm_exact(DatumSpec(BumpDatum(2.0, 0.5, 0.2), 1.5),
                                              1.5, 3, 1.0))
         assert after == "['scipy.integrate', 'scipy.optimize']"
+        # scipy.linalg, loaded later by the root finder, reuses that module
+        assert same_dgtsv == "True"
+        assert resolved == solved
 
     def test_readme_quickstart_runs(self, capsys):
         # the README's library quickstart is the package namespace's one

@@ -1,8 +1,10 @@
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy
 from scipy.linalg import solve_banded
 from scipy.optimize import brentq
 
@@ -147,6 +149,14 @@ class TestTridiagSolve:
         op = synthetic_operator(grid, np.zeros(8), np.zeros(8), np.zeros(8), np.ones(8))
         with pytest.raises(SingularOperatorError):
             tridiag_solve(op)
+
+    def test_missing_lapack_extension_names_path_and_version(self, monkeypatch, tmp_path):
+        monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+        monkeypatch.setattr(scipy, "__file__", str(tmp_path / "__init__.py"))
+        with pytest.raises(ImportError) as err:
+            solver._load_flapack()
+        assert str(tmp_path / "linalg" / "_flapack") in str(err.value)
+        assert f"in scipy {scipy.__version__}" in str(err.value)
 
 
 class TestExactJacobian:
@@ -411,6 +421,21 @@ class TestContinuation:
                                       CFG)
         assert levels[0].n_final == 8
         assert res.flags.converged and not res.flags.truncation_active
+
+    def test_datum_clipped_at_the_cap_is_odd(self):
+        # a datum above n_max is clipped to T_n f on both signs; the scheme
+        # is odd in (u, f), so -f gives exactly -u, and each meets the
+        # residual contract at the cap
+        grid = build_radial_grid(3, 1.0, 64)
+        cfg = SolverConfig(n_max=16)
+        res = {}
+        for amplitude in (100.0, -100.0):
+            spec = power_spec(0.5, 1.0, 1.0, ConstantDatum(amplitude))
+            res[amplitude] = truncation_continuation(grid, spec, cfg)
+            assert res[amplitude].n_final == 16
+            r = residual_norm(grid, spec, res[amplitude].u, res[amplitude].n_final)
+            assert r <= cfg.newton_tol * (1 + 16)
+        assert np.array_equal(res[-100.0].u.values, -res[100.0].u.values)
 
 
     def test_slow_picard_matrix_case_converges(self):
