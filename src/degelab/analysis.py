@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -92,13 +92,16 @@ class TailFit:
     reason: str = ""
 
 
-@dataclass(frozen=True)
-class EstimateReport:
+class EstimateReport(NamedTuple):
     """One checked inequality lhs <= rhs with its slack.
 
     ``scale`` is the magnitude the tolerance is relative to (|rhs| unless
     rhs can legitimately vanish or change sign, in which case the caller
     passes a sturdier scale); passed means lhs <= rhs + tolerance * scale.
+
+    A named tuple, not a frozen dataclass: an audit builds dozens per run,
+    and a tuple builds several times faster.  It is as immutable, and its
+    ``repr`` (which ``scripts/record_digest.py`` hashes) is the same text.
     """
 
     name: str

@@ -10,13 +10,13 @@ from a timestamp comment so repeated executions can be diffed.
 
 from __future__ import annotations
 
-import csv
-import io
 import itertools
 import json
 import math
+import os
 import re
 import time
+from array import array
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from functools import cached_property
@@ -112,6 +112,11 @@ CSV_COLUMNS = RUN_COLUMNS + ROW_COLUMNS + FIT_COLUMNS
 
 # Names of the plotdata files emission writes, one pair per record.
 PLOT_NAME = re.compile(r"run_\d+_(u|grad)\.dat")
+
+# A records.csv cell holding one of these is quoted: the delimiter, the
+# quote character and the "\n" row terminator, as csv's minimal quoting does
+# for a writer whose lineterminator is "\n".
+CSV_SPECIAL = re.compile(r'[,"\n]')
 
 
 @dataclass(frozen=True)
@@ -276,10 +281,13 @@ def _failed_record(run_id: str, spec: ProblemSpec, mesh: MeshSpec,
                    checks: Sequence[str], prediction: RegimePrediction | None,
                    started: str, duration_s: float, reason: str,
                    err: Exception) -> RunRecord:
-    """Record of a point that produced no solution; every check is skipped."""
+    """Record of a point that produced no solution; every check is skipped.
+
+    It is flagged unconverged and nothing else: no level ran, so nothing
+    was clipped.  The exception is kept in ``failure``."""
     return RunRecord(
         run_id=run_id, problem=spec, mesh=mesh, n_final=0, converged=False,
-        truncation_active=True, hit_iteration_cap=False, picard_iters=0,
+        truncation_active=False, hit_iteration_cap=False, picard_iters=0,
         residual_inf=math.inf, prediction=prediction,
         started_at=started, duration_s=duration_s,
         failure=f"{type(err).__name__}: {err}",
@@ -682,7 +690,7 @@ def save_records(records: Sequence[RunRecord], path) -> None:
     """
     body = ",\n".join(json.dumps(rec.payload, allow_nan=True, separators=(",", ":"))
                        for rec in records)
-    Path(path).write_text(f"[\n{body}\n]\n" if body else "[]\n")
+    _write_in_place(path, f"[\n{body}\n]\n" if body else "[]\n")
 
 
 def load_records(path) -> list[dict]:
@@ -697,50 +705,98 @@ def emit_from_saved(saved: Sequence[dict], out_dir) -> dict[str, Path]:
     Every file is rendered in memory before the first directory is made or
     file written, so a stale or malformed payload (one missing a key, or
     one saved before the shared cells moved under ``cells``) raises and
-    leaves the output directory as it was.  Once every file is written,
-    the ``plotdata/run_NNNN_{u,grad}.dat`` files that this call did not
-    write, left by an earlier and larger run, are deleted; no other file
-    is touched.
+    leaves the output directory as it was.  Each file is then written in
+    place (:func:`_write_in_place`).  Once every file is written, the
+    ``plotdata/run_NNNN_{u,grad}.dat`` files that this call did not write,
+    left by an earlier and larger run, are deleted; no other file is
+    touched.
     """
     csv_text = _csv_text(saved)
     summary = _summary_markdown(saved)
-    plots = {f"{rec['cells']['run_id']}_{suffix}.dat": _plot_body(rec[f"dist_{suffix}"])
-             for rec in saved for suffix in ("u", "grad")
-             if rec[f"dist_{suffix}"] is not None}
+    plots = _plot_files(saved)
 
     out = Path(out_dir)
     plotdir = out / "plotdata"
     plotdir.mkdir(parents=True, exist_ok=True)
     csv_path = out / "records.csv"
-    csv_path.write_text(csv_text)
+    _write_in_place(csv_path, csv_text)
     md_path = out / "summary.md"
-    md_path.write_text(summary)
+    _write_in_place(md_path, summary)
     for name, body in plots.items():
-        (plotdir / name).write_text(body)
+        _write_in_place(plotdir / name, body)
     for path in plotdir.iterdir():
         if PLOT_NAME.fullmatch(path.name) and path.name not in plots:
             path.unlink()
     return {"csv": csv_path, "summary": md_path, "plotdata": plotdir}
 
 
+def _write_in_place(path, text: str) -> None:
+    """Write ``text`` to ``path`` as ``Path.write_text`` does (same encoding
+    and newline translation), but over the old bytes: the file is opened
+    without truncation, written, then cut to the new length.
+
+    On ext4 (``auto_da_alloc``) a file truncated to zero and rewritten is
+    flushed when it is closed; one written over is not.  Neither way is
+    atomic, so a crash mid-write can leave a damaged file.
+    """
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w") as fh:
+        fh.write(text)
+        fh.truncate()
+
+
 def _csv_text(saved: Sequence[dict]) -> str:
-    """records.csv: each record's shared cells are formatted once."""
-    text = io.StringIO()
-    text.write(f"# generated {datetime.now(timezone.utc).isoformat()}\n")
-    writer = csv.writer(text, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
+    """records.csv, built row by row as strings.
+
+    A record's shared cells are formatted and quoted once.  Of a check's
+    cells only ``check_name`` can need quoting: in every payload ``lhs``,
+    ``rhs`` and ``slack`` are floats and ``passed`` is a bool, which
+    :func:`_fmt` writes without a comma, quote or newline.
+    """
+    lines = [f"# generated {datetime.now(timezone.utc).isoformat()}", ",".join(CSV_COLUMNS)]
     for rec in saved:
         cells = rec["cells"]
-        head = [_fmt(cells[col]) for col in RUN_COLUMNS]
-        tail = [_fmt(cells[col]) for col in FIT_COLUMNS]
-        writer.writerows([*head, *[_fmt(row[col]) for col in ROW_COLUMNS], *tail]
-                         for row in rec["rows"])
-    return text.getvalue()
+        head = ",".join(_csv_cell(_fmt(cells[col])) for col in RUN_COLUMNS)
+        tail = ",".join(_csv_cell(_fmt(cells[col])) for col in FIT_COLUMNS)
+        lines += [f"{head},{_csv_cell(_fmt(row['check_name']))},{_fmt(row['lhs'])},"
+                  f"{_fmt(row['rhs'])},{_fmt(row['slack'])},{_fmt(row['passed'])},{tail}"
+                  for row in rec["rows"]]
+    return "\n".join(lines) + "\n"
 
 
-def _plot_body(dist) -> str:
+def _csv_cell(text: str) -> str:
+    """``text`` as a records.csv cell: quoted, with its quotes doubled, when
+    it holds a ``CSV_SPECIAL`` character."""
+    if CSV_SPECIAL.search(text):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _plot_files(saved: Sequence[dict]) -> dict[str, str]:
+    """plotdata file name -> body, for every distribution the records carry.
+
+    Each distinct distribution is rendered once: the points of a sweep
+    that share a solve carry equal ones.  The key is the float64 bytes of
+    the levels and of the measures, not their values: 0.0 and -0.0 compare
+    equal but print differently, and must not share a body.
+    """
+    bodies: dict[tuple[bytes, bytes], str] = {}
+    plots = {}
+    for rec in saved:
+        for suffix in ("u", "grad"):
+            dist = rec[f"dist_{suffix}"]
+            if dist is None:
+                continue
+            ks, mus = dist
+            key = (array("d", ks).tobytes(), array("d", mus).tobytes())
+            if key not in bodies:
+                bodies[key] = _plot_body(ks, mus)
+            plots[f"{rec['cells']['run_id']}_{suffix}.dat"] = bodies[key]
+    return plots
+
+
+def _plot_body(ks, mus) -> str:
     body = ["# k mu(k)"]
-    body += [f"{k:.17g} {mu:.17g}" for k, mu in zip(*dist)]
+    body += [f"{k:.17g} {mu:.17g}" for k, mu in zip(ks, mus)]
     return "\n".join(body) + "\n"
 
 

@@ -1,3 +1,4 @@
+import ast
 import csv
 import dataclasses
 import json
@@ -515,6 +516,25 @@ print(solve())
         # scipy.linalg, loaded later by the root finder, reuses that module
         assert same_dgtsv == "True"
         assert resolved == solved
+
+    def test_package_imports_itself_only_relatively(self):
+        # two source trees of the package can then be loaded side by side
+        # under other names (to time one against the other in one
+        # interpreter); an absolute import would load the other tree's module
+        package = Path(degelab.__file__).resolve().parent
+        absolute = []
+        for path in sorted(package.rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    names = [node.module]
+                else:
+                    continue
+                absolute += [f"{path.name}:{node.lineno} {name}" for name in names
+                             if name.partition(".")[0] == "degelab"]
+        assert len(list(package.glob("*.py"))) >= 7
+        assert absolute == []
 
     def test_readme_quickstart_runs(self, capsys):
         # the README's library quickstart is the package namespace's one

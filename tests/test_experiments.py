@@ -24,6 +24,7 @@ from degelab.analysis import (
     verify_marcinkiewicz_lemma,
 )
 import degelab.experiments as experiments
+import degelab.solver as solver
 from degelab.cli import EXIT_OK, main
 from degelab.experiments import (
     ALL_CHECKS,
@@ -64,7 +65,12 @@ def csv_body(path: Path) -> list[str]:
             if not line.startswith("#")]
 
 
-def plain_csv_body(saved: list[dict]) -> list[str]:
+def csv_text(path: Path) -> str:
+    """records.csv without its timestamp line, newlines and all."""
+    return path.read_bytes().decode().split("\n", 1)[1]
+
+
+def plain_csv_text(saved: list[dict]) -> str:
     """records.csv body by the plain rule: csv.writer over _fmt of every cell."""
     text = io.StringIO()
     writer = csv.writer(text, lineterminator="\n")
@@ -73,7 +79,15 @@ def plain_csv_body(saved: list[dict]) -> list[str]:
         for row in rec["rows"]:
             cells = {**rec["cells"], **row}
             writer.writerow([_fmt(cells[col]) for col in CSV_COLUMNS])
-    return text.getvalue().splitlines()
+    return text.getvalue()
+
+
+def output_files(out: Path) -> dict[str, bytes]:
+    """Every file under out, records.csv without its timestamp line."""
+    files = {str(path.relative_to(out)): path.read_bytes()
+             for path in out.rglob("*") if path.is_file()}
+    files["records.csv"] = files["records.csv"].split(b"\n", 1)[1]
+    return files
 
 
 class TestRunSingle:
@@ -352,9 +366,19 @@ class TestEmission:
         for recs in (records, []):
             save_records(recs, path)
             saved = load_records(path)
-            plain = plain_csv_body(saved)
-            assert csv_body(emit_outputs(recs, tmp_path / "fresh")["csv"]) == plain
-            assert csv_body(emit_from_saved(saved, tmp_path / "saved")["csv"]) == plain
+            plain = plain_csv_text(saved)
+            assert csv_text(emit_outputs(recs, tmp_path / "fresh")["csv"]) == plain
+            assert csv_text(emit_from_saved(saved, tmp_path / "saved")["csv"]) == plain
+        # check names no checker writes, holding every character csv may
+        # quote, in the shared cells too
+        save_records(records[:1], path)
+        (rec,) = load_records(path)
+        names = ["a,b", 'say "hi"', "two\nlines", "carriage\rreturn", ',"\n\r', '"', ""]
+        synthetic = [{**rec, "rows": [{**rec["rows"][0], "check_name": name}
+                                      for name in names]},
+                     {**rec, "cells": {**rec["cells"], "run_id": 'run,"1"\n'}}]
+        assert csv_text(emit_from_saved(synthetic, tmp_path / "synthetic")["csv"]) == \
+            plain_csv_text(synthetic)
         body = csv_body(emit_outputs(records, tmp_path / "fresh")["csv"])
         assert any(',"lemma_estimate(p=0.5,m=1)",' in line for line in body)
         assert any(",solve_failed,inf,nan,nan,false,nan,nan,nan" in line for line in body)
@@ -373,6 +397,89 @@ class TestEmission:
             assert all(set(row) == set(ROW_COLUMNS) for row in payload["rows"])
         save_records([], path)
         assert load_records(path) == []
+
+    def test_rewrite_in_place_leaves_no_stale_bytes(self, tmp_path):
+        # a 36-point sweep, then a 4-point one with shorter numbers (a zero
+        # datum) into the same directory: every file the second writes is
+        # shorter, and each must equal the same emission into a fresh one
+        large = SweepSpec(base=power_spec(1.0, 2.0, 1.0, ConstantDatum(1.7)),
+                          mesh=MeshSpec(32), axes=TestSweep.GAMMA_P_M)
+        small = SweepSpec(base=power_spec(1.0, 2.0, 1.0, ConstantDatum(0.0)),
+                          mesh=MeshSpec(16), axes={"p": (1.0, 2.0), "m": (1.0, 2.0)})
+        used, fresh = tmp_path / "used", tmp_path / "fresh"
+        records = run_sweep(large)
+        emit_outputs(records, used)
+        save_records(records, used / "records.json")
+        before = output_files(used)
+        records = run_sweep(small)
+        for out in (used, fresh):
+            emit_outputs(records, out)
+            save_records(records, out / "records.json")
+        after = output_files(used)
+        assert set(after) == {"records.csv", "records.json", "summary.md"} | {
+            f"plotdata/run_{i:04d}_{s}.dat" for i in range(4) for s in ("u", "grad")}
+        assert all(len(body) < len(before[name]) for name, body in after.items())
+        assert after == output_files(fresh)
+
+    def test_equal_distributions_share_one_rendered_body(self, tmp_path, monkeypatch):
+        # records loaded from JSON carry equal distributions as separate
+        # lists; each distinct one is rendered once, and a distribution
+        # that differs only in the sign of a zero gets its own body
+        path = tmp_path / "records.json"
+        save_records(run_sweep(canonical_sweep(M=32))[:1], path)
+        (rec,) = load_records(path)
+        ks, mus = rec["dist_u"]
+        zero = mus.index(0.0)
+        signed = [ks, [*mus[:zero], -0.0, *mus[zero + 1:]]]
+        moved = [[*ks[:-1], ks[-1] * 2.0], mus]
+        saved = [{**rec, "cells": {**rec["cells"], "run_id": f"run_{i:04d}"}, "dist_u": dist}
+                 for i, dist in enumerate(json.loads(json.dumps(
+                     [rec["dist_u"], rec["dist_u"], signed, moved])))]
+        rendered = []
+        original = experiments._plot_body
+        monkeypatch.setattr(experiments, "_plot_body",
+                            lambda ks, mus: rendered.append(1) or original(ks, mus))
+        plotdir = emit_from_saved(saved, tmp_path / "out")["plotdata"]
+        assert len(rendered) == 4  # three distinct u curves, one grad curve
+        bodies = {f"{i}_{s}": (plotdir / f"run_{i:04d}_{s}.dat").read_text()
+                  for i in range(4) for s in ("u", "grad")}
+        for i, record in enumerate(saved):
+            for s in ("u", "grad"):
+                assert bodies[f"{i}_{s}"] == original(*record[f"dist_{s}"])
+        assert bodies["0_u"] == bodies["1_u"]
+        assert len({bodies["0_u"], bodies["2_u"], bodies["3_u"]}) == 3
+        assert " -0\n" in bodies["2_u"]
+
+    @pytest.mark.parametrize("case", ["point_not_built", "solver_raised"])
+    def test_failed_point_is_unconverged_not_clipping(self, case, tmp_path, monkeypatch):
+        # a point that raised has no level that clipped: only converged is
+        # false, and the exception is kept in records.json
+        if case == "point_not_built":  # the delta axis needs a radial power datum
+            (rec,) = run_sweep(SweepSpec(base=power_spec(0.5, 1.0, 1.0, ConstantDatum(1.0)),
+                                         mesh=MeshSpec(32), axes={"delta": (0.5,)}))
+            failure = "ValueError: axis 'delta' requires a radial power datum"
+        else:
+            def singular(*args):
+                raise np.linalg.LinAlgError("singular matrix")
+
+            monkeypatch.setattr(solver, "tridiag_solve", singular)
+            rec = run_single(power_spec(0.5, 1.0, 1.0, ConstantDatum(1.0)), MeshSpec(32), CFG)
+            failure = "LinAlgError: singular matrix"
+        assert (rec.converged, rec.truncation_active, rec.hit_iteration_cap,
+                rec.n_final, rec.failure) == (False, False, False, 0, failure)
+        paths = emit_outputs([rec], tmp_path)
+        save_records([rec], tmp_path / "records.json")
+        (row,) = csv.DictReader(csv_body(paths["csv"]))
+        assert {key: row[key] for key in ("run_id", "M", "n_final", "converged",
+                                          "truncation_active", "hit_iteration_cap",
+                                          "check_name", "lhs", "passed")} == {
+            "run_id": "run_0000", "M": "32", "n_final": "0", "converged": "false",
+            "truncation_active": "false", "hit_iteration_cap": "false",
+            "check_name": "solve_failed", "lhs": "inf", "passed": "false"}
+        summary = paths["summary"].read_text().splitlines()
+        assert summary[-1] == ("| run_0000 | 0.5 | 1 | 1 | 3 | nan | 32 | false | false "
+                               "| false | 0 | 0 |")
+        assert load_records(tmp_path / "records.json")[0]["failure"] == failure
 
     def test_failed_run_still_emits_row(self, tmp_path):
         sweep = SweepSpec(base=power_spec(0.5, 1.0, 1.0), mesh=MeshSpec(32),
