@@ -1,6 +1,6 @@
 """Radial finite-difference laboratory for degenerate-coercivity problems.
 
-Solves -div(a(r,u) grad u) + g(u) = f on the N-dimensional ball with a
+Solves -div(a(u) grad u) + g(u) = f on the N-dimensional ball with a
 diffusion coefficient that decays like (1+|u|)^(-gamma), via truncation
 continuation, and checks the a-priori estimates, entropy inequalities and
 weak-Lebesgue tail predictions the discrete solutions must satisfy.

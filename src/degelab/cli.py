@@ -43,7 +43,6 @@ from .experiments import (
 )
 from .grid import read_grid_function, write_grid_function
 from .problem import (
-    BumpDatum,
     CoefficientSpec,
     ConstantDatum,
     DatumSpec,
@@ -65,7 +64,7 @@ EXIT_CONFIG = 3
 
 _KNOWN_KEYS = {
     "problem": {"N", "R", "gamma", "alpha", "beta", "p", "sigma", "datum",
-                "amplitude", "delta", "center", "width", "m"},
+                "amplitude", "delta", "m"},
     "mesh": {"M", "grading"},
     "solver": {"picard_max", "newton_tol", "n_max", "face_scheme", "eps_p",
                "singular_margin"},
@@ -106,6 +105,9 @@ def _get(parser, section, key, cast, default, errors, positive=False):
     except ValueError:
         errors.append(f"[{section}] {key}: cannot parse {raw!r}")
         return default
+    if isinstance(val, float) and not math.isfinite(val):
+        errors.append(f"[{section}] {key}: must be finite, got {val}")
+        return default
     if positive and not (val > 0):
         errors.append(f"[{section}] {key}: must be positive, got {val}")
         return default
@@ -113,7 +115,10 @@ def _get(parser, section, key, cast, default, errors, positive=False):
 
 
 def _float_list(raw: str) -> tuple[float, ...]:
-    return tuple(float(tok) for tok in raw.replace(",", " ").split())
+    vals = tuple(float(tok) for tok in raw.replace(",", " ").split())
+    if not all(map(math.isfinite, vals)):
+        raise ValueError(f"non-finite value in {raw!r}")
+    return vals
 
 
 def parse_config(text: str) -> Config:
@@ -149,8 +154,6 @@ def parse_config(text: str) -> Config:
     datum_kind = _get(parser, pr, "datum", str, "constant", errors)
     amplitude = _get(parser, pr, "amplitude", float, 1.0, errors)
     delta = _get(parser, pr, "delta", float, None, errors)
-    center = _get(parser, pr, "center", float, 0.5, errors)
-    width = _get(parser, pr, "width", float, 0.1, errors)
     m = _get(parser, pr, "m", float, 1.0, errors)
 
     if N < 3:
@@ -172,26 +175,17 @@ def parse_config(text: str) -> Config:
         errors.append(f"[problem] m: Lebesgue class must be >= 1, got {m}")
 
     datum_kind = datum_kind.strip().lower()
-    family = None
-    if datum_kind == "constant":
-        family = ConstantDatum(amplitude)
-    elif datum_kind in ("radial_power", "radialpower"):
+    radial_power = datum_kind in ("radial_power", "radialpower")
+    if radial_power:
         if delta is None:
             errors.append("[problem] datum=radial_power requires delta")
         elif not (delta > 0):
             errors.append(f"[problem] delta: must be positive, got {delta}")
-        else:
-            family = RadialPowerDatum(amplitude, delta)
-            if delta * m >= N:
-                errors.append(
-                    f"[problem] datum r^(-{delta}) is not in L^{m} of the "
-                    f"{N}-ball (needs delta*m < N)")
-    elif datum_kind == "bump":
-        if width <= 0:
-            errors.append(f"[problem] width: must be positive, got {width}")
-        else:
-            family = BumpDatum(amplitude, center, width)
-    else:
+        elif delta * m >= N:
+            errors.append(
+                f"[problem] datum r^(-{delta}) is not in L^{m} of the "
+                f"{N}-ball (needs delta*m < N)")
+    elif datum_kind != "constant":
         errors.append(f"[problem] datum: unknown family {datum_kind!r}")
 
     if sigma is not None and amplitude < 0:
@@ -250,9 +244,15 @@ def parse_config(text: str) -> Config:
                     axes[key] = _float_list(parser.get("sweep", key))
                 except ValueError:
                     errors.append(f"[sweep] {key}: cannot parse value list")
+    for key in ("M", "N"):
+        bad = [val for val in axes.get(key, ()) if not val.is_integer()]
+        if bad:
+            errors.append(f"[sweep] {key}: every value must be an integer, got {bad}")
 
-    mms_cells = _get(parser, "mms", "M_list", lambda s: tuple(
-        int(tok) for tok in _float_list(s)), (64, 128, 256), errors)
+    mms_cells = _get(parser, "mms", "M_list", _float_list, (64.0, 128.0, 256.0), errors)
+    bad = [cells for cells in mms_cells if not (cells.is_integer() and cells >= 8)]
+    if bad:
+        errors.append(f"[mms] M_list: every cell count must be an integer >= 8, got {bad}")
     mms_amplitude = _get(parser, "mms", "amplitude", float, 1.0, errors)
 
     if errors:
@@ -264,6 +264,7 @@ def parse_config(text: str) -> Config:
     elif sigma is not None:
         lower = SingularAbsorption(sigma)
 
+    family = RadialPowerDatum(amplitude, delta) if radial_power else ConstantDatum(amplitude)
     try:
         problem = ProblemSpec(
             dimension=N, radius=R,
@@ -280,7 +281,8 @@ def parse_config(text: str) -> Config:
     return Config(problem=problem, mesh=MeshSpec(M, grading), solver=solver,
                   checks=enabled, settings=settings, output_dir=output_dir,
                   sweep_axes=axes,
-                  mms_cells=mms_cells, mms_amplitude=mms_amplitude)
+                  mms_cells=tuple(int(cells) for cells in mms_cells),
+                  mms_amplitude=mms_amplitude)
 
 
 def _print_reports(record) -> None:

@@ -2,15 +2,19 @@
 
 The equation under study is
 
-    -div(a(r, u) grad u) + g(u) = f   on the ball of radius R in R^N,
-    u = 0                             on the boundary,
+    -div(a(u) grad u) + g(u) = f   on the ball of radius R in R^N,
+    u = 0                          on the boundary,
 
-with a diffusion coefficient a(r, s) = b(r) * alpha / (1 + |s|)^gamma that
-loses ellipticity as |s| grows, an optional absorption term g (a power
-|s|^(p-1) s or a singular barrier s/(sigma - s)), and a radial datum f
-claimed to lie in L^m.  Which function space the solution lands in is
-decided by (gamma, p, m) alone; :func:`classify_regime` encodes the case
-boundaries.
+with the diffusion coefficient a(s) = alpha / (1 + |s|)^gamma, which
+loses ellipticity as |s| grows and is the sharp case of the paper's
+alpha/(1+|s|)^gamma <= a(x, s) <= beta; an optional absorption term g (a
+power |s|^(p-1) s or a singular barrier s/(sigma - s)); and a radial
+datum f, constant or a radial power, claimed to lie in L^m.  Which
+function space the solution lands in is decided by (gamma, p, m) alone;
+:func:`classify_regime` encodes the case boundaries.
+
+Every spec is plain data: each field is a number, a string or another
+spec, so specs compare and hash by value.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Union
+from typing import Union
 
 import numpy as np
 
@@ -32,7 +36,6 @@ __all__ = [
     "LowerOrderTerm",
     "ConstantDatum",
     "RadialPowerDatum",
-    "BumpDatum",
     "DatumFamily",
     "DatumSpec",
     "ProblemSpec",
@@ -53,44 +56,31 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CoefficientSpec:
-    """Degenerate diffusion coefficient family.
+    """Degenerate diffusion coefficient a(s) = alpha / (1 + |s|)^gamma.
 
-    ``alpha`` is the ellipticity floor, ``beta`` the global upper bound and
-    ``gamma`` the degeneracy exponent.  An optional bounded radial factor
-    b(r) with declared bounds 1 <= b_min <= b(r) <= b_max may scale the
-    sharp profile; the declared bounds keep alpha/(1+|s|)^gamma <= a <= beta
-    checkable.
+    ``alpha`` is the ellipticity floor and ``gamma`` the degeneracy
+    exponent.  ``beta`` is the paper's upper bound a <= beta; since
+    a <= alpha <= beta, this family always meets it.
     """
 
     alpha: float
     beta: float
     gamma: float
-    spatial_factor: Callable[[np.ndarray], np.ndarray] | None = None
-    spatial_bounds: tuple[float, float] = (1.0, 1.0)
 
     def __post_init__(self):
-        if not (self.alpha > 0):
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
-        if not (self.beta > 0):
-            raise ValueError(f"beta must be positive, got {self.beta}")
-        if self.gamma < 0:
-            raise ValueError(f"gamma must be nonnegative, got {self.gamma}")
+        if not (0 < self.alpha < math.inf):
+            raise ValueError(f"alpha must be finite and positive, got {self.alpha}")
+        if not (0 < self.beta < math.inf):
+            raise ValueError(f"beta must be finite and positive, got {self.beta}")
+        if not (0 <= self.gamma < math.inf):
+            raise ValueError(f"gamma must be finite and nonnegative, got {self.gamma}")
         if self.alpha > self.beta:
             raise ValueError(f"alpha={self.alpha} must not exceed beta={self.beta}")
-        b_min, b_max = self.spatial_bounds
-        if self.spatial_factor is not None:
-            if not (1.0 <= b_min <= b_max):
-                raise ValueError("spatial factor bounds must satisfy 1 <= b_min <= b_max")
-            if self.alpha * b_max > self.beta * (1 + 1e-12):
-                raise ValueError("alpha * b_max must not exceed beta")
 
 
-def coefficient_eval(spec: CoefficientSpec, r, s):
-    """Evaluate a(r, s); accepts scalars or arrays elementwise."""
-    base = spec.alpha / (1.0 + np.abs(s)) ** spec.gamma
-    if spec.spatial_factor is not None:
-        base = base * spec.spatial_factor(np.asarray(r, dtype=float))
-    return base
+def coefficient_eval(spec: CoefficientSpec, s):
+    """Evaluate a(s); accepts scalars or arrays elementwise."""
+    return spec.alpha / (1.0 + np.abs(s)) ** spec.gamma
 
 
 @dataclass(frozen=True)
@@ -174,20 +164,7 @@ class RadialPowerDatum:
             raise ValueError(f"delta must be positive, got {self.delta}")
 
 
-@dataclass(frozen=True)
-class BumpDatum:
-    """Gaussian shell f(r) = amplitude * exp(-((r - center)/width)^2)."""
-
-    amplitude: float
-    center: float
-    width: float
-
-    def __post_init__(self):
-        if not (self.width > 0):
-            raise ValueError(f"width must be positive, got {self.width}")
-
-
-DatumFamily = Union[ConstantDatum, RadialPowerDatum, BumpDatum]
+DatumFamily = Union[ConstantDatum, RadialPowerDatum]
 
 
 @dataclass(frozen=True)
@@ -200,6 +177,8 @@ class DatumSpec:
     def __post_init__(self):
         if not (self.m >= 1):
             raise ValueError(f"Lebesgue class m must be >= 1, got {self.m}")
+        if not math.isfinite(self.amplitude):
+            raise ValueError(f"datum amplitude must be finite, got {self.amplitude}")
 
     @property
     def amplitude(self) -> float:
@@ -219,19 +198,13 @@ def datum_eval(spec: DatumSpec, r):
                 "evaluate at cell centers only (r > 0)"
             )
         out = fam.amplitude * r ** (-fam.delta)
-    elif isinstance(fam, BumpDatum):
-        out = fam.amplitude * np.exp(-(((r - fam.center) / fam.width) ** 2))
     else:
         raise TypeError(f"unknown datum family {fam!r}")
     return out if out.ndim else float(out)
 
 
 def datum_norm_exact(spec: DatumSpec, m: float, N: int, R: float) -> float:
-    """Exact integral of |f|^m over the ball, or inf when it diverges.
-
-    Closed forms for the constant and radial power families; the bump
-    family falls back to adaptive quadrature of the radial profile.
-    """
+    """Exact integral of |f|^m over the ball, or inf when it diverges."""
     if not (m >= 1):
         raise ValueError(f"m must be >= 1, got {m}")
     omega = sphere_surface(N)
@@ -243,16 +216,6 @@ def datum_norm_exact(spec: DatumSpec, m: float, N: int, R: float) -> float:
             return math.inf
         power = N - fam.delta * m
         return abs(fam.amplitude) ** m * omega * R**power / power
-    if isinstance(fam, BumpDatum):
-        # scipy.integrate loads here, not at import: only this branch needs it
-        from scipy.integrate import quad
-
-        val, _ = quad(
-            lambda r: abs(fam.amplitude * math.exp(-(((r - fam.center) / fam.width) ** 2))) ** m
-            * r ** (N - 1),
-            0.0, R, limit=200,
-        )
-        return omega * val
     raise TypeError(f"unknown datum family {fam!r}")
 
 
@@ -269,8 +232,8 @@ class ProblemSpec:
     def __post_init__(self):
         if int(self.dimension) != self.dimension or self.dimension < 3:
             raise ValueError(f"dimension must be an integer >= 3, got {self.dimension}")
-        if not (self.radius > 0):
-            raise ValueError(f"radius must be positive, got {self.radius}")
+        if not (0 < self.radius < math.inf):
+            raise ValueError(f"radius must be finite and positive, got {self.radius}")
         if isinstance(self.lower, SingularAbsorption) and self.datum.amplitude < 0:
             raise ValueError("singular absorption requires a nonnegative datum")
 

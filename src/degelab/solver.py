@@ -197,22 +197,20 @@ def face_upwind_values(grid: RadialGrid, values: np.ndarray) -> np.ndarray:
 def face_coefficients(grid: RadialGrid, coeff: CoefficientSpec, u_frozen: np.ndarray,
                       n: int | None, scheme: str = "upwind") -> np.ndarray:
     """Diffusion coefficient at every face, frozen at u and clipped at n."""
-    faces = grid.faces
-
     def clipped(vals):
         return np.clip(vals, -n, n) if n is not None else vals
 
     if scheme == "upwind":
-        return coefficient_eval(coeff, faces, clipped(face_upwind_values(grid, u_frozen)))
+        return coefficient_eval(coeff, clipped(face_upwind_values(grid, u_frozen)))
     if scheme == "arithmetic":
         a = np.empty(grid.M + 1)
-        a[0] = coefficient_eval(coeff, faces[0], clipped(u_frozen[0]))
-        left = coefficient_eval(coeff, faces[1:grid.M], clipped(u_frozen[:-1]))
-        right = coefficient_eval(coeff, faces[1:grid.M], clipped(u_frozen[1:]))
+        a[0] = coefficient_eval(coeff, clipped(u_frozen[0]))
+        left = coefficient_eval(coeff, clipped(u_frozen[:-1]))
+        right = coefficient_eval(coeff, clipped(u_frozen[1:]))
         a[1:grid.M] = 0.5 * (left + right)
         a[grid.M] = 0.5 * (
-            coefficient_eval(coeff, faces[grid.M], clipped(u_frozen[-1]))
-            + coefficient_eval(coeff, faces[grid.M], 0.0)
+            coefficient_eval(coeff, clipped(u_frozen[-1]))
+            + coefficient_eval(coeff, 0.0)
         )
         return a
     raise ValueError(f"unknown face scheme {scheme!r}")
@@ -320,8 +318,8 @@ def _face_log_slopes(grid: RadialGrid, coeff: CoefficientSpec, u: np.ndarray, n:
         left[M] = rate[-1]
     else:
         clipped = np.clip(u, -n, n)
-        a_left = coefficient_eval(coeff, grid.faces[1:], clipped)
-        a_right = coefficient_eval(coeff, grid.faces[1:], np.append(clipped[1:], 0.0))
+        a_left = coefficient_eval(coeff, clipped)
+        a_right = coefficient_eval(coeff, np.append(clipped[1:], 0.0))
         total = a_left + a_right
         left[1:] = a_left / total * rate
         right[1:M] = (a_right / total)[:-1] * rate[1:]

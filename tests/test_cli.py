@@ -27,9 +27,9 @@ import degelab.experiments as experiments
 from degelab.experiments import CheckSettings
 from degelab.grid import build_radial_grid
 from degelab.problem import (
-    BumpDatum,
     DatumSpec,
     PowerAbsorption,
+    RadialPowerDatum,
     SingularAbsorption,
     datum_norm_exact,
 )
@@ -378,6 +378,53 @@ class TestMain:
         assert "unknown key 'picard_tol' in section [solver]" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("text,violation", [
+        ("datum = bump", "[problem] datum: unknown family 'bump'"),
+        ("center = 0.5", "unknown key 'center' in section [problem]"),
+        ("width = 0.1", "unknown key 'width' in section [problem]"),
+    ], ids=["datum", "center", "width"])
+    def test_removed_bump_datum_rejected(self, tmp_path, capsys, text, violation):
+        conf, out = write_config(tmp_path, f"[problem]\np = 2.0\n{text}\n")
+        assert main(["solve", str(conf)]) == EXIT_CONFIG
+        assert f"config error: {violation}\n" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,text,violation", [
+        # numpy gives 1**nan = 1: a nan gamma solved as gamma = 0 and exited 0
+        ("solve", "gamma = nan", "[problem] gamma: must be finite, got nan"),
+        ("solve", "R = inf", "[problem] R: must be finite, got inf"),
+        ("solve", "amplitude = nan", "[problem] amplitude: must be finite, got nan"),
+        ("solve", "amplitude = inf", "[problem] amplitude: must be finite, got inf"),
+        # an infinite alpha solved to a nan residual that counted as converged
+        ("solve", "alpha = inf", "[problem] alpha: must be finite, got inf"),
+        # an infinite tolerance passed every check
+        ("solve", "[checks]\ntolerance = inf", "[checks] tolerance: must be finite, got inf"),
+        ("solve", "[checks]\nlambdas = 2, nan", "[checks] lambdas: cannot parse '2, nan'"),
+        ("sweep", "[sweep]\ngamma = 0, inf", "[sweep] gamma: cannot parse value list"),
+        ("mms", "[mms]\namplitude = nan", "[mms] amplitude: must be finite, got nan"),
+    ], ids=["gamma", "R", "amplitude-nan", "amplitude-inf", "alpha", "tolerance", "lambdas",
+            "sweep-gamma", "mms-amplitude"])
+    def test_non_finite_value_rejected(self, tmp_path, capsys, command, text, violation):
+        conf, out = write_config(tmp_path, f"[problem]\np = 2.0\n{text}\n")
+        assert main([command, str(conf)]) == EXIT_CONFIG
+        assert f"config error: {violation}\n" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,text,violation", [
+        ("mms", "[mms]\nM_list = 4 8",
+         "[mms] M_list: every cell count must be an integer >= 8, got [4.0]"),
+        ("mms", "[mms]\nM_list = 64.7 128",
+         "[mms] M_list: every cell count must be an integer >= 8, got [64.7]"),
+        ("sweep", "[sweep]\nM = 64.7, 32",
+         "[sweep] M: every value must be an integer, got [64.7]"),
+        ("sweep", "[sweep]\nN = 3.5", "[sweep] N: every value must be an integer, got [3.5]"),
+    ], ids=["M_list-below-8", "M_list-fraction", "sweep-M", "sweep-N"])
+    def test_non_integer_counts_rejected(self, tmp_path, capsys, command, text, violation):
+        conf, out = write_config(tmp_path, MINIMAL + f"\n{text}\n")
+        assert main([command, str(conf)]) == EXIT_CONFIG
+        assert f"config error: {violation}\n" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_config_errors_reported(self, tmp_path, capsys):
         path = tmp_path / "bad.ini"
         path.write_text("[problem]\nN = 2\n")
@@ -479,8 +526,8 @@ import sys
 import degelab.cli
 import degelab.solver
 from degelab.grid import build_radial_grid
-from degelab.problem import (BumpDatum, CoefficientSpec, ConstantDatum, DatumSpec,
-                             PowerAbsorption, ProblemSpec, datum_norm_exact)
+from degelab.problem import (CoefficientSpec, ConstantDatum, DatumSpec, PowerAbsorption,
+                             ProblemSpec, RadialPowerDatum, datum_norm_exact)
 spec = ProblemSpec(3, 1.0, CoefficientSpec(1.0, 1.0, 1.0), PowerAbsorption(1.0),
                    DatumSpec(ConstantDatum(5.0), 1.0))
 def solve():
@@ -491,7 +538,7 @@ print(solve())
 print(sorted(m for m in ("scipy.optimize", "scipy.integrate") if m in sys.modules))
 print(sorted(m for m in sys.modules if m.split(".")[:2] == ["scipy", "linalg"]))
 print(build_radial_grid(3, 1.0, 64, grading=2.0).faces.tobytes().hex())
-print(repr(datum_norm_exact(DatumSpec(BumpDatum(2.0, 0.5, 0.2), 1.5), 1.5, 3, 1.0)))
+print(repr(datum_norm_exact(DatumSpec(RadialPowerDatum(2.0, 0.5), 1.5), 1.5, 3, 1.0)))
 print(sorted(m for m in ("scipy.optimize", "scipy.integrate") if m in sys.modules))
 print(sys.modules["scipy.linalg.lapack"].dgtsv is degelab.solver.dgtsv)
 print(solve())
@@ -510,9 +557,10 @@ print(solve())
         # the solver loads LAPACK's extension by file, not scipy.linalg
         assert linalg == "['scipy.linalg._flapack']"
         assert faces == build_radial_grid(3, 1.0, 64, grading=2.0).faces.tobytes().hex()
-        assert norm == repr(datum_norm_exact(DatumSpec(BumpDatum(2.0, 0.5, 0.2), 1.5),
+        assert norm == repr(datum_norm_exact(DatumSpec(RadialPowerDatum(2.0, 0.5), 1.5),
                                              1.5, 3, 1.0))
-        assert after == "['scipy.integrate', 'scipy.optimize']"
+        # the graded mesh loaded the root finder; no exact norm needs quadrature
+        assert after == "['scipy.optimize']"
         # scipy.linalg, loaded later by the root finder, reuses that module
         assert same_dgtsv == "True"
         assert resolved == solved

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import typing
 
 import numpy as np
 import pytest
@@ -8,11 +10,12 @@ from hypothesis import strategies as st
 from degelab.grid import build_radial_grid, grid_function
 from degelab.problem import (
     BoundedRegimeError,
-    BumpDatum,
     CoefficientSpec,
     ConstantDatum,
+    DatumFamily,
     DatumSpec,
     GradientSpace,
+    LowerOrderTerm,
     NoAbsorption,
     PowerAbsorption,
     ProblemSpec,
@@ -32,43 +35,38 @@ from degelab.problem import (
 class TestCoefficient:
     def test_constant_when_not_degenerate(self):
         spec = CoefficientSpec(1.0, 1.0, 0.0)
-        assert coefficient_eval(spec, 0.7, 5.0) == 1.0
+        assert coefficient_eval(spec, 5.0) == 1.0
 
     def test_degenerate_value(self):
         spec = CoefficientSpec(1.0, 1.0, 1.0)
-        assert coefficient_eval(spec, 0.5, 3.0) == pytest.approx(0.25, rel=1e-14)
+        assert coefficient_eval(spec, 3.0) == pytest.approx(0.25, rel=1e-14)
 
     def test_zero_state_gives_alpha(self):
         spec = CoefficientSpec(2.0, 2.0, 0.5)
-        assert coefficient_eval(spec, 0.1, 0.0) == 2.0
+        assert coefficient_eval(spec, 0.0) == 2.0
 
     def test_validation(self):
         with pytest.raises(ValueError):
             CoefficientSpec(2.0, 1.0, 0.5)  # alpha > beta
         with pytest.raises(ValueError):
             CoefficientSpec(1.0, 1.0, -0.1)
-        with pytest.raises(ValueError):
-            CoefficientSpec(1.0, 1.0, 0.5, spatial_factor=lambda r: r,
-                            spatial_bounds=(0.5, 1.0))
 
-    def test_scaled_form(self):
-        spec = CoefficientSpec(1.0, 3.0, 1.0, spatial_factor=lambda r: 1.0 + r,
-                               spatial_bounds=(1.0, 2.0))
-        assert coefficient_eval(spec, 1.0, 0.0) == pytest.approx(2.0)
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_values_rejected(self, value):
+        # numpy gives 1**nan = 1, so a nan gamma would solve as gamma = 0
+        with pytest.raises(ValueError, match="gamma must be finite"):
+            CoefficientSpec(1.0, 1.0, value)
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            CoefficientSpec(value, value, 1.0)
+        with pytest.raises(ValueError, match="beta must be finite"):
+            CoefficientSpec(1.0, value, 1.0)
 
     @settings(max_examples=100, deadline=None)
     @given(alpha=st.floats(0.1, 5.0), extra=st.floats(0.0, 5.0),
-           gamma=st.floats(0.0, 2.0), r=st.floats(0.0, 10.0),
-           s=st.floats(-1e4, 1e4), use_factor=st.booleans())
-    def test_bounds_hold_everywhere(self, alpha, extra, gamma, r, s, use_factor):
-        if use_factor:
-            beta = 2.0 * alpha + extra
-            spec = CoefficientSpec(alpha, beta, gamma,
-                                   spatial_factor=lambda rr: 1.5 + 0.5 * np.cos(rr),
-                                   spatial_bounds=(1.0, 2.0))
-        else:
-            spec = CoefficientSpec(alpha, alpha + extra, gamma)
-        val = coefficient_eval(spec, r, s)
+           gamma=st.floats(0.0, 2.0), s=st.floats(-1e4, 1e4))
+    def test_bounds_hold_everywhere(self, alpha, extra, gamma, s):
+        spec = CoefficientSpec(alpha, alpha + extra, gamma)
+        val = coefficient_eval(spec, s)
         floor = alpha / (1.0 + abs(s)) ** gamma
         assert floor * (1 - 1e-12) <= val <= spec.beta * (1 + 1e-12)
 
@@ -132,6 +130,13 @@ class TestDatum:
         assert datum_eval(DatumSpec(RadialPowerDatum(1.0, 1.0)), 0.5) == pytest.approx(2.0)
         assert datum_eval(DatumSpec(RadialPowerDatum(2.0, 0.5)), 0.25) == pytest.approx(4.0)
 
+    @pytest.mark.parametrize("amplitude", [math.nan, math.inf, -math.inf])
+    def test_non_finite_amplitude_rejected(self, amplitude):
+        with pytest.raises(ValueError, match="amplitude must be finite"):
+            DatumSpec(ConstantDatum(amplitude))
+        with pytest.raises(ValueError, match="amplitude must be finite"):
+            DatumSpec(RadialPowerDatum(amplitude, 1.0), 1.0)
+
     def test_singular_origin_rejected(self):
         with pytest.raises(ValueError, match="cell centers"):
             datum_eval(DatumSpec(RadialPowerDatum(1.0, 1.0)), 0.0)
@@ -152,7 +157,6 @@ class TestDatum:
         (ConstantDatum(2.5), 1.0),
         (RadialPowerDatum(1.0, 1.0), 2.0),
         (RadialPowerDatum(3.0, 2.0), 1.0),
-        (BumpDatum(2.0, 0.5, 0.2), 1.5),
     ])
     def test_norm_matches_grid_quadrature(self, family, m):
         spec = DatumSpec(family, m)
@@ -168,10 +172,44 @@ class TestProblemSpec:
         with pytest.raises(ValueError, match=">= 3"):
             ProblemSpec(2, 1.0, CoefficientSpec(1.0, 1.0, 0.5))
 
+    @pytest.mark.parametrize("radius", [math.nan, math.inf])
+    def test_non_finite_radius_rejected(self, radius):
+        with pytest.raises(ValueError, match="radius must be finite"):
+            ProblemSpec(3, radius, CoefficientSpec(1.0, 1.0, 0.5))
+
     def test_singular_requires_nonnegative_datum(self):
         with pytest.raises(ValueError, match="nonnegative"):
             ProblemSpec(3, 1.0, CoefficientSpec(1.0, 1.0, 0.5),
                         SingularAbsorption(1.0), DatumSpec(ConstantDatum(-1.0)))
+
+    def test_every_field_is_a_number_a_string_or_a_spec(self):
+        # a spec is plain data, so it can be stored, compared and hashed
+        todo = [ProblemSpec, *typing.get_args(LowerOrderTerm), *typing.get_args(DatumFamily)]
+        seen = set()
+        while todo:
+            cls = todo.pop()
+            if cls in seen:
+                continue
+            seen.add(cls)
+            for name, hint in typing.get_type_hints(cls).items():
+                union = typing.get_origin(hint) is typing.Union
+                for member in typing.get_args(hint) if union else (hint,):
+                    if member in (int, float, str):
+                        continue
+                    assert dataclasses.is_dataclass(member), f"{cls.__name__}.{name}: {hint}"
+                    assert member.__dataclass_params__.frozen, member
+                    todo.append(member)
+        assert {CoefficientSpec, DatumSpec, NoAbsorption, ConstantDatum} <= seen
+
+    def test_equal_specs_compare_and_hash_equal(self):
+        def build():
+            return ProblemSpec(3, 1.0, CoefficientSpec(1.0, 1.0, 1.0), PowerAbsorption(2.0),
+                               DatumSpec(RadialPowerDatum(1.0, 2.0), 1.0))
+
+        first, second = build(), build()
+        assert first is not second
+        assert first == second and hash(first) == hash(second)
+        assert len({first, second, dataclasses.replace(first, radius=2.0)}) == 2
 
 
 class TestClassifyRegime:

@@ -165,13 +165,11 @@ class TestExactJacobian:
     @pytest.mark.parametrize("scaled", [False, True])
     def test_matches_central_differences(self, scheme, gamma, scaled):
         # the frozen part comes from the solver's own g', at two powers p
-        # so that a wrong factor or exponent in g' shows
+        # so that a wrong factor or exponent in g' shows; scaled, alpha = 2
+        # shows a coefficient term off by a factor of alpha
         grid = build_radial_grid(3, 1.0, 24, grading=2.0)
-        if scaled:
-            coeff = CoefficientSpec(1.0, 2.0, gamma, spatial_factor=lambda r: 1.0 + r**2,
-                                    spatial_bounds=(1.0, 2.0))
-        else:
-            coeff = CoefficientSpec(1.0, 1.0, gamma)
+        alpha = 2.0 if scaled else 1.0
+        coeff = CoefficientSpec(alpha, alpha, gamma)
         n, h = 4, 1e-6
         rng = np.random.default_rng(5)
         u = rng.normal(0.0, 3.0, grid.M)
