@@ -3,10 +3,12 @@
 Everything here is a pure function of nodal data and the grid's weights:
 Lebesgue norms, superlevel-set measures, weak-Lebesgue (Marcinkiewicz)
 constants, log-log tail-exponent fits, and one checker per inequality the
-discrete solutions are expected to satisfy.  The checkers reuse the same
-face weights and upwinded face coefficients as the assembly, so on a
-converged solve the inequalities hold up to the nonlinear-solve residual,
-absorbed by the check tolerance (default 1e-4 relative).
+discrete solutions are expected to satisfy.  The checkers reuse the
+assembly's face weights, and the entropy checker the face coefficients of
+the solved discrete problem, so on a converged solve its identity holds up
+to the nonlinear-solve residual, absorbed by the check tolerance (default
+1e-4 relative).  The energy checkers need only the upwind coefficient as a
+lower bound, and no arithmetic face falls below it.
 
 A checker sampled over cutoff levels k clips the field at every level in
 one array and takes all the face gradients at once; each level's sums are
@@ -28,14 +30,14 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .grid import GridFunction, RadialGrid, face_differences, face_gradient
-from .problem import (
-    ProblemSpec,
-    SingularAbsorption,
-    lower_order_eval,
-    lower_order_inverse,
+from .grid import (
+    GridFunction,
+    RadialGrid,
+    face_differences,
+    face_gradient,
+    face_upwind_values,
 )
-from .solver import face_coefficients, face_upwind_values
+from .problem import SingularAbsorption, lower_order_eval, lower_order_inverse
 
 __all__ = [
     "DistributionFunction",
@@ -381,27 +383,27 @@ def _default_phis(u: GridFunction) -> list[tuple[str, np.ndarray]]:
     return out
 
 
-def check_entropy_inequality(u: GridFunction, f: GridFunction, spec: ProblemSpec,
-                             k_levels, tol: float = 1e-4, *,
+def check_entropy_inequality(u: GridFunction, problem, k_levels, tol: float = 1e-4, *,
                              phi_samples=None) -> list[EstimateReport]:
     """Inequalities defining the entropy solution notion, sampled over (phi, k):
 
         sum_f wf a_f grad u . grad T_k(u - phi) + sum w g(u) T_k(u - phi)
-            <= sum w f T_k(u - phi)
+            <= sum w T_n f T_k(u - phi)
 
-    with the same upwinded face coefficients as the assembly, for bounded
-    phi vanishing at the boundary.  ``phi_samples`` holds (label, phi)
-    pairs of GridFunctions (default: zero and two parabolic bumps of half
-    the solution range).  On a converged solve this holds with equality up
-    to the solver residual for every test pair.
+    in the discrete problem ``problem`` (a ``solver.DiscreteProblem``) that
+    u solves: its datum T_n f, its absorption g and its face coefficients
+    a_f at T_n(u), of the scheme the solve used.  The test functions phi
+    are bounded and vanish at the boundary; ``phi_samples`` holds
+    (label, phi) pairs of GridFunctions (default: zero and two parabolic
+    bumps of half the solution range).  On a converged solve this holds
+    with equality up to the solver residual for every test pair.
     """
     grid = u.grid
     wts = grid.weights
-    fv = f.values
-    a_face = face_coefficients(grid, spec.coefficient, u.values, None, "upwind")
+    fv = problem.rhs
     wf = grid.face_weights
-    flux = a_face * face_gradient(u)
-    g_u = lower_order_eval(spec.lower, u.values)
+    flux = problem.faces(u.values) * face_gradient(u)
+    g_u = lower_order_eval(problem.spec.lower, u.values)
     f_l1 = float(np.dot(wts, np.abs(fv)))
 
     samples = (_default_phis(u) if phi_samples is None

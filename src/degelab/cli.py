@@ -25,8 +25,6 @@ import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-import numpy as np
-
 from .experiments import (
     ALL_CHECKS,
     CheckSettings,
@@ -53,7 +51,7 @@ from .problem import (
     SingularAbsorption,
     datum_eval,
 )
-from .solver import FACE_SCHEMES, FIRST_LEVEL, SolverConfig, residual_norm
+from .solver import FACE_SCHEMES, FIRST_LEVEL, DiscreteProblem, SolverConfig
 
 __all__ = ["Config", "ConfigError", "parse_config", "dispatch", "main"]
 
@@ -244,10 +242,12 @@ def parse_config(text: str) -> Config:
                     axes[key] = _float_list(parser.get("sweep", key))
                 except ValueError:
                     errors.append(f"[sweep] {key}: cannot parse value list")
-    for key in ("M", "N"):
-        bad = [val for val in axes.get(key, ()) if not val.is_integer()]
-        if bad:
-            errors.append(f"[sweep] {key}: every value must be an integer, got {bad}")
+    for key, least in (("M", 8), ("N", 3)):  # the [mesh] M and [problem] N bounds
+        vals = axes.get(key, ())
+        for rule, bad in (("an integer", [val for val in vals if not val.is_integer()]),
+                          (f">= {least}", [val for val in vals if val < least])):
+            if bad:
+                errors.append(f"[sweep] {key}: every value must be {rule}, got {bad}")
 
     mms_cells = _get(parser, "mms", "M_list", _float_list, (64.0, 128.0, 256.0), errors)
     bad = [cells for cells in mms_cells if not (cells.is_integer() and cells >= 8)]
@@ -349,9 +349,10 @@ def _cmd_verify(config: Config, out_dir: Path, solution_path: str | None) -> int
 def _verify_solution_file(config: Config, solution_path: str):
     """Audit a stored solution: its residual, its bound, and every checker.
 
-    The residual bound is the solver's own convergence contract,
-    newton_tol * (1 + |T_n f|_inf) at the file's final truncation level n.
-    A file that cannot be read or parsed is reported as a ConfigError.
+    The field is audited against the discrete problem of the config at the
+    file's final truncation level n; the residual bound is that problem's
+    convergence contract, the solver's own.  A file that cannot be read or
+    parsed is reported as a ConfigError.
     """
     try:
         u, extra = read_grid_function(solution_path)
@@ -373,11 +374,10 @@ def _verify_solution_file(config: Config, solution_path: str):
             f"grading={grid.grading}) does not match config "
             f"(N={spec.dimension}, R={spec.radius}, M={config.mesh.cells}, "
             f"grading={config.mesh.grading})"])
-    f_nodal = np.asarray(datum_eval(spec.datum, grid.nodes), dtype=float)
-    residual = residual_norm(grid, spec, u, n_final, scheme=config.solver.face_scheme)
-    bound = config.solver.newton_tol * (
-        1.0 + float(np.max(np.abs(np.clip(f_nodal, -n_final, n_final)))))
-    return residual, bound, run_checks(u, spec, ALL_CHECKS, config.settings)
+    problem = DiscreteProblem(grid, spec, datum_eval(spec.datum, grid.nodes), n_final,
+                              config.solver.face_scheme)
+    return (problem.residual_norm(u.values), problem.tolerance(config.solver.newton_tol),
+            run_checks(u, problem, ALL_CHECKS, config.settings))
 
 
 def _cmd_mms(config: Config, out_dir: Path) -> int:

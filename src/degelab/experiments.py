@@ -54,9 +54,8 @@ from .problem import (
     RegimePrediction,
     SingularAbsorption,
     classify_regime,
-    datum_eval,
 )
-from .solver import SolverConfig, manufactured_rhs, truncation_continuation
+from .solver import DiscreteProblem, SolverConfig, manufactured_rhs, truncation_continuation
 
 __all__ = [
     "MeshSpec",
@@ -160,6 +159,7 @@ class RunRecord:
     duration_s: float
     failure: str | None = None
     solution: GridFunction | None = None  # kept in memory, never serialized
+    discrete: DiscreteProblem | None = None  # the level solved; in memory only
 
     @property
     def all_passed(self) -> bool:
@@ -212,17 +212,19 @@ class CheckResults:
         return _checks_passed(self.reports)
 
 
-def run_checks(u: GridFunction, spec: ProblemSpec, checks: Sequence[str] = ALL_CHECKS,
+def run_checks(u: GridFunction, problem: DiscreteProblem, checks: Sequence[str] = ALL_CHECKS,
                settings: CheckSettings = CheckSettings()) -> CheckResults:
     """Execute every enabled, applicable checker on u and fit its tails.
 
-    Each quantity of the solution is computed once and shared: the
-    distribution functions and tail fits of u and |grad u| feed both the
-    Marcinkiewicz check and the record, and each checker sampled over
-    cutoff levels evaluates all its levels in one array pass.
+    u is audited against ``problem``, the discrete problem it solves, whose
+    datum T_n f every checker reads.  Each quantity of the solution is
+    computed once and shared: the distribution functions and tail fits of u
+    and |grad u| feed both the Marcinkiewicz check and the record, and each
+    checker sampled over cutoff levels evaluates all its levels in one pass.
     """
     grid = u.grid
-    f_nodal = grid_function(grid, lambda r: datum_eval(spec.datum, r))
+    spec = problem.spec
+    f_nodal = GridFunction(grid, problem.rhs)
     df_u = distribution_function(u.values, grid.weights)
     df_g = distribution_function(np.abs(face_gradient(u)), grid.face_weights)
     tail_u, tail_grad = tail_exponent_fit(df_u), tail_exponent_fit(df_g)
@@ -260,7 +262,7 @@ def run_checks(u: GridFunction, spec: ProblemSpec, checks: Sequence[str] = ALL_C
             reports[name] = (check_linfty_bound(u, spec.lower, f_nodal),)
         elif name == "entropy":
             ks = _checker_levels(u_max, ENTROPY_K_COUNT)
-            reports[name] = tuple(check_entropy_inequality(u, f_nodal, spec, ks, tol))
+            reports[name] = tuple(check_entropy_inequality(u, problem, ks, tol))
         elif name == "marcinkiewicz":
             mk_report = verify_marcinkiewicz_lemma(u, settings.tail_tolerance,
                                                    tails=(df_u, tail_u, tail_grad))
@@ -324,7 +326,7 @@ def run_single(spec: ProblemSpec, mesh: MeshSpec, cfg: SolverConfig,
 
     converged = result.flags.converged
     if converged:
-        checked = run_checks(result.u, spec, checks, settings)
+        checked = run_checks(result.u, result.problem, checks, settings)
     else:
         checked = CheckResults(skipped={name: "solver did not converge" for name in checks})
     return RunRecord(
@@ -335,7 +337,7 @@ def run_single(spec: ProblemSpec, mesh: MeshSpec, cfg: SolverConfig,
         picard_iters=result.picard_iters,
         residual_inf=result.residual_inf, prediction=prediction,
         started_at=started, duration_s=time.perf_counter() - t0,
-        solution=result.u if converged else None, **vars(checked),
+        solution=result.u if converged else None, discrete=result.problem, **vars(checked),
     )
 
 
@@ -401,7 +403,7 @@ def _reuse(first: RunRecord, spec: ProblemSpec, run_id: str, started: str,
     reports = first.reports
     if "lemma" in reports:
         u = first.solution
-        f_nodal = grid_function(u.grid, lambda r: datum_eval(spec.datum, r))
+        f_nodal = GridFunction(u.grid, first.discrete.rhs)
         reports = {**reports, "lemma": (check_lemma_estimate(
             u, f_nodal, spec.lower.p, spec.datum.m, tolerance),)}
     return replace(first, run_id=run_id, problem=spec, prediction=_prediction(spec),
@@ -411,10 +413,12 @@ def _reuse(first: RunRecord, spec: ProblemSpec, run_id: str, started: str,
 
 def _sweep_point(sweep: SweepSpec, idx: int, point: dict[str, float],
                  solved: dict[tuple, RunRecord]) -> RunRecord:
-    """Run one point, or reuse the record in ``solved`` of its discrete problem."""
+    """Run one point, or reuse the record in ``solved`` of its discrete problem.
+    A point that raises is recorded under its own spec and mesh, once built."""
     run_id = f"run_{idx:04d}"
     started = datetime.now(timezone.utc).isoformat()
     t0 = time.perf_counter()
+    spec, mesh = sweep.base, sweep.mesh
     try:
         spec, mesh = _apply_axis_point(sweep.base, sweep.mesh, point)
         key = _discrete_problem(spec, mesh)
@@ -424,7 +428,7 @@ def _sweep_point(sweep: SweepSpec, idx: int, point: dict[str, float],
         solved[key] = run_single(spec, mesh, sweep.cfg, sweep.checks, sweep.settings, run_id)
         return solved[key]
     except Exception as err:
-        return _failed_record(run_id, sweep.base, sweep.mesh, sweep.checks, None,
+        return _failed_record(run_id, spec, mesh, sweep.checks, None,
                               started, 0.0, "point construction failed", err)
 
 

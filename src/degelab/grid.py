@@ -21,6 +21,7 @@ __all__ = [
     "build_radial_grid",
     "face_gradient",
     "face_differences",
+    "face_upwind_values",
     "truncate",
     "grid_function",
     "write_grid_function",
@@ -187,6 +188,20 @@ def face_differences(grid: RadialGrid, values: np.ndarray) -> np.ndarray:
     grad[..., 1:M] = (values[..., 1:] - values[..., :-1]) / grid.gaps[1:M]
     grad[..., M] = (0.0 - values[..., -1]) / grid.gaps[M]
     return grad
+
+
+def face_upwind_values(grid: RadialGrid, values: np.ndarray) -> np.ndarray:
+    """Per-face frozen value: the adjacent node of larger magnitude.
+
+    The outer face compares against the ghost value 0, so it always takes
+    the last node; the origin face has no flux and gets the first node.
+    """
+    up = np.empty(grid.M + 1)
+    up[0] = values[0]
+    left, right = values[:-1], values[1:]
+    up[1:grid.M] = np.where(np.abs(right) >= np.abs(left), right, left)
+    up[grid.M] = values[-1]
+    return up
 
 
 def truncate(u: GridFunction, k: float) -> GridFunction:

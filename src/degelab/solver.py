@@ -28,9 +28,8 @@ for convergence studies.
 from __future__ import annotations
 
 import importlib.util
-import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 from pathlib import Path
 from typing import Callable
@@ -38,9 +37,8 @@ from typing import Callable
 import numpy as np
 import scipy
 
-from .grid import GridFunction, RadialGrid
+from .grid import GridFunction, RadialGrid, face_upwind_values
 from .problem import (
-    CoefficientSpec,
     LowerOrderTerm,
     NoAbsorption,
     PowerAbsorption,
@@ -89,18 +87,16 @@ __all__ = [
     "FACE_SCHEMES",
     "SolverConfig",
     "DiscreteOperator",
+    "DiscreteProblem",
     "SolveFlags",
     "SolveResult",
     "SingularOperatorError",
-    "face_upwind_values",
-    "face_coefficients",
     "assemble_frozen",
     "apply_operator",
     "tridiag_solve",
     "newton_semilinear",
     "picard_solve",
     "truncation_continuation",
-    "residual_norm",
     "manufactured_rhs",
 ]
 
@@ -160,6 +156,70 @@ class DiscreteOperator:
     rhs: np.ndarray
 
 
+@dataclass(frozen=True, eq=False)
+class DiscreteProblem:
+    """Truncation level n of a problem on a grid: A_n(u) u + g(u) = T_n f.
+
+    One level of the solve iterates on it, the audit checks a field
+    against it and ``verify --solution`` rebuilds it from a stored field's
+    level.  ``f_nodal`` is the datum at the nodes, unclipped, and must be
+    finite; ``rhs`` is T_n f.  A_n(u) is the flux-form operator whose face
+    coefficients are frozen at T_n(u) by ``scheme``, one of FACE_SCHEMES.
+    """
+
+    grid: RadialGrid
+    spec: ProblemSpec
+    f_nodal: np.ndarray
+    n: int
+    scheme: str
+    rhs: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        if self.scheme not in FACE_SCHEMES:
+            raise ValueError(f"unknown face scheme {self.scheme!r}")
+        f_nodal = GridFunction(self.grid, self.f_nodal).values  # finite, of length M
+        object.__setattr__(self, "f_nodal", f_nodal)
+        object.__setattr__(self, "rhs", np.clip(f_nodal, -self.n, self.n))
+
+    def faces(self, u: np.ndarray) -> np.ndarray:
+        """Diffusion coefficient at every face, frozen at T_n(u).
+
+        An upwind face takes the adjacent node of larger |u|
+        (``face_upwind_values``), the smaller coefficient; an arithmetic
+        face the mean of its two nodes' coefficients, with the ghost value
+        0 beyond the last node.
+        """
+        coeff, n, M = self.spec.coefficient, self.n, self.grid.M
+        if self.scheme == "upwind":
+            return coefficient_eval(coeff, np.clip(face_upwind_values(self.grid, u), -n, n))
+        clipped = np.clip(u, -n, n)
+        a = np.empty(M + 1)
+        a[0] = coefficient_eval(coeff, clipped[0])
+        left = coefficient_eval(coeff, clipped[:-1])
+        right = coefficient_eval(coeff, clipped[1:])
+        a[1:M] = 0.5 * (left + right)
+        a[M] = 0.5 * (coefficient_eval(coeff, clipped[-1]) + coefficient_eval(coeff, 0.0))
+        return a
+
+    def operator(self, u: np.ndarray) -> DiscreteOperator:
+        """A_n frozen at the finite field u, with right-hand side T_n f."""
+        return assemble_frozen(self, GridFunction(self.grid, u))
+
+    def residual_norm(self, u: np.ndarray) -> float:
+        """Sup norm of A_n(u) u + g(u) - T_n f."""
+        return float(np.max(np.abs(_residual(self.operator(u), self.spec.lower, u))))
+
+    def tolerance(self, newton_tol: float) -> float:
+        """The solver's convergence contract: a residual of at most
+        newton_tol * (1 + |T_n f|_inf)."""
+        return newton_tol * (1.0 + float(np.max(np.abs(self.rhs))))
+
+    def truncation_active(self, u: np.ndarray) -> bool:
+        """Whether the clipping at n touches u or the datum.  Only when it
+        touches neither does u solve the untruncated discrete problem."""
+        return not (self.n > np.max(np.abs(u)) and self.n >= np.max(np.abs(self.f_nodal)))
+
+
 @dataclass(frozen=True)
 class SolveFlags:
     converged: bool
@@ -170,56 +230,25 @@ class SolveFlags:
 @dataclass(frozen=True, eq=False)
 class SolveResult:
     u: GridFunction
-    n_final: int
+    problem: DiscreteProblem  # the level u was solved on (after a climb, the last)
     picard_iters: int  # accepted Newton steps; perfbench/tracing.py reads this name
     residual_inf: float
     flags: SolveFlags
+
+    @property
+    def n_final(self) -> int:
+        return self.problem.n
 
 
 class SingularOperatorError(RuntimeError):
     """The assembled tridiagonal system is singular."""
 
 
-def face_upwind_values(grid: RadialGrid, values: np.ndarray) -> np.ndarray:
-    """Per-face frozen value: the adjacent node of larger magnitude.
-
-    The outer face compares against the ghost value 0, so it always takes
-    the last node; the origin face has no flux and gets the first node.
-    """
-    up = np.empty(grid.M + 1)
-    up[0] = values[0]
-    left, right = values[:-1], values[1:]
-    up[1:grid.M] = np.where(np.abs(right) >= np.abs(left), right, left)
-    up[grid.M] = values[-1]
-    return up
-
-
-def face_coefficients(grid: RadialGrid, coeff: CoefficientSpec, u_frozen: np.ndarray,
-                      n: int | None, scheme: str = "upwind") -> np.ndarray:
-    """Diffusion coefficient at every face, frozen at u and clipped at n."""
-    def clipped(vals):
-        return np.clip(vals, -n, n) if n is not None else vals
-
-    if scheme == "upwind":
-        return coefficient_eval(coeff, clipped(face_upwind_values(grid, u_frozen)))
-    if scheme == "arithmetic":
-        a = np.empty(grid.M + 1)
-        a[0] = coefficient_eval(coeff, clipped(u_frozen[0]))
-        left = coefficient_eval(coeff, clipped(u_frozen[:-1]))
-        right = coefficient_eval(coeff, clipped(u_frozen[1:]))
-        a[1:grid.M] = 0.5 * (left + right)
-        a[grid.M] = 0.5 * (
-            coefficient_eval(coeff, clipped(u_frozen[-1]))
-            + coefficient_eval(coeff, 0.0)
-        )
-        return a
-    raise ValueError(f"unknown face scheme {scheme!r}")
-
-
-def assemble_frozen(grid: RadialGrid, coeff: CoefficientSpec, u_frozen: GridFunction,
-                    n: int | None, scheme: str = "upwind") -> DiscreteOperator:
-    """Assemble -div(a(r, T_n(u_frozen)) grad .) with Dirichlet ghost at R."""
-    a_face = face_coefficients(grid, coeff, u_frozen.values, n, scheme)
+def assemble_frozen(problem: DiscreteProblem, u_frozen: GridFunction) -> DiscreteOperator:
+    """Assemble A_n(u_frozen) = -div(a(r, T_n(u_frozen)) grad .) with Dirichlet
+    ghost at R and right-hand side T_n f."""
+    grid = problem.grid
+    a_face = problem.faces(u_frozen.values)
     trans = np.zeros(grid.M + 1)
     trans[1:] = grid.face_areas[1:] * a_face[1:] / grid.gaps[1:]
     vol = grid.volumes
@@ -228,8 +257,7 @@ def assemble_frozen(grid: RadialGrid, coeff: CoefficientSpec, u_frozen: GridFunc
     sup = np.zeros(grid.M)
     sub[1:] = -trans[1:grid.M] / vol[1:]
     sup[:-1] = -trans[1:grid.M] / vol[:-1]
-    return DiscreteOperator(grid=grid, sub=sub, diag=diag, sup=sup,
-                            rhs=np.zeros(grid.M))
+    return DiscreteOperator(grid=grid, sub=sub, diag=diag, sup=sup, rhs=problem.rhs)
 
 
 def apply_operator(op: DiscreteOperator, values: np.ndarray) -> np.ndarray:
@@ -272,32 +300,7 @@ def _residual(op: DiscreteOperator, lower: LowerOrderTerm, u: np.ndarray) -> np.
     return apply_operator(op, u) + lower_order_eval(lower, u) - op.rhs
 
 
-def _frozen_operator(grid: RadialGrid, coeff: CoefficientSpec, u: np.ndarray, n: int,
-                     rhs: np.ndarray, scheme: str) -> DiscreteOperator:
-    """A_n frozen at u, with right-hand side rhs."""
-    op = assemble_frozen(grid, coeff, GridFunction(grid, u), n, scheme)
-    return DiscreteOperator(grid, op.sub, op.diag, op.sup, rhs)
-
-
-@dataclass(eq=False)
-class _Level:
-    """A truncation level, as ``picard_solve`` hands it to ``newton_semilinear``.
-
-    The first fields say how to reassemble A_n at a trial point.  The
-    iteration leaves why it stopped ("converged", "capped" or "stalled")
-    and the residual sup norm at its final iterate in the last two.
-    """
-
-    coeff: CoefficientSpec
-    n: int
-    scheme: str
-    trace: TraceSink | None = None
-    stop: str = ""
-    residual: float = math.inf
-
-
-def _face_log_slopes(grid: RadialGrid, coeff: CoefficientSpec, u: np.ndarray, n: int,
-                     scheme: str) -> tuple[np.ndarray, np.ndarray]:
+def _face_log_slopes(problem: DiscreteProblem, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """d(ln a_f)/du at each face's left node (i-1) and right node (i).
 
     For either coefficient form da/ds = -gamma sgn(s) a / (1 + |s|), zero
@@ -306,12 +309,12 @@ def _face_log_slopes(grid: RadialGrid, coeff: CoefficientSpec, u: np.ndarray, n:
     ``face_upwind_values``); an arithmetic face on both, in the shares
     a_left : a_right, with the ghost value 0 beyond the last node.
     """
+    coeff, n, M = problem.spec.coefficient, problem.n, problem.grid.M
     mag = np.abs(u)
     rate = np.where(mag < n, -coeff.gamma * np.sign(u) / (1.0 + mag), 0.0)
-    M = grid.M
     left = np.zeros(M + 1)
     right = np.zeros(M + 1)
-    if scheme == "upwind":
+    if problem.scheme == "upwind":
         wins = mag[1:] >= mag[:-1]
         left[1:M] = np.where(wins, 0.0, rate[:-1])
         right[1:M] = np.where(wins, rate[1:], 0.0)
@@ -327,7 +330,7 @@ def _face_log_slopes(grid: RadialGrid, coeff: CoefficientSpec, u: np.ndarray, n:
 
 
 def _exact_jacobian(op: DiscreteOperator, frozen: DiscreteOperator, u: np.ndarray,
-                    level: _Level) -> DiscreteOperator:
+                    problem: DiscreteProblem) -> DiscreteOperator:
     """frozen + d_u[A_n(u)] u, the level residual's exact Jacobian at u.
 
     ``op`` is A_n(u) and ``frozen`` is op + diag(g'(u)).  Row i of A_n(u) u
@@ -337,7 +340,7 @@ def _exact_jacobian(op: DiscreteOperator, frozen: DiscreteOperator, u: np.ndarra
     transmissibility varies with its nodes at the rates of
     ``_face_log_slopes``.
     """
-    slope_left, slope_right = _face_log_slopes(op.grid, level.coeff, u, level.n, level.scheme)
+    slope_left, slope_right = _face_log_slopes(problem, u)
     lam = -op.sub
     rho = -op.sup
     rho[-1] = op.diag[-1] + op.sub[-1]  # the Dirichlet face has no sup entry
@@ -353,9 +356,9 @@ def _exact_jacobian(op: DiscreteOperator, frozen: DiscreteOperator, u: np.ndarra
                             frozen.sup + right_flux * slope_right[1:], frozen.rhs)
 
 
-def _line_search(op: DiscreteOperator, lower: LowerOrderTerm, u: np.ndarray,
+def _line_search(problem: DiscreteProblem, op: DiscreteOperator, u: np.ndarray,
                  res: np.ndarray, res_norm: float, jac: DiscreteOperator,
-                 min_factor: float, cfg: SolverConfig, level: _Level):
+                 min_factor: float, cfg: SolverConfig):
     """First point along jac's Newton direction, halving from full length
     down to min_factor, whose residual norm is below res_norm.
 
@@ -368,11 +371,12 @@ def _line_search(op: DiscreteOperator, lower: LowerOrderTerm, u: np.ndarray,
         step = tridiag_solve(jac, -res)
     except SingularOperatorError:
         return None
+    lower = problem.spec.lower
+    moving = problem.spec.coefficient.gamma > 0
     factor = 1.0
     while factor >= min_factor:
         trial = _clamp_singular(lower, u + factor * step, cfg.singular_margin)
-        trial_op = _frozen_operator(op.grid, level.coeff, trial, level.n, op.rhs,
-                                    level.scheme) if level.coeff.gamma > 0 else op
+        trial_op = problem.operator(trial) if moving else op
         trial_res = _residual(trial_op, lower, trial)
         trial_norm = float(np.max(np.abs(trial_res)))
         if np.isfinite(trial_norm) and trial_norm < res_norm:
@@ -381,31 +385,34 @@ def _line_search(op: DiscreteOperator, lower: LowerOrderTerm, u: np.ndarray,
     return None
 
 
-def newton_semilinear(op: DiscreteOperator, lower: LowerOrderTerm, u0: GridFunction,
-                      cfg: SolverConfig, level: _Level,
-                      ) -> tuple[GridFunction, int, bool]:
-    """Damped Newton on A_n(u) u + g(u) = rhs at one truncation level.
+def newton_semilinear(problem: DiscreteProblem, u0: np.ndarray, cfg: SolverConfig,
+                      trace: TraceSink | None = None,
+                      ) -> tuple[GridFunction, int, str, float]:
+    """Damped Newton on A_n(u) u + g(u) = T_n f at one truncation level.
 
-    ``level`` comes from picard_solve and op is A_n(u0); A_n(u) is
-    reassembled at every trial point.  A step first tries the exact
-    Jacobian at full length (traced as ``newton``), else backtracks along
-    the frozen-coefficient direction A_n(u) + diag(g') from the same point
-    (traced as ``frozen``; for gamma = 0 the two coincide, only the latter
-    is taken and it is traced as ``newton``), and the outcome is left in
-    ``level``.  At most picard_max steps are taken, g' is regularized for
-    p < 1, iterates with a singular absorption term stay clamped inside
-    [0, sigma - margin], and the iteration stalls when no direction lowers
-    the residual.  Returns the final iterate, the number of accepted steps
-    and whether the residual reached newton_tol * (1 + |rhs|_inf).
+    A_n(u) is reassembled at every trial point.  A step first tries the
+    exact Jacobian at full length (traced as ``newton``), else backtracks
+    along the frozen-coefficient direction A_n(u) + diag(g') from the same
+    point (traced as ``frozen``; for gamma = 0 the two coincide, only the
+    latter is taken and it is traced as ``newton``).  At most picard_max
+    steps are taken, g' is regularized for p < 1, iterates with a singular
+    absorption term stay clamped inside [0, sigma - margin], and the
+    iteration stalls when no direction lowers the residual.  Returns the
+    final iterate, the number of accepted steps, why the iteration stopped
+    ("converged" once the residual is within ``problem.tolerance``,
+    "capped" or "stalled") and the residual sup norm at the final iterate.
+    A nan residual is never within the tolerance.
     """
-    tol = cfg.newton_tol * (1.0 + float(np.max(np.abs(op.rhs))))
-    u = _clamp_singular(lower, u0.values.copy(), cfg.singular_margin)
+    lower = problem.spec.lower
+    tol = problem.tolerance(cfg.newton_tol)
+    u = _clamp_singular(lower, u0.copy(), cfg.singular_margin)
+    op = problem.operator(u)
     res = _residual(op, lower, u)
     res_norm = float(np.max(np.abs(res)))
     # with gamma = 0 the frozen-coefficient Jacobian is the exact one
-    moving = level.coeff.gamma > 0
+    moving = problem.spec.coefficient.gamma > 0
     steps = 0
-    while res_norm > tol:
+    while not res_norm <= tol:
         if steps == cfg.picard_max:
             stop = "capped"
             break
@@ -414,36 +421,25 @@ def newton_semilinear(op: DiscreteOperator, lower: LowerOrderTerm, u0: GridFunct
         accepted = None
         direction = "newton"
         if moving:
-            accepted = _line_search(op, lower, u, res, res_norm,
-                                    _exact_jacobian(op, frozen, u, level), 1.0, cfg, level)
+            accepted = _line_search(problem, op, u, res, res_norm,
+                                    _exact_jacobian(op, frozen, u, problem), 1.0, cfg)
             if accepted is None:
                 direction = "frozen"
         if accepted is None:
-            accepted = _line_search(op, lower, u, res, res_norm, frozen,
-                                    DAMPING_MIN, cfg, level)
+            accepted = _line_search(problem, op, u, res, res_norm, frozen, DAMPING_MIN, cfg)
         if accepted is None:
             stop = "stalled"
             break
         u, op, res, res_norm = accepted
         steps += 1
-        if level.trace is not None:
-            level.trace(f"level {level.n}, step {steps}, {direction}, "
-                        f"residual {res_norm:.6e}")
+        if trace is not None:
+            trace(f"level {problem.n}, step {steps}, {direction}, residual {res_norm:.6e}")
     else:
         stop = "converged"
-    level.stop, level.residual = stop, res_norm
-    return GridFunction(op.grid, u), steps, stop == "converged"
+    return GridFunction(problem.grid, u), steps, stop, res_norm
 
 
-def _nodal_datum(grid: RadialGrid, spec: ProblemSpec,
-                 f_values: GridFunction | None) -> np.ndarray:
-    if f_values is not None:
-        return f_values.values
-    return np.asarray(datum_eval(spec.datum, grid.nodes), dtype=float)
-
-
-def picard_solve(grid: RadialGrid, spec: ProblemSpec, n: int, cfg: SolverConfig,
-                 f_values: GridFunction | None = None,
+def picard_solve(problem: DiscreteProblem, cfg: SolverConfig,
                  u_init: GridFunction | None = None,
                  trace: TraceSink | None = None) -> SolveResult:
     """Solve one truncation level by one coupled damped Newton iteration.
@@ -451,29 +447,18 @@ def picard_solve(grid: RadialGrid, spec: ProblemSpec, n: int, cfg: SolverConfig,
     From u_init (default 0), ``newton_semilinear`` iterates on the full
     residual A_n(u) u + g(u) - T_n f with the exact tridiagonal Jacobian
     and the frozen-coefficient fallback, for at most picard_max steps.
-    ``converged`` means the residual fell below newton_tol * (1 + |T_n f|_inf);
+    ``converged`` means the residual fell within ``problem.tolerance``;
     ``hit_iteration_cap`` that picard_max steps did not get it there.  A
     level that stalls, because neither direction lowers the residual,
     reports neither flag.  ``picard_iters`` counts the accepted steps;
     ``trace`` receives one line per step.
     """
-    f_nodal = _nodal_datum(grid, spec, f_values)
-    rhs = np.clip(f_nodal, -n, n)
-    level = _Level(spec.coefficient, n, cfg.face_scheme, trace=trace)
-    u = np.zeros(grid.M) if u_init is None else u_init.values.copy()
-    u = _clamp_singular(spec.lower, u, cfg.singular_margin)
-    op = _frozen_operator(grid, spec.coefficient, u, n, rhs, cfg.face_scheme)
-    u_gf, steps, converged = newton_semilinear(op, spec.lower, GridFunction(grid, u), cfg,
-                                               level=level)
-    active = _truncation_active(u_gf.values, f_nodal, n)
-    return SolveResult(u=u_gf, n_final=n, picard_iters=steps,
-                       residual_inf=level.residual,
-                       flags=SolveFlags(converged=converged, truncation_active=active,
-                                        hit_iteration_cap=level.stop == "capped"))
-
-
-def _truncation_active(u: np.ndarray, f_nodal: np.ndarray, n: int) -> bool:
-    return not (n > np.max(np.abs(u)) and n >= np.max(np.abs(f_nodal)))
+    u0 = np.zeros(problem.grid.M) if u_init is None else u_init.values
+    u, steps, stop, residual = newton_semilinear(problem, u0, cfg, trace)
+    return SolveResult(u=u, problem=problem, picard_iters=steps, residual_inf=residual,
+                       flags=SolveFlags(converged=stop == "converged",
+                                        truncation_active=problem.truncation_active(u.values),
+                                        hit_iteration_cap=stop == "capped"))
 
 
 def truncation_continuation(grid: RadialGrid, spec: ProblemSpec, cfg: SolverConfig,
@@ -481,48 +466,41 @@ def truncation_continuation(grid: RadialGrid, spec: ProblemSpec, cfg: SolverConf
                             trace: TraceSink | None = None) -> SolveResult:
     """March the truncation level upward until the clipping is inactive.
 
+    The datum is ``f_values`` or, by default, ``spec.datum`` at the nodes.
     The march runs the levels of ``cfg.n_schedule()`` from the first one
     that reaches max|f| at the nodes (n_max if none does): every lower
-    level would clip the datum whatever u is.  That first level starts
-    from u = 0; each later one is one coupled Newton solve (see
-    picard_solve) warm-started from the previous level's iterate, also
-    when that level was capped or stalled.  The march stops as soon as n
-    exceeds max|u| and max|f| at the nodes, after which larger levels would
-    reproduce the same discrete problem.  If the schedule is exhausted
-    first, the result keeps truncation_active=True rather than hiding it.
-    The returned flags are the final level's; ``picard_iters`` is summed
-    over the levels.
+    level would clip the datum whatever u is.  Each level is one
+    ``DiscreteProblem``.  The first one starts from u = 0; each later one
+    is one coupled Newton solve (see picard_solve) warm-started from the
+    previous level's iterate, also when that level was capped or stalled.
+    The march stops as soon as n exceeds max|u| and max|f| at the nodes,
+    after which larger levels would reproduce the same discrete problem.
+    If the schedule is exhausted first, the result keeps
+    truncation_active=True rather than hiding it.  The returned problem
+    and flags are the final level's; ``picard_iters`` is summed over the
+    levels.
     """
-    f_nodal = _nodal_datum(grid, spec, f_values)
-    f_gf = GridFunction(grid, f_nodal)
+    f_nodal = datum_eval(spec.datum, grid.nodes) if f_values is None else f_values.values
     f_peak = float(np.max(np.abs(f_nodal)))
     levels = [n for n in cfg.n_schedule() if n >= f_peak] or [cfg.n_max]
 
     steps = 0
     result: SolveResult | None = None
     for n in levels:
-        result = picard_solve(grid, spec, n, cfg, f_values=f_gf,
-                              u_init=None if result is None else result.u, trace=trace)
+        problem = DiscreteProblem(grid, spec, f_nodal, n, cfg.face_scheme)
+        result = picard_solve(problem, cfg, u_init=None if result is None else result.u,
+                              trace=trace)
         steps += result.picard_iters
         if not result.flags.truncation_active:
             break
     assert result is not None
-    return SolveResult(u=result.u, n_final=result.n_final, picard_iters=steps,
-                       residual_inf=result.residual_inf, flags=result.flags)
-
-
-def residual_norm(grid: RadialGrid, spec: ProblemSpec, u: GridFunction, n: int,
-                  f_values: GridFunction | None = None,
-                  scheme: str = "upwind") -> float:
-    """Sup-norm of A_n(u) u + g(u) - T_n(f) with the coefficient frozen at u."""
-    f_nodal = _nodal_datum(grid, spec, f_values)
-    op = _frozen_operator(grid, spec.coefficient, u.values, n, np.clip(f_nodal, -n, n), scheme)
-    return float(np.max(np.abs(_residual(op, spec.lower, u.values))))
+    return replace(result, picard_iters=steps)
 
 
 def manufactured_rhs(grid: RadialGrid, spec: ProblemSpec, u_star: GridFunction,
                      n: int, scheme: str = "upwind") -> GridFunction:
-    """Datum for which u_star is the exact discrete solution at level n."""
-    op = assemble_frozen(grid, spec.coefficient, u_star, n, scheme)
-    vals = apply_operator(op, u_star.values) + lower_order_eval(spec.lower, u_star.values)
-    return GridFunction(grid, vals)
+    """Datum for which u_star is the exact discrete solution at level n: the
+    residual of u_star in the level-n problem with datum zero."""
+    problem = DiscreteProblem(grid, spec, np.zeros(grid.M), n, scheme)
+    return GridFunction(grid, _residual(problem.operator(u_star.values), spec.lower,
+                                        u_star.values))

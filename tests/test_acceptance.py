@@ -98,7 +98,7 @@ def probe_run():
     elapsed = time.perf_counter() - t0
     assert result.flags.converged and not result.flags.truncation_active
     f = grid_function(grid, lambda r: datum_eval(spec.datum, r))
-    return spec, grid, result.u, f, elapsed
+    return result.problem, grid, result.u, f, elapsed
 
 
 def test_criterion_01_analytic_baseline():
@@ -215,7 +215,7 @@ def test_criterion_07_gradient_tail_prediction_synthetic():
 
 
 def test_criterion_08_entropy_regime_probe(probe_run):
-    spec, grid, u, f, elapsed = probe_run
+    _, grid, u, f, elapsed = probe_run
     grad = np.abs(face_gradient(u))
     fit = tail_exponent_fit(distribution_function(grad, grid.face_weights))
     assert fit.sufficient
@@ -226,10 +226,10 @@ def test_criterion_08_entropy_regime_probe(probe_run):
 
 
 def test_criterion_09_entropy_inequality(probe_run):
-    spec, grid, u, f, _ = probe_run
+    problem, grid, u, f, _ = probe_run
     peak = u.max_abs()
     ks = np.geomspace(0.01 * peak, 2.0 * peak, 4)
-    reps = check_entropy_inequality(u, f, spec, ks, CHECK_TOL)
+    reps = check_entropy_inequality(u, problem, ks, CHECK_TOL)
     worst = min(rep.relative_slack for rep in reps)
     ok = all(rep.passed for rep in reps)
     verdict(9, ok, f"entropy inequality over {len(reps)} (phi, k) samples, "

@@ -26,11 +26,12 @@ from degelab.analysis import (
 from degelab.grid import (
     GridFunction,
     face_gradient,
+    face_upwind_values,
     grid_function,
     truncate,
 )
-from degelab.problem import ConstantDatum, lower_order_eval
-from degelab.solver import face_coefficients, face_upwind_values, truncation_continuation
+from degelab.problem import ConstantDatum, coefficient_eval, lower_order_eval
+from degelab.solver import DiscreteProblem, truncation_continuation
 
 
 class TestLebesgueNorm:
@@ -170,7 +171,7 @@ def converged_run():
     res = truncation_continuation(grid, spec, CFG)
     assert res.flags.converged
     f = grid_function(grid, 1.0)
-    return grid, spec, res.u, f
+    return grid, res.problem, res.u, f
 
 
 class TestCheckers:
@@ -181,13 +182,13 @@ class TestCheckers:
         assert rep.passed and rep.lhs == 0.0 and rep.rhs == 0.0
 
     def test_lemma_on_converged_run(self, converged_run):
-        grid, spec, u, f = converged_run
+        grid, problem, u, f = converged_run
         rep = check_lemma_estimate(u, f, 2.0, 1.0)
         assert rep.passed
         assert rep.relative_slack > 0
 
     def test_bg_matches_lemma_at_zero_threshold(self, converged_run):
-        grid, spec, u, f = converged_run
+        grid, problem, u, f = converged_run
         # m = 1 and t = 0 reduce to the lemma inequality (positive solution)
         assert np.all(u.values > 0)
         lem = check_lemma_estimate(u, f, 2.0, 1.0)
@@ -196,7 +197,7 @@ class TestCheckers:
         assert bg.rhs == pytest.approx(lem.rhs, rel=1e-12)
 
     def test_bg_empty_superlevel_set(self, converged_run):
-        grid, spec, u, f = converged_run
+        grid, problem, u, f = converged_run
         rep = check_bg_estimate(u, f, 2.0, [2 * u.max_abs()])[0]
         assert rep.passed and rep.lhs == 0.0 and rep.rhs == 0.0
 
@@ -208,7 +209,7 @@ class TestCheckers:
         assert rep.passed and rep.lhs == 0.0
 
     def test_weighted_energy_scales_with_lambda(self, converged_run):
-        grid, spec, u, f = converged_run
+        grid, problem, u, f = converged_run
         reps = {lam: check_weighted_energy(u, f, 1.0, [lam], 1.0)[0]
                 for lam in (1.25, 2.0, 4.0)}
         assert all(rep.passed for rep in reps.values())
@@ -217,19 +218,19 @@ class TestCheckers:
         assert reps[1.25].lhs < reps[2.0].lhs
 
     def test_weighted_energy_rejects_lambda_at_most_one(self, converged_run):
-        grid, spec, u, f = converged_run
+        grid, problem, u, f = converged_run
         with pytest.raises(ValueError):
             check_weighted_energy(u, f, 1.0, [1.0], 1.0)
 
     def test_truncation_energy_all_levels(self, converged_run):
-        grid, spec, u, f = converged_run
+        grid, problem, u, f = converged_run
         ks = np.geomspace(0.1, 10.0, 8)
         reps = check_truncation_energy(u, f, 1.0, 1.0, ks)
         assert all(rep.passed for rep in reps)
 
     def test_truncation_energy_saturated_level(self, converged_run):
         # k above max|u|: reduces to the plain energy inequality
-        grid, spec, u, f = converged_run
+        grid, problem, u, f = converged_run
         k = 2.0 * u.max_abs()
         rep = check_truncation_energy(u, f, 1.0, 1.0, [k])[0]
         assert rep.passed
@@ -253,19 +254,19 @@ class TestCheckers:
         assert rep.passed and rep.rhs == 0.0
 
     def test_entropy_inequality_on_run(self, converged_run):
-        grid, spec, u, f = converged_run
+        grid, problem, u, f = converged_run
         ks = np.geomspace(0.01 * u.max_abs(), 2 * u.max_abs(), 4)
-        reps = check_entropy_inequality(u, f, spec, ks)
+        reps = check_entropy_inequality(u, problem, ks)
         assert len(reps) == 12  # 3 test functions x 4 levels
         assert all(rep.passed for rep in reps)
 
     def test_entropy_with_solution_as_test_function(self, converged_run):
-        grid, spec, u, f = converged_run
-        reps = check_entropy_inequality(u, f, spec, [1.0], phi_samples=[("self", u)])
+        grid, problem, u, f = converged_run
+        reps = check_entropy_inequality(u, problem, [1.0], phi_samples=[("self", u)])
         assert reps[0].lhs == 0.0 and reps[0].rhs == 0.0 and reps[0].passed
 
     def test_checkers_are_pure(self, converged_run):
-        grid, spec, u, f = converged_run
+        grid, problem, u, f = converged_run
         assert check_lemma_estimate(u, f, 2.0, 1.0) == \
             check_lemma_estimate(u, f, 2.0, 1.0)
         assert check_weighted_energy(u, f, 1.0, [2.0], 1.0) == \
@@ -349,7 +350,9 @@ class TestBatchedCutoffs:
         f = grid_function(grid, lambda r: 1.0 + r)
         phis = [("zero", grid_function(grid, 0.0)),
                 ("ramp", grid_function(grid, lambda r: 0.3 * (1.0 - r)))]
-        a_face = face_coefficients(grid, spec.coefficient, u.values, None, "upwind")
+        # n = 2^30 clips neither the field nor the datum
+        problem = DiscreteProblem(grid, spec, f.values, 2**30, "upwind")
+        a_face = coefficient_eval(spec.coefficient, face_upwind_values(grid, u.values))
         wf = grid.face_weights
         grad_u = face_gradient(u)
         g_u = lower_order_eval(spec.lower, u.values)
@@ -360,7 +363,7 @@ class TestBatchedCutoffs:
                 lhs = float(np.dot(wf, a_face * grad_u * face_gradient(test)))
                 lhs += float(np.dot(w, g_u * test.values))
                 expect.append((lhs, float(np.dot(w, f.values * test.values))))
-        reps = check_entropy_inequality(u, f, spec, ks, phi_samples=phis)
+        reps = check_entropy_inequality(u, problem, ks, phi_samples=phis)
         assert [(rep.lhs, rep.rhs) for rep in reps] == expect
         assert [rep.name for rep in reps] == [f"entropy[{label}]"
                                               for label, _ in phis for _ in ks]

@@ -418,7 +418,12 @@ class TestMain:
         ("sweep", "[sweep]\nM = 64.7, 32",
          "[sweep] M: every value must be an integer, got [64.7]"),
         ("sweep", "[sweep]\nN = 3.5", "[sweep] N: every value must be an integer, got [3.5]"),
-    ], ids=["M_list-below-8", "M_list-fraction", "sweep-M", "sweep-N"])
+        # as [mesh] M and [problem] N are; a point M = 4 was recorded under
+        # the base mesh's M
+        ("sweep", "[sweep]\nM = 4, 64", "[sweep] M: every value must be >= 8, got [4.0]"),
+        ("sweep", "[sweep]\nN = 2, 3", "[sweep] N: every value must be >= 3, got [2.0]"),
+    ], ids=["M_list-below-8", "M_list-fraction", "sweep-M", "sweep-N", "sweep-M-below-8",
+            "sweep-N-below-3"])
     def test_non_integer_counts_rejected(self, tmp_path, capsys, command, text, violation):
         conf, out = write_config(tmp_path, MINIMAL + f"\n{text}\n")
         assert main([command, str(conf)]) == EXIT_CONFIG
@@ -583,6 +588,10 @@ print(solve())
                              if name.partition(".")[0] == "degelab"]
         assert len(list(package.glob("*.py"))) >= 7
         assert absolute == []
+        # the audit reads the discrete problem it is handed, not solver internals
+        analysis = ast.parse((package / "analysis.py").read_text())
+        assert not [node for node in ast.walk(analysis) if isinstance(node, ast.ImportFrom)
+                    and "solver" in [node.module, *(alias.name for alias in node.names)]]
 
     def test_readme_quickstart_runs(self, capsys):
         # the README's library quickstart is the package namespace's one

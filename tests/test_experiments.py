@@ -48,7 +48,7 @@ from degelab.experiments import (
 )
 from degelab.grid import build_radial_grid, face_gradient, grid_function
 from degelab.problem import ConstantDatum, RadialPowerDatum, datum_eval
-from degelab.solver import SolverConfig, truncation_continuation
+from degelab.solver import DiscreteProblem, SolverConfig, truncation_continuation
 
 
 def canonical_sweep(M=64):
@@ -146,7 +146,9 @@ class TestRunSingle:
         # r^-2 has a fittable tail in u and in grad u, so the check applies
         grid = build_radial_grid(3, 1.0, 512)
         u = grid_function(grid, lambda r: r**-2.0)
-        res = run_checks(u, power_spec(1.0, 1.0, 1.0), checks=("marcinkiewicz",))
+        problem = DiscreteProblem(grid, power_spec(1.0, 1.0, 1.0), np.ones(grid.M), 2**30,
+                                  "upwind")
+        res = run_checks(u, problem, checks=("marcinkiewicz",))
         mk = res.marcinkiewicz
         assert mk.applicable
         assert mk.u_fit == res.tail_u and mk.grad_fit == res.tail_grad
@@ -163,7 +165,7 @@ class TestRunSingle:
         # same reports, skips and tail data, equal by repr
         grid = build_radial_grid(3, 1.0, 256)
         res = truncation_continuation(grid, spec, CFG)
-        assert res.flags.converged
+        assert res.flags.converged and not res.flags.truncation_active
         u, settings = res.u, CheckSettings()
         f = grid_function(grid, lambda r: datum_eval(spec.datum, r))
         gamma, alpha, p, tol = (spec.coefficient.gamma, spec.coefficient.alpha,
@@ -186,7 +188,7 @@ class TestRunSingle:
                 "truncation_energy": tuple(check_truncation_energy(
                     u, f, gamma, alpha, np.geomspace(0.01 * peak, 2.0 * peak, 8), tol)),
                 "entropy": tuple(check_entropy_inequality(
-                    u, f, spec, np.geomspace(0.01 * peak, 2.0 * peak, 4), tol)),
+                    u, res.problem, np.geomspace(0.01 * peak, 2.0 * peak, 4), tol)),
                 "marcinkiewicz": (mk.verdict,),
             },
             skipped={"linfty": "needs a singular absorption term"},
@@ -195,7 +197,31 @@ class TestRunSingle:
             dist_u=(tuple(map(float, df_u.k_levels)), tuple(map(float, df_u.measures))),
             dist_grad=(tuple(map(float, df_g.k_levels)), tuple(map(float, df_g.measures))),
         )
-        assert repr(run_checks(u, spec)) == repr(expect)
+        assert repr(run_checks(u, res.problem)) == repr(expect)
+
+    def test_arithmetic_faces_audited_with_their_own_faces(self):
+        # on a converged solve the entropy inequality is an identity in the
+        # faces the solve used; audited with upwind faces instead, this
+        # gamma = 1 arithmetic run showed slacks up to 5.9e-4
+        rec = run_single(power_spec(1.0, 2.0, 1.0), MeshSpec(256),
+                         SolverConfig(face_scheme="arithmetic"))
+        assert rec.converged and not rec.truncation_active
+        reps = rec.reports["entropy"]
+        assert len(reps) == 12
+        assert all(abs(rep.relative_slack) <= 1e-10 for rep in reps)
+
+    def test_truncation_active_run_audited_at_its_level(self):
+        # n_max = 16 clips the datum 100: the solve converges on T_16 f, and
+        # the lemma of each point, solved or reused, sums w |T_16 f|^m
+        sweep = SweepSpec(base=power_spec(0.5, 1.0, 1.0, ConstantDatum(100.0)),
+                          mesh=MeshSpec(64), axes={"m": (1.0, 1.5)},
+                          cfg=SolverConfig(n_max=16))
+        weights = build_radial_grid(3, 1.0, 64).weights
+        for rec in run_sweep(sweep):
+            assert rec.converged and rec.truncation_active and rec.n_final == 16
+            m = rec.problem.datum.m
+            assert rec.discrete.n == 16
+            assert rec.reports["lemma"][0].rhs == float(np.dot(weights, np.full(64, 16.0) ** m))
 
     def test_prediction_attached(self):
         rec = run_single(power_spec(1.0, 4.0, 1.5), MeshSpec(32), CFG)
@@ -224,6 +250,17 @@ class TestSweep:
                                 "m": tuple(np.linspace(1, 2, 70))})
         with pytest.raises(ValueError, match="cap"):
             run_sweep(sweep)
+
+    def test_unbuildable_point_recorded_under_its_own_mesh(self):
+        # the point M = 4 is built, but its grid is not; its record keeps
+        # M = 4 rather than the base mesh's 64
+        sweep = SweepSpec(base=power_spec(0.5, 1.0, 1.0), mesh=MeshSpec(64),
+                          axes={"M": (4.0, 64.0)})
+        failed, solved = run_sweep(sweep)
+        assert (failed.mesh.cells, failed.converged) == (4, False)
+        assert failed.failure.startswith("ValueError: cell count must be an integer >= 8")
+        assert (solved.mesh.cells, solved.converged) == (64, True)
+        assert failed.payload["cells"]["M"] == 4
 
     def test_invalid_point_isolated_not_dropped(self):
         sweep = SweepSpec(base=power_spec(0.5, 1.0, 1.0, ConstantDatum(1.0)),

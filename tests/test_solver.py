@@ -25,17 +25,29 @@ from degelab.problem import (
 import degelab.solver as solver
 from degelab.solver import (
     DiscreteOperator,
+    DiscreteProblem,
     SingularOperatorError,
+    SolveFlags,
     SolverConfig,
     assemble_frozen,
     apply_operator,
-    face_coefficients,
     manufactured_rhs,
     picard_solve,
-    residual_norm,
     tridiag_solve,
     truncation_continuation,
 )
+
+
+def level(grid, spec, n, f_values=None, scheme="upwind"):
+    """The level-n discrete problem of spec's datum, or of f_values, on grid."""
+    f = datum_eval(spec.datum, grid.nodes) if f_values is None else f_values.values
+    return DiscreteProblem(grid, spec, f, n, scheme)
+
+
+def coefficient_level(grid, coeff, n, scheme="upwind"):
+    """A level-n discrete problem with coefficient coeff and datum zero."""
+    return DiscreteProblem(grid, replace(poisson_spec(), coefficient=coeff),
+                           np.zeros(grid.M), n, scheme)
 
 
 def synthetic_operator(grid, sub, diag, sup, rhs):
@@ -62,7 +74,7 @@ class TestAssemble:
     def test_constant_coefficient_matches_manual_stencil(self):
         grid = build_radial_grid(3, 1.0, 16)
         u0 = grid_function(grid, 0.0)
-        op = assemble_frozen(grid, CoefficientSpec(1.0, 1.0, 0.0), u0, n=4)
+        op = assemble_frozen(coefficient_level(grid, CoefficientSpec(1.0, 1.0, 0.0), 4), u0)
         # manual conservative stencil with unit coefficient
         areas = grid.faces**2
         trans = np.zeros(grid.M + 1)
@@ -75,28 +87,51 @@ class TestAssemble:
     def test_zero_frozen_state_scales_with_alpha(self):
         grid = build_radial_grid(3, 1.0, 16)
         u0 = grid_function(grid, 0.0)
-        op1 = assemble_frozen(grid, CoefficientSpec(1.0, 1.0, 0.7), u0, n=4)
-        op2 = assemble_frozen(grid, CoefficientSpec(2.0, 2.0, 0.7), u0, n=4)
+        op1 = assemble_frozen(coefficient_level(grid, CoefficientSpec(1.0, 1.0, 0.7), 4), u0)
+        op2 = assemble_frozen(coefficient_level(grid, CoefficientSpec(2.0, 2.0, 0.7), 4), u0)
         assert np.allclose(op2.diag, 2 * op1.diag)
         assert np.allclose(op2.sub, 2 * op1.sub)
 
     def test_truncated_face_coefficients(self):
         grid = build_radial_grid(3, 1.0, 16)
-        coeff = CoefficientSpec(1.0, 1.0, 1.0)
-        a = face_coefficients(grid, coeff, np.full(grid.M, 3.0), n=10)
+        problem = coefficient_level(grid, CoefficientSpec(1.0, 1.0, 1.0), 10)
+        a = problem.faces(np.full(grid.M, 3.0))
         assert np.allclose(a, 0.25)  # T_10(3) = 3, a = alpha/(1+3)
-        a_clipped = face_coefficients(grid, coeff, np.full(grid.M, 50.0), n=10)
+        a_clipped = problem.faces(np.full(grid.M, 50.0))
         assert np.allclose(a_clipped, 1.0 / 11.0)  # T_10(50) = 10
 
     def test_upwind_picks_larger_magnitude(self):
         grid = build_radial_grid(3, 1.0, 8)
         vals = np.array([0.0, 5.0, 0.0, -7.0, 0.0, 1.0, 2.0, 0.5])
-        coeff = CoefficientSpec(1.0, 1.0, 1.0)
-        a = face_coefficients(grid, coeff, vals, n=None)
+        # n = 8 clips no value
+        a = coefficient_level(grid, CoefficientSpec(1.0, 1.0, 1.0), 8).faces(vals)
         assert a[1] == pytest.approx(1.0 / 6.0)   # faces next to the 5
         assert a[2] == pytest.approx(1.0 / 6.0)
         assert a[3] == pytest.approx(1.0 / 8.0)   # |-7| wins
         assert a[8] == pytest.approx(1.0 / 1.5)   # boundary face vs ghost 0
+
+
+class TestDiscreteProblem:
+    def test_datum_must_be_finite(self):
+        # a radial datum can overflow at the first node; run_single records
+        # the raise as a failed solve
+        grid = build_radial_grid(3, 1.0, 8)
+        spec = power_spec(1.0, 1.0, 1.0, RadialPowerDatum(1.0, 400.0))
+        with np.errstate(over="ignore"):
+            f = datum_eval(spec.datum, grid.nodes)
+        assert f[0] == np.inf
+        with pytest.raises(ValueError, match="must be finite"):
+            DiscreteProblem(grid, spec, f, 2**30, "upwind")
+
+    def test_level_clips_datum_and_sets_contract(self):
+        grid = build_radial_grid(3, 1.0, 8)
+        clipped = level(grid, poisson_spec(amplitude=5.0), 4)
+        assert np.all(clipped.f_nodal == 5.0) and np.all(clipped.rhs == 4.0)
+        assert clipped.tolerance(1e-10) == 1e-10 * (1.0 + 4.0)
+        assert clipped.truncation_active(np.zeros(grid.M))
+        free = level(grid, poisson_spec(amplitude=4.0), 4)
+        assert not free.truncation_active(np.full(grid.M, 3.0))
+        assert free.truncation_active(np.full(grid.M, -4.0))
 
 
 class TestTridiagSolve:
@@ -126,8 +161,8 @@ class TestTridiagSolve:
 
     def test_poisson_solve_matches_analytic(self):
         grid = build_radial_grid(3, 1.0, 128)
-        op = assemble_frozen(grid, CoefficientSpec(1.0, 1.0, 0.0),
-                             grid_function(grid, 0.0), n=1)
+        op = assemble_frozen(coefficient_level(grid, CoefficientSpec(1.0, 1.0, 0.0), 1),
+                             grid_function(grid, 0.0))
         u = tridiag_solve(op, np.ones(grid.M))
         exact = (1 - grid.nodes**2) / 6
         assert np.max(np.abs(u - exact)) < 5e-5
@@ -135,8 +170,9 @@ class TestTridiagSolve:
     def test_matches_solve_banded_on_probe_operator(self):
         grid, spec = probe_case()
         n = 64
-        warm = picard_solve(grid, spec, n=n, cfg=CFG)
-        op = assemble_frozen(grid, spec.coefficient, warm.u, n)
+        problem = level(grid, spec, n)
+        warm = picard_solve(problem, CFG)
+        op = assemble_frozen(problem, warm.u)
         rhs = np.clip(grid.nodes ** -2.55, -n, n)
         banded = np.zeros((3, grid.M))
         banded[0, 1:] = op.sup[:-1]
@@ -179,7 +215,8 @@ class TestExactJacobian:
         assert np.min(np.abs(np.abs(u[1:]) - np.abs(u[:-1]))) > 100 * h
         assert np.min(np.abs(np.abs(u) - n)) > 100 * h
         assert np.any(np.abs(u) > n)
-        op = replace(assemble_frozen(grid, coeff, grid_function(grid, u), n, scheme), rhs=rhs)
+        problem = coefficient_level(grid, coeff, n, scheme)
+        op = replace(problem.operator(u), rhs=rhs)
 
         def dense(t):
             return np.diag(t.diag) + np.diag(t.sub[1:], -1) + np.diag(t.sup[:-1], 1)
@@ -188,13 +225,13 @@ class TestExactJacobian:
             lower = PowerAbsorption(p)
 
             def F(v):
-                op = assemble_frozen(grid, coeff, grid_function(grid, v), n, scheme)
+                op = problem.operator(v)
                 return apply_operator(op, v) + lower_order_eval(lower, v) - rhs
 
             fd = np.column_stack([(F(u + h * e) - F(u - h * e)) / (2 * h)
                                   for e in np.eye(grid.M)])
             frozen = replace(op, diag=op.diag + solver._absorption_prime(lower, u, CFG.eps_p))
-            jac = solver._exact_jacobian(op, frozen, u, solver._Level(coeff, n, scheme))
+            jac = solver._exact_jacobian(op, frozen, u, problem)
             scale = np.max(np.abs(fd))
             assert np.max(np.abs(dense(jac) - fd)) <= 1e-6 * scale, p
             coefficient_part = np.max(np.abs(dense(jac) - dense(frozen)))
@@ -207,9 +244,9 @@ class TestNewton:
 
     def test_linear_problem_single_solve(self):
         grid = build_radial_grid(3, 1.0, 16)
-        res = picard_solve(grid, poisson_spec(), n=1, cfg=CFG)
+        res = picard_solve(level(grid, poisson_spec(), 1), CFG)
         assert res.flags.converged and res.picard_iters <= 1
-        assert residual_norm(grid, poisson_spec(), res.u, 1) <= 1e-12 * (1 + 1)
+        assert res.problem.residual_norm(res.u.values) <= 1e-12 * (1 + 1)
 
     @staticmethod
     def constant_root_level(absorption, root):
@@ -222,7 +259,7 @@ class TestNewton:
         n = 2 ** 12
         f_h = manufactured_rhs(grid, spec, star, n)
         assert np.max(np.abs(f_h.values)) < n
-        return picard_solve(grid, spec, n, CFG, f_values=f_h)
+        return picard_solve(level(grid, spec, n, f_h), CFG)
 
     def test_cubic_scalar_root(self):
         # field value: the bisection root of u + u^3 = 2
@@ -249,19 +286,32 @@ class TestNewton:
         assert np.allclose(res.u.values, root, rtol=1e-9)
 
 
+    def test_nan_residual_stalls(self, monkeypatch):
+        # a nan residual is within no tolerance: the level stalls unconverged
+        # with no flag set, where a `residual > tol` loop test ended it
+        # converged after 0 steps
+        grid = build_radial_grid(3, 1.0, 16)
+        monkeypatch.setattr(solver, "lower_order_eval",
+                            lambda term, s: np.full(np.shape(s), np.nan))
+        res = picard_solve(level(grid, power_spec(0.5, 1.0, 1.0), 1), CFG)
+        assert res.flags == SolveFlags(converged=False, truncation_active=False,
+                                       hit_iteration_cap=False)
+        assert res.picard_iters == 0 and math.isnan(res.residual_inf)
+
+
 class TestPicard:
     def test_zero_datum_single_sweep(self):
         # the zero start already solves the level, so no Newton step is taken
         grid = build_radial_grid(3, 1.0, 32)
         spec = power_spec(0.0, 1.0, 1.0, ConstantDatum(0.0))
-        res = picard_solve(grid, spec, n=1, cfg=CFG)
+        res = picard_solve(level(grid, spec, 1), CFG)
         assert res.flags.converged
         assert res.picard_iters == 0
         assert np.all(res.u.values == 0.0)
 
     def test_analytic_baseline(self):
         grid = build_radial_grid(3, 1.0, 128)
-        res = picard_solve(grid, poisson_spec(), n=2, cfg=CFG)
+        res = picard_solve(level(grid, poisson_spec(), 2), CFG)
         exact = (1 - grid.nodes**2) / 6
         assert res.flags.converged
         assert np.max(np.abs(res.u.values - exact)) < 5e-5
@@ -305,7 +355,7 @@ class TestPicard:
         grid = build_radial_grid(3, 1.0, 32)
         spec = power_spec(1.0, 2.0, 1.0)
         cfg = SolverConfig(picard_max=2)
-        res = picard_solve(grid, spec, n=1024, cfg=cfg)
+        res = picard_solve(level(grid, spec, 1024), cfg)
         assert res.flags.hit_iteration_cap
         assert not res.flags.converged
 
@@ -316,7 +366,7 @@ class TestPicard:
         grid = build_radial_grid(3, 1.0, 32)
         for gamma in (0.0, 0.5):
             lines = []
-            res = picard_solve(grid, power_spec(gamma, 1.0, 1.0), n=4, cfg=CFG,
+            res = picard_solve(level(grid, power_spec(gamma, 1.0, 1.0), 4), CFG,
                                trace=lines.append)
             assert len(lines) == res.picard_iters > 0  # one line per Newton step
             assert [line.split(", ")[:3] for line in lines] == [
@@ -378,7 +428,7 @@ class TestContinuation:
             warm_total += warm.picard_iters
             f_peak = float(np.max(datum_eval(spec.datum, grid.nodes)))
             for n in [n for n in CFG.n_schedule() if n >= f_peak]:
-                cold = picard_solve(grid, spec, n, CFG)
+                cold = picard_solve(level(grid, spec, n), CFG)
                 cold_total += cold.picard_iters
                 if not cold.flags.truncation_active:
                     break
@@ -408,7 +458,7 @@ class TestContinuation:
         assert res.flags.converged and not res.flags.hit_iteration_cap
         assert res.n_final == 2**30
         assert res.picard_iters == levels[0].picard_iters < 20
-        r = residual_norm(grid, spec, res.u, res.n_final)
+        r = res.problem.residual_norm(res.u.values)
         assert r == res.residual_inf
         assert r <= CFG.newton_tol * (1 + 2**30)
 
@@ -431,7 +481,7 @@ class TestContinuation:
             spec = power_spec(0.5, 1.0, 1.0, ConstantDatum(amplitude))
             res[amplitude] = truncation_continuation(grid, spec, cfg)
             assert res[amplitude].n_final == 16
-            r = residual_norm(grid, spec, res[amplitude].u, res[amplitude].n_final)
+            r = res[amplitude].problem.residual_norm(res[amplitude].u.values)
             assert r <= cfg.newton_tol * (1 + 16)
         assert np.array_equal(res[-100.0].u.values, -res[100.0].u.values)
 
@@ -441,7 +491,7 @@ class TestContinuation:
         grid, spec = matrix_radial_case(2.0912546988088936)
         res = truncation_continuation(grid, spec, CFG)
         assert res.flags.converged and not res.flags.hit_iteration_cap
-        r = residual_norm(grid, spec, res.u, res.n_final)
+        r = res.problem.residual_norm(res.u.values)
         assert r == res.residual_inf
         f_peak = float(np.max(grid.nodes ** -2.0912546988088936))
         assert r <= CFG.newton_tol * (1 + min(f_peak, res.n_final))
@@ -469,7 +519,7 @@ class TestResidualAndManufactured:
         spec = power_spec(1.0, 2.0, 1.0)
         res = truncation_continuation(grid, spec, CFG)
         assert res.flags.converged
-        r = residual_norm(grid, spec, res.u, res.n_final)
+        r = res.problem.residual_norm(res.u.values)
         assert r <= CFG.newton_tol * (1 + 1.0)
 
     def test_returned_residual_within_contract_one_step_past_it(self):
@@ -483,14 +533,14 @@ class TestResidualAndManufactured:
         assert res.flags.converged and not res.flags.truncation_active
         assert res.n_final == 2048
         f_peak = float(np.max(datum_eval(spec.datum, grid.nodes)))
-        r = residual_norm(grid, spec, res.u, res.n_final)
+        r = res.problem.residual_norm(res.u.values)
         assert r == res.residual_inf
         assert r <= CFG.newton_tol * (1 + min(f_peak, res.n_final))
 
     def test_zero_field_residual_is_datum(self):
         grid = build_radial_grid(3, 1.0, 32)
         spec = poisson_spec()
-        r = residual_norm(grid, spec, grid_function(grid, 0.0), n=1)
+        r = level(grid, spec, 1).residual_norm(np.zeros(grid.M))
         assert r == pytest.approx(1.0)
 
     def test_injected_exact_solution_interior_consistency(self):
