@@ -25,6 +25,8 @@ import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
 
+import numpy as np
+
 from .experiments import (
     ALL_CHECKS,
     CheckSettings,
@@ -352,12 +354,13 @@ def _verify_solution_file(config: Config, solution_path: str):
     The field is audited against the discrete problem of the config at the
     file's final truncation level n; the residual bound is that problem's
     convergence contract, the solver's own.  A file that cannot be read or
-    parsed is reported as a ConfigError.
+    parsed, and a datum that is not finite at its nodes, are reported as a
+    ConfigError.
     """
     try:
         u, extra = read_grid_function(solution_path)
         n_final = int(extra.get("n_final", config.solver.n_max))
-        if n_final not in config.solver.n_schedule():
+        if config.solver.level_at_least(n_final) != n_final:
             raise ValueError(f"n_final {n_final} is not a level of the truncation "
                              f"schedule, doubling from {FIRST_LEVEL} to "
                              f"{config.solver.n_max}")
@@ -374,8 +377,13 @@ def _verify_solution_file(config: Config, solution_path: str):
             f"grading={grid.grading}) does not match config "
             f"(N={spec.dimension}, R={spec.radius}, M={config.mesh.cells}, "
             f"grading={config.mesh.grading})"])
-    problem = DiscreteProblem(grid, spec, datum_eval(spec.datum, grid.nodes), n_final,
-                              config.solver.face_scheme)
+    try:
+        with np.errstate(over="ignore"):  # an overflowing datum is reported below
+            f_nodal = datum_eval(spec.datum, grid.nodes)
+        problem = DiscreteProblem(grid, spec, f_nodal, n_final, config.solver.face_scheme)
+    except ValueError as err:
+        raise ConfigError([f"cannot audit {solution_path} against the config's datum "
+                           f"({type(err).__name__}: {err})"]) from err
     return (problem.residual_norm(u.values), problem.tolerance(config.solver.newton_tol),
             run_checks(u, problem, ALL_CHECKS, config.settings))
 

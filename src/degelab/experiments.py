@@ -487,7 +487,8 @@ def mesh_refinement_study(spec: ProblemSpec, u_star: Callable[[np.ndarray], np.n
         fine = build_radial_grid(spec.dimension, spec.radius,
                                  REFERENCE_FACTOR * max(M_list), grading)
         star_fine = grid_function(fine, u_star)
-        level = _inactive_level(cfg, star_fine.values)
+        # the first level that clips nowhere on the fine mesh
+        level = cfg.level_at_least(math.floor(np.max(np.abs(star_fine.values))) + 1)
         f_fine = manufactured_rhs(fine, spec, star_fine, level, cfg.face_scheme)
 
         def rhs(r):
@@ -507,15 +508,6 @@ def mesh_refinement_study(spec: ProblemSpec, u_star: Callable[[np.ndarray], np.n
         rows.append(ConvergenceRow(cells=M, error=err, order=order))
         prev = (M, err)
     return ConvergenceStudy(rows=tuple(rows))
-
-
-def _inactive_level(cfg: SolverConfig, values: np.ndarray) -> int:
-    """First schedule level that leaves the given values untouched."""
-    peak = float(np.max(np.abs(values))) if values.size else 0.0
-    for level in cfg.n_schedule():
-        if level > peak:
-            return level
-    return cfg.n_max
 
 
 @dataclass(frozen=True)

@@ -3,16 +3,14 @@
 The quasilinear equation is attacked level by level: at truncation level n
 the diffusion coefficient is evaluated at the clipped field T_n(u) and the
 datum is clipped to T_n(f).  A level below max|f| clips the datum whatever
-u is, so it cannot be the answer; the climb therefore starts at the first
-level of the schedule that reaches max|f| at the nodes, from u = 0, and
-doubles until the clipping no longer touches u either.  Each level is one
-damped Newton iteration on the full residual F(u) = A_n(u) u + g(u) - T_n f
-with its exact Jacobian A_n(u) + diag(g'(u)) + d_u[A_n(u)] u.  Every face
-coefficient depends on its two adjacent nodes at most, so that Jacobian is
-tridiagonal.  A step that the exact Jacobian does not get accepted at full
-length is taken instead along the frozen-coefficient direction
-A_n(u) + diag(g'(u)) from the same point, with backtracking; every trial
-point is reassembled.  ``converged`` always means
+u is, and one below the discrete maximum principle's bound on max|u|
+(``_sup_bound``) may clip u; the climb therefore starts at the first level
+of the schedule that reaches both, from u = 0, and doubles until the
+clipping no longer touches u either.  Each level is one damped Newton
+iteration on the full residual F(u) = A_n(u) u + g(u) - T_n f with its
+exact Jacobian A_n(u) + diag(g'(u)) + d_u[A_n(u)] u, halved until the
+residual falls.  Every face coefficient depends on its two adjacent nodes
+at most, so that Jacobian is tridiagonal.  ``converged`` always means
 residual <= newton_tol * (1 + |T_n f|_inf).
 
 Conservative flux form: row i of the operator is
@@ -28,11 +26,11 @@ for convergence studies.
 from __future__ import annotations
 
 import importlib.util
+import math
 import sys
 from dataclasses import dataclass, field, replace
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
 import scipy
@@ -100,8 +98,6 @@ __all__ = [
     "manufactured_rhs",
 ]
 
-TraceSink = Callable[[str], None]
-
 FIRST_LEVEL = 1            # first level of the truncation schedule
 DAMPING_MIN = 2.0**-20     # smallest line-search step factor
 FACE_SCHEMES = ("upwind", "arithmetic")
@@ -116,7 +112,7 @@ class SolverConfig:
 
     picard_max: int = 200             # Newton steps per truncation level or Newton solve
     newton_tol: float = 1e-10         # residual tolerance, relative to 1 + |rhs|
-    n_max: int = 2**30
+    n_max: int = 2**200               # last truncation level
     eps_p: float = 1e-10              # Jacobian regularization for p < 1
     singular_margin: float = 1e-12    # exclusion distance from the barrier
     face_scheme: str = "upwind"       # one of FACE_SCHEMES
@@ -131,12 +127,19 @@ class SolverConfig:
         if not (self.n_max >= FIRST_LEVEL):
             raise ValueError(f"truncation schedule requires n_max >= {FIRST_LEVEL}")
 
-    def n_schedule(self) -> list[int]:
-        """Truncation levels doubling from FIRST_LEVEL up to and including n_max."""
-        levels = [FIRST_LEVEL]
-        while levels[-1] < self.n_max:
-            levels.append(min(2 * levels[-1], self.n_max))
-        return levels
+    def level_at_least(self, bound: float) -> int:
+        """The first truncation level n >= bound, or n_max if there is none.
+
+        The levels double from FIRST_LEVEL = 1 up to and including n_max, so
+        below n_max they are the powers of two: the one sought is read off
+        the bit length of ceil(bound).  An integer n is a level exactly when
+        ``level_at_least(n) == n``; the next one is ``level_at_least(n + 1)``.
+        """
+        if not bound < self.n_max:  # also a nan bound
+            return self.n_max
+        if bound <= FIRST_LEVEL:
+            return FIRST_LEVEL
+        return min(1 << (math.ceil(bound) - 1).bit_length(), self.n_max)
 
 
 @dataclass(frozen=True, eq=False)
@@ -358,9 +361,9 @@ def _exact_jacobian(op: DiscreteOperator, frozen: DiscreteOperator, u: np.ndarra
 
 def _line_search(problem: DiscreteProblem, op: DiscreteOperator, u: np.ndarray,
                  res: np.ndarray, res_norm: float, jac: DiscreteOperator,
-                 min_factor: float, cfg: SolverConfig):
+                 cfg: SolverConfig):
     """First point along jac's Newton direction, halving from full length
-    down to min_factor, whose residual norm is below res_norm.
+    down to DAMPING_MIN, whose residual norm is below res_norm.
 
     The level's operator is reassembled at each trial point, unless
     gamma = 0, where A_n does not depend on u.  Returns (u, operator,
@@ -374,7 +377,7 @@ def _line_search(problem: DiscreteProblem, op: DiscreteOperator, u: np.ndarray,
     lower = problem.spec.lower
     moving = problem.spec.coefficient.gamma > 0
     factor = 1.0
-    while factor >= min_factor:
+    while factor >= DAMPING_MIN:
         trial = _clamp_singular(lower, u + factor * step, cfg.singular_margin)
         trial_op = problem.operator(trial) if moving else op
         trial_res = _residual(trial_op, lower, trial)
@@ -385,20 +388,18 @@ def _line_search(problem: DiscreteProblem, op: DiscreteOperator, u: np.ndarray,
     return None
 
 
-def newton_semilinear(problem: DiscreteProblem, u0: np.ndarray, cfg: SolverConfig,
-                      trace: TraceSink | None = None,
-                      ) -> tuple[GridFunction, int, str, float]:
+def newton_semilinear(problem: DiscreteProblem, u0: np.ndarray,
+                      cfg: SolverConfig) -> tuple[GridFunction, int, str, float]:
     """Damped Newton on A_n(u) u + g(u) = T_n f at one truncation level.
 
-    A_n(u) is reassembled at every trial point.  A step first tries the
-    exact Jacobian at full length (traced as ``newton``), else backtracks
-    along the frozen-coefficient direction A_n(u) + diag(g') from the same
-    point (traced as ``frozen``; for gamma = 0 the two coincide, only the
-    latter is taken and it is traced as ``newton``).  At most picard_max
-    steps are taken, g' is regularized for p < 1, iterates with a singular
+    Each step solves with the exact Jacobian A_n(u) + diag(g'(u)) +
+    d_u[A_n(u)] u (for gamma = 0 the last term vanishes) and halves the
+    step from full length down to DAMPING_MIN until the residual falls;
+    A_n(u) is reassembled at every trial point.  At most picard_max steps
+    are taken, g' is regularized for p < 1, iterates with a singular
     absorption term stay clamped inside [0, sigma - margin], and the
-    iteration stalls when no direction lowers the residual.  Returns the
-    final iterate, the number of accepted steps, why the iteration stopped
+    iteration stalls when no trial lowers the residual.  Returns the final
+    iterate, the number of accepted steps, why the iteration stopped
     ("converged" once the residual is within ``problem.tolerance``,
     "capped" or "stalled") and the residual sup norm at the final iterate.
     A nan residual is never within the tolerance.
@@ -409,92 +410,90 @@ def newton_semilinear(problem: DiscreteProblem, u0: np.ndarray, cfg: SolverConfi
     op = problem.operator(u)
     res = _residual(op, lower, u)
     res_norm = float(np.max(np.abs(res)))
-    # with gamma = 0 the frozen-coefficient Jacobian is the exact one
-    moving = problem.spec.coefficient.gamma > 0
     steps = 0
     while not res_norm <= tol:
         if steps == cfg.picard_max:
             stop = "capped"
             break
         gp = _absorption_prime(lower, u, cfg.eps_p)
-        frozen = DiscreteOperator(op.grid, op.sub, op.diag + gp, op.sup, op.rhs)
-        accepted = None
-        direction = "newton"
-        if moving:
-            accepted = _line_search(problem, op, u, res, res_norm,
-                                    _exact_jacobian(op, frozen, u, problem), 1.0, cfg)
-            if accepted is None:
-                direction = "frozen"
-        if accepted is None:
-            accepted = _line_search(problem, op, u, res, res_norm, frozen, DAMPING_MIN, cfg)
+        jac = DiscreteOperator(op.grid, op.sub, op.diag + gp, op.sup, op.rhs)
+        if problem.spec.coefficient.gamma > 0:  # else A_n does not depend on u
+            jac = _exact_jacobian(op, jac, u, problem)
+        accepted = _line_search(problem, op, u, res, res_norm, jac, cfg)
         if accepted is None:
             stop = "stalled"
             break
         u, op, res, res_norm = accepted
         steps += 1
-        if trace is not None:
-            trace(f"level {problem.n}, step {steps}, {direction}, residual {res_norm:.6e}")
     else:
         stop = "converged"
     return GridFunction(problem.grid, u), steps, stop, res_norm
 
 
 def picard_solve(problem: DiscreteProblem, cfg: SolverConfig,
-                 u_init: GridFunction | None = None,
-                 trace: TraceSink | None = None) -> SolveResult:
+                 u_init: GridFunction | None = None) -> SolveResult:
     """Solve one truncation level by one coupled damped Newton iteration.
 
     From u_init (default 0), ``newton_semilinear`` iterates on the full
-    residual A_n(u) u + g(u) - T_n f with the exact tridiagonal Jacobian
-    and the frozen-coefficient fallback, for at most picard_max steps.
-    ``converged`` means the residual fell within ``problem.tolerance``;
-    ``hit_iteration_cap`` that picard_max steps did not get it there.  A
-    level that stalls, because neither direction lowers the residual,
-    reports neither flag.  ``picard_iters`` counts the accepted steps;
-    ``trace`` receives one line per step.
+    residual A_n(u) u + g(u) - T_n f with the exact tridiagonal Jacobian,
+    for at most picard_max steps.  ``converged`` means the residual fell
+    within ``problem.tolerance``; ``hit_iteration_cap`` that picard_max
+    steps did not get it there.  A level that stalls, because no step
+    along the Newton direction lowers the residual, reports neither flag.
+    ``picard_iters`` counts the accepted steps.
     """
     u0 = np.zeros(problem.grid.M) if u_init is None else u_init.values
-    u, steps, stop, residual = newton_semilinear(problem, u0, cfg, trace)
+    u, steps, stop, residual = newton_semilinear(problem, u0, cfg)
     return SolveResult(u=u, problem=problem, picard_iters=steps, residual_inf=residual,
                        flags=SolveFlags(converged=stop == "converged",
                                         truncation_active=problem.truncation_active(u.values),
                                         hit_iteration_cap=stop == "capped"))
 
 
+def _sup_bound(lower: LowerOrderTerm, f_peak: float) -> float:
+    """The discrete maximum principle's bound on max|u|: at the node where
+    |u| peaks the row of A_n(u) u is of u's sign, so g(max|u|) <= max|f|.
+    That is max|f|^(1/p) for power absorption and sigma for the barrier;
+    without absorption there is none (0)."""
+    if isinstance(lower, PowerAbsorption):
+        try:
+            return f_peak ** (1.0 / lower.p)
+        except OverflowError:
+            return math.inf
+    if isinstance(lower, SingularAbsorption):
+        return lower.sigma
+    return 0.0
+
+
 def truncation_continuation(grid: RadialGrid, spec: ProblemSpec, cfg: SolverConfig,
-                            f_values: GridFunction | None = None,
-                            trace: TraceSink | None = None) -> SolveResult:
+                            f_values: GridFunction | None = None) -> SolveResult:
     """March the truncation level upward until the clipping is inactive.
 
     The datum is ``f_values`` or, by default, ``spec.datum`` at the nodes.
-    The march runs the levels of ``cfg.n_schedule()`` from the first one
-    that reaches max|f| at the nodes (n_max if none does): every lower
-    level would clip the datum whatever u is.  Each level is one
-    ``DiscreteProblem``.  The first one starts from u = 0; each later one
-    is one coupled Newton solve (see picard_solve) warm-started from the
-    previous level's iterate, also when that level was capped or stalled.
-    The march stops as soon as n exceeds max|u| and max|f| at the nodes,
-    after which larger levels would reproduce the same discrete problem.
-    If the schedule is exhausted first, the result keeps
-    truncation_active=True rather than hiding it.  The returned problem
-    and flags are the final level's; ``picard_iters`` is summed over the
-    levels.
+    The march starts at the first level that reaches max|f| at the nodes,
+    below which the datum is clipped whatever u is, and ``_sup_bound``,
+    and doubles up to n_max.  Each level is one ``DiscreteProblem``.  The
+    first one starts from u = 0; each later one is one coupled Newton solve
+    (see picard_solve) warm-started from the previous level's iterate, also
+    when that level was capped or stalled.  The march stops as soon as n
+    exceeds max|u| and max|f| at the nodes, after which larger levels would
+    reproduce the same discrete problem.  If n_max comes first, the result
+    keeps truncation_active=True rather than hiding it.  The returned
+    problem and flags are the final level's; ``picard_iters`` is summed
+    over the levels.
     """
     f_nodal = datum_eval(spec.datum, grid.nodes) if f_values is None else f_values.values
     f_peak = float(np.max(np.abs(f_nodal)))
-    levels = [n for n in cfg.n_schedule() if n >= f_peak] or [cfg.n_max]
-
+    n = cfg.level_at_least(max(f_peak, _sup_bound(spec.lower, f_peak)))
     steps = 0
     result: SolveResult | None = None
-    for n in levels:
+    while True:
         problem = DiscreteProblem(grid, spec, f_nodal, n, cfg.face_scheme)
-        result = picard_solve(problem, cfg, u_init=None if result is None else result.u,
-                              trace=trace)
+        result = picard_solve(problem, cfg, u_init=None if result is None else result.u)
         steps += result.picard_iters
-        if not result.flags.truncation_active:
-            break
-    assert result is not None
-    return replace(result, picard_iters=steps)
+        if not result.flags.truncation_active or n == cfg.n_max:
+            return replace(result, picard_iters=steps)
+        n = cfg.level_at_least(n + 1)
 
 
 def manufactured_rhs(grid: RadialGrid, spec: ProblemSpec, u_star: GridFunction,

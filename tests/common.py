@@ -24,6 +24,12 @@ def poisson_spec(alpha=1.0, amplitude=1.0):
                        DatumSpec(ConstantDatum(amplitude), 1.0))
 
 
+def no_absorption_spec(gamma, amplitude):
+    """No absorption, constant datum: the climb has no maximum-principle bound."""
+    return ProblemSpec(3, 1.0, CoefficientSpec(1.0, 1.0, gamma), NoAbsorption(),
+                       DatumSpec(ConstantDatum(amplitude), 1.0))
+
+
 def power_spec(gamma, p, m, datum=None, N=3, alpha=1.0):
     datum = datum if datum is not None else ConstantDatum(1.0)
     return ProblemSpec(N, 1.0, CoefficientSpec(alpha, alpha, gamma),

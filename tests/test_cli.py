@@ -187,7 +187,8 @@ class TestDispatch:
     # f(r_0) ~ 1.9e9 exceeds n_max = 2^30: the last level converges but
     # still clips the datum, so the problem was not solved
     CLIPPED = (MINIMAL.replace("p = 2.0", "p = 1.0").replace("M = 96", "M = 1024")
-               .replace("datum = constant", "datum = radial_power\ndelta = 2.8"))
+               .replace("datum = constant", "datum = radial_power\ndelta = 2.8")
+               + f"\n[solver]\nn_max = {2**30}\n")
 
     def test_verify_fails_when_truncation_stays_active(self, tmp_path, capsys):
         conf, out = write_config(tmp_path, self.CLIPPED)
@@ -232,13 +233,13 @@ class TestDispatch:
         "garbage_line": lambda text: text + "garbage\n",
         "bad_n_final": lambda text: re.sub(r"# n_final .*", "# n_final abc", text),
         # not a level of the config's schedule, so no solve wrote it: below
-        # its first level, between two of its levels, or above n_max = 2^30
+        # its first level, between two of its levels, or above its n_max
         "zero_n_final": lambda text: re.sub(r"# n_final .*", "# n_final 0", text),
         "negative_n_final": lambda text: re.sub(r"# n_final .*", "# n_final -4", text),
         "off_schedule_n_final_3": lambda text: re.sub(r"# n_final .*", "# n_final 3", text),
         "off_schedule_n_final_5": lambda text: re.sub(r"# n_final .*", "# n_final 5", text),
-        "above_n_max_n_final": lambda text: re.sub(r"# n_final .*", f"# n_final {2**40}",
-                                                   text),
+        "above_n_max_n_final": lambda text: re.sub(
+            r"# n_final .*", f"# n_final {2 * SolverConfig().n_max}", text),
         "non_finite_value": lambda text: text.rstrip("\n").rsplit(" ", 1)[0] + " nan\n",
     }
 
@@ -257,6 +258,19 @@ class TestDispatch:
         assert dispatch("verify", cfg, solution_path=str(sol)) == EXIT_CONFIG
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "cannot read solution" in err[0], err
+
+    def test_verify_against_non_finite_datum_is_config_error(self, tmp_path, capsys):
+        # A r^-2 with A = 1e308 overflows at the first node of the stored
+        # solution's mesh: no discrete problem exists to audit it against
+        conf, out = write_config(tmp_path, MINIMAL)
+        assert dispatch("solve", parse_config(conf.read_text())) == EXIT_OK
+        huge = parse_config(MINIMAL.replace("datum = constant",
+                                            "datum = radial_power\ndelta = 2.0")
+                            .replace("amplitude = 1.0", "amplitude = 1e308"))
+        capsys.readouterr()
+        assert dispatch("verify", huge, solution_path=str(out / "solution.dat")) == EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "must be finite" in err[0], err
 
     def test_sweep_and_report(self, tmp_path):
         conf, out = write_config(tmp_path, MINIMAL + "\n[sweep]\np = 1, 2\n")
@@ -452,8 +466,8 @@ class TestMain:
 
 class TestStalledSolve:
     """A solve whose Newton iteration stalls below the schedule's top level
-    (example.ini with p = 0.5, amplitude = 64, M = 64) exits 2 from every
-    command and writes its flags, not an audit."""
+    (example.ini without absorption, gamma = 2, amplitude = 100, M = 256)
+    exits 2 from every command and writes its flags, not an audit."""
 
     EXAMPLE = Path(__file__).resolve().parents[1] / "configs" / "example.ini"
     CHECKS = ("bg", "entropy", "lemma", "linfty", "marcinkiewicz", "truncation_energy",
@@ -462,9 +476,11 @@ class TestStalledSolve:
     def config(self, tmp_path):
         """The stalled example; its [sweep] varies only m = 1, 1.5, 2."""
         head, sep, sweep = self.EXAMPLE.read_text().partition("[sweep]")
-        for key, value in (("p", "0.5"), ("amplitude", "64"), ("M", "64")):
+        for key, value in (("gamma", "2"), ("amplitude", "100"), ("M", "256")):
             head, count = re.subn(rf"^{key} = \S+", f"{key} = {value}", head, flags=re.M)
             assert count == 1, key
+        head, count = re.subn(r"^p = ", "# p = ", head, flags=re.M)  # no absorption
+        assert count == 1
         sweep, count = re.subn(r"^(gamma|p) = .*\n", "", sweep, flags=re.M)
         assert count == 2
         sweep, count = re.subn(r"^# (m = 1, 1\.5, 2)$", r"\1", sweep, flags=re.M)
@@ -486,13 +502,13 @@ class TestStalledSolve:
         assert main(["solve", str(conf), "-o", str(out)]) == EXIT_NOT_CONVERGED
         lines = capsys.readouterr().out.splitlines()
         assert lines[:-1] == skips
-        assert re.fullmatch(r"converged=False truncation_active=False n_final=64 "
+        assert re.fullmatch(r"converged=False truncation_active=False n_final=256 "
                             r"residual=\S+", lines[-1]), lines[-1]
         assert not (out / "solution.dat").exists()
         (row,) = self.rows(out)
         assert {key: row[key] for key in ("n_final", "converged", "truncation_active",
                                           "hit_iteration_cap", "check_name", "passed")} == {
-            "n_final": "64", "converged": "false", "truncation_active": "false",
+            "n_final": "256", "converged": "false", "truncation_active": "false",
             "hit_iteration_cap": "false", "check_name": "solve_failed", "passed": "false"}
         assert float(row["lhs"]) > 1.0  # the stalled residual
 
@@ -513,13 +529,13 @@ class TestStalledSolve:
 
     def test_stalled_solve_removes_an_older_solution(self, tmp_path):
         out = tmp_path / "out"
-        assert main(["solve", str(self.EXAMPLE), "-M", "64", "-o", str(out)]) == EXIT_OK
+        assert main(["solve", str(self.EXAMPLE), "-o", str(out)]) == EXIT_OK
         assert (out / "solution.dat").exists()
         assert main(["solve", str(self.config(tmp_path)), "-o", str(out)]) == \
             EXIT_NOT_CONVERGED
         assert [row["check_name"] for row in self.rows(out)] == ["solve_failed"]
         assert not (out / "solution.dat").exists()
-        assert main(["verify", str(self.EXAMPLE), "-M", "64",
+        assert main(["verify", str(self.EXAMPLE),
                      "--solution", str(out / "solution.dat")]) == EXIT_CONFIG
 
 

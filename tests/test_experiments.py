@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from common import CFG, power_spec, singular_spec
+from common import CFG, no_absorption_spec, power_spec, singular_spec
 
 from degelab.analysis import (
     _report,
@@ -126,9 +126,32 @@ class TestRunSingle:
     def test_truncation_active_run_not_all_passed(self):
         # f(r_0) ~ 1.9e9 exceeds n_max = 2^30, so the schedule runs out
         rec = run_single(power_spec(1.0, 1.0, 1.0, RadialPowerDatum(1.0, 2.8)),
-                         MeshSpec(1024), CFG)
+                         MeshSpec(1024), SolverConfig(n_max=2**30))
         assert rec.converged and rec.truncation_active
         assert not rec.all_passed
+
+    # Without absorption, constant datum A at M = 256: (gamma, A) ->
+    # (converged, truncation_active, n_final).  gamma = 0.5 and 1 stalled at
+    # n = 128 when a frozen-coefficient direction backed the exact one; an
+    # exact march of the same upwind scheme finds their discrete solutions,
+    # max u 87.19 at n = 128 and 3.75e7 at n = 2^26.  gamma = 2 with A = 10
+    # keeps clipping u up to the cap; with A = 100 its Newton iteration
+    # stalls, with no flag set.
+    NO_ABSORPTION = {
+        (0.5, 100.0): (True, False, 128),
+        (1.0, 100.0): (True, False, 2**26),
+        (2.0, 10.0): (True, True, CFG.n_max),
+        (2.0, 100.0): (False, False, 256),
+    }
+
+    @pytest.mark.parametrize("gamma, amplitude", sorted(NO_ABSORPTION))
+    def test_no_absorption_outcomes(self, gamma, amplitude):
+        rec = run_single(no_absorption_spec(gamma, amplitude), MeshSpec(256), CFG)
+        assert (rec.converged, rec.truncation_active, rec.n_final) == \
+            self.NO_ABSORPTION[gamma, amplitude]
+        assert not rec.hit_iteration_cap
+        if rec.truncation_active or not rec.converged:
+            assert not rec.all_passed
 
     def test_failed_marcinkiewicz_gate_is_not_all_passed(self):
         # the gate skipped (bounded solution) leaves the run all-passed; an
@@ -279,7 +302,7 @@ class TestSweep:
                       ALL_CHECKS, 12, 36),
         "gamma_p_m_no_lemma": (power_spec(1.0, 2.0, 1.0, ConstantDatum(1.7)), 256, GAMMA_P_M,
                                tuple(c for c in ALL_CHECKS if c != "lemma"), 12, 36),
-        "stalled": (power_spec(1.0, 0.5, 1.0, ConstantDatum(64.0)), 64,
+        "stalled": (no_absorption_spec(2.0, 100.0), 256,
                     {"m": (1.0, 1.5, 2.0)}, ALL_CHECKS, 1, 0),
     }
 
