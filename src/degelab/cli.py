@@ -10,9 +10,15 @@ lives in an INI-style file; only the mesh size and the output directory
 can be overridden from the command line, so a config file pins a
 reproducible run.
 
-Exit codes: 0 success, 1 failed check (verify), 2 solver non-convergence
-(for ``solve`` also a final level that still clips the datum or the
-solution), 3 configuration errors.
+Exit codes: 0 success, 1 failed check (``verify``, also a stored field
+that its level still clips), 2 a run that is not solved: not converged, or
+converged at a final level that still clips the datum or the solution
+(``solve``, ``sweep`` and ``verify``), 3 configuration errors.
+
+The audit's tolerances and sampling families are constants of
+``degelab.experiments`` (``CHECK_TOLERANCE`` and its neighbours), and the
+Newton iteration's p < 1 regularization and barrier margin are constants of
+``degelab.solver`` (``EPS_P``, ``SINGULAR_MARGIN``); no config sets them.
 """
 
 from __future__ import annotations
@@ -29,7 +35,6 @@ import numpy as np
 
 from .experiments import (
     ALL_CHECKS,
-    CheckSettings,
     MeshSpec,
     SweepSpec,
     emit_from_saved,
@@ -66,9 +71,8 @@ _KNOWN_KEYS = {
     "problem": {"N", "R", "gamma", "alpha", "beta", "p", "sigma", "datum",
                 "amplitude", "delta", "m"},
     "mesh": {"M", "grading"},
-    "solver": {"picard_max", "newton_tol", "n_max", "face_scheme", "eps_p",
-               "singular_margin"},
-    "checks": {"enable", "tolerance", "lambdas", "k_levels", "tail_tolerance"},
+    "solver": {"picard_max", "newton_tol", "n_max", "face_scheme"},
+    "checks": {"enable"},
     "output": {"directory"},
     "sweep": {"gamma", "p", "m", "N", "delta", "M", "parallelism"},
     "mms": {"M_list", "amplitude"},
@@ -89,7 +93,6 @@ class Config:
     mesh: MeshSpec
     solver: SolverConfig
     checks: tuple[str, ...]
-    settings: CheckSettings
     output_dir: str
     sweep_axes: dict[str, tuple[float, ...]]
     mms_cells: tuple[int, ...]
@@ -187,6 +190,8 @@ def parse_config(text: str) -> Config:
                 f"{N}-ball (needs delta*m < N)")
     elif datum_kind != "constant":
         errors.append(f"[problem] datum: unknown family {datum_kind!r}")
+    elif delta is not None:
+        errors.append("[problem] delta: only datum=radial_power takes delta")
 
     if sigma is not None and amplitude < 0:
         errors.append("[problem] singular absorption requires a nonnegative datum")
@@ -204,20 +209,11 @@ def parse_config(text: str) -> Config:
     newton_tol = _get(parser, so, "newton_tol", float, sd.newton_tol, errors, positive=True)
     n_max = _get(parser, so, "n_max", int, sd.n_max, errors, positive=True)
     face_scheme = _get(parser, so, "face_scheme", str, sd.face_scheme, errors).strip()
-    eps_p = _get(parser, so, "eps_p", float, sd.eps_p, errors, positive=True)
-    margin = _get(parser, so, "singular_margin", float, sd.singular_margin, errors,
-                  positive=True)
     if face_scheme not in FACE_SCHEMES:
         errors.append(f"[solver] face_scheme: must be {' or '.join(FACE_SCHEMES)}, "
                       f"got {face_scheme!r}")
 
-    ch, cd = "checks", CheckSettings()
-    enable_raw = _get(parser, ch, "enable", str, "all", errors)
-    tolerance = _get(parser, ch, "tolerance", float, cd.tolerance, errors, positive=True)
-    lambdas = _get(parser, ch, "lambdas", _float_list, cd.lambdas, errors)
-    k_count = _get(parser, ch, "k_levels", int, cd.truncation_k_count, errors, positive=True)
-    tail_tol = _get(parser, ch, "tail_tolerance", float, cd.tail_tolerance, errors,
-                    positive=True)
+    enable_raw = _get(parser, "checks", "enable", str, "all", errors)
     if enable_raw.strip().lower() == "all":
         enabled = ALL_CHECKS
     else:
@@ -226,9 +222,6 @@ def parse_config(text: str) -> Config:
             if tok not in ALL_CHECKS:
                 errors.append(f"[checks] enable: unknown checker {tok!r} "
                               f"(known: {', '.join(ALL_CHECKS)})")
-    for lam in lambdas:
-        if lam <= 1.0:
-            errors.append(f"[checks] lambdas: every value must exceed 1, got {lam}")
 
     output_dir = _get(parser, "output", "directory", str, "out", errors)
 
@@ -250,6 +243,16 @@ def parse_config(text: str) -> Config:
                           (f">= {least}", [val for val in vals if val < least])):
             if bad:
                 errors.append(f"[sweep] {key}: every value must be {rule}, got {bad}")
+    if radial_power and delta is not None and axes.keys() & {"delta", "m", "N"}:
+        # every point's datum must lie in its L^m: the worst point pairs the
+        # largest delta and m with the smallest N
+        top_delta = max(axes.get("delta") or (delta,))
+        top_m = max(axes.get("m") or (m,))
+        least_N = min(axes.get("N") or (N,))
+        if top_delta * top_m >= least_N:
+            errors.append(
+                f"[sweep] datum r^(-{top_delta}) is not in L^{top_m} of the "
+                f"{least_N:g}-ball (needs delta*m < N at every point)")
 
     mms_cells = _get(parser, "mms", "M_list", _float_list, (64.0, 128.0, 256.0), errors)
     bad = [cells for cells in mms_cells if not (cells.is_integer() and cells >= 8)]
@@ -274,15 +277,12 @@ def parse_config(text: str) -> Config:
             lower=lower, datum=DatumSpec(family, m),
         )
         solver = SolverConfig(picard_max=picard_max, newton_tol=newton_tol, n_max=n_max,
-                              eps_p=eps_p, singular_margin=margin, face_scheme=face_scheme)
+                              face_scheme=face_scheme)
     except ValueError as err:
         raise ConfigError([str(err)]) from err
 
-    settings = CheckSettings(tolerance=tolerance, lambdas=tuple(lambdas),
-                             truncation_k_count=k_count, tail_tolerance=tail_tol)
     return Config(problem=problem, mesh=MeshSpec(M, grading), solver=solver,
-                  checks=enabled, settings=settings, output_dir=output_dir,
-                  sweep_axes=axes,
+                  checks=enabled, output_dir=output_dir, sweep_axes=axes,
                   mms_cells=tuple(int(cells) for cells in mms_cells),
                   mms_amplitude=mms_amplitude)
 
@@ -298,8 +298,7 @@ def _print_reports(record) -> None:
 
 
 def _cmd_solve(config: Config, out_dir: Path) -> int:
-    record = run_single(config.problem, config.mesh, config.solver,
-                        config.checks, config.settings)
+    record = run_single(config.problem, config.mesh, config.solver, config.checks)
     out_dir.mkdir(parents=True, exist_ok=True)
     if record.solution is not None:
         write_grid_function(record.solution, out_dir / "solution.dat",
@@ -312,44 +311,44 @@ def _cmd_solve(config: Config, out_dir: Path) -> int:
     _print_reports(record)
     print(f"converged={record.converged} truncation_active={record.truncation_active} "
           f"n_final={record.n_final} residual={record.residual_inf:.3e}")
-    return EXIT_OK if record.converged and not record.truncation_active else EXIT_NOT_CONVERGED
+    return EXIT_OK if record.solved else EXIT_NOT_CONVERGED
 
 
 def _cmd_sweep(config: Config, out_dir: Path) -> int:
     sweep = SweepSpec(base=config.problem, mesh=config.mesh, axes=config.sweep_axes,
-                      cfg=config.solver, checks=config.checks,
-                      settings=config.settings)
+                      cfg=config.solver, checks=config.checks)
     records = run_sweep(sweep)
     emit_outputs(records, out_dir)
     save_records(records, out_dir / "records.json")
-    bad = [rec for rec in records if not rec.converged]
-    print(f"{len(records)} runs, {len(records) - len(bad)} converged, "
-          f"outputs in {out_dir}")
-    return EXIT_NOT_CONVERGED if bad else EXIT_OK
+    solved = sum(rec.solved for rec in records)
+    print(f"{len(records)} runs, {sum(rec.converged for rec in records)} converged, "
+          f"{solved} solved, outputs in {out_dir}")
+    return EXIT_OK if solved == len(records) else EXIT_NOT_CONVERGED
 
 
 def _cmd_verify(config: Config, out_dir: Path, solution_path: str | None) -> int:
     if solution_path is None:
-        record = run_single(config.problem, config.mesh, config.solver,
-                            ALL_CHECKS, config.settings)
+        record = run_single(config.problem, config.mesh, config.solver, ALL_CHECKS)
         _print_reports(record)
         if not record.converged:
             print("solver did not converge")
             return EXIT_NOT_CONVERGED
-        if record.truncation_active or record.hit_iteration_cap:
-            print(f"  [FAIL] solve flags truncation_active={record.truncation_active} "
-                  f"hit_iteration_cap={record.hit_iteration_cap} at n_final={record.n_final}")
+        if not record.solved:
+            print(f"  [FAIL] truncation_active=True at n_final={record.n_final}")
         return EXIT_OK if record.all_passed else EXIT_CHECK_FAILED
-    residual, bound, checked = _verify_solution_file(config, solution_path)
+    residual, bound, clipped, checked = _verify_solution_file(config, solution_path)
     res_ok = residual <= bound
     print(f"  [{'pass' if res_ok else 'FAIL'}] residual |r|={residual:.3e} "
           f"bound={bound:.3e}")
+    if clipped:
+        print("  [FAIL] truncation_active=True: the stored level clips the field or the datum")
     _print_reports(checked)
-    return EXIT_OK if res_ok and checked.all_passed else EXIT_CHECK_FAILED
+    return EXIT_OK if res_ok and not clipped and checked.all_passed else EXIT_CHECK_FAILED
 
 
 def _verify_solution_file(config: Config, solution_path: str):
-    """Audit a stored solution: its residual, its bound, and every checker.
+    """Audit a stored solution: its residual, its bound, whether its level
+    still clips it or the datum, and every checker.
 
     The field is audited against the discrete problem of the config at the
     file's final truncation level n; the residual bound is that problem's
@@ -385,7 +384,7 @@ def _verify_solution_file(config: Config, solution_path: str):
         raise ConfigError([f"cannot audit {solution_path} against the config's datum "
                            f"({type(err).__name__}: {err})"]) from err
     return (problem.residual_norm(u.values), problem.tolerance(config.solver.newton_tol),
-            run_checks(u, problem, ALL_CHECKS, config.settings))
+            problem.truncation_active(u.values), run_checks(u, problem, ALL_CHECKS))
 
 
 def _cmd_mms(config: Config, out_dir: Path) -> int:

@@ -59,7 +59,6 @@ from .solver import DiscreteProblem, SolverConfig, manufactured_rhs, truncation_
 
 __all__ = [
     "MeshSpec",
-    "CheckSettings",
     "RunRecord",
     "SweepSpec",
     "ConvergenceRow",
@@ -83,10 +82,17 @@ __all__ = [
 ALL_CHECKS = ("lemma", "bg", "weighted_energy", "truncation_energy",
               "linfty", "entropy", "marcinkiewicz")
 
-# Superlevel thresholds of the bg checker, as fractions of max|u|, and the
-# number of cutoff levels k of the entropy checker.
+# The relative slack every inequality is audited with; the lambdas of the
+# weighted-energy family (each > 1); the superlevel thresholds of the bg
+# checker, as fractions of max|u|; the numbers of cutoff levels k of the
+# truncation-energy and entropy checkers; and the shortfall of the measured
+# gradient tail that the Marcinkiewicz gate allows, relative to the prediction.
+CHECK_TOLERANCE = 1e-4
+WEIGHTED_ENERGY_LAMBDAS = (1.25, 2.0, 4.0)
 BG_T_FRACTIONS = (0.0, 0.25, 0.5, 0.75)
+TRUNCATION_K_COUNT = 8
 ENTROPY_K_COUNT = 4
+TAIL_TOLERANCE = 0.15
 
 SWEEP_CAP = 4096  # largest number of points one sweep may have
 
@@ -124,16 +130,6 @@ class MeshSpec:
     grading: float = 1.0
 
 
-@dataclass(frozen=True)
-class CheckSettings:
-    """Tolerances and sampling families shared by the estimate checkers."""
-
-    tolerance: float = 1e-4
-    lambdas: tuple[float, ...] = (1.25, 2.0, 4.0)
-    truncation_k_count: int = 8
-    tail_tolerance: float = 0.15
-
-
 @dataclass(frozen=True, eq=False)
 class RunRecord:
     """Everything measured about one solve; records are append-only."""
@@ -162,12 +158,15 @@ class RunRecord:
     discrete: DiscreteProblem | None = None  # the level solved; in memory only
 
     @property
+    def solved(self) -> bool:
+        """Converged (so the final level did not run into picard_max), at a
+        final level that clips neither u nor the datum."""
+        return self.converged and not self.truncation_active
+
+    @property
     def all_passed(self) -> bool:
-        """Solved (converged, truncation inactive, no level capped) and
-        every check passed."""
-        return (self.converged and not self.truncation_active
-                and not self.hit_iteration_cap
-                and _checks_passed(self.reports))
+        """Solved and every check passed."""
+        return self.solved and _checks_passed(self.reports)
 
     @cached_property
     def payload(self) -> dict:
@@ -212,8 +211,8 @@ class CheckResults:
         return _checks_passed(self.reports)
 
 
-def run_checks(u: GridFunction, problem: DiscreteProblem, checks: Sequence[str] = ALL_CHECKS,
-               settings: CheckSettings = CheckSettings()) -> CheckResults:
+def run_checks(u: GridFunction, problem: DiscreteProblem,
+               checks: Sequence[str] = ALL_CHECKS) -> CheckResults:
     """Execute every enabled, applicable checker on u and fit its tails.
 
     u is audited against ``problem``, the discrete problem it solves, whose
@@ -229,7 +228,7 @@ def run_checks(u: GridFunction, problem: DiscreteProblem, checks: Sequence[str] 
     df_g = distribution_function(np.abs(face_gradient(u)), grid.face_weights)
     tail_u, tail_grad = tail_exponent_fit(df_u), tail_exponent_fit(df_g)
     u_max = u.max_abs()
-    tol = settings.tolerance
+    tol = CHECK_TOLERANCE
     alpha = spec.coefficient.alpha
     gamma = spec.coefficient.gamma
     is_power = isinstance(spec.lower, PowerAbsorption)
@@ -250,10 +249,10 @@ def run_checks(u: GridFunction, problem: DiscreteProblem, checks: Sequence[str] 
             ts = sorted({frac * u_max for frac in BG_T_FRACTIONS})
             reports[name] = tuple(check_bg_estimate(u, f_nodal, spec.lower.p, ts, tol))
         elif name == "weighted_energy":
-            reports[name] = tuple(check_weighted_energy(u, f_nodal, gamma, settings.lambdas,
-                                                        alpha, tol))
+            reports[name] = tuple(check_weighted_energy(u, f_nodal, gamma,
+                                                        WEIGHTED_ENERGY_LAMBDAS, alpha, tol))
         elif name == "truncation_energy":
-            ks = _checker_levels(u_max, settings.truncation_k_count)
+            ks = _checker_levels(u_max, TRUNCATION_K_COUNT)
             reports[name] = tuple(check_truncation_energy(u, f_nodal, gamma, alpha, ks, tol))
         elif name == "linfty":
             if not isinstance(spec.lower, SingularAbsorption):
@@ -264,7 +263,7 @@ def run_checks(u: GridFunction, problem: DiscreteProblem, checks: Sequence[str] 
             ks = _checker_levels(u_max, ENTROPY_K_COUNT)
             reports[name] = tuple(check_entropy_inequality(u, problem, ks, tol))
         elif name == "marcinkiewicz":
-            mk_report = verify_marcinkiewicz_lemma(u, settings.tail_tolerance,
+            mk_report = verify_marcinkiewicz_lemma(u, TAIL_TOLERANCE,
                                                    tails=(df_u, tail_u, tail_grad))
             if mk_report.applicable:
                 reports[name] = (mk_report.verdict,)
@@ -305,7 +304,6 @@ def _prediction(spec: ProblemSpec) -> RegimePrediction | None:
 
 def run_single(spec: ProblemSpec, mesh: MeshSpec, cfg: SolverConfig,
                checks: Sequence[str] = ALL_CHECKS,
-               settings: CheckSettings = CheckSettings(),
                run_id: str = "run_0000") -> RunRecord:
     """Solve one problem and execute every enabled, applicable checker."""
     started = datetime.now(timezone.utc).isoformat()
@@ -326,7 +324,7 @@ def run_single(spec: ProblemSpec, mesh: MeshSpec, cfg: SolverConfig,
 
     converged = result.flags.converged
     if converged:
-        checked = run_checks(result.u, result.problem, checks, settings)
+        checked = run_checks(result.u, result.problem, checks)
     else:
         checked = CheckResults(skipped={name: "solver did not converge" for name in checks})
     return RunRecord(
@@ -355,7 +353,6 @@ class SweepSpec:
     axes: dict[str, tuple[float, ...]] = field(default_factory=dict)
     cfg: SolverConfig = SolverConfig()
     checks: tuple[str, ...] = ALL_CHECKS
-    settings: CheckSettings = CheckSettings()
 
 
 def _apply_axis_point(base: ProblemSpec, mesh: MeshSpec,
@@ -396,7 +393,7 @@ def _discrete_problem(spec: ProblemSpec, mesh: MeshSpec) -> tuple:
 
 
 def _reuse(first: RunRecord, spec: ProblemSpec, run_id: str, started: str,
-           t0: float, tolerance: float) -> RunRecord:
+           t0: float) -> RunRecord:
     """The record of a point whose discrete problem ``first`` already solved
     and audited: its prediction and ``lemma`` report are recomputed for its
     own m, everything else (flags, skips, failure, other reports) is shared."""
@@ -405,7 +402,7 @@ def _reuse(first: RunRecord, spec: ProblemSpec, run_id: str, started: str,
         u = first.solution
         f_nodal = GridFunction(u.grid, first.discrete.rhs)
         reports = {**reports, "lemma": (check_lemma_estimate(
-            u, f_nodal, spec.lower.p, spec.datum.m, tolerance),)}
+            u, f_nodal, spec.lower.p, spec.datum.m, CHECK_TOLERANCE),)}
     return replace(first, run_id=run_id, problem=spec, prediction=_prediction(spec),
                    reports=reports, started_at=started,
                    duration_s=time.perf_counter() - t0)
@@ -423,9 +420,8 @@ def _sweep_point(sweep: SweepSpec, idx: int, point: dict[str, float],
         spec, mesh = _apply_axis_point(sweep.base, sweep.mesh, point)
         key = _discrete_problem(spec, mesh)
         if key in solved:
-            return _reuse(solved[key], spec, run_id, started, t0,
-                          sweep.settings.tolerance)
-        solved[key] = run_single(spec, mesh, sweep.cfg, sweep.checks, sweep.settings, run_id)
+            return _reuse(solved[key], spec, run_id, started, t0)
+        solved[key] = run_single(spec, mesh, sweep.cfg, sweep.checks, run_id)
         return solved[key]
     except Exception as err:
         return _failed_record(run_id, spec, mesh, sweep.checks, None,

@@ -100,6 +100,8 @@ __all__ = [
 
 FIRST_LEVEL = 1            # first level of the truncation schedule
 DAMPING_MIN = 2.0**-20     # smallest line-search step factor
+EPS_P = 1e-10              # regularization of g'(s) = p |s|^(p-1) at s = 0 for p < 1
+SINGULAR_MARGIN = 1e-12    # Newton iterates stay in [0, sigma - SINGULAR_MARGIN]
 FACE_SCHEMES = ("upwind", "arithmetic")
 
 
@@ -113,14 +115,11 @@ class SolverConfig:
     picard_max: int = 200             # Newton steps per truncation level or Newton solve
     newton_tol: float = 1e-10         # residual tolerance, relative to 1 + |rhs|
     n_max: int = 2**200               # last truncation level
-    eps_p: float = 1e-10              # Jacobian regularization for p < 1
-    singular_margin: float = 1e-12    # exclusion distance from the barrier
     face_scheme: str = "upwind"       # one of FACE_SCHEMES
 
     def __post_init__(self):
-        for name in ("newton_tol", "eps_p", "singular_margin"):
-            if not (getattr(self, name) > 0):
-                raise ValueError(f"{name} must be positive")
+        if not (self.newton_tol > 0):
+            raise ValueError("newton_tol must be positive")
         if self.face_scheme not in FACE_SCHEMES:
             raise ValueError(f"face_scheme must be {' or '.join(map(repr, FACE_SCHEMES))}, "
                              f"got {self.face_scheme!r}")
@@ -281,20 +280,20 @@ def tridiag_solve(op: DiscreteOperator, rhs: np.ndarray | None = None) -> np.nda
     return x
 
 
-def _absorption_prime(term: LowerOrderTerm, s: np.ndarray, eps_p: float) -> np.ndarray:
-    """Derivative of the absorption term, regularized for p < 1 at s = 0."""
+def _absorption_prime(term: LowerOrderTerm, s: np.ndarray) -> np.ndarray:
+    """Derivative of the absorption term, regularized by EPS_P for p < 1 at s = 0."""
     if isinstance(term, NoAbsorption):
         return np.zeros_like(s)
     if isinstance(term, PowerAbsorption):
-        return term.p * (np.abs(s) + eps_p) ** (term.p - 1.0)
+        return term.p * (np.abs(s) + EPS_P) ** (term.p - 1.0)
     if isinstance(term, SingularAbsorption):
         return term.sigma / (term.sigma - s) ** 2
     raise TypeError(f"unknown lower-order term {term!r}")
 
 
-def _clamp_singular(term: LowerOrderTerm, values: np.ndarray, margin: float) -> np.ndarray:
+def _clamp_singular(term: LowerOrderTerm, values: np.ndarray) -> np.ndarray:
     if isinstance(term, SingularAbsorption):
-        return np.clip(values, 0.0, term.sigma - margin)
+        return np.clip(values, 0.0, term.sigma - SINGULAR_MARGIN)
     return values
 
 
@@ -360,8 +359,7 @@ def _exact_jacobian(op: DiscreteOperator, frozen: DiscreteOperator, u: np.ndarra
 
 
 def _line_search(problem: DiscreteProblem, op: DiscreteOperator, u: np.ndarray,
-                 res: np.ndarray, res_norm: float, jac: DiscreteOperator,
-                 cfg: SolverConfig):
+                 res: np.ndarray, res_norm: float, jac: DiscreteOperator):
     """First point along jac's Newton direction, halving from full length
     down to DAMPING_MIN, whose residual norm is below res_norm.
 
@@ -378,7 +376,7 @@ def _line_search(problem: DiscreteProblem, op: DiscreteOperator, u: np.ndarray,
     moving = problem.spec.coefficient.gamma > 0
     factor = 1.0
     while factor >= DAMPING_MIN:
-        trial = _clamp_singular(lower, u + factor * step, cfg.singular_margin)
+        trial = _clamp_singular(lower, u + factor * step)
         trial_op = problem.operator(trial) if moving else op
         trial_res = _residual(trial_op, lower, trial)
         trial_norm = float(np.max(np.abs(trial_res)))
@@ -396,17 +394,18 @@ def newton_semilinear(problem: DiscreteProblem, u0: np.ndarray,
     d_u[A_n(u)] u (for gamma = 0 the last term vanishes) and halves the
     step from full length down to DAMPING_MIN until the residual falls;
     A_n(u) is reassembled at every trial point.  At most picard_max steps
-    are taken, g' is regularized for p < 1, iterates with a singular
-    absorption term stay clamped inside [0, sigma - margin], and the
-    iteration stalls when no trial lowers the residual.  Returns the final
-    iterate, the number of accepted steps, why the iteration stopped
-    ("converged" once the residual is within ``problem.tolerance``,
-    "capped" or "stalled") and the residual sup norm at the final iterate.
+    are taken, g' is regularized by EPS_P for p < 1, iterates with a
+    singular absorption term stay clamped inside [0, sigma -
+    SINGULAR_MARGIN], and the iteration stalls when no trial lowers the
+    residual.  Returns the final iterate, the number of accepted steps,
+    why the iteration stopped ("converged" once the residual is within
+    ``problem.tolerance``, "capped" or "stalled") and the residual sup
+    norm at the final iterate.
     A nan residual is never within the tolerance.
     """
     lower = problem.spec.lower
     tol = problem.tolerance(cfg.newton_tol)
-    u = _clamp_singular(lower, u0.copy(), cfg.singular_margin)
+    u = _clamp_singular(lower, u0.copy())
     op = problem.operator(u)
     res = _residual(op, lower, u)
     res_norm = float(np.max(np.abs(res)))
@@ -415,11 +414,11 @@ def newton_semilinear(problem: DiscreteProblem, u0: np.ndarray,
         if steps == cfg.picard_max:
             stop = "capped"
             break
-        gp = _absorption_prime(lower, u, cfg.eps_p)
+        gp = _absorption_prime(lower, u)
         jac = DiscreteOperator(op.grid, op.sub, op.diag + gp, op.sup, op.rhs)
         if problem.spec.coefficient.gamma > 0:  # else A_n does not depend on u
             jac = _exact_jacobian(op, jac, u, problem)
-        accepted = _line_search(problem, op, u, res, res_norm, jac, cfg)
+        accepted = _line_search(problem, op, u, res, res_norm, jac)
         if accepted is None:
             stop = "stalled"
             break

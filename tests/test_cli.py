@@ -24,7 +24,6 @@ from degelab.cli import (
 )
 import degelab
 import degelab.experiments as experiments
-from degelab.experiments import CheckSettings
 from degelab.grid import build_radial_grid
 from degelab.problem import (
     DatumSpec,
@@ -65,7 +64,6 @@ class TestParse:
         assert cfg.mesh.cells == 96
         assert cfg.checks == ("lemma", "bg", "weighted_energy", "truncation_energy",
                               "linfty", "entropy", "marcinkiewicz")
-        assert cfg.settings.lambdas == (1.25, 2.0, 4.0)
         assert cfg.output_dir == "out"
 
     def test_low_dimension_rejected(self):
@@ -118,9 +116,8 @@ class TestParse:
             assert main(["sweep", str(conf), "-o", str(tmp_path / "out")]) == EXIT_CONFIG
 
     def test_checks_selection(self):
-        cfg = parse_config(MINIMAL + "\n[checks]\nenable = lemma, bg\ntolerance = 1e-5\n")
+        cfg = parse_config(MINIMAL + "\n[checks]\nenable = lemma, bg\n")
         assert cfg.checks == ("lemma", "bg")
-        assert cfg.settings.tolerance == 1e-5
         with pytest.raises(ConfigError, match="unknown checker"):
             parse_config(MINIMAL + "\n[checks]\nenable = lemma, nope\n")
 
@@ -131,7 +128,6 @@ class TestParse:
     def test_defaults_are_the_dataclass_defaults(self):
         cfg = parse_config(MINIMAL)
         assert cfg.solver == SolverConfig()
-        assert cfg.settings == CheckSettings()
 
     def test_solver_fields_are_the_config_keys(self):
         # a SolverConfig field no config can set is a knob only tests turn
@@ -157,9 +153,9 @@ class TestDispatch:
         assert dispatch("solve", cfg) == EXIT_OK
 
         from degelab.experiments import run_single
-        rec = run_single(cfg.problem, cfg.mesh, cfg.solver, cfg.checks, cfg.settings)
-        residual, bound, checked = _verify_solution_file(cfg, str(out / "solution.dat"))
-        assert residual <= bound
+        rec = run_single(cfg.problem, cfg.mesh, cfg.solver, cfg.checks)
+        residual, bound, clipped, checked = _verify_solution_file(cfg, str(out / "solution.dat"))
+        assert residual <= bound and not clipped
         assert checked.all_passed
 
         def table(reports):
@@ -202,6 +198,24 @@ class TestDispatch:
         names = {p.name for p in out.iterdir()}
         assert {"solution.dat", "records.csv", "records.json",
                 "summary.md", "plotdata"} <= names
+
+    def test_sweep_fails_when_truncation_stays_active(self, tmp_path, capsys):
+        # the one point converges but is not solved; sweep exited 0
+        conf, out = write_config(tmp_path, self.CLIPPED + "\n[sweep]\nm = 1\n")
+        assert dispatch("sweep", parse_config(conf.read_text())) == EXIT_NOT_CONVERGED
+        assert capsys.readouterr().out.startswith("1 runs, 1 converged, 0 solved")
+
+    def test_verify_solution_fails_when_truncation_stays_active(self, tmp_path, capsys):
+        # residual and every check pass on the stored field, but its level
+        # still clips the datum; verify --solution exited 0
+        conf, out = write_config(tmp_path, self.CLIPPED)
+        cfg = parse_config(conf.read_text())
+        assert dispatch("solve", cfg) == EXIT_NOT_CONVERGED
+        capsys.readouterr()
+        assert dispatch("verify", cfg, solution_path=str(out / "solution.dat")) == \
+            EXIT_CHECK_FAILED
+        assert [line for line in capsys.readouterr().out.splitlines() if "[FAIL]" in line] == \
+            ["  [FAIL] truncation_active=True: the stored level clips the field or the datum"]
 
     def test_verify_corrupted_solution_fails(self, tmp_path):
         conf, out = write_config(tmp_path, MINIMAL)
@@ -386,10 +400,24 @@ class TestMain:
     def test_missing_config_file(self):
         assert main(["solve", "/nonexistent/path.ini"]) == EXIT_CONFIG
 
-    def test_removed_picard_tol_rejected(self, tmp_path, capsys):
-        conf, out = write_config(tmp_path, MINIMAL + "\n[solver]\npicard_tol = 1e-8\n")
+    # knobs that no config set are constants now (solver.EPS_P,
+    # solver.SINGULAR_MARGIN, experiments.CHECK_TOLERANCE and its neighbours)
+    REMOVED_KEYS = [
+        ("solver", "picard_tol", "1e-8"),
+        ("solver", "eps_p", "1e-10"),
+        ("solver", "singular_margin", "1e-12"),
+        ("checks", "tolerance", "inf"),
+        ("checks", "lambdas", "2, nan"),
+        ("checks", "k_levels", "8"),
+        ("checks", "tail_tolerance", "0.15"),
+    ]
+
+    @pytest.mark.parametrize("section,key,value", REMOVED_KEYS,
+                             ids=[key for _, key, _ in REMOVED_KEYS])
+    def test_removed_picard_tol_rejected(self, tmp_path, capsys, section, key, value):
+        conf, out = write_config(tmp_path, MINIMAL + f"\n[{section}]\n{key} = {value}\n")
         assert main(["solve", str(conf)]) == EXIT_CONFIG
-        assert "unknown key 'picard_tol' in section [solver]" in capsys.readouterr().err
+        assert f"unknown key {key!r} in section [{section}]" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("text,violation", [
@@ -403,6 +431,31 @@ class TestMain:
         assert f"config error: {violation}\n" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_delta_without_radial_power_rejected(self, tmp_path, capsys):
+        # a constant datum ignored delta and the solve exited 0
+        conf, out = write_config(tmp_path, "[problem]\np = 2.0\ndelta = 2.0\n")
+        assert main(["solve", str(conf)]) == EXIT_CONFIG
+        assert "config error: [problem] delta: only datum=radial_power takes delta\n" in \
+            capsys.readouterr().err
+        assert not out.exists()
+
+    RADIAL = "[problem]\np = 2.0\ndatum = radial_power\ndelta = 1.0\nm = 2.0\n"
+
+    @pytest.mark.parametrize("base,axes,worst", [
+        # the point delta = 2, m = 2 ran on N = 3 and exited 0
+        ("", "delta = 1.0, 2.0", "r^(-2.0) is not in L^2.0 of the 3-ball"),
+        ("", "m = 1, 3", "r^(-1.0) is not in L^3.0 of the 3-ball"),
+        ("N = 5\n", "N = 3, 5\ndelta = 1.0, 1.6", "r^(-1.6) is not in L^2.0 of the 3-ball"),
+    ], ids=["delta", "m", "N"])
+    def test_sweep_axes_keep_the_datum_in_its_class(self, tmp_path, capsys, base, axes, worst):
+        conf, out = write_config(tmp_path, f"{self.RADIAL}{base}[sweep]\n{axes}\n")
+        assert main(["sweep", str(conf)]) == EXIT_CONFIG
+        assert (f"config error: [sweep] datum {worst} (needs delta*m < N at every point)\n"
+                in capsys.readouterr().err)
+        assert not out.exists()
+        # every point in its class parses
+        parse_config(f"{self.RADIAL}[sweep]\ndelta = 0.5, 1.4\nm = 1, 2\nN = 3, 4\n")
+
     @pytest.mark.parametrize("command,text,violation", [
         # numpy gives 1**nan = 1: a nan gamma solved as gamma = 0 and exited 0
         ("solve", "gamma = nan", "[problem] gamma: must be finite, got nan"),
@@ -411,13 +464,10 @@ class TestMain:
         ("solve", "amplitude = inf", "[problem] amplitude: must be finite, got inf"),
         # an infinite alpha solved to a nan residual that counted as converged
         ("solve", "alpha = inf", "[problem] alpha: must be finite, got inf"),
-        # an infinite tolerance passed every check
-        ("solve", "[checks]\ntolerance = inf", "[checks] tolerance: must be finite, got inf"),
-        ("solve", "[checks]\nlambdas = 2, nan", "[checks] lambdas: cannot parse '2, nan'"),
         ("sweep", "[sweep]\ngamma = 0, inf", "[sweep] gamma: cannot parse value list"),
         ("mms", "[mms]\namplitude = nan", "[mms] amplitude: must be finite, got nan"),
-    ], ids=["gamma", "R", "amplitude-nan", "amplitude-inf", "alpha", "tolerance", "lambdas",
-            "sweep-gamma", "mms-amplitude"])
+    ], ids=["gamma", "R", "amplitude-nan", "amplitude-inf", "alpha", "sweep-gamma",
+            "mms-amplitude"])
     def test_non_finite_value_rejected(self, tmp_path, capsys, command, text, violation):
         conf, out = write_config(tmp_path, f"[problem]\np = 2.0\n{text}\n")
         assert main([command, str(conf)]) == EXIT_CONFIG

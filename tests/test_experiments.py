@@ -28,10 +28,12 @@ import degelab.solver as solver
 from degelab.cli import EXIT_OK, main
 from degelab.experiments import (
     ALL_CHECKS,
+    CHECK_TOLERANCE,
     CSV_COLUMNS,
     ROW_COLUMNS,
+    TAIL_TOLERANCE,
+    WEIGHTED_ENERGY_LAMBDAS,
     CheckResults,
-    CheckSettings,
     MeshSpec,
     SweepSpec,
     emit_from_saved,
@@ -189,17 +191,16 @@ class TestRunSingle:
         grid = build_radial_grid(3, 1.0, 256)
         res = truncation_continuation(grid, spec, CFG)
         assert res.flags.converged and not res.flags.truncation_active
-        u, settings = res.u, CheckSettings()
+        u, tol = res.u, CHECK_TOLERANCE
         f = grid_function(grid, lambda r: datum_eval(spec.datum, r))
-        gamma, alpha, p, tol = (spec.coefficient.gamma, spec.coefficient.alpha,
-                                spec.lower.p, settings.tolerance)
+        gamma, alpha, p = spec.coefficient.gamma, spec.coefficient.alpha, spec.lower.p
         peak = u.max_abs()
         df_u = distribution_function(u.values, grid.weights,
                                      np.geomspace(1e-3, max(2.0 * peak, 2e-3), 48))
         grad = np.abs(face_gradient(u))
         df_g = distribution_function(grad, grid.face_weights,
                                      np.geomspace(1e-3, max(2.0 * grad.max(), 2e-3), 48))
-        mk = verify_marcinkiewicz_lemma(u, settings.tail_tolerance)
+        mk = verify_marcinkiewicz_lemma(u, TAIL_TOLERANCE)
         assert mk.applicable
         expect = CheckResults(
             reports={
@@ -207,7 +208,7 @@ class TestRunSingle:
                 "bg": tuple(check_bg_estimate(u, f, p, np.unique(
                     np.array([0.0, 0.25, 0.5, 0.75]) * peak), tol)),
                 "weighted_energy": tuple(check_weighted_energy(u, f, gamma, [lam], alpha, tol)[0]
-                                         for lam in settings.lambdas),
+                                         for lam in WEIGHTED_ENERGY_LAMBDAS),
                 "truncation_energy": tuple(check_truncation_energy(
                     u, f, gamma, alpha, np.geomspace(0.01 * peak, 2.0 * peak, 8), tol)),
                 "entropy": tuple(check_entropy_inequality(

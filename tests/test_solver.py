@@ -231,7 +231,7 @@ class TestExactJacobian:
 
             fd = np.column_stack([(F(u + h * e) - F(u - h * e)) / (2 * h)
                                   for e in np.eye(grid.M)])
-            frozen = replace(op, diag=op.diag + solver._absorption_prime(lower, u, CFG.eps_p))
+            frozen = replace(op, diag=op.diag + solver._absorption_prime(lower, u))
             jac = solver._exact_jacobian(op, frozen, u, problem)
             scale = np.max(np.abs(fd))
             assert np.max(np.abs(dense(jac) - fd)) <= 1e-6 * scale, p
