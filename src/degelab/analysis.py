@@ -10,10 +10,12 @@ to the nonlinear-solve residual, absorbed by the check tolerance (default
 1e-4 relative).  The energy checkers need only the upwind coefficient as a
 lower bound, and no arithmetic face falls below it.
 
-A checker sampled over cutoff levels k clips the field at every level in
-one array and takes all the face gradients at once; each level's sums are
-still single dot products in the order of the per-level formula, so every
-value is bit-identical to truncating and differencing level by level.
+A checker sampled over cutoff levels k clips the field at a block of
+levels in one array and takes the block's face gradients at once
+(``_cutoff_blocks``; on meshes up to a few hundred cells one block holds
+every level).  Each level's sums are still single dot products in the
+order of the per-level formula, so every value is bit-identical to
+truncating and differencing level by level.
 The weighted-energy checker likewise shares one face gradient across all
 its exponents lambda.  The level grids and line fits are exact
 re-implementations of ``np.geomspace`` and ``np.polyfit(x, y, 1)``: the
@@ -70,6 +72,11 @@ TAIL_WINDOW_FRACTION = 0.4
 TAIL_MIN_LEVELS = 5
 TAIL_MIN_CELLS = 3
 TAIL_MIN_DECADES = 1.0
+
+# Gradient bytes of one block of cutoff levels (see _cutoff_blocks).  Every
+# temporary of a block then stays below glibc's 128 KiB mmap threshold, so it
+# reuses heap memory instead of mapping and faulting in fresh pages per call.
+CUTOFF_BLOCK_BYTES = 64 * 1024
 
 
 @dataclass(frozen=True, eq=False)
@@ -256,26 +263,33 @@ def tail_exponent_fit(df: DistributionFunction) -> TailFit:
                    n_levels=int(ks.size), sufficient=True)
 
 
-def _cutoffs(grid: RadialGrid, values: np.ndarray,
-             k_levels) -> tuple[np.ndarray, np.ndarray]:
-    """T_k of every row of ``values`` at every level, and their face gradients.
+def _cutoff_blocks(grid: RadialGrid, values: np.ndarray, ks: np.ndarray):
+    """T_k of every row of ``values`` at every level of ``ks``, with the face
+    gradients, in blocks of consecutive levels.
 
-    ``values`` is (M,) or (P, M); the result rows run over (row, level),
-    level fastest: shapes (P*K, M) and (P*K, M+1).  Each entry is the same
-    float operation as ``face_gradient(truncate(u, k))``.
+    ``values`` is (P, M).  Yields (clipped, grads) of shapes (P, c, M) and
+    (P, c, M+1) for successive runs of c levels; each entry is the same
+    float operation as ``face_gradient(truncate(u, k))``.  A block holds at
+    most ``CUTOFF_BLOCK_BYTES`` of gradients (at least one level), so its
+    temporaries stay on the heap; when every level fits, the one block is
+    all of them.
     """
-    ks = np.asarray(k_levels, dtype=float)
     if not (ks > 0).all():
         raise ValueError(f"truncation level must be positive, got {ks[~(ks > 0)][0]}")
-    clipped = values[..., None, :].clip(-ks[:, None], ks[:, None]).reshape(-1, grid.M)
-    return clipped, face_differences(grid, clipped)
+    per_block = max(1, CUTOFF_BLOCK_BYTES // (8 * (grid.M + 1) * max(len(values), 1)))
+    for start in range(0, ks.size, per_block):
+        k = ks[start:start + per_block, None]
+        clipped = values[:, None, :].clip(-k, k)
+        yield clipped, face_differences(grid, clipped)
 
 
 def _cutoff_energies(u: GridFunction, k_levels) -> list[float]:
     """Face-weighted squared gradient of T_k(u) at every level k."""
-    _, grads = _cutoffs(u.grid, u.values, k_levels)
+    ks = np.asarray(k_levels, dtype=float)
     wf = u.grid.face_weights
-    return [float(np.dot(wf, row)) for row in grads**2]
+    return [float(np.dot(wf, row))
+            for _, grads in _cutoff_blocks(u.grid, u.values[None, :], ks)
+            for row in np.square(grads[0], out=grads[0])]  # as grads**2, in place
 
 
 def dirichlet_energy(u: GridFunction, k: float | None = None) -> float:
@@ -410,19 +424,22 @@ def check_entropy_inequality(u: GridFunction, problem, k_levels, tol: float = 1e
                else [(label, phi.values) for label, phi in phi_samples])
     ks = np.asarray(k_levels, dtype=float)
     diffs = np.array([u.values - phi for _, phi in samples]).reshape(-1, grid.M)
-    tests, grad_tests = _cutoffs(grid, diffs, ks)
-    face_terms = flux * grad_tests
-    absorbed = g_u * tests
-    sourced = fv * tests
+    sums: list[list[tuple[float, float]]] = [[] for _ in samples]
+    for tests, grad_tests in _cutoff_blocks(grid, diffs, ks):
+        face_terms = np.multiply(grad_tests, flux, out=grad_tests)
+        absorbed = g_u * tests
+        sourced = fv * tests
+        for i, row in enumerate(sums):
+            for j in range(tests.shape[1]):
+                lhs = float(np.dot(wf, face_terms[i, j])) + float(np.dot(wts, absorbed[i, j]))
+                row.append((lhs, float(np.dot(wts, sourced[i, j]))))
     tol = float(tol)
     out = []
-    pairs = [(f"entropy[{label}]", k) for label, _ in samples for k in ks.tolist()]
-    for i, (name, k) in enumerate(pairs):
-        lhs = float(np.dot(wf, face_terms[i]))
-        lhs += float(np.dot(wts, absorbed[i]))
-        rhs = float(np.dot(wts, sourced[i]))
-        scale = max(abs(rhs), k * f_l1)
-        out.append(_report(name, lhs, rhs, tol, scale=scale, params=(("k", k),)))
+    for (label, _), row in zip(samples, sums):
+        for k, (lhs, rhs) in zip(ks.tolist(), row):
+            scale = max(abs(rhs), k * f_l1)
+            out.append(_report(f"entropy[{label}]", lhs, rhs, tol, scale=scale,
+                               params=(("k", k),)))
     return out
 
 

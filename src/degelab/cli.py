@@ -37,6 +37,7 @@ from .experiments import (
     ALL_CHECKS,
     MeshSpec,
     SweepSpec,
+    _apply_axis_point,
     emit_from_saved,
     emit_outputs,
     load_records,
@@ -281,7 +282,20 @@ def parse_config(text: str) -> Config:
     except ValueError as err:
         raise ConfigError([str(err)]) from err
 
-    return Config(problem=problem, mesh=MeshSpec(M, grading), solver=solver,
+    # a sweep builds each point with the constructors; a value they reject
+    # is a config error here, not a failed point of the run
+    mesh = MeshSpec(M, grading)
+    for key, vals in axes.items():
+        for val in vals:
+            try:
+                _apply_axis_point(problem, mesh, {key: val})
+            except ValueError as err:
+                errors.append(f"[sweep] {key}: {err}")
+                break
+    if errors:
+        raise ConfigError(errors)
+
+    return Config(problem=problem, mesh=mesh, solver=solver,
                   checks=enabled, output_dir=output_dir, sweep_axes=axes,
                   mms_cells=tuple(int(cells) for cells in mms_cells),
                   mms_amplitude=mms_amplitude)

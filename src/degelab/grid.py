@@ -185,7 +185,9 @@ def face_differences(grid: RadialGrid, values: np.ndarray) -> np.ndarray:
     M = grid.M
     grad = np.empty(values.shape[:-1] + (M + 1,))
     grad[..., 0] = 0.0
-    grad[..., 1:M] = (values[..., 1:] - values[..., :-1]) / grid.gaps[1:M]
+    inner = grad[..., 1:M]
+    np.subtract(values[..., 1:], values[..., :-1], out=inner)
+    inner /= grid.gaps[1:M]
     grad[..., M] = (0.0 - values[..., -1]) / grid.gaps[M]
     return grad
 

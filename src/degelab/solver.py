@@ -31,11 +31,12 @@ import sys
 from dataclasses import dataclass, field, replace
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import scipy
 
-from .grid import GridFunction, RadialGrid, face_upwind_values
+from .grid import GridFunction, RadialGrid
 from .problem import (
     LowerOrderTerm,
     NoAbsorption,
@@ -164,8 +165,10 @@ class DiscreteProblem:
 
     One level of the solve iterates on it, the audit checks a field
     against it and ``verify --solution`` rebuilds it from a stored field's
-    level.  ``f_nodal`` is the datum at the nodes, unclipped, and must be
-    finite; ``rhs`` is T_n f.  A_n(u) is the flux-form operator whose face
+    level.  All three freeze A_n at a field by the same code: ``freeze``
+    for the node arrays, then ``_faces`` and ``assemble_frozen``.
+    ``f_nodal`` is the datum at the nodes, unclipped, and must be finite;
+    ``rhs`` is T_n f.  A_n(u) is the flux-form operator whose face
     coefficients are frozen at T_n(u) by ``scheme``, one of FACE_SCHEMES.
     """
 
@@ -184,28 +187,21 @@ class DiscreteProblem:
         object.__setattr__(self, "rhs", np.clip(f_nodal, -self.n, self.n))
 
     def faces(self, u: np.ndarray) -> np.ndarray:
-        """Diffusion coefficient at every face, frozen at T_n(u).
-
-        An upwind face takes the adjacent node of larger |u|
-        (``face_upwind_values``), the smaller coefficient; an arithmetic
-        face the mean of its two nodes' coefficients, with the ghost value
-        0 beyond the last node.
-        """
-        coeff, n, M = self.spec.coefficient, self.n, self.grid.M
-        if self.scheme == "upwind":
-            return coefficient_eval(coeff, np.clip(face_upwind_values(self.grid, u), -n, n))
-        clipped = np.clip(u, -n, n)
-        a = np.empty(M + 1)
-        a[0] = coefficient_eval(coeff, clipped[0])
-        left = coefficient_eval(coeff, clipped[:-1])
-        right = coefficient_eval(coeff, clipped[1:])
-        a[1:M] = 0.5 * (left + right)
-        a[M] = 0.5 * (coefficient_eval(coeff, clipped[-1]) + coefficient_eval(coeff, 0.0))
-        return a
+        """Diffusion coefficient at every face, frozen at T_n(u)."""
+        return _faces(self, self.freeze(u))
 
     def operator(self, u: np.ndarray) -> DiscreteOperator:
         """A_n frozen at the finite field u, with right-hand side T_n f."""
         return assemble_frozen(self, GridFunction(self.grid, u))
+
+    def freeze(self, u: np.ndarray) -> FrozenNodes:
+        """u's node arrays at this level.  |T_n u| is min(|u|, n) exactly,
+        and an upwind face takes its right node at a tie, as in
+        ``grid.face_upwind_values``."""
+        mag = np.abs(u)
+        wins = mag[1:] >= mag[:-1] if self.scheme == "upwind" else None
+        return FrozenNodes(u, mag, wins,
+                           coefficient_eval(self.spec.coefficient, np.minimum(mag, self.n)))
 
     def residual_norm(self, u: np.ndarray) -> float:
         """Sup norm of A_n(u) u + g(u) - T_n f."""
@@ -220,6 +216,45 @@ class DiscreteProblem:
         """Whether the clipping at n touches u or the datum.  Only when it
         touches neither does u solve the untruncated discrete problem."""
         return not (self.n > np.max(np.abs(u)) and self.n >= np.max(np.abs(self.f_nodal)))
+
+
+class FrozenNodes(NamedTuple):
+    """A field u at one truncation level and the node arrays that freezing
+    A_n at u reads; ``DiscreteProblem.freeze`` makes them.
+
+    The Newton loop freezes each trial point once: the trial's faces, and
+    the next step's Jacobian when the trial is accepted, share its |u|,
+    upwind choice and coefficient.
+    """
+
+    u: np.ndarray
+    mag: np.ndarray            # |u|
+    wins: np.ndarray | None    # upwind: per interior face, right |u| >= left |u|
+    coeff: np.ndarray          # a(T_n u) at the nodes
+
+
+def _faces(problem: DiscreteProblem, nodes: FrozenNodes) -> np.ndarray:
+    """Diffusion coefficient at every face, frozen at T_n(u).
+
+    An upwind face takes the coefficient of its adjacent node of larger
+    |u|, the smaller one; an arithmetic face the mean of its two nodes'
+    coefficients, with the ghost value 0 beyond the last node.  The origin
+    face, which carries no flux, takes the first node's.
+    """
+    coeff, M = nodes.coeff, problem.grid.M
+    a = np.empty(M + 1)
+    a[0] = coeff[0]
+    if problem.scheme == "upwind":
+        a[1:M] = np.where(nodes.wins, coeff[1:], coeff[:-1])
+        a[M] = coeff[-1]
+        return a
+    a[1:M] = 0.5 * (coeff[:-1] + coeff[1:])
+    # scalar evaluations: numpy's scalar power can differ in the last bit from
+    # the array power in coeff[-1], and this scheme's outputs follow the scalar
+    spec = problem.spec.coefficient
+    a[M] = 0.5 * (coefficient_eval(spec, np.minimum(nodes.mag[-1], problem.n))
+                  + coefficient_eval(spec, 0.0))
+    return a
 
 
 @dataclass(frozen=True)
@@ -246,11 +281,15 @@ class SingularOperatorError(RuntimeError):
     """The assembled tridiagonal system is singular."""
 
 
-def assemble_frozen(problem: DiscreteProblem, u_frozen: GridFunction) -> DiscreteOperator:
+def assemble_frozen(problem: DiscreteProblem,
+                    u_frozen: GridFunction | FrozenNodes) -> DiscreteOperator:
     """Assemble A_n(u_frozen) = -div(a(r, T_n(u_frozen)) grad .) with Dirichlet
-    ghost at R and right-hand side T_n f."""
+    ghost at R and right-hand side T_n f.  The Newton loop passes the
+    ``FrozenNodes`` of its trial point, any other caller a GridFunction."""
     grid = problem.grid
-    a_face = problem.faces(u_frozen.values)
+    nodes = (problem.freeze(u_frozen.values) if isinstance(u_frozen, GridFunction)
+             else u_frozen)
+    a_face = _faces(problem, nodes)
     trans = np.zeros(grid.M + 1)
     trans[1:] = grid.face_areas[1:] * a_face[1:] / grid.gaps[1:]
     vol = grid.volumes
@@ -302,47 +341,47 @@ def _residual(op: DiscreteOperator, lower: LowerOrderTerm, u: np.ndarray) -> np.
     return apply_operator(op, u) + lower_order_eval(lower, u) - op.rhs
 
 
-def _face_log_slopes(problem: DiscreteProblem, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _face_log_slopes(problem: DiscreteProblem,
+                     nodes: FrozenNodes) -> tuple[np.ndarray, np.ndarray]:
     """d(ln a_f)/du at each face's left node (i-1) and right node (i).
 
     For either coefficient form da/ds = -gamma sgn(s) a / (1 + |s|), zero
     where the clip |s| >= n holds.  An upwind face depends only on the node
-    it takes its value from (at a tie, the right one, as in
-    ``face_upwind_values``); an arithmetic face on both, in the shares
+    it takes its value from; an arithmetic face on both, in the shares
     a_left : a_right, with the ghost value 0 beyond the last node.
     """
     coeff, n, M = problem.spec.coefficient, problem.n, problem.grid.M
-    mag = np.abs(u)
-    rate = np.where(mag < n, -coeff.gamma * np.sign(u) / (1.0 + mag), 0.0)
+    mag = nodes.mag
+    rate = np.where(mag < n, -coeff.gamma * np.sign(nodes.u) / (1.0 + mag), 0.0)
     left = np.zeros(M + 1)
     right = np.zeros(M + 1)
     if problem.scheme == "upwind":
-        wins = mag[1:] >= mag[:-1]
+        wins = nodes.wins
         left[1:M] = np.where(wins, 0.0, rate[:-1])
         right[1:M] = np.where(wins, rate[1:], 0.0)
         left[M] = rate[-1]
     else:
-        clipped = np.clip(u, -n, n)
-        a_left = coefficient_eval(coeff, clipped)
-        a_right = coefficient_eval(coeff, np.append(clipped[1:], 0.0))
+        a_left = nodes.coeff
+        a_right = np.append(a_left[1:], coefficient_eval(coeff, 0.0))
         total = a_left + a_right
         left[1:] = a_left / total * rate
         right[1:M] = (a_right / total)[:-1] * rate[1:]
     return left, right
 
 
-def _exact_jacobian(op: DiscreteOperator, frozen: DiscreteOperator, u: np.ndarray,
+def _exact_jacobian(op: DiscreteOperator, frozen: DiscreteOperator, nodes: FrozenNodes,
                     problem: DiscreteProblem) -> DiscreteOperator:
     """frozen + d_u[A_n(u)] u, the level residual's exact Jacobian at u.
 
-    ``op`` is A_n(u) and ``frozen`` is op + diag(g'(u)).  Row i of A_n(u) u
-    is lam_i (u_i - u_{i-1}) - rho_i (u_{i+1} - u_i) with u_M = 0, where
-    lam_i and rho_i are the transmissibilities of the cell's left and right
-    face over its volume, read off the assembled row; each face's
-    transmissibility varies with its nodes at the rates of
-    ``_face_log_slopes``.
+    ``op`` is A_n(u), assembled from ``nodes``, and ``frozen`` is op +
+    diag(g'(u)).  Row i of A_n(u) u is lam_i (u_i - u_{i-1}) - rho_i
+    (u_{i+1} - u_i) with u_M = 0, where lam_i and rho_i are the
+    transmissibilities of the cell's left and right face over its volume,
+    read off the assembled row; each face's transmissibility varies with
+    its nodes at the rates of ``_face_log_slopes``.
     """
-    slope_left, slope_right = _face_log_slopes(problem, u)
+    u = nodes.u
+    slope_left, slope_right = _face_log_slopes(problem, nodes)
     lam = -op.sub
     rho = -op.sup
     rho[-1] = op.diag[-1] + op.sub[-1]  # the Dirichlet face has no sup entry
@@ -363,10 +402,11 @@ def _line_search(problem: DiscreteProblem, op: DiscreteOperator, u: np.ndarray,
     """First point along jac's Newton direction, halving from full length
     down to DAMPING_MIN, whose residual norm is below res_norm.
 
-    The level's operator is reassembled at each trial point, unless
-    gamma = 0, where A_n does not depend on u.  Returns (u, operator,
-    residual, norm) there, or None if no trial is accepted or jac is
-    singular.
+    The level's operator is reassembled at each trial point from the
+    trial's ``FrozenNodes``, unless gamma = 0, where A_n does not depend on
+    u and the trial is not frozen.  Returns (u, FrozenNodes or None at
+    gamma = 0, operator, residual, norm) there, or None if no trial is
+    accepted or jac is singular.
     """
     try:
         step = tridiag_solve(jac, -res)
@@ -377,11 +417,12 @@ def _line_search(problem: DiscreteProblem, op: DiscreteOperator, u: np.ndarray,
     factor = 1.0
     while factor >= DAMPING_MIN:
         trial = _clamp_singular(lower, u + factor * step)
-        trial_op = problem.operator(trial) if moving else op
+        nodes = problem.freeze(trial) if moving else None
+        trial_op = assemble_frozen(problem, nodes) if moving else op
         trial_res = _residual(trial_op, lower, trial)
         trial_norm = float(np.max(np.abs(trial_res)))
         if np.isfinite(trial_norm) and trial_norm < res_norm:
-            return trial, trial_op, trial_res, trial_norm
+            return trial, nodes, trial_op, trial_res, trial_norm
         factor *= 0.5
     return None
 
@@ -392,21 +433,24 @@ def newton_semilinear(problem: DiscreteProblem, u0: np.ndarray,
 
     Each step solves with the exact Jacobian A_n(u) + diag(g'(u)) +
     d_u[A_n(u)] u (for gamma = 0 the last term vanishes) and halves the
-    step from full length down to DAMPING_MIN until the residual falls;
-    A_n(u) is reassembled at every trial point.  At most picard_max steps
-    are taken, g' is regularized by EPS_P for p < 1, iterates with a
-    singular absorption term stay clamped inside [0, sigma -
-    SINGULAR_MARGIN], and the iteration stalls when no trial lowers the
-    residual.  Returns the final iterate, the number of accepted steps,
-    why the iteration stopped ("converged" once the residual is within
-    ``problem.tolerance``, "capped" or "stalled") and the residual sup
-    norm at the final iterate.
+    step from full length down to DAMPING_MIN until the residual falls.
+    For gamma > 0, A_n(u) is reassembled at every trial point from the
+    trial's ``FrozenNodes``, and the next step's Jacobian reuses those of
+    the accepted one; for gamma = 0 it is assembled once.  At most
+    picard_max steps are taken, g' is regularized by EPS_P for p < 1,
+    iterates with a singular absorption term stay clamped inside [0,
+    sigma - SINGULAR_MARGIN], and the iteration stalls when no trial
+    lowers the residual.  Returns the final iterate, the number of
+    accepted steps, why the iteration stopped ("converged" once the
+    residual is within ``problem.tolerance``, "capped" or "stalled") and
+    the residual sup norm at the final iterate.
     A nan residual is never within the tolerance.
     """
     lower = problem.spec.lower
     tol = problem.tolerance(cfg.newton_tol)
     u = _clamp_singular(lower, u0.copy())
-    op = problem.operator(u)
+    nodes = problem.freeze(u)
+    op = assemble_frozen(problem, nodes)
     res = _residual(op, lower, u)
     res_norm = float(np.max(np.abs(res)))
     steps = 0
@@ -417,12 +461,12 @@ def newton_semilinear(problem: DiscreteProblem, u0: np.ndarray,
         gp = _absorption_prime(lower, u)
         jac = DiscreteOperator(op.grid, op.sub, op.diag + gp, op.sup, op.rhs)
         if problem.spec.coefficient.gamma > 0:  # else A_n does not depend on u
-            jac = _exact_jacobian(op, jac, u, problem)
+            jac = _exact_jacobian(op, jac, nodes, problem)
         accepted = _line_search(problem, op, u, res, res_norm, jac)
         if accepted is None:
             stop = "stalled"
             break
-        u, op, res, res_norm = accepted
+        u, nodes, op, res, res_norm = accepted
         steps += 1
     else:
         stop = "converged"

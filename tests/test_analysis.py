@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from common import CFG, grid_and_weights, power_spec, singular_spec
 
+import degelab.analysis as analysis
 from degelab.analysis import (
     _line_fit,
     check_bg_estimate,
@@ -313,60 +314,112 @@ class TestMarcinkiewiczLemma:
 
 
 @st.composite
-def cutoff_cases(draw):
+def cutoff_cases(draw, max_cells=300, max_levels=12):
     """A grid, a signed field and increasing positive levels, with some
     nodal values exactly at +-k so the clip's boundary case is exercised."""
-    M = draw(st.integers(8, 300))
+    M = draw(st.integers(8, max_cells))
     grading = draw(st.sampled_from([None, 1.5, 4.0]))
     grid, w = grid_and_weights(M, grading=grading)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     values = rng.normal(0.0, draw(st.floats(0.01, 100.0)), M)
-    ks = np.unique(draw(st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=12)))
+    ks = np.unique(draw(st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=max_levels)))
     for k in ks:
         values[rng.integers(M)] = k * rng.choice([-1.0, 1.0])
     return grid, w, GridFunction(grid, values), ks
 
 
+def per_level_energies(u, ks):
+    return [float(np.dot(u.grid.face_weights, face_gradient(truncate(u, k)) ** 2))
+            for k in ks]
+
+
+def assert_energies_per_level(u, ks):
+    expect = per_level_energies(u, ks)
+    reps = check_truncation_energy(u, grid_function(u.grid, 1.0), 0.0, 1.0, ks)
+    assert [rep.lhs for rep in reps] == expect
+    assert [dirichlet_energy(u, k) for k in ks] == expect
+
+
+def assert_entropy_per_pair(u, ks, gamma, p, phis):
+    grid, w = u.grid, u.grid.weights
+    spec = power_spec(gamma, p, 1.0)
+    f = grid_function(grid, lambda r: 1.0 + r)
+    # n = 2^30 clips neither the field nor the datum
+    problem = DiscreteProblem(grid, spec, f.values, 2**30, "upwind")
+    a_face = coefficient_eval(spec.coefficient, face_upwind_values(grid, u.values))
+    wf = grid.face_weights
+    grad_u = face_gradient(u)
+    g_u = lower_order_eval(spec.lower, u.values)
+    expect = []
+    for _, phi in phis:
+        for k in ks:
+            test = truncate(GridFunction(grid, u.values - phi.values), k)
+            lhs = float(np.dot(wf, a_face * grad_u * face_gradient(test)))
+            lhs += float(np.dot(w, g_u * test.values))
+            expect.append((lhs, float(np.dot(w, f.values * test.values))))
+    reps = check_entropy_inequality(u, problem, ks, phi_samples=phis)
+    assert [(rep.lhs, rep.rhs) for rep in reps] == expect
+    assert [rep.name for rep in reps] == [f"entropy[{label}]" for label, _ in phis for _ in ks]
+
+
+def three_phis(grid):
+    return [("zero", grid_function(grid, 0.0)),
+            ("ramp", grid_function(grid, lambda r: 0.3 * (1.0 - r))),
+            ("-bump", grid_function(grid, lambda r: -2.0 * (1.0 - r**2)))]
+
+
 class TestBatchedCutoffs:
-    """The checkers evaluate all cutoff levels in one array pass; every
-    value must equal the per-level formula exactly."""
+    """The checkers evaluate their cutoff levels in blocks of array passes;
+    every value must equal the per-level formula exactly."""
 
     @settings(max_examples=60, deadline=None)
     @given(case=cutoff_cases())
     def test_cutoff_energies_equal_per_level_formula(self, case):
-        grid, _, u, ks = case
-        expect = [float(np.dot(grid.face_weights, face_gradient(truncate(u, k)) ** 2))
-                  for k in ks]
-        reps = check_truncation_energy(u, grid_function(grid, 1.0), 0.0, 1.0, ks)
-        assert [rep.lhs for rep in reps] == expect
-        assert [dirichlet_energy(u, k) for k in ks] == expect
+        _, _, u, ks = case
+        assert_energies_per_level(u, ks)
 
     @settings(max_examples=40, deadline=None)
     @given(case=cutoff_cases(), gamma=st.sampled_from([0.0, 0.5, 1.0]),
            p=st.sampled_from([0.5, 2.0]))
     def test_entropy_sums_equal_per_pair_loop(self, case, gamma, p):
-        grid, w, u, ks = case
-        spec = power_spec(gamma, p, 1.0)
-        f = grid_function(grid, lambda r: 1.0 + r)
-        phis = [("zero", grid_function(grid, 0.0)),
-                ("ramp", grid_function(grid, lambda r: 0.3 * (1.0 - r)))]
-        # n = 2^30 clips neither the field nor the datum
-        problem = DiscreteProblem(grid, spec, f.values, 2**30, "upwind")
-        a_face = coefficient_eval(spec.coefficient, face_upwind_values(grid, u.values))
-        wf = grid.face_weights
-        grad_u = face_gradient(u)
-        g_u = lower_order_eval(spec.lower, u.values)
-        expect = []
-        for _, phi in phis:
-            for k in ks:
-                test = truncate(GridFunction(grid, u.values - phi.values), k)
-                lhs = float(np.dot(wf, a_face * grad_u * face_gradient(test)))
-                lhs += float(np.dot(w, g_u * test.values))
-                expect.append((lhs, float(np.dot(w, f.values * test.values))))
-        reps = check_entropy_inequality(u, problem, ks, phi_samples=phis)
-        assert [(rep.lhs, rep.rhs) for rep in reps] == expect
-        assert [rep.name for rep in reps] == [f"entropy[{label}]"
-                                              for label, _ in phis for _ in ks]
+        grid, _, u, ks = case
+        assert_entropy_per_pair(u, ks, gamma, p, three_phis(grid)[:2])
+
+    # up to 4096 cells and 40 levels: several blocks, often a partial last one
+    @settings(max_examples=25, deadline=None)
+    @given(case=cutoff_cases(max_cells=4096, max_levels=40))
+    def test_cutoff_energies_across_blocks(self, case):
+        _, _, u, ks = case
+        assert_energies_per_level(u, ks)
+
+    @settings(max_examples=15, deadline=None)
+    @given(case=cutoff_cases(max_cells=4096, max_levels=40),
+           gamma=st.sampled_from([0.0, 0.5, 1.0]), p=st.sampled_from([0.5, 2.0]))
+    def test_entropy_across_blocks(self, case, gamma, p):
+        grid, _, u, ks = case
+        assert_entropy_per_pair(u, ks, gamma, p, three_phis(grid))
+
+    def test_probe_size_spans_blocks(self):
+        # the probe's finest mesh: 20 levels are 7 blocks of cutoff energies
+        # (the last one partial), and each entropy block holds one level
+        grid, _ = grid_and_weights(2048)
+        rng = np.random.default_rng(7)
+        u = grid_function(grid, grid.nodes ** -1.5 * (1.0 + 0.1 * rng.normal(size=grid.M)))
+        ks = geomspace(0.01 * u.max_abs(), 2.0 * u.max_abs(), 20)
+        per_block = analysis.CUTOFF_BLOCK_BYTES // (8 * (grid.M + 1))
+        assert 1 <= per_block < ks.size and ks.size % per_block
+        assert_energies_per_level(u, ks)
+        assert_entropy_per_pair(u, ks, 1.0, 1.0, three_phis(grid))
+        # the Marcinkiewicz rho: the slope of the window's energies
+        rep = verify_marcinkiewicz_lemma(u)
+        assert rep.applicable
+        df_u = distribution_function(u.values, grid.weights)
+        window = df_u.k_levels[(df_u.k_levels >= rep.u_fit.window[0])
+                               & (df_u.k_levels <= rep.u_fit.window[1])]
+        assert window.size > per_block
+        energies = np.array(per_level_energies(u, window))
+        assert np.all(energies > 0)
+        assert rep.rho_exponent == float(_line_fit(np.log(window), np.log(energies))[0])
 
     def test_nonpositive_level_rejected(self):
         grid, _ = grid_and_weights(16)

@@ -494,6 +494,24 @@ class TestMain:
         assert f"config error: {violation}\n" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("base,axes,violation", [
+        ("p = 2.0\n", "delta = 1.0, 2.0", "axis 'delta' requires a radial power datum"),
+        ("sigma = 1.0\n", "p = 1, 2", "axis 'p' requires a power absorption base problem"),
+        ("p = 2.0\n", "m = 0.5, 1", "Lebesgue class m must be >= 1, got 0.5"),
+        ("p = 2.0\ndatum = radial_power\ndelta = 1.0\n", "delta = -1, 1.0",
+         "delta must be positive, got -1.0"),
+    ], ids=["delta-on-constant", "p-on-barrier", "m-below-1", "delta-nonpositive"])
+    def test_sweep_points_that_cannot_be_built_rejected(self, tmp_path, capsys, base, axes,
+                                                        violation):
+        # each ran as a sweep of failed points and exited 2; the same
+        # values under [problem] already exited 3
+        key = axes.split(" ")[0]
+        conf, out = write_config(tmp_path, f"[problem]\n{base}[mesh]\nM = 16\n"
+                                 f"[sweep]\n{axes}\n")
+        assert main(["sweep", str(conf)]) == EXIT_CONFIG
+        assert f"config error: [sweep] {key}: {violation}\n" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_config_errors_reported(self, tmp_path, capsys):
         path = tmp_path / "bad.ini"
         path.write_text("[problem]\nN = 2\n")

@@ -253,6 +253,23 @@ class TestRunSingle:
         assert rec.prediction.gradient_exponent == 2.0
         assert regime_label(rec.prediction, 1.5) == "m>1:finite_energy"
 
+    def test_no_state_between_calls(self):
+        # the probe's finest op, run twice around a matrix op, holds the same
+        # bits: whatever the audit's cutoff blocks or the Newton step reuse,
+        # nothing carries over from one call to the next
+        def everything(rec):  # what scripts/record_digest.py hashes
+            payload = {key: value for key, value in experiments._payload(rec).items()
+                       if key != "duration_s"}
+            return repr((payload, rec.reports, rec.skipped, rec.marcinkiewicz))
+
+        probe = power_spec(1.0, 1.0, 1.0, RadialPowerDatum(1.0, 2.6))
+        first = run_single(probe, MeshSpec(2048), CFG)
+        assert first.converged and first.all_passed and "marcinkiewicz" in first.reports
+        between = run_single(power_spec(0.5, 2.0, 1.5, RadialPowerDatum(1.0, 1.2)),
+                             MeshSpec(256), CFG)
+        assert between.converged
+        assert everything(run_single(probe, MeshSpec(2048), CFG)) == everything(first)
+
 
 class TestSweep:
     def test_covers_all_five_cases(self):

@@ -232,7 +232,7 @@ class TestExactJacobian:
             fd = np.column_stack([(F(u + h * e) - F(u - h * e)) / (2 * h)
                                   for e in np.eye(grid.M)])
             frozen = replace(op, diag=op.diag + solver._absorption_prime(lower, u))
-            jac = solver._exact_jacobian(op, frozen, u, problem)
+            jac = solver._exact_jacobian(op, frozen, problem.freeze(u), problem)
             scale = np.max(np.abs(fd))
             assert np.max(np.abs(dense(jac) - fd)) <= 1e-6 * scale, p
             coefficient_part = np.max(np.abs(dense(jac) - dense(frozen)))
@@ -298,6 +298,34 @@ class TestNewton:
         assert res.flags == SolveFlags(converged=False, truncation_active=False,
                                        hit_iteration_cap=False)
         assert res.picard_iters == 0 and math.isnan(res.residual_inf)
+
+
+class TestOneAssemblyPath:
+    @pytest.mark.parametrize("scheme", ["upwind", "arithmetic"])
+    @pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0])
+    def test_newton_operator_is_the_problems(self, monkeypatch, scheme, gamma):
+        # the operator each residual of the Newton loop is taken with is, bit
+        # for bit, DiscreteProblem.operator at that point, the one the audit
+        # and verify --solution use (at gamma = 0, the loop's one assembly);
+        # alpha = 0.01 lifts u above n = 4 inside the ball
+        seen = []
+        original = solver.apply_operator
+        monkeypatch.setattr(solver, "apply_operator",
+                            lambda op, u: seen.append((op, u)) or original(op, u))
+        grid = build_radial_grid(3, 1.0, 32, grading=2.0)
+        spec = ProblemSpec(3, 1.0, CoefficientSpec(0.01, 0.01, gamma), PowerAbsorption(0.5),
+                           DatumSpec(ConstantDatum(50.0), 1.0))
+        problem = level(grid, spec, 4, scheme=scheme)
+        res = picard_solve(problem, CFG)
+        assert res.flags.converged and res.picard_iters > 1
+        assert len(seen) > res.picard_iters
+        clipped = np.abs(res.u.values) > problem.n
+        assert clipped.any() and not clipped.all()
+        assert seen[-1][1].tobytes() == res.u.values.tobytes()
+        for op, u in seen:
+            again = problem.operator(u)
+            for name in ("sub", "diag", "sup", "rhs"):
+                assert getattr(op, name).tobytes() == getattr(again, name).tobytes(), name
 
 
 class TestPicard:
