@@ -6,11 +6,17 @@
 Runs the first R rounds of the seeded ``matrix`` or ``probe`` workload of
 perfbench/workloads.py (each op one ``experiments.run_single`` with every
 check) and prints, per op, a digest of the ``repr`` of the record's
-payload without ``duration_s``, of its reports (the Marcinkiewicz gate's
-verdict among them), its skips and its Marcinkiewicz report (the gate's
-diagnostics).  Two source trees give the same output exactly when
+payload without ``duration_s`` and ``stop``, of its reports (the
+Marcinkiewicz gate's verdict among them), its skips and its Marcinkiewicz
+report (the gate's diagnostics).  Two source trees give the same output exactly when
 every op's outputs are bit-identical, so comparing them is one ``diff``
 of two runs of this script, one from each checkout.
+
+``duration_s`` is left out because it differs from run to run.  ``stop``
+is left out because it adds nothing: it is a function of the payload's
+``converged`` and ``hit_iteration_cap`` cells and its ``failure``, which
+the digest covers, and without it digests compare across trees whose
+payloads have no ``stop``.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from degelab import experiments  # noqa: E402
 
 def record_digest(rec) -> str:
     payload = {key: value for key, value in experiments._payload(rec).items()
-               if key != "duration_s"}
+               if key not in ("duration_s", "stop")}
     text = repr((payload, rec.reports, rec.skipped, rec.marcinkiewicz))
     return hashlib.sha256(text.encode()).hexdigest()
 

@@ -10,10 +10,11 @@ lives in an INI-style file; only the mesh size and the output directory
 can be overridden from the command line, so a config file pins a
 reproducible run.
 
-Exit codes: 0 success, 1 failed check (``verify``, also a stored field
-that its level still clips), 2 a run that is not solved: not converged, or
-converged at a final level that still clips the datum or the solution
-(``solve``, ``sweep`` and ``verify``), 3 configuration errors.
+Exit codes: 0 success; 1 a failed check, or a converged run whose final
+level still clips the datum or the solution (``verify``, also on a stored
+field); 2 a run that is not solved: not converged (``solve``, ``sweep``
+and ``verify``), or converged at a final level that still clips
+(``solve`` and ``sweep``); 3 configuration errors.
 
 The audit's tolerances and sampling families are constants of
 ``degelab.experiments`` (``CHECK_TOLERANCE`` and its neighbours), and the
@@ -324,7 +325,8 @@ def _cmd_solve(config: Config, out_dir: Path) -> int:
     save_records([record], out_dir / "records.json")
     _print_reports(record)
     print(f"converged={record.converged} truncation_active={record.truncation_active} "
-          f"n_final={record.n_final} residual={record.residual_inf:.3e}")
+          f"n_final={record.n_final} residual={record.residual_inf:.3e} "
+          f"stop={record.flags.stop.value}")
     return EXIT_OK if record.solved else EXIT_NOT_CONVERGED
 
 
@@ -345,7 +347,7 @@ def _cmd_verify(config: Config, out_dir: Path, solution_path: str | None) -> int
         record = run_single(config.problem, config.mesh, config.solver, ALL_CHECKS)
         _print_reports(record)
         if not record.converged:
-            print("solver did not converge")
+            print(f"solver did not converge: stop={record.flags.stop.value}")
             return EXIT_NOT_CONVERGED
         if not record.solved:
             print(f"  [FAIL] truncation_active=True at n_final={record.n_final}")

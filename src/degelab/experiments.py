@@ -55,7 +55,8 @@ from .problem import (
     SingularAbsorption,
     classify_regime,
 )
-from .solver import DiscreteProblem, SolverConfig, manufactured_rhs, truncation_continuation
+from .solver import (DiscreteProblem, SolveFlags, SolverConfig, Stop, manufactured_rhs,
+                     truncation_continuation)
 
 __all__ = [
     "MeshSpec",
@@ -138,9 +139,7 @@ class RunRecord:
     problem: ProblemSpec
     mesh: MeshSpec
     n_final: int
-    converged: bool
-    truncation_active: bool
-    hit_iteration_cap: bool
+    flags: SolveFlags  # the final level's; Stop.FAILED when no solve finished
     picard_iters: int  # accepted Newton steps summed over the truncation levels
     residual_inf: float
     prediction: RegimePrediction | None
@@ -157,10 +156,14 @@ class RunRecord:
     solution: GridFunction | None = None  # kept in memory, never serialized
     discrete: DiscreteProblem | None = None  # the level solved; in memory only
 
+    converged = property(lambda self: self.flags.converged)
+    truncation_active = property(lambda self: self.flags.truncation_active)
+    hit_iteration_cap = property(lambda self: self.flags.hit_iteration_cap)
+
     @property
     def solved(self) -> bool:
-        """Converged (so the final level did not run into picard_max), at a
-        final level that clips neither u nor the datum."""
+        """Stopped converged (not capped, stalled or failed), at a final
+        level that clips neither u nor the datum."""
         return self.converged and not self.truncation_active
 
     @property
@@ -284,11 +287,11 @@ def _failed_record(run_id: str, spec: ProblemSpec, mesh: MeshSpec,
                    err: Exception) -> RunRecord:
     """Record of a point that produced no solution; every check is skipped.
 
-    It is flagged unconverged and nothing else: no level ran, so nothing
-    was clipped.  The exception is kept in ``failure``."""
+    It stops ``Stop.FAILED`` and is not truncation-active: no level
+    finished, so nothing was clipped.  The exception is kept in ``failure``."""
     return RunRecord(
-        run_id=run_id, problem=spec, mesh=mesh, n_final=0, converged=False,
-        truncation_active=False, hit_iteration_cap=False, picard_iters=0,
+        run_id=run_id, problem=spec, mesh=mesh, n_final=0,
+        flags=SolveFlags(Stop.FAILED, False), picard_iters=0,
         residual_inf=math.inf, prediction=prediction,
         started_at=started, duration_s=duration_s,
         failure=f"{type(err).__name__}: {err}",
@@ -329,10 +332,7 @@ def run_single(spec: ProblemSpec, mesh: MeshSpec, cfg: SolverConfig,
         checked = CheckResults(skipped={name: "solver did not converge" for name in checks})
     return RunRecord(
         run_id=run_id, problem=spec, mesh=mesh, n_final=result.n_final,
-        converged=converged,
-        truncation_active=result.flags.truncation_active,
-        hit_iteration_cap=result.flags.hit_iteration_cap,
-        picard_iters=result.picard_iters,
+        flags=result.flags, picard_iters=result.picard_iters,
         residual_inf=result.residual_inf, prediction=prediction,
         started_at=started, duration_s=time.perf_counter() - t0,
         solution=result.u if converged else None, discrete=result.problem, **vars(checked),
@@ -661,6 +661,7 @@ def _payload(rec: RunRecord) -> dict:
         "dist_grad": rec.dist_grad,
         "case": regime_label(rec.prediction, rec.problem.datum.m),
         "duration_s": rec.duration_s,
+        "stop": rec.flags.stop.value,
         "failure": rec.failure,
         "all_passed": rec.all_passed,
         "n_checks": sum(len(g) for g in rec.reports.values()),

@@ -29,6 +29,7 @@ import importlib.util
 import math
 import sys
 from dataclasses import dataclass, field, replace
+from enum import Enum
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 from pathlib import Path
 from typing import NamedTuple
@@ -87,6 +88,7 @@ __all__ = [
     "SolverConfig",
     "DiscreteOperator",
     "DiscreteProblem",
+    "Stop",
     "SolveFlags",
     "SolveResult",
     "SingularOperatorError",
@@ -119,6 +121,8 @@ class SolverConfig:
     face_scheme: str = "upwind"       # one of FACE_SCHEMES
 
     def __post_init__(self):
+        if not (isinstance(self.picard_max, int) and self.picard_max >= 1):
+            raise ValueError(f"picard_max must be an integer >= 1, got {self.picard_max!r}")
         if not (self.newton_tol > 0):
             raise ValueError("newton_tol must be positive")
         if self.face_scheme not in FACE_SCHEMES:
@@ -257,11 +261,31 @@ def _faces(problem: DiscreteProblem, nodes: FrozenNodes) -> np.ndarray:
     return a
 
 
+class Stop(Enum):
+    """How a level's Newton iteration ended (see ``newton_semilinear``), and
+    so a solve or a record.  ``FAILED`` marks a record whose solve raised or
+    whose sweep point could not be built; no level returns it."""
+
+    CONVERGED = "converged"
+    CAPPED = "capped"
+    STALLED = "stalled"
+    FAILED = "failed"
+
+
 @dataclass(frozen=True)
 class SolveFlags:
-    converged: bool
+    """How the final level ended, and whether its clipping touches u or the datum."""
+
+    stop: Stop
     truncation_active: bool
-    hit_iteration_cap: bool
+
+    @property
+    def converged(self) -> bool:
+        return self.stop is Stop.CONVERGED
+
+    @property
+    def hit_iteration_cap(self) -> bool:
+        return self.stop is Stop.CAPPED
 
 
 @dataclass(frozen=True, eq=False)
@@ -428,7 +452,7 @@ def _line_search(problem: DiscreteProblem, op: DiscreteOperator, u: np.ndarray,
 
 
 def newton_semilinear(problem: DiscreteProblem, u0: np.ndarray,
-                      cfg: SolverConfig) -> tuple[GridFunction, int, str, float]:
+                      cfg: SolverConfig) -> tuple[GridFunction, int, Stop, float]:
     """Damped Newton on A_n(u) u + g(u) = T_n f at one truncation level.
 
     Each step solves with the exact Jacobian A_n(u) + diag(g'(u)) +
@@ -441,9 +465,9 @@ def newton_semilinear(problem: DiscreteProblem, u0: np.ndarray,
     iterates with a singular absorption term stay clamped inside [0,
     sigma - SINGULAR_MARGIN], and the iteration stalls when no trial
     lowers the residual.  Returns the final iterate, the number of
-    accepted steps, why the iteration stopped ("converged" once the
-    residual is within ``problem.tolerance``, "capped" or "stalled") and
-    the residual sup norm at the final iterate.
+    accepted steps, the ``Stop`` (``CONVERGED`` once the residual is within
+    ``problem.tolerance``, ``CAPPED`` after picard_max steps, or ``STALLED``)
+    and the residual sup norm at the final iterate.
     A nan residual is never within the tolerance.
     """
     lower = problem.spec.lower
@@ -456,7 +480,7 @@ def newton_semilinear(problem: DiscreteProblem, u0: np.ndarray,
     steps = 0
     while not res_norm <= tol:
         if steps == cfg.picard_max:
-            stop = "capped"
+            stop = Stop.CAPPED
             break
         gp = _absorption_prime(lower, u)
         jac = DiscreteOperator(op.grid, op.sub, op.diag + gp, op.sup, op.rhs)
@@ -464,12 +488,12 @@ def newton_semilinear(problem: DiscreteProblem, u0: np.ndarray,
             jac = _exact_jacobian(op, jac, nodes, problem)
         accepted = _line_search(problem, op, u, res, res_norm, jac)
         if accepted is None:
-            stop = "stalled"
+            stop = Stop.STALLED
             break
         u, nodes, op, res, res_norm = accepted
         steps += 1
     else:
-        stop = "converged"
+        stop = Stop.CONVERGED
     return GridFunction(problem.grid, u), steps, stop, res_norm
 
 
@@ -479,18 +503,15 @@ def picard_solve(problem: DiscreteProblem, cfg: SolverConfig,
 
     From u_init (default 0), ``newton_semilinear`` iterates on the full
     residual A_n(u) u + g(u) - T_n f with the exact tridiagonal Jacobian,
-    for at most picard_max steps.  ``converged`` means the residual fell
-    within ``problem.tolerance``; ``hit_iteration_cap`` that picard_max
-    steps did not get it there.  A level that stalls, because no step
-    along the Newton direction lowers the residual, reports neither flag.
-    ``picard_iters`` counts the accepted steps.
+    for at most picard_max steps.  The flags carry its ``Stop`` and whether
+    the level's clipping touches the final iterate or the datum;
+    ``converged`` and ``hit_iteration_cap`` read the stop.  ``picard_iters``
+    counts the accepted steps.
     """
     u0 = np.zeros(problem.grid.M) if u_init is None else u_init.values
     u, steps, stop, residual = newton_semilinear(problem, u0, cfg)
     return SolveResult(u=u, problem=problem, picard_iters=steps, residual_inf=residual,
-                       flags=SolveFlags(converged=stop == "converged",
-                                        truncation_active=problem.truncation_active(u.values),
-                                        hit_iteration_cap=stop == "capped"))
+                       flags=SolveFlags(stop, problem.truncation_active(u.values)))
 
 
 def _sup_bound(lower: LowerOrderTerm, f_peak: float) -> float:

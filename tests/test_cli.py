@@ -571,7 +571,7 @@ class TestStalledSolve:
         lines = capsys.readouterr().out.splitlines()
         assert lines[:-1] == skips
         assert re.fullmatch(r"converged=False truncation_active=False n_final=256 "
-                            r"residual=\S+", lines[-1]), lines[-1]
+                            r"residual=\S+ stop=stalled", lines[-1]), lines[-1]
         assert not (out / "solution.dat").exists()
         (row,) = self.rows(out)
         assert {key: row[key] for key in ("n_final", "converged", "truncation_active",
@@ -581,7 +581,8 @@ class TestStalledSolve:
         assert float(row["lhs"]) > 1.0  # the stalled residual
 
         assert main(["verify", str(conf)]) == EXIT_NOT_CONVERGED
-        assert capsys.readouterr().out.splitlines() == skips + ["solver did not converge"]
+        assert capsys.readouterr().out.splitlines() == \
+            skips + ["solver did not converge: stop=stalled"]
 
         # the three points share one discrete problem, and so one stalled
         # solve; each record is still flagged

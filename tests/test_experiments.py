@@ -25,7 +25,7 @@ from degelab.analysis import (
 )
 import degelab.experiments as experiments
 import degelab.solver as solver
-from degelab.cli import EXIT_OK, main
+from degelab.cli import EXIT_CHECK_FAILED, EXIT_NOT_CONVERGED, EXIT_OK, main, parse_config
 from degelab.experiments import (
     ALL_CHECKS,
     CHECK_TOLERANCE,
@@ -50,7 +50,7 @@ from degelab.experiments import (
 )
 from degelab.grid import build_radial_grid, face_gradient, grid_function
 from degelab.problem import ConstantDatum, RadialPowerDatum, datum_eval
-from degelab.solver import DiscreteProblem, SolverConfig, truncation_continuation
+from degelab.solver import DiscreteProblem, SolverConfig, Stop, truncation_continuation
 
 
 def canonical_sweep(M=64):
@@ -528,44 +528,93 @@ class TestEmission:
         assert len({bodies["0_u"], bodies["2_u"], bodies["3_u"]}) == 3
         assert " -0\n" in bodies["2_u"]
 
-    @pytest.mark.parametrize("case", ["point_not_built", "solver_raised"])
-    def test_failed_point_is_unconverged_not_clipping(self, case, tmp_path, monkeypatch):
-        # a point that raised has no level that clipped: only converged is
-        # false, and the exception is kept in records.json
-        if case == "point_not_built":  # the delta axis needs a radial power datum
-            (rec,) = run_sweep(SweepSpec(base=power_spec(0.5, 1.0, 1.0, ConstantDatum(1.0)),
-                                         mesh=MeshSpec(32), axes={"delta": (0.5,)}))
-            failure = "ValueError: axis 'delta' requires a radial power datum"
-        else:
+    # Every way a run ends today, one row each: the config it runs (None for
+    # a point that cannot be built, which parse_config rejects), its stop,
+    # its (converged, truncation_active, hit_iteration_cap), n_final, first
+    # check_name, summary.md row, failure, and the exit codes of solve,
+    # verify and sweep.  A raised solve is a tridiag_solve that raises.
+    SOLVED = "[problem]\ngamma = 1.0\np = 2.0\n[mesh]\nM = 32\n"
+    ENDINGS = {
+        "converged": (
+            SOLVED, Stop.CONVERGED, (True, False, False), 1, "lemma_estimate(p=2,m=1)",
+            "| run_0000 | 1 | 2 | 1 | 3 | nan | 32 | true | false | false | 1 | 28 |",
+            None, (EXIT_OK, EXIT_OK, EXIT_OK)),
+        "capped": (
+            SOLVED + "[solver]\npicard_max = 2\n", Stop.CAPPED, (False, False, True), 1,
+            "solve_failed",
+            "| run_0000 | 1 | 2 | 1 | 3 | nan | 32 | false | false | true | 1 | 0 |",
+            None, (EXIT_NOT_CONVERGED,) * 3),
+        "stalled": (  # TestStalledSolve's case: no absorption, gamma = 2, A = 100
+            "[problem]\ngamma = 2.0\namplitude = 100\n[mesh]\nM = 256\n", Stop.STALLED,
+            (False, False, False), 256, "solve_failed",
+            "| run_0000 | 2 | nan | 1 | 3 | nan | 256 | false | false | false | 256 | 0 |",
+            None, (EXIT_NOT_CONVERGED,) * 3),
+        "truncation_active": (  # f(r_0) ~ 1.9e9 exceeds n_max = 2^30
+            "[problem]\ngamma = 1.0\np = 1.0\ndatum = radial_power\ndelta = 2.8\n"
+            f"[mesh]\nM = 1024\n[solver]\nn_max = {2**30}\n", Stop.CONVERGED,
+            (True, True, False), 2**30, "lemma_estimate(p=1,m=1)",
+            "| run_0000 | 1 | 1 | 1 | 3 | 2.8 | 1024 | true | true | false | 1073741824 | 29 |",
+            None, (EXIT_NOT_CONVERGED, EXIT_CHECK_FAILED, EXIT_NOT_CONVERGED)),
+        "solver_raised": (
+            SOLVED, Stop.FAILED, (False, False, False), 0, "solve_failed",
+            "| run_0000 | 1 | 2 | 1 | 3 | nan | 32 | false | false | false | 0 | 0 |",
+            "LinAlgError: singular matrix", (EXIT_NOT_CONVERGED,) * 3),
+        "point_not_built": (  # the delta axis needs a radial power datum
+            None, Stop.FAILED, (False, False, False), 0, "solve_failed",
+            "| run_0000 | 0.5 | 1 | 1 | 3 | nan | 32 | false | false | false | 0 | 0 |",
+            "ValueError: axis 'delta' requires a radial power datum", None),
+    }
+
+    @pytest.mark.parametrize("case", list(ENDINGS))
+    def test_every_ending_reaches_every_output(self, case, tmp_path, monkeypatch, capsys):
+        config, stop, flags, n_final, check_name, summary_row, failure, exits = \
+            self.ENDINGS[case]
+        if case == "solver_raised":
             def singular(*args):
                 raise np.linalg.LinAlgError("singular matrix")
 
             monkeypatch.setattr(solver, "tridiag_solve", singular)
-            rec = run_single(power_spec(0.5, 1.0, 1.0, ConstantDatum(1.0)), MeshSpec(32), CFG)
-            failure = "LinAlgError: singular matrix"
-        assert (rec.converged, rec.truncation_active, rec.hit_iteration_cap,
-                rec.n_final, rec.failure) == (False, False, False, 0, failure)
-        paths = emit_outputs([rec], tmp_path)
-        save_records([rec], tmp_path / "records.json")
-        (row,) = csv.DictReader(csv_body(paths["csv"]))
-        assert {key: row[key] for key in ("run_id", "M", "n_final", "converged",
-                                          "truncation_active", "hit_iteration_cap",
-                                          "check_name", "lhs", "passed")} == {
-            "run_id": "run_0000", "M": "32", "n_final": "0", "converged": "false",
-            "truncation_active": "false", "hit_iteration_cap": "false",
-            "check_name": "solve_failed", "lhs": "inf", "passed": "false"}
-        summary = paths["summary"].read_text().splitlines()
-        assert summary[-1] == ("| run_0000 | 0.5 | 1 | 1 | 3 | nan | 32 | false | false "
-                               "| false | 0 | 0 |")
-        assert load_records(tmp_path / "records.json")[0]["failure"] == failure
+        if config is None:
+            (rec,) = run_sweep(SweepSpec(base=power_spec(0.5, 1.0, 1.0, ConstantDatum(1.0)),
+                                         mesh=MeshSpec(32), axes={"delta": (0.5,)}))
+        else:
+            cfg = parse_config(config)
+            rec = run_single(cfg.problem, cfg.mesh, cfg.solver, cfg.checks)
+        assert (rec.flags.stop, (rec.converged, rec.truncation_active, rec.hit_iteration_cap),
+                rec.n_final, rec.failure) == (stop, flags, n_final, failure)
+        assert rec.solved == (flags == (True, False, False))
 
-    def test_failed_run_still_emits_row(self, tmp_path):
-        sweep = SweepSpec(base=power_spec(0.5, 1.0, 1.0), mesh=MeshSpec(32),
-                          axes={"delta": (0.5,)})
-        paths = emit_outputs(run_sweep(sweep), tmp_path)
-        body = csv_body(paths["csv"])
-        assert len(body) == 2
-        assert "solve_failed" in body[1]
+        lib = tmp_path / "lib"
+        paths = emit_outputs([rec], lib)
+        save_records([rec], lib / "records.json")
+        row = next(csv.DictReader(csv_body(paths["csv"])))
+        assert [row[key] for key in ("run_id", "n_final", "converged", "truncation_active",
+                                     "hit_iteration_cap", "check_name")] == \
+            ["run_0000", str(n_final), *map(_fmt, flags), check_name]
+        if check_name == "solve_failed":  # the one row of a run without an audit
+            assert len(csv_body(paths["csv"])) == 2
+            assert (row["lhs"] == "inf", row["passed"]) == (stop is Stop.FAILED, "false")
+        assert paths["summary"].read_text().splitlines()[-1] == summary_row
+        (saved,) = load_records(lib / "records.json")
+        assert (saved["stop"], saved["failure"]) == (stop.value, failure)
+        # a records.json written before payloads carried a stop re-emits the same files
+        emit_from_saved([{key: val for key, val in saved.items() if key != "stop"}],
+                        tmp_path / "stopless")
+        assert output_files(tmp_path / "stopless") == \
+            {name: body for name, body in output_files(lib).items() if name != "records.json"}
+
+        if config is None:
+            return
+        conf = tmp_path / "ending.ini"
+        conf.write_text(config)
+        solve = main(["solve", str(conf), "-o", str(tmp_path / "solve")])
+        assert capsys.readouterr().out.splitlines()[-1].endswith(f" stop={stop.value}")
+        assert csv_body(tmp_path / "solve" / "records.csv") == csv_body(paths["csv"])
+        verify = main(["verify", str(conf)])
+        unconverged = f"solver did not converge: stop={stop.value}"
+        assert (capsys.readouterr().out.splitlines()[-1] == unconverged) == (not rec.converged)
+        sweep = main(["sweep", str(conf), "-o", str(tmp_path / "sweep")])
+        assert (solve, verify, sweep) == exits
 
 
 class TestRefinementStudy:

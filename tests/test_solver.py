@@ -30,6 +30,7 @@ from degelab.solver import (
     SingularOperatorError,
     SolveFlags,
     SolverConfig,
+    Stop,
     assemble_frozen,
     apply_operator,
     manufactured_rhs,
@@ -288,15 +289,14 @@ class TestNewton:
 
 
     def test_nan_residual_stalls(self, monkeypatch):
-        # a nan residual is within no tolerance: the level stalls unconverged
-        # with no flag set, where a `residual > tol` loop test ended it
-        # converged after 0 steps
+        # a nan residual is within no tolerance: the level stalls, where a
+        # `residual > tol` loop test ended it converged after 0 steps
         grid = build_radial_grid(3, 1.0, 16)
         monkeypatch.setattr(solver, "lower_order_eval",
                             lambda term, s: np.full(np.shape(s), np.nan))
         res = picard_solve(level(grid, power_spec(0.5, 1.0, 1.0), 1), CFG)
-        assert res.flags == SolveFlags(converged=False, truncation_active=False,
-                                       hit_iteration_cap=False)
+        assert res.flags == SolveFlags(Stop.STALLED, truncation_active=False)
+        assert not (res.flags.converged or res.flags.hit_iteration_cap)
         assert res.picard_iters == 0 and math.isnan(res.residual_inf)
 
 
@@ -385,8 +385,16 @@ class TestPicard:
         spec = power_spec(1.0, 2.0, 1.0)
         cfg = SolverConfig(picard_max=2)
         res = picard_solve(level(grid, spec, 1024), cfg)
+        assert (res.flags.stop, res.picard_iters) == (Stop.CAPPED, 2)
         assert res.flags.hit_iteration_cap
         assert not res.flags.converged
+
+    @pytest.mark.parametrize("picard_max", [2.5, 0, -1])
+    def test_picard_max_is_an_integer_of_at_least_one(self, picard_max):
+        # the cap test `steps == picard_max` never holds for these: the
+        # level would run on uncapped and could never stop capped
+        with pytest.raises(ValueError, match=r"picard_max must be an integer >= 1"):
+            SolverConfig(picard_max=picard_max)
 
     def test_one_line_search_per_newton_step(self, monkeypatch):
         # one direction per step, the exact Jacobian's (for gamma = 0 the
