@@ -528,9 +528,10 @@ class TestEmission:
         assert len({bodies["0_u"], bodies["2_u"], bodies["3_u"]}) == 3
         assert " -0\n" in bodies["2_u"]
 
-    # Every way a run ends today, one row each: the config it runs (None for
-    # a point that cannot be built, which parse_config rejects), its stop,
-    # its (converged, truncation_active, hit_iteration_cap), n_final, first
+    # A failed point is unconverged, not clipping, and likewise for every way
+    # a run ends today, one row each: the config it runs (None for a point
+    # that cannot be built, which parse_config rejects), its stop, its
+    # (converged, truncation_active, hit_iteration_cap), n_final, first
     # check_name, summary.md row, failure, and the exit codes of solve,
     # verify and sweep.  A raised solve is a tridiag_solve that raises.
     SOLVED = "[problem]\ngamma = 1.0\np = 2.0\n[mesh]\nM = 32\n"
@@ -566,7 +567,7 @@ class TestEmission:
     }
 
     @pytest.mark.parametrize("case", list(ENDINGS))
-    def test_every_ending_reaches_every_output(self, case, tmp_path, monkeypatch, capsys):
+    def test_failed_point_is_unconverged_not_clipping(self, case, tmp_path, monkeypatch, capsys):
         config, stop, flags, n_final, check_name, summary_row, failure, exits = \
             self.ENDINGS[case]
         if case == "solver_raised":
@@ -615,6 +616,14 @@ class TestEmission:
         assert (capsys.readouterr().out.splitlines()[-1] == unconverged) == (not rec.converged)
         sweep = main(["sweep", str(conf), "-o", str(tmp_path / "sweep")])
         assert (solve, verify, sweep) == exits
+
+    def test_failed_run_still_emits_row(self, tmp_path):
+        sweep = SweepSpec(base=power_spec(0.5, 1.0, 1.0), mesh=MeshSpec(32),
+                          axes={"delta": (0.5,)})
+        paths = emit_outputs(run_sweep(sweep), tmp_path)
+        body = csv_body(paths["csv"])
+        assert len(body) == 2
+        assert "solve_failed" in body[1]
 
 
 class TestRefinementStudy:
