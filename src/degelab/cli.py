@@ -10,6 +10,10 @@ lives in an INI-style file; only the mesh size and the output directory
 can be overridden from the command line, so a config file pins a
 reproducible run.
 
+A config is read by a table of its keys and built through the spec
+constructors, which own every rule on a value; the config reports each
+violation under its section, all of them at once, and exits 3.
+
 Exit codes: 0 success; 1 a failed check, or a converged run whose final
 level still clips the datum or the solution (``verify``, also on a stored
 field); 2 a run that is not solved: not converged (``solve``, ``sweep``
@@ -26,10 +30,11 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import itertools
 import math
 import sys
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -59,8 +64,10 @@ from .problem import (
     RadialPowerDatum,
     SingularAbsorption,
     datum_eval,
+    datum_in_class,
+    replace_unchecked,
 )
-from .solver import FACE_SCHEMES, FIRST_LEVEL, DiscreteProblem, SolverConfig
+from .solver import FIRST_LEVEL, DiscreteProblem, SolverConfig
 
 __all__ = ["Config", "ConfigError", "parse_config", "dispatch", "main"]
 
@@ -69,16 +76,43 @@ EXIT_CHECK_FAILED = 1
 EXIT_NOT_CONVERGED = 2
 EXIT_CONFIG = 3
 
-_KNOWN_KEYS = {
-    "problem": {"N", "R", "gamma", "alpha", "beta", "p", "sigma", "datum",
-                "amplitude", "delta", "m"},
-    "mesh": {"M", "grading"},
-    "solver": {"picard_max", "newton_tol", "n_max", "face_scheme"},
-    "checks": {"enable"},
-    "output": {"directory"},
-    "sweep": {"gamma", "p", "m", "N", "delta", "M", "parallelism"},
-    "mms": {"M_list", "amplitude"},
-}
+
+def _float_list(raw: str) -> tuple[float, ...]:
+    return tuple(float(tok) for tok in raw.replace(",", " ").split())
+
+
+# One row per config key: (section, key, type, default, target field).  The
+# target is a field of a spec or of Config; a default of None leaves it to
+# the spec (a dataclass default, no absorption or delta, beta = alpha).
+_KEYS = (
+    ("problem", "N", int, 3, "dimension"),
+    ("problem", "R", float, 1.0, "radius"),
+    ("problem", "gamma", float, 0.0, "gamma"),
+    ("problem", "alpha", float, 1.0, "alpha"),
+    ("problem", "beta", float, None, "beta"),
+    ("problem", "p", float, None, "p"),
+    ("problem", "sigma", float, None, "sigma"),
+    ("problem", "datum", str, "constant", "family"),
+    ("problem", "amplitude", float, 1.0, "amplitude"),
+    ("problem", "delta", float, None, "delta"),
+    ("problem", "m", float, None, "m"),
+    ("mesh", "M", int, 256, "cells"),
+    ("mesh", "grading", float, None, "grading"),
+    ("solver", "picard_max", int, None, "picard_max"),
+    ("solver", "newton_tol", float, None, "newton_tol"),
+    ("solver", "n_max", int, None, "n_max"),
+    ("solver", "face_scheme", str, None, "face_scheme"),
+    ("checks", "enable", str, "all", "checks"),
+    ("output", "directory", str, "out", "output_dir"),
+    *(("sweep", axis, _float_list, None, "sweep_axes")
+      for axis in ("gamma", "p", "m", "N", "delta", "M")),
+    ("sweep", "parallelism", int, None, None),  # no effect; warns
+    ("mms", "M_list", _float_list, (64.0, 128.0, 256.0), "mms_cells"),
+    ("mms", "amplitude", float, 1.0, "mms_amplitude"),
+)
+
+_KNOWN_KEYS = {section: {key for sec, key, *_ in _KEYS if sec == section}
+               for section, *_ in _KEYS}
 
 
 class ConfigError(Exception):
@@ -101,7 +135,7 @@ class Config:
     mms_amplitude: float
 
 
-def _get(parser, section, key, cast, default, errors, positive=False):
+def _get(parser, section, key, cast, default, errors):
     if not parser.has_option(section, key):
         return default
     raw = parser.get(section, key)
@@ -110,28 +144,20 @@ def _get(parser, section, key, cast, default, errors, positive=False):
     except ValueError:
         errors.append(f"[{section}] {key}: cannot parse {raw!r}")
         return default
-    if isinstance(val, float) and not math.isfinite(val):
+    if isinstance(val, (float, tuple)) and not np.isfinite(val).all():
         errors.append(f"[{section}] {key}: must be finite, got {val}")
-        return default
-    if positive and not (val > 0):
-        errors.append(f"[{section}] {key}: must be positive, got {val}")
         return default
     return val
 
 
-def _float_list(raw: str) -> tuple[float, ...]:
-    vals = tuple(float(tok) for tok in raw.replace(",", " ").split())
-    if not all(map(math.isfinite, vals)):
-        raise ValueError(f"non-finite value in {raw!r}")
-    return vals
+def _not_in_class(section: str, spec: ProblemSpec, where: str = "") -> str:
+    return (f"[{section}] datum r^(-{spec.datum.family.delta}) is not in L^{spec.datum.m} "
+            f"of the {spec.dimension}-ball (needs delta*m < N{where})")
 
 
 def parse_config(text: str) -> Config:
-    """Parse and validate a sectioned key-value config.
-
-    All violations are collected and raised together in a ConfigError,
-    not just the first one found.
-    """
+    """Parse a sectioned key-value config into the specs it describes; all
+    violations are collected and raised together in a ConfigError."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     parser.optionxform = str  # keys like N, R, M are case-significant
     errors: list[str] = []
@@ -148,158 +174,90 @@ def parse_config(text: str) -> Config:
             if key not in _KNOWN_KEYS[section]:
                 errors.append(f"unknown key {key!r} in section [{section}]")
 
-    pr = "problem"
-    N = _get(parser, pr, "N", int, 3, errors)
-    R = _get(parser, pr, "R", float, 1.0, errors, positive=True)
-    gamma = _get(parser, pr, "gamma", float, 0.0, errors)
-    alpha = _get(parser, pr, "alpha", float, 1.0, errors, positive=True)
-    beta = _get(parser, pr, "beta", float, None, errors)
-    p = _get(parser, pr, "p", float, None, errors)
-    sigma = _get(parser, pr, "sigma", float, None, errors)
-    datum_kind = _get(parser, pr, "datum", str, "constant", errors)
-    amplitude = _get(parser, pr, "amplitude", float, 1.0, errors)
-    delta = _get(parser, pr, "delta", float, None, errors)
-    m = _get(parser, pr, "m", float, 1.0, errors)
+    given: dict = {}
+    axes: dict[str, tuple[float, ...]] = {}
+    for section, key, cast, default, target in _KEYS:
+        value = _get(parser, section, key, cast, default, errors)
+        if value is None:
+            continue
+        if target == "sweep_axes":
+            axes[key] = value
+        elif target is not None:
+            given[target] = value
+        elif value < 1:
+            errors.append(f"[sweep] {key}: must be positive, got {value}")
+    if parser.has_option("sweep", "parallelism"):
+        warnings.warn("[sweep] parallelism has no effect: every sweep runs its "
+                      "points in one process", FutureWarning, stacklevel=2)
+    if axes:  # a sweep runs its axes in the order the config lists them
+        axes = {key: axes[key] for key in parser.options("sweep") if key in axes}
 
-    if N < 3:
-        errors.append(f"[problem] N: dimension must be >= 3, got {N}")
-    if gamma < 0:
-        errors.append(f"[problem] gamma: must be nonnegative, got {gamma}")
-    if beta is None:
-        beta = alpha
-    if beta < alpha:
-        errors.append(f"[problem] beta={beta} must be >= alpha={alpha}")
-    if p is not None and sigma is not None:
+    def build(cls, section="problem"):
+        """``cls`` from the values of its fields in ``given``.  A rule it breaks
+        is a violation of ``section``, and the object is made unchecked so
+        that the spec holding it still checks its own rules."""
+        values = {f.name: given[f.name] for f in fields(cls) if f.name in given}
+        try:
+            return cls(**values)
+        except ValueError as err:
+            errors.append(f"[{section}] {err}")
+            return replace_unchecked(object.__new__(cls), **values)
+
+    before = len(errors)
+    if "p" in given and "sigma" in given:
         errors.append("[problem] lower-order term must be exactly one kind: "
                       "give p (power) or sigma (singular), not both")
-    if p is not None and not (p > 0):
-        errors.append(f"[problem] p: must be positive, got {p}")
-    if sigma is not None and not (sigma > 0):
-        errors.append(f"[problem] sigma: must be positive, got {sigma}")
-    if m < 1:
-        errors.append(f"[problem] m: Lebesgue class must be >= 1, got {m}")
-
-    datum_kind = datum_kind.strip().lower()
-    radial_power = datum_kind in ("radial_power", "radialpower")
-    if radial_power:
-        if delta is None:
-            errors.append("[problem] datum=radial_power requires delta")
-        elif not (delta > 0):
-            errors.append(f"[problem] delta: must be positive, got {delta}")
-        elif delta * m >= N:
-            errors.append(
-                f"[problem] datum r^(-{delta}) is not in L^{m} of the "
-                f"{N}-ball (needs delta*m < N)")
-    elif datum_kind != "constant":
-        errors.append(f"[problem] datum: unknown family {datum_kind!r}")
-    elif delta is not None:
+    lower = (PowerAbsorption if "p" in given else
+             SingularAbsorption if "sigma" in given else NoAbsorption)
+    kind = given["family"].lower()
+    radial = kind in ("radial_power", "radialpower")
+    if not radial and kind != "constant":
+        errors.append(f"[problem] datum: unknown family {kind!r}")
+    elif radial and "delta" not in given:
+        errors.append("[problem] datum=radial_power requires delta")
+    elif not radial and "delta" in given:
         errors.append("[problem] delta: only datum=radial_power takes delta")
+    # the datum key names the family; the family built takes its place
+    given["family"] = build(RadialPowerDatum if radial and "delta" in given else ConstantDatum)
+    given.setdefault("beta", given["alpha"])
+    given["coefficient"] = build(CoefficientSpec)
+    given["lower"] = build(lower)
+    given["datum"] = build(DatumSpec)
+    problem = build(ProblemSpec)
+    if len(errors) == before and not datum_in_class(problem):  # once it builds
+        errors.append(_not_in_class("problem", problem))
+    mesh = build(MeshSpec, "mesh")
+    solver = build(SolverConfig, "solver")
 
-    if sigma is not None and amplitude < 0:
-        errors.append("[problem] singular absorption requires a nonnegative datum")
+    enabled = ALL_CHECKS
+    if given["checks"].lower() != "all":
+        enabled = tuple(tok.strip() for tok in given["checks"].split(",") if tok.strip())
+    errors += [f"[checks] enable: unknown checker {tok!r} (known: {', '.join(ALL_CHECKS)})"
+               for tok in enabled if tok not in ALL_CHECKS]
 
-    me = "mesh"
-    M = _get(parser, me, "M", int, 256, errors)
-    grading = _get(parser, me, "grading", float, 1.0, errors)
-    if M < 8:
-        errors.append(f"[mesh] M: cell count must be >= 8, got {M}")
-    if not (1.0 <= grading <= 4.0):
-        errors.append(f"[mesh] grading: must lie in [1, 4], got {grading}")
-
-    so, sd = "solver", SolverConfig()
-    picard_max = _get(parser, so, "picard_max", int, sd.picard_max, errors, positive=True)
-    newton_tol = _get(parser, so, "newton_tol", float, sd.newton_tol, errors, positive=True)
-    n_max = _get(parser, so, "n_max", int, sd.n_max, errors, positive=True)
-    face_scheme = _get(parser, so, "face_scheme", str, sd.face_scheme, errors).strip()
-    if face_scheme not in FACE_SCHEMES:
-        errors.append(f"[solver] face_scheme: must be {' or '.join(FACE_SCHEMES)}, "
-                      f"got {face_scheme!r}")
-
-    enable_raw = _get(parser, "checks", "enable", str, "all", errors)
-    if enable_raw.strip().lower() == "all":
-        enabled = ALL_CHECKS
-    else:
-        enabled = tuple(tok.strip() for tok in enable_raw.split(",") if tok.strip())
-        for tok in enabled:
-            if tok not in ALL_CHECKS:
-                errors.append(f"[checks] enable: unknown checker {tok!r} "
-                              f"(known: {', '.join(ALL_CHECKS)})")
-
-    output_dir = _get(parser, "output", "directory", str, "out", errors)
-
-    axes: dict[str, tuple[float, ...]] = {}
-    if parser.has_section("sweep"):
-        for key in parser.options("sweep"):
-            if key == "parallelism":
-                _get(parser, "sweep", "parallelism", int, 1, errors, positive=True)
-                warnings.warn("[sweep] parallelism has no effect: every sweep runs its "
-                              "points in one process", FutureWarning, stacklevel=2)
-            elif key in _KNOWN_KEYS["sweep"]:
+    if not errors:  # sweep points and mms meshes vary a base that builds
+        varied = [("sweep", key, key, vals) for key, vals in axes.items()]
+        for section, key, axis, vals in varied + [("mms", "M_list", "M", given["mms_cells"])]:
+            for val in vals:
                 try:
-                    axes[key] = _float_list(parser.get("sweep", key))
-                except ValueError:
-                    errors.append(f"[sweep] {key}: cannot parse value list")
-    for key, least in (("M", 8), ("N", 3)):  # the [mesh] M and [problem] N bounds
-        vals = axes.get(key, ())
-        for rule, bad in (("an integer", [val for val in vals if not val.is_integer()]),
-                          (f">= {least}", [val for val in vals if val < least])):
-            if bad:
-                errors.append(f"[sweep] {key}: every value must be {rule}, got {bad}")
-    if radial_power and delta is not None and axes.keys() & {"delta", "m", "N"}:
-        # every point's datum must lie in its L^m: the worst point pairs the
-        # largest delta and m with the smallest N
-        top_delta = max(axes.get("delta") or (delta,))
-        top_m = max(axes.get("m") or (m,))
-        least_N = min(axes.get("N") or (N,))
-        if top_delta * top_m >= least_N:
-            errors.append(
-                f"[sweep] datum r^(-{top_delta}) is not in L^{top_m} of the "
-                f"{least_N:g}-ball (needs delta*m < N at every point)")
-
-    mms_cells = _get(parser, "mms", "M_list", _float_list, (64.0, 128.0, 256.0), errors)
-    bad = [cells for cells in mms_cells if not (cells.is_integer() and cells >= 8)]
-    if bad:
-        errors.append(f"[mms] M_list: every cell count must be an integer >= 8, got {bad}")
-    mms_amplitude = _get(parser, "mms", "amplitude", float, 1.0, errors)
-
-    if errors:
-        raise ConfigError(errors)
-
-    lower = NoAbsorption()
-    if p is not None:
-        lower = PowerAbsorption(p)
-    elif sigma is not None:
-        lower = SingularAbsorption(sigma)
-
-    family = RadialPowerDatum(amplitude, delta) if radial_power else ConstantDatum(amplitude)
-    try:
-        problem = ProblemSpec(
-            dimension=N, radius=R,
-            coefficient=CoefficientSpec(alpha=alpha, beta=beta, gamma=gamma),
-            lower=lower, datum=DatumSpec(family, m),
-        )
-        solver = SolverConfig(picard_max=picard_max, newton_tol=newton_tol, n_max=n_max,
-                              face_scheme=face_scheme)
-    except ValueError as err:
-        raise ConfigError([str(err)]) from err
-
-    # a sweep builds each point with the constructors; a value they reject
-    # is a config error here, not a failed point of the run
-    mesh = MeshSpec(M, grading)
-    for key, vals in axes.items():
-        for val in vals:
-            try:
-                _apply_axis_point(problem, mesh, {key: val})
-            except ValueError as err:
-                errors.append(f"[sweep] {key}: {err}")
+                    _apply_axis_point(problem, mesh, {axis: val})
+                except ValueError as err:
+                    errors.append(f"[{section}] {key}: {err}")
+                    break
+    if not errors:  # the datum's claimed class holds at every point
+        keys = [key for key in axes if key in ("delta", "m", "N")]
+        for combo in itertools.product(*(axes[key] for key in keys)):
+            spec, _ = _apply_axis_point(problem, mesh, dict(zip(keys, combo)))
+            if not datum_in_class(spec):
+                errors.append(_not_in_class("sweep", spec, " at every point"))
                 break
     if errors:
         raise ConfigError(errors)
 
     return Config(problem=problem, mesh=mesh, solver=solver,
-                  checks=enabled, output_dir=output_dir, sweep_axes=axes,
-                  mms_cells=tuple(int(cells) for cells in mms_cells),
-                  mms_amplitude=mms_amplitude)
+                  checks=enabled, output_dir=given["output_dir"], sweep_axes=axes,
+                  mms_cells=tuple(int(cells) for cells in given["mms_cells"]),
+                  mms_amplitude=given["mms_amplitude"])
 
 
 def _print_reports(record) -> None:
@@ -442,10 +400,11 @@ def dispatch(command: str, config: Config, solution_path: str | None = None,
              output_override: str | None = None) -> int:
     """Route a parsed config to its command implementation."""
     if mesh_override is not None:
-        if mesh_override < 8:
-            print(f"mesh override must be >= 8, got {mesh_override}", file=sys.stderr)
+        try:
+            config = replace(config, mesh=replace(config.mesh, cells=mesh_override))
+        except ValueError as err:
+            print(f"mesh override: {err}", file=sys.stderr)
             return EXIT_CONFIG
-        config = replace(config, mesh=replace(config.mesh, cells=mesh_override))
     out_dir = Path(output_override or config.output_dir)
     try:
         if command == "solve":
@@ -489,12 +448,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        text = Path(args.config).read_text()
+        config = parse_config(Path(args.config).read_text())
     except OSError as err:
         print(f"cannot read config: {err}", file=sys.stderr)
         return EXIT_CONFIG
-    try:
-        config = parse_config(text)
     except ConfigError as err:
         for violation in err.violations:
             print(f"config error: {violation}", file=sys.stderr)

@@ -42,6 +42,7 @@ from .analysis import (
 )
 from .grid import (
     GridFunction,
+    MeshSpec,
     build_radial_grid,
     face_gradient,
     grid_function,
@@ -54,6 +55,7 @@ from .problem import (
     RegimePrediction,
     SingularAbsorption,
     classify_regime,
+    replace_unchecked,
 )
 from .solver import (DiscreteProblem, SolveFlags, SolverConfig, Stop, manufactured_rhs,
                      truncation_continuation)
@@ -123,12 +125,6 @@ PLOT_NAME = re.compile(r"run_\d+_(u|grad)\.dat")
 # quote character and the "\n" row terminator, as csv's minimal quoting does
 # for a writer whose lineterminator is "\n".
 CSV_SPECIAL = re.compile(r'[,"\n]')
-
-
-@dataclass(frozen=True)
-class MeshSpec:
-    cells: int
-    grading: float = 1.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -355,8 +351,16 @@ class SweepSpec:
     checks: tuple[str, ...] = ALL_CHECKS
 
 
-def _apply_axis_point(base: ProblemSpec, mesh: MeshSpec,
-                      point: dict[str, float]) -> tuple[ProblemSpec, MeshSpec]:
+def _integral(val):
+    """An integral count as an int, so that a records.csv cell prints 3, not
+    3.0; any other value is passed on, for a constructor to reject."""
+    return int(val) if float(val).is_integer() else val
+
+
+def _apply_axis_point(base: ProblemSpec, mesh: MeshSpec, point: dict[str, float],
+                      replace: Callable = replace) -> tuple[ProblemSpec, MeshSpec]:
+    """The problem and mesh of one sweep point.  ``replace`` makes each spec a
+    value changes; :func:`dataclasses.replace` checks it by its constructor."""
     spec = base
     for key, val in point.items():
         if key == "gamma":
@@ -364,18 +368,18 @@ def _apply_axis_point(base: ProblemSpec, mesh: MeshSpec,
         elif key == "p":
             if not isinstance(spec.lower, PowerAbsorption):
                 raise ValueError("axis 'p' requires a power absorption base problem")
-            spec = replace(spec, lower=PowerAbsorption(float(val)))
+            spec = replace(spec, lower=replace(spec.lower, p=float(val)))
         elif key == "m":
             spec = replace(spec, datum=replace(spec.datum, m=float(val)))
         elif key == "N":
-            spec = replace(spec, dimension=int(val))
+            spec = replace(spec, dimension=_integral(val))
         elif key == "delta":
             if not isinstance(spec.datum.family, RadialPowerDatum):
                 raise ValueError("axis 'delta' requires a radial power datum")
             spec = replace(spec, datum=replace(
                 spec.datum, family=replace(spec.datum.family, delta=float(val))))
         elif key == "M":
-            mesh = replace(mesh, cells=int(val))
+            mesh = replace(mesh, cells=_integral(val))
         else:
             raise ValueError(f"unknown sweep axis {key!r}")
     return spec, mesh
@@ -411,7 +415,8 @@ def _reuse(first: RunRecord, spec: ProblemSpec, run_id: str, started: str,
 def _sweep_point(sweep: SweepSpec, idx: int, point: dict[str, float],
                  solved: dict[tuple, RunRecord]) -> RunRecord:
     """Run one point, or reuse the record in ``solved`` of its discrete problem.
-    A point that raises is recorded under its own spec and mesh, once built."""
+    A point that raises is recorded under its own spec and mesh, built
+    unchecked when a value breaks a constructor's rule."""
     run_id = f"run_{idx:04d}"
     started = datetime.now(timezone.utc).isoformat()
     t0 = time.perf_counter()
@@ -424,6 +429,10 @@ def _sweep_point(sweep: SweepSpec, idx: int, point: dict[str, float],
         solved[key] = run_single(spec, mesh, sweep.cfg, sweep.checks, run_id)
         return solved[key]
     except Exception as err:
+        try:
+            spec, mesh = _apply_axis_point(sweep.base, sweep.mesh, point, replace_unchecked)
+        except (TypeError, ValueError):  # a value or an axis no spec can hold
+            pass
         return _failed_record(run_id, spec, mesh, sweep.checks, None,
                               started, 0.0, "point construction failed", err)
 
@@ -627,7 +636,7 @@ def _shared_cells(rec: RunRecord) -> dict:
     return {
         "run_id": rec.run_id,
         "gamma": axes["gamma"], "p": axes["p"], "m": axes["m"],
-        "N": int(axes["N"]), "delta": axes["delta"], "M": rec.mesh.cells,
+        "N": _integral(axes["N"]), "delta": axes["delta"], "M": rec.mesh.cells,
         "n_final": rec.n_final, "converged": rec.converged,
         "truncation_active": rec.truncation_active,
         "hit_iteration_cap": rec.hit_iteration_cap,

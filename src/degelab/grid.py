@@ -18,6 +18,7 @@ __all__ = [
     "RadialGrid",
     "GridFunction",
     "sphere_surface",
+    "MeshSpec",
     "build_radial_grid",
     "face_gradient",
     "face_differences",
@@ -120,6 +121,20 @@ class GridFunction:
         return float(np.abs(self.values).max()) if self.grid.M else 0.0
 
 
+@dataclass(frozen=True)
+class MeshSpec:
+    """Cell count M (an integer >= 8) and origin grading (in [1, 4])."""
+
+    cells: int
+    grading: float = 1.0
+
+    def __post_init__(self):
+        if int(self.cells) != self.cells or self.cells < 8:
+            raise ValueError(f"cell count must be an integer >= 8, got {self.cells}")
+        if not (1.0 <= self.grading <= 4.0):
+            raise ValueError(f"grading factor must lie in [1, 4], got {self.grading}")
+
+
 def build_radial_grid(N: int, R: float, M: int, grading: float | None = None) -> RadialGrid:
     """Build the cell-centered mesh, optionally graded toward the origin.
 
@@ -131,11 +146,8 @@ def build_radial_grid(N: int, R: float, M: int, grading: float | None = None) ->
         raise ValueError(f"dimension must be an integer >= 3, got {N}")
     if not (R > 0):
         raise ValueError(f"radius must be positive, got {R}")
-    if int(M) != M or M < 8:
-        raise ValueError(f"cell count must be an integer >= 8, got {M}")
     g = 1.0 if grading is None else float(grading)
-    if not (1.0 <= g <= 4.0):
-        raise ValueError(f"grading factor must lie in [1, 4], got {g}")
+    MeshSpec(M, g)  # holds the rules on M and the grading
 
     N, M = int(N), int(M)
     if g == 1.0:

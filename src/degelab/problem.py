@@ -20,7 +20,7 @@ spec, so specs compare and hash by value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Union
 
@@ -49,6 +49,8 @@ __all__ = [
     "lower_order_inverse",
     "datum_eval",
     "datum_norm_exact",
+    "datum_in_class",
+    "replace_unchecked",
     "classify_regime",
     "baseline_exponents",
 ]
@@ -231,11 +233,29 @@ class ProblemSpec:
 
     def __post_init__(self):
         if int(self.dimension) != self.dimension or self.dimension < 3:
-            raise ValueError(f"dimension must be an integer >= 3, got {self.dimension}")
+            raise ValueError(f"dimension N must be an integer >= 3, got {self.dimension}")
         if not (0 < self.radius < math.inf):
             raise ValueError(f"radius must be finite and positive, got {self.radius}")
         if isinstance(self.lower, SingularAbsorption) and self.datum.amplitude < 0:
             raise ValueError("singular absorption requires a nonnegative datum")
+
+
+def datum_in_class(spec: ProblemSpec) -> bool:
+    """Whether the datum lies in the L^m it claims (for A r^(-delta): delta*m < N).
+
+    A claim, not a precondition of solving.  The norm is taken of the unit
+    amplitude on the unit ball, in the same L^m, so that no float overflow
+    counts as divergence."""
+    unit = replace(spec.datum, family=replace(spec.datum.family, amplitude=1.0))
+    return datum_norm_exact(unit, unit.m, spec.dimension, 1.0) < math.inf
+
+
+def replace_unchecked(spec, **changes):
+    """``dataclasses.replace`` without the constructor's checks.  Only a report
+    of a broken rule holds its result, to show the values that broke it."""
+    new = object.__new__(type(spec))
+    new.__dict__.update(vars(spec), **changes)
+    return new
 
 
 class RegimeCase(Enum):

@@ -123,13 +123,13 @@ class SolverConfig:
     def __post_init__(self):
         if not (isinstance(self.picard_max, int) and self.picard_max >= 1):
             raise ValueError(f"picard_max must be an integer >= 1, got {self.picard_max!r}")
-        if not (self.newton_tol > 0):
-            raise ValueError("newton_tol must be positive")
+        if not (0 < self.newton_tol < math.inf):
+            raise ValueError(f"newton_tol must be finite and positive, got {self.newton_tol!r}")
         if self.face_scheme not in FACE_SCHEMES:
             raise ValueError(f"face_scheme must be {' or '.join(map(repr, FACE_SCHEMES))}, "
                              f"got {self.face_scheme!r}")
-        if not (self.n_max >= FIRST_LEVEL):
-            raise ValueError(f"truncation schedule requires n_max >= {FIRST_LEVEL}")
+        if not (isinstance(self.n_max, int) and self.n_max >= FIRST_LEVEL):
+            raise ValueError(f"n_max must be an integer >= {FIRST_LEVEL}, got {self.n_max!r}")
 
     def level_at_least(self, bound: float) -> int:
         """The first truncation level n >= bound, or n_max if there is none.

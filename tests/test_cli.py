@@ -1,4 +1,5 @@
 import ast
+import collections
 import csv
 import dataclasses
 import json
@@ -15,7 +16,9 @@ from degelab.cli import (
     EXIT_CONFIG,
     EXIT_NOT_CONVERGED,
     EXIT_OK,
+    _KEYS,
     _KNOWN_KEYS,
+    Config,
     ConfigError,
     dispatch,
     main,
@@ -24,10 +27,13 @@ from degelab.cli import (
 )
 import degelab
 import degelab.experiments as experiments
-from degelab.grid import build_radial_grid
+from degelab.grid import MeshSpec, build_radial_grid
 from degelab.problem import (
+    CoefficientSpec,
+    ConstantDatum,
     DatumSpec,
     PowerAbsorption,
+    ProblemSpec,
     RadialPowerDatum,
     SingularAbsorption,
     datum_norm_exact,
@@ -67,8 +73,9 @@ class TestParse:
         assert cfg.output_dir == "out"
 
     def test_low_dimension_rejected(self):
-        with pytest.raises(ConfigError, match="must be >= 3"):
+        with pytest.raises(ConfigError) as err:
             parse_config("[problem]\nN = 2\n")
+        assert err.value.violations == ["[problem] dimension N must be an integer >= 3, got 2"]
 
     def test_both_lower_order_kinds_rejected(self):
         with pytest.raises(ConfigError, match="exactly one kind"):
@@ -132,6 +139,84 @@ class TestParse:
     def test_solver_fields_are_the_config_keys(self):
         # a SolverConfig field no config can set is a knob only tests turn
         assert {f.name for f in dataclasses.fields(SolverConfig)} == _KNOWN_KEYS["solver"]
+        # every scalar field of a spec a config builds is set by exactly one
+        # key, and every key sets a field, but the ignored [sweep] parallelism
+        specs = (CoefficientSpec, PowerAbsorption, SingularAbsorption, ConstantDatum,
+                 RadialPowerDatum, DatumSpec, MeshSpec, SolverConfig)
+        targets = collections.Counter(target for *_, target in _KEYS)
+        scalars = {f.name for cls in specs for f in dataclasses.fields(cls)
+                   if f.type in ("int", "float", "str")}
+        assert len(scalars) == 14
+        assert {name: targets[name] for name in scalars} == dict.fromkeys(scalars, 1)
+        fields = {f.name for cls in (*specs, ProblemSpec, Config)
+                  for f in dataclasses.fields(cls)}
+        assert set(targets) - fields == {None}
+        assert [key for _, key, *_, target in _KEYS if target is None] == ["parallelism"]
+
+    # One row per constructor rule: the config's violation is the message of
+    # the constructor that holds the rule, under the section of the key.  The
+    # rules that values be finite are met first by the reader's own guard.
+    COEF = CoefficientSpec(1.0, 1.0, 0.0)
+    RULES = {
+        "dimension": ("[problem]\nN = 2", "[problem] dimension N must be an integer >= 3, got 2",
+                      lambda: ProblemSpec(2, 1.0, TestParse.COEF)),
+        "radius": ("[problem]\nR = 0", "[problem] radius must be finite and positive, got 0.0",
+                   lambda: ProblemSpec(3, 0.0, TestParse.COEF)),
+        "barrier-datum": ("[problem]\nsigma = 1\namplitude = -1",
+                          "[problem] singular absorption requires a nonnegative datum",
+                          lambda: ProblemSpec(3, 1.0, TestParse.COEF, SingularAbsorption(1.0),
+                                              DatumSpec(ConstantDatum(-1.0)))),
+        "alpha": ("[problem]\nalpha = 0", "[problem] alpha must be finite and positive, got 0.0",
+                  lambda: CoefficientSpec(0.0, 1.0, 0.0)),
+        "beta": ("[problem]\nbeta = -1", "[problem] beta must be finite and positive, got -1.0",
+                 lambda: CoefficientSpec(1.0, -1.0, 0.0)),
+        "gamma": ("[problem]\ngamma = -1",
+                  "[problem] gamma must be finite and nonnegative, got -1.0",
+                  lambda: CoefficientSpec(1.0, 1.0, -1.0)),
+        "alpha-beta": ("[problem]\nalpha = 2\nbeta = 1",
+                       "[problem] alpha=2.0 must not exceed beta=1.0",
+                       lambda: CoefficientSpec(2.0, 1.0, 0.0)),
+        "p": ("[problem]\np = -1", "[problem] power exponent p must be positive, got -1.0",
+              lambda: PowerAbsorption(-1.0)),
+        "sigma": ("[problem]\nsigma = 0", "[problem] sigma must be positive, got 0.0",
+                  lambda: SingularAbsorption(0.0)),
+        "delta": ("[problem]\ndatum = radial_power\ndelta = -1",
+                  "[problem] delta must be positive, got -1.0",
+                  lambda: RadialPowerDatum(1.0, -1.0)),
+        "m": ("[problem]\nm = 0.5", "[problem] Lebesgue class m must be >= 1, got 0.5",
+              lambda: DatumSpec(ConstantDatum(1.0), 0.5)),
+        "M": ("[mesh]\nM = 4", "[mesh] cell count must be an integer >= 8, got 4",
+              lambda: MeshSpec(4)),
+        "grading": ("[mesh]\ngrading = 5", "[mesh] grading factor must lie in [1, 4], got 5.0",
+                    lambda: MeshSpec(64, 5.0)),
+        "picard_max": ("[solver]\npicard_max = 0",
+                       "[solver] picard_max must be an integer >= 1, got 0",
+                       lambda: SolverConfig(picard_max=0)),
+        "newton_tol": ("[solver]\nnewton_tol = 0",
+                       "[solver] newton_tol must be finite and positive, got 0.0",
+                       lambda: SolverConfig(newton_tol=0.0)),
+        "n_max": ("[solver]\nn_max = 0", "[solver] n_max must be an integer >= 1, got 0",
+                  lambda: SolverConfig(n_max=0)),
+        "face_scheme": ("[solver]\nface_scheme = central",
+                        "[solver] face_scheme must be 'upwind' or 'arithmetic', got 'central'",
+                        lambda: SolverConfig(face_scheme="central")),
+    }
+
+    @pytest.mark.parametrize("rule", list(RULES))
+    def test_each_rule_is_reported_under_its_key(self, rule):
+        text, violation, build = self.RULES[rule]
+        with pytest.raises(ConfigError) as err:
+            parse_config(text)
+        assert err.value.violations == [violation]
+        with pytest.raises(ValueError) as err:
+            build()
+        assert f"{violation.split()[0]} {err.value}" == violation
+
+    CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.ini"))
+
+    @pytest.mark.parametrize("path", CONFIGS, ids=[path.name for path in CONFIGS])
+    def test_every_shipped_config_parses(self, path):
+        assert isinstance(parse_config(path.read_text()), Config)
 
 
 class TestDispatch:
@@ -464,7 +549,7 @@ class TestMain:
         ("solve", "amplitude = inf", "[problem] amplitude: must be finite, got inf"),
         # an infinite alpha solved to a nan residual that counted as converged
         ("solve", "alpha = inf", "[problem] alpha: must be finite, got inf"),
-        ("sweep", "[sweep]\ngamma = 0, inf", "[sweep] gamma: cannot parse value list"),
+        ("sweep", "[sweep]\ngamma = 0, inf", "[sweep] gamma: must be finite, got (0.0, inf)"),
         ("mms", "[mms]\namplitude = nan", "[mms] amplitude: must be finite, got nan"),
     ], ids=["gamma", "R", "amplitude-nan", "amplitude-inf", "alpha", "sweep-gamma",
             "mms-amplitude"])
@@ -476,16 +561,16 @@ class TestMain:
 
     @pytest.mark.parametrize("command,text,violation", [
         ("mms", "[mms]\nM_list = 4 8",
-         "[mms] M_list: every cell count must be an integer >= 8, got [4.0]"),
+         "[mms] M_list: cell count must be an integer >= 8, got 4"),
         ("mms", "[mms]\nM_list = 64.7 128",
-         "[mms] M_list: every cell count must be an integer >= 8, got [64.7]"),
+         "[mms] M_list: cell count must be an integer >= 8, got 64.7"),
         ("sweep", "[sweep]\nM = 64.7, 32",
-         "[sweep] M: every value must be an integer, got [64.7]"),
-        ("sweep", "[sweep]\nN = 3.5", "[sweep] N: every value must be an integer, got [3.5]"),
+         "[sweep] M: cell count must be an integer >= 8, got 64.7"),
+        ("sweep", "[sweep]\nN = 3.5", "[sweep] N: dimension N must be an integer >= 3, got 3.5"),
         # as [mesh] M and [problem] N are; a point M = 4 was recorded under
         # the base mesh's M
-        ("sweep", "[sweep]\nM = 4, 64", "[sweep] M: every value must be >= 8, got [4.0]"),
-        ("sweep", "[sweep]\nN = 2, 3", "[sweep] N: every value must be >= 3, got [2.0]"),
+        ("sweep", "[sweep]\nM = 4, 64", "[sweep] M: cell count must be an integer >= 8, got 4"),
+        ("sweep", "[sweep]\nN = 2, 3", "[sweep] N: dimension N must be an integer >= 3, got 2"),
     ], ids=["M_list-below-8", "M_list-fraction", "sweep-M", "sweep-N", "sweep-M-below-8",
             "sweep-N-below-3"])
     def test_non_integer_counts_rejected(self, tmp_path, capsys, command, text, violation):
@@ -516,8 +601,8 @@ class TestMain:
         path = tmp_path / "bad.ini"
         path.write_text("[problem]\nN = 2\n")
         assert main(["solve", str(path)]) == EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert "dimension must be >= 3" in err
+        assert capsys.readouterr().err == \
+            "config error: [problem] dimension N must be an integer >= 3, got 2\n"
 
     def test_solve_via_main_with_overrides(self, tmp_path):
         conf, out = write_config(tmp_path, MINIMAL)

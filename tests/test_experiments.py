@@ -292,9 +292,9 @@ class TestSweep:
         with pytest.raises(ValueError, match="cap"):
             run_sweep(sweep)
 
-    def test_unbuildable_point_recorded_under_its_own_mesh(self):
-        # the point M = 4 is built, but its grid is not; its record keeps
-        # M = 4 rather than the base mesh's 64
+    def test_unbuildable_point_recorded_under_its_own_mesh(self, tmp_path):
+        # the point M = 4 cannot be built (MeshSpec rejects it); its record
+        # keeps M = 4 rather than the base mesh's 64
         sweep = SweepSpec(base=power_spec(0.5, 1.0, 1.0), mesh=MeshSpec(64),
                           axes={"M": (4.0, 64.0)})
         failed, solved = run_sweep(sweep)
@@ -302,6 +302,20 @@ class TestSweep:
         assert failed.failure.startswith("ValueError: cell count must be an integer >= 8")
         assert (solved.mesh.cells, solved.converged) == (64, True)
         assert failed.payload["cells"]["M"] == 4
+        # a fractional M or N is not truncated (M = 64.7, N = 3.5 solved as
+        # 64 and 3): the point fails with the constructor's message, under
+        # its own values, and an integral one is the count it names
+        sweep = replace(sweep, axes={"M": (64.7, 64.0), "N": (3.5, 3.0)})
+        records = run_sweep(sweep)
+        assert [(rec.payload["cells"]["M"], rec.payload["cells"]["N"], rec.converged,
+                 rec.failure) for rec in records] == [
+            (64.7, 3.5, False, "ValueError: cell count must be an integer >= 8, got 64.7"),
+            (64.7, 3, False, "ValueError: cell count must be an integer >= 8, got 64.7"),
+            (64, 3.5, False, "ValueError: dimension N must be an integer >= 3, got 3.5"),
+            (64, 3, True, None)]
+        rows = csv.DictReader(csv_body(emit_outputs(records, tmp_path)["csv"]))
+        assert list({row["run_id"]: (row["M"], row["N"]) for row in rows}.values()) == \
+            [("64.7", "3.5"), ("64.7", "3"), ("64", "3.5"), ("64", "3")]
 
     def test_invalid_point_isolated_not_dropped(self):
         sweep = SweepSpec(base=power_spec(0.5, 1.0, 1.0, ConstantDatum(1.0)),

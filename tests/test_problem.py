@@ -26,6 +26,7 @@ from degelab.problem import (
     classify_regime,
     coefficient_eval,
     datum_eval,
+    datum_in_class,
     datum_norm_exact,
     lower_order_eval,
     lower_order_inverse,
@@ -152,6 +153,19 @@ class TestDatum:
     def test_norm_radial_power(self):
         spec = DatumSpec(RadialPowerDatum(1.0, 1.0))
         assert datum_norm_exact(spec, 2.0, 3, 1.0) == pytest.approx(4 * math.pi)
+
+    @pytest.mark.parametrize("family,m,N,inside", [
+        (RadialPowerDatum(1.0, 1.0), 2.0, 3, True),
+        (RadialPowerDatum(1.0, 1.5), 2.0, 3, False),  # delta*m = N
+        (RadialPowerDatum(1.0, 1.6), 2.0, 3, False),
+        (RadialPowerDatum(1.0, 1.6), 2.0, 4, True),
+        # finite norms that overflow a float
+        (RadialPowerDatum(1e308, 2.0), 1.0, 3, True),
+        (ConstantDatum(1e10), 40.0, 3, True),
+    ], ids=["inside", "edge", "outside", "inside-in-4", "overflow-radial", "overflow-constant"])
+    def test_claimed_class(self, family, m, N, inside):
+        spec = ProblemSpec(N, 1.0, CoefficientSpec(1.0, 1.0, 1.0), datum=DatumSpec(family, m))
+        assert datum_in_class(spec) is inside
 
     @pytest.mark.parametrize("family,m", [
         (ConstantDatum(2.5), 1.0),

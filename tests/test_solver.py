@@ -396,6 +396,19 @@ class TestPicard:
         with pytest.raises(ValueError, match=r"picard_max must be an integer >= 1"):
             SolverConfig(picard_max=picard_max)
 
+    @pytest.mark.parametrize("key,value,violation", [
+        # level_at_least(3) returned the non-level 2.5
+        ("n_max", 2.5, "n_max must be an integer >= 1, got 2.5"),
+        ("n_max", 0, "n_max must be an integer >= 1, got 0"),
+        # every residual met an infinite tolerance
+        ("newton_tol", math.inf, "newton_tol must be finite and positive, got inf"),
+        ("newton_tol", 0.0, "newton_tol must be finite and positive, got 0.0"),
+    ], ids=["n_max-fraction", "n_max-zero", "newton_tol-inf", "newton_tol-zero"])
+    def test_n_max_and_newton_tol_are_checked(self, key, value, violation):
+        with pytest.raises(ValueError) as err:
+            SolverConfig(**{key: value})
+        assert str(err.value) == violation
+
     def test_one_line_search_per_newton_step(self, monkeypatch):
         # one direction per step, the exact Jacobian's (for gamma = 0 the
         # frozen-coefficient one): a converged level makes one line search
