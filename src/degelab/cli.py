@@ -1,24 +1,21 @@
 """Command-line entry point: config files in, solves and reports out.
 
 Subcommands: ``solve`` (single run plus outputs), ``sweep`` (Cartesian
-parameter sweep), ``verify`` (run every checker and exit nonzero on any
-failure; ``--solution`` audits a previously written solution file with
-the same checkers plus the solver's residual contract), ``mms`` (mesh
-refinement study) and ``report`` (rewrite the outputs from stored
-records, exactly as ``solve`` or ``sweep`` wrote them).  Configuration
-lives in an INI-style file; only the mesh size and the output directory
-can be overridden from the command line, so a config file pins a
-reproducible run.
+parameter sweep), ``verify`` (audit the field ``solve`` stored, named by
+the required ``--solution``, with every checker plus the solver's
+residual contract; it solves nothing), ``mms`` (mesh refinement study)
+and ``report`` (rewrite the outputs from stored records, exactly as
+``solve`` or ``sweep`` wrote them).  Configuration lives in an INI-style
+file; only the mesh size and the output directory can be overridden from
+the command line, so a config file pins a reproducible run.
 
 A config is read by a table of its keys and built through the spec
 constructors, which own every rule on a value; the config reports each
 violation under its section, all of them at once, and exits 3.
 
-Exit codes: 0 success; 1 a failed check, or a converged run whose final
-level still clips the datum or the solution (``verify``, also on a stored
-field); 2 a run that is not solved: not converged (``solve``, ``sweep``
-and ``verify``), or converged at a final level that still clips
-(``solve`` and ``sweep``); 3 configuration errors.
+Exit codes, one meaning each: 0 success; 1 a stored field failed its
+audit (``verify``); 2 a run left unsolved (``solve``, ``sweep``); 3 a
+config or usage error, ``verify`` without ``--solution`` among them.
 
 The audit's tolerances and sampling families are constants of
 ``degelab.experiments`` (``CHECK_TOLERANCE`` and its neighbours), and the
@@ -234,6 +231,10 @@ def parse_config(text: str) -> Config:
         enabled = tuple(tok.strip() for tok in given["checks"].split(",") if tok.strip())
     errors += [f"[checks] enable: unknown checker {tok!r} (known: {', '.join(ALL_CHECKS)})"
                for tok in enabled if tok not in ALL_CHECKS]
+    try:
+        SweepSpec(base=problem, mesh=mesh, axes=axes)
+    except ValueError as err:
+        errors.append(f"[sweep] {err}")
 
     if not errors:  # sweep points and mms meshes vary a base that builds
         varied = [("sweep", key, key, vals) for key, vals in axes.items()]
@@ -270,6 +271,11 @@ def _print_reports(record) -> None:
         print(f"  [skip] {name}: {reason}")
 
 
+def _exit_code(records) -> int:
+    """``solve``'s and ``sweep``'s exit: 0 when every run is solved, else 2."""
+    return EXIT_OK if all(rec.solved for rec in records) else EXIT_NOT_CONVERGED
+
+
 def _cmd_solve(config: Config, out_dir: Path) -> int:
     record = run_single(config.problem, config.mesh, config.solver, config.checks)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -285,7 +291,7 @@ def _cmd_solve(config: Config, out_dir: Path) -> int:
     print(f"converged={record.converged} truncation_active={record.truncation_active} "
           f"n_final={record.n_final} residual={record.residual_inf:.3e} "
           f"stop={record.flags.stop.value}")
-    return EXIT_OK if record.solved else EXIT_NOT_CONVERGED
+    return _exit_code([record])
 
 
 def _cmd_sweep(config: Config, out_dir: Path) -> int:
@@ -294,22 +300,16 @@ def _cmd_sweep(config: Config, out_dir: Path) -> int:
     records = run_sweep(sweep)
     emit_outputs(records, out_dir)
     save_records(records, out_dir / "records.json")
-    solved = sum(rec.solved for rec in records)
     print(f"{len(records)} runs, {sum(rec.converged for rec in records)} converged, "
-          f"{solved} solved, outputs in {out_dir}")
-    return EXIT_OK if solved == len(records) else EXIT_NOT_CONVERGED
+          f"{sum(rec.solved for rec in records)} solved, outputs in {out_dir}")
+    return _exit_code(records)
 
 
-def _cmd_verify(config: Config, out_dir: Path, solution_path: str | None) -> int:
+def _cmd_verify(config: Config, solution_path: str | None) -> int:
     if solution_path is None:
-        record = run_single(config.problem, config.mesh, config.solver, ALL_CHECKS)
-        _print_reports(record)
-        if not record.converged:
-            print(f"solver did not converge: stop={record.flags.stop.value}")
-            return EXIT_NOT_CONVERGED
-        if not record.solved:
-            print(f"  [FAIL] truncation_active=True at n_final={record.n_final}")
-        return EXIT_OK if record.all_passed else EXIT_CHECK_FAILED
+        raise ConfigError(["verify audits a stored field and needs --solution: run "
+                           "`degelab solve CONFIG -o DIR`, then "
+                           "`degelab verify CONFIG --solution DIR/solution.dat`"])
     residual, bound, clipped, checked = _verify_solution_file(config, solution_path)
     res_ok = residual <= bound
     print(f"  [{'pass' if res_ok else 'FAIL'}] residual |r|={residual:.3e} "
@@ -412,7 +412,7 @@ def dispatch(command: str, config: Config, solution_path: str | None = None,
         if command == "sweep":
             return _cmd_sweep(config, out_dir)
         if command == "verify":
-            return _cmd_verify(config, out_dir, solution_path)
+            return _cmd_verify(config, solution_path)
         if command == "mms":
             return _cmd_mms(config, out_dir)
         if command == "report":
@@ -433,7 +433,7 @@ def main(argv: list[str] | None = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, doc in (("solve", "solve one problem and write outputs"),
                       ("sweep", "run a parameter sweep"),
-                      ("verify", "run all checkers; nonzero exit on failure"),
+                      ("verify", "audit a stored solution file; exit 1 on a failed audit"),
                       ("mms", "manufactured-solution refinement study"),
                       ("report", "re-emit outputs from stored records")):
         cmd = sub.add_parser(name, help=doc)
@@ -444,7 +444,7 @@ def main(argv: list[str] | None = None) -> int:
                          help="override the output directory")
         if name == "verify":
             cmd.add_argument("--solution", default=None,
-                             help="audit this stored solution file instead of solving")
+                             help="the solution file solve wrote (required)")
     args = parser.parse_args(argv)
 
     try:

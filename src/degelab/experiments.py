@@ -340,8 +340,8 @@ class SweepSpec:
     """Cartesian sweep over problem and mesh axes around a base problem.
 
     Axis names: gamma, p, m, N, delta, M.  Every point yields a record,
-    flagged rather than dropped on failure; the product size is capped at
-    ``SWEEP_CAP``.
+    flagged rather than dropped on failure.  The constructor caps the
+    product of the axis lengths at ``SWEEP_CAP``, building no point.
     """
 
     base: ProblemSpec
@@ -349,6 +349,10 @@ class SweepSpec:
     axes: dict[str, tuple[float, ...]] = field(default_factory=dict)
     cfg: SolverConfig = SolverConfig()
     checks: tuple[str, ...] = ALL_CHECKS
+
+    def __post_init__(self):
+        if (size := math.prod(map(len, self.axes.values()))) > SWEEP_CAP:
+            raise ValueError(f"sweep size {size} exceeds cap {SWEEP_CAP}")
 
 
 def _integral(val):
@@ -448,14 +452,9 @@ def run_sweep(sweep: SweepSpec) -> list[RunRecord]:
     are shared, and the copy's ``duration_s`` is its own work only.  A
     point that cannot be built is its own failed record.
     """
-    names = list(sweep.axes.keys())
-    values = [tuple(sweep.axes[name]) for name in names]
-    combos = list(itertools.product(*values)) if names else [()]
-    if len(combos) > SWEEP_CAP:
-        raise ValueError(f"sweep size {len(combos)} exceeds cap {SWEEP_CAP}")
     solved: dict[tuple, RunRecord] = {}
-    return [_sweep_point(sweep, idx, dict(zip(names, combo)), solved)
-            for idx, combo in enumerate(combos)]
+    return [_sweep_point(sweep, idx, dict(zip(sweep.axes, combo)), solved)
+            for idx, combo in enumerate(itertools.product(*sweep.axes.values()))]
 
 
 @dataclass(frozen=True)
@@ -487,7 +486,7 @@ def mesh_refinement_study(spec: ProblemSpec, u_star: Callable[[np.ndarray], np.n
     interpolated down, so its consistency error is negligible next to the
     study's own).
     """
-    M_list = [int(m) for m in M_list]
+    M_list = [int(MeshSpec(m, 1.0 if grading is None else grading).cells) for m in M_list]
     if rhs is None:
         fine = build_radial_grid(spec.dimension, spec.radius,
                                  REFERENCE_FACTOR * max(M_list), grading)

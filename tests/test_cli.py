@@ -26,6 +26,7 @@ from degelab.cli import (
     _verify_solution_file,
 )
 import degelab
+import degelab.cli as cli
 import degelab.experiments as experiments
 from degelab.grid import MeshSpec, build_radial_grid
 from degelab.problem import (
@@ -230,7 +231,24 @@ class TestDispatch:
 
     def test_verify_in_process(self, tmp_path):
         conf, out = write_config(tmp_path, MINIMAL)
-        assert dispatch("verify", parse_config(conf.read_text())) == EXIT_OK
+        cfg = parse_config(conf.read_text())
+        assert dispatch("solve", cfg) == EXIT_OK
+        assert dispatch("verify", cfg, solution_path=str(out / "solution.dat")) == EXIT_OK
+
+    def test_verify_without_solution_is_config_error(self, tmp_path, capsys, monkeypatch):
+        # verify only audits a stored field: without one it is a config error
+        def no_solve(*args):
+            raise AssertionError("verify must not solve")
+
+        monkeypatch.setattr(cli, "run_single", no_solve)
+        conf, out = write_config(tmp_path, MINIMAL)
+        assert dispatch("verify", parse_config(conf.read_text())) == EXIT_CONFIG
+        assert main(["verify", str(conf)]) == EXIT_CONFIG
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2 and err[0] == err[1], err
+        assert err[0].startswith("config error: verify audits a stored field and needs "
+                                 "--solution") and "degelab solve" in err[0], err
+        assert not out.exists()
 
     def test_verify_round_trip_identical_reports(self, tmp_path):
         conf, out = write_config(tmp_path, MINIMAL)
@@ -270,11 +288,6 @@ class TestDispatch:
     CLIPPED = (MINIMAL.replace("p = 2.0", "p = 1.0").replace("M = 96", "M = 1024")
                .replace("datum = constant", "datum = radial_power\ndelta = 2.8")
                + f"\n[solver]\nn_max = {2**30}\n")
-
-    def test_verify_fails_when_truncation_stays_active(self, tmp_path, capsys):
-        conf, out = write_config(tmp_path, self.CLIPPED)
-        assert dispatch("verify", parse_config(conf.read_text())) == EXIT_CHECK_FAILED
-        assert "truncation_active=True" in capsys.readouterr().out
 
     def test_solve_fails_when_truncation_stays_active(self, tmp_path, capsys):
         conf, out = write_config(tmp_path, self.CLIPPED)
@@ -597,6 +610,15 @@ class TestMain:
         assert f"config error: [sweep] {key}: {violation}\n" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_oversized_sweep_rejected(self, tmp_path, capsys):
+        # the cap is on the product of the axis lengths, checked before any solve
+        values = ", ".join(str(1 + i / 64) for i in range(65))
+        conf, out = write_config(tmp_path, MINIMAL + f"\n[sweep]\np = {values}\nm = {values}\n")
+        assert main(["sweep", str(conf)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == \
+            f"config error: [sweep] sweep size 4225 exceeds cap {experiments.SWEEP_CAP}\n"
+        assert not out.exists()
+
     def test_config_errors_reported(self, tmp_path, capsys):
         path = tmp_path / "bad.ini"
         path.write_text("[problem]\nN = 2\n")
@@ -620,7 +642,7 @@ class TestMain:
 class TestStalledSolve:
     """A solve whose Newton iteration stalls below the schedule's top level
     (example.ini without absorption, gamma = 2, amplitude = 100, M = 256)
-    exits 2 from every command and writes its flags, not an audit."""
+    exits 2 from solve and sweep and writes its flags, not an audit."""
 
     EXAMPLE = Path(__file__).resolve().parents[1] / "configs" / "example.ini"
     CHECKS = ("bg", "entropy", "lemma", "linfty", "marcinkiewicz", "truncation_energy",
@@ -647,7 +669,7 @@ class TestStalledSolve:
         with open(out / "records.csv", newline="") as fh:
             return list(csv.DictReader(line for line in fh if not line.startswith("#")))
 
-    def test_solve_verify_and_sweep_exit_2(self, tmp_path, capsys):
+    def test_solve_and_sweep_exit_2(self, tmp_path, capsys):
         conf = self.config(tmp_path)
         skips = [f"  [skip] {name}: solver did not converge" for name in self.CHECKS]
 
@@ -664,10 +686,6 @@ class TestStalledSolve:
             "n_final": "256", "converged": "false", "truncation_active": "false",
             "hit_iteration_cap": "false", "check_name": "solve_failed", "passed": "false"}
         assert float(row["lhs"]) > 1.0  # the stalled residual
-
-        assert main(["verify", str(conf)]) == EXIT_NOT_CONVERGED
-        assert capsys.readouterr().out.splitlines() == \
-            skips + ["solver did not converge: stop=stalled"]
 
         # the three points share one discrete problem, and so one stalled
         # solve; each record is still flagged

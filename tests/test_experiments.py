@@ -25,7 +25,8 @@ from degelab.analysis import (
 )
 import degelab.experiments as experiments
 import degelab.solver as solver
-from degelab.cli import EXIT_CHECK_FAILED, EXIT_NOT_CONVERGED, EXIT_OK, main, parse_config
+from degelab.cli import (EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_NOT_CONVERGED, EXIT_OK, main,
+                         parse_config)
 from degelab.experiments import (
     ALL_CHECKS,
     CHECK_TOLERANCE,
@@ -286,11 +287,16 @@ class TestSweep:
         assert len(records) == 1
 
     def test_cap_enforced(self):
-        sweep = SweepSpec(base=power_spec(0.5, 1.0, 1.0), mesh=MeshSpec(32),
-                          axes={"p": tuple(np.linspace(0.5, 4, 70)),
-                                "m": tuple(np.linspace(1, 2, 70))})
-        with pytest.raises(ValueError, match="cap"):
-            run_sweep(sweep)
+        # the constructor multiplies the axis lengths; it builds no point
+        def sweep(p_count, m_count):
+            return SweepSpec(base=power_spec(0.5, 1.0, 1.0), mesh=MeshSpec(32),
+                             axes={"p": tuple(np.linspace(0.5, 4, p_count)),
+                                   "m": tuple(np.linspace(1, 2, m_count))})
+
+        assert experiments.SWEEP_CAP == 4096
+        sweep(64, 64)
+        with pytest.raises(ValueError, match=r"^sweep size 4097 exceeds cap 4096$"):
+            sweep(17, 241)
 
     def test_unbuildable_point_recorded_under_its_own_mesh(self, tmp_path):
         # the point M = 4 cannot be built (MeshSpec rejects it); its record
@@ -547,7 +553,8 @@ class TestEmission:
     # that cannot be built, which parse_config rejects), its stop, its
     # (converged, truncation_active, hit_iteration_cap), n_final, first
     # check_name, summary.md row, failure, and the exit codes of solve,
-    # verify and sweep.  A raised solve is a tridiag_solve that raises.
+    # verify --solution on the field solve stored (3 when it stored none) and
+    # sweep.  A raised solve is a tridiag_solve that raises.
     SOLVED = "[problem]\ngamma = 1.0\np = 2.0\n[mesh]\nM = 32\n"
     ENDINGS = {
         "converged": (
@@ -558,12 +565,12 @@ class TestEmission:
             SOLVED + "[solver]\npicard_max = 2\n", Stop.CAPPED, (False, False, True), 1,
             "solve_failed",
             "| run_0000 | 1 | 2 | 1 | 3 | nan | 32 | false | false | true | 1 | 0 |",
-            None, (EXIT_NOT_CONVERGED,) * 3),
+            None, (EXIT_NOT_CONVERGED, EXIT_CONFIG, EXIT_NOT_CONVERGED)),
         "stalled": (  # TestStalledSolve's case: no absorption, gamma = 2, A = 100
             "[problem]\ngamma = 2.0\namplitude = 100\n[mesh]\nM = 256\n", Stop.STALLED,
             (False, False, False), 256, "solve_failed",
             "| run_0000 | 2 | nan | 1 | 3 | nan | 256 | false | false | false | 256 | 0 |",
-            None, (EXIT_NOT_CONVERGED,) * 3),
+            None, (EXIT_NOT_CONVERGED, EXIT_CONFIG, EXIT_NOT_CONVERGED)),
         "truncation_active": (  # f(r_0) ~ 1.9e9 exceeds n_max = 2^30
             "[problem]\ngamma = 1.0\np = 1.0\ndatum = radial_power\ndelta = 2.8\n"
             f"[mesh]\nM = 1024\n[solver]\nn_max = {2**30}\n", Stop.CONVERGED,
@@ -573,7 +580,8 @@ class TestEmission:
         "solver_raised": (
             SOLVED, Stop.FAILED, (False, False, False), 0, "solve_failed",
             "| run_0000 | 1 | 2 | 1 | 3 | nan | 32 | false | false | false | 0 | 0 |",
-            "LinAlgError: singular matrix", (EXIT_NOT_CONVERGED,) * 3),
+            "LinAlgError: singular matrix",
+            (EXIT_NOT_CONVERGED, EXIT_CONFIG, EXIT_NOT_CONVERGED)),
         "point_not_built": (  # the delta axis needs a radial power datum
             None, Stop.FAILED, (False, False, False), 0, "solve_failed",
             "| run_0000 | 0.5 | 1 | 1 | 3 | nan | 32 | false | false | false | 0 | 0 |",
@@ -625,9 +633,9 @@ class TestEmission:
         solve = main(["solve", str(conf), "-o", str(tmp_path / "solve")])
         assert capsys.readouterr().out.splitlines()[-1].endswith(f" stop={stop.value}")
         assert csv_body(tmp_path / "solve" / "records.csv") == csv_body(paths["csv"])
-        verify = main(["verify", str(conf)])
-        unconverged = f"solver did not converge: stop={stop.value}"
-        assert (capsys.readouterr().out.splitlines()[-1] == unconverged) == (not rec.converged)
+        verify = main(["verify", str(conf),
+                       "--solution", str(tmp_path / "solve" / "solution.dat")])
+        assert (tmp_path / "solve" / "solution.dat").exists() == (verify != EXIT_CONFIG)
         sweep = main(["sweep", str(conf), "-o", str(tmp_path / "sweep")])
         assert (solve, verify, sweep) == exits
 
@@ -652,6 +660,12 @@ class TestRefinementStudy:
                                       lambda r: np.zeros_like(r),
                                       [32, 64], CFG, rhs=lambda r: np.zeros_like(r))
         assert all(row.error <= 1e-12 for row in study.rows)
+
+    def test_fractional_cell_count_rejected(self):
+        # each study mesh is a MeshSpec, so a fractional count is not truncated
+        with pytest.raises(ValueError, match=r"^cell count must be an integer >= 8, got 32.7$"):
+            mesh_refinement_study(power_spec(1.0, 2.0, 1.0), lambda r: 1 - r**2,
+                                  [32.7, 64.2], CFG)
 
     def test_arithmetic_faces_beat_upwind_order(self):
         spec = power_spec(1.0, 2.0, 1.0)
