@@ -37,7 +37,6 @@ from pathlib import Path
 import numpy as np
 
 from .experiments import (
-    ALL_CHECKS,
     MeshSpec,
     SweepSpec,
     _apply_axis_point,
@@ -99,7 +98,6 @@ _KEYS = (
     ("solver", "newton_tol", float, None, "newton_tol"),
     ("solver", "n_max", int, None, "n_max"),
     ("solver", "face_scheme", str, None, "face_scheme"),
-    ("checks", "enable", str, "all", "checks"),
     ("output", "directory", str, "out", "output_dir"),
     *(("sweep", axis, _float_list, None, "sweep_axes")
       for axis in ("gamma", "p", "m", "N", "delta", "M")),
@@ -125,7 +123,6 @@ class Config:
     problem: ProblemSpec
     mesh: MeshSpec
     solver: SolverConfig
-    checks: tuple[str, ...]
     output_dir: str
     sweep_axes: dict[str, tuple[float, ...]]
     mms_cells: tuple[int, ...]
@@ -226,25 +223,17 @@ def parse_config(text: str) -> Config:
     mesh = build(MeshSpec, "mesh")
     solver = build(SolverConfig, "solver")
 
-    enabled = ALL_CHECKS
-    if given["checks"].lower() != "all":
-        enabled = tuple(tok.strip() for tok in given["checks"].split(",") if tok.strip())
-    errors += [f"[checks] enable: unknown checker {tok!r} (known: {', '.join(ALL_CHECKS)})"
-               for tok in enabled if tok not in ALL_CHECKS]
-    try:
-        SweepSpec(base=problem, mesh=mesh, axes=axes)
-    except ValueError as err:
-        errors.append(f"[sweep] {err}")
-
     if not errors:  # sweep points and mms meshes vary a base that builds
-        varied = [("sweep", key, key, vals) for key, vals in axes.items()]
-        for section, key, axis, vals in varied + [("mms", "M_list", "M", given["mms_cells"])]:
-            for val in vals:
-                try:
-                    _apply_axis_point(problem, mesh, {axis: val})
-                except ValueError as err:
-                    errors.append(f"[{section}] {key}: {err}")
-                    break
+        try:
+            SweepSpec(base=problem, mesh=mesh, axes=axes)
+        except ValueError as err:
+            errors.append(f"[sweep] {err}")
+        for val in given["mms_cells"]:
+            try:
+                _apply_axis_point(problem, mesh, {"M": val})
+            except ValueError as err:
+                errors.append(f"[mms] M_list: {err}")
+                break
     if not errors:  # the datum's claimed class holds at every point
         keys = [key for key in axes if key in ("delta", "m", "N")]
         for combo in itertools.product(*(axes[key] for key in keys)):
@@ -256,7 +245,7 @@ def parse_config(text: str) -> Config:
         raise ConfigError(errors)
 
     return Config(problem=problem, mesh=mesh, solver=solver,
-                  checks=enabled, output_dir=given["output_dir"], sweep_axes=axes,
+                  output_dir=given["output_dir"], sweep_axes=axes,
                   mms_cells=tuple(int(cells) for cells in given["mms_cells"]),
                   mms_amplitude=given["mms_amplitude"])
 
@@ -277,7 +266,7 @@ def _exit_code(records) -> int:
 
 
 def _cmd_solve(config: Config, out_dir: Path) -> int:
-    record = run_single(config.problem, config.mesh, config.solver, config.checks)
+    record = run_single(config.problem, config.mesh, config.solver)
     out_dir.mkdir(parents=True, exist_ok=True)
     if record.solution is not None:
         write_grid_function(record.solution, out_dir / "solution.dat",
@@ -296,7 +285,7 @@ def _cmd_solve(config: Config, out_dir: Path) -> int:
 
 def _cmd_sweep(config: Config, out_dir: Path) -> int:
     sweep = SweepSpec(base=config.problem, mesh=config.mesh, axes=config.sweep_axes,
-                      cfg=config.solver, checks=config.checks)
+                      cfg=config.solver)
     records = run_sweep(sweep)
     emit_outputs(records, out_dir)
     save_records(records, out_dir / "records.json")
@@ -358,7 +347,7 @@ def _verify_solution_file(config: Config, solution_path: str):
         raise ConfigError([f"cannot audit {solution_path} against the config's datum "
                            f"({type(err).__name__}: {err})"]) from err
     return (problem.residual_norm(u.values), problem.tolerance(config.solver.newton_tol),
-            problem.truncation_active(u.values), run_checks(u, problem, ALL_CHECKS))
+            problem.truncation_active(u.values), run_checks(u, problem))
 
 
 def _cmd_mms(config: Config, out_dir: Path) -> int:

@@ -1,9 +1,10 @@
 """Solve-then-analyze pipelines: single runs, sweeps, refinement studies.
 
 A run solves one problem by truncation continuation, attaches the regime
-prediction, executes every enabled estimate checker, and fits the tail
-exponents of the solution and its gradient.  Sweeps run the Cartesian
-product of parameter axes with per-point failure isolation; output files
+prediction, runs the whole audit (every checker that applies to the
+problem) and fits the tail exponents of the solution and its gradient.
+Sweeps run the Cartesian product of parameter axes; a solve that raises is
+a flagged record, not a lost point.  Output files
 (records.csv, summary.md, plotdata/*.dat) are byte-deterministic apart
 from a timestamp comment so repeated executions can be diffed.
 """
@@ -55,7 +56,6 @@ from .problem import (
     RegimePrediction,
     SingularAbsorption,
     classify_regime,
-    replace_unchecked,
 )
 from .solver import (DiscreteProblem, SolveFlags, SolverConfig, Stop, manufactured_rhs,
                      truncation_continuation)
@@ -210,15 +210,16 @@ class CheckResults:
         return _checks_passed(self.reports)
 
 
-def run_checks(u: GridFunction, problem: DiscreteProblem,
-               checks: Sequence[str] = ALL_CHECKS) -> CheckResults:
-    """Execute every enabled, applicable checker on u and fit its tails.
+def run_checks(u: GridFunction, problem: DiscreteProblem) -> CheckResults:
+    """Run every checker on u, in ``ALL_CHECKS`` order, and fit its tails.
 
-    u is audited against ``problem``, the discrete problem it solves, whose
-    datum T_n f every checker reads.  Each quantity of the solution is
-    computed once and shared: the distribution functions and tail fits of u
-    and |grad u| feed both the Marcinkiewicz check and the record, and each
-    checker sampled over cutoff levels evaluates all its levels in one pass.
+    A checker whose hypothesis the problem does not meet is skipped, with
+    its reason.  u is audited against ``problem``, the discrete problem it
+    solves, whose datum T_n f every checker reads.  Each quantity of the
+    solution is computed once and shared: the distribution functions and
+    tail fits of u and |grad u| feed both the Marcinkiewicz check and the
+    record, and each checker sampled over cutoff levels evaluates all its
+    levels in one pass.
     """
     grid = u.grid
     spec = problem.spec
@@ -230,44 +231,30 @@ def run_checks(u: GridFunction, problem: DiscreteProblem,
     tol = CHECK_TOLERANCE
     alpha = spec.coefficient.alpha
     gamma = spec.coefficient.gamma
-    is_power = isinstance(spec.lower, PowerAbsorption)
     reports: dict[str, tuple[EstimateReport, ...]] = {}
     skipped: dict[str, str] = {}
-    mk_report = None
-
-    for name in checks:
-        if name == "lemma":
-            if not is_power:
-                skipped[name] = "needs a power absorption term"
-                continue
-            reports[name] = (check_lemma_estimate(u, f_nodal, spec.lower.p, spec.datum.m, tol),)
-        elif name == "bg":
-            if not is_power:
-                skipped[name] = "needs a power absorption term"
-                continue
-            ts = sorted({frac * u_max for frac in BG_T_FRACTIONS})
-            reports[name] = tuple(check_bg_estimate(u, f_nodal, spec.lower.p, ts, tol))
-        elif name == "weighted_energy":
-            reports[name] = tuple(check_weighted_energy(u, f_nodal, gamma,
-                                                        WEIGHTED_ENERGY_LAMBDAS, alpha, tol))
-        elif name == "truncation_energy":
-            ks = _checker_levels(u_max, TRUNCATION_K_COUNT)
-            reports[name] = tuple(check_truncation_energy(u, f_nodal, gamma, alpha, ks, tol))
-        elif name == "linfty":
-            if not isinstance(spec.lower, SingularAbsorption):
-                skipped[name] = "needs a singular absorption term"
-                continue
-            reports[name] = (check_linfty_bound(u, spec.lower, f_nodal),)
-        elif name == "entropy":
-            ks = _checker_levels(u_max, ENTROPY_K_COUNT)
-            reports[name] = tuple(check_entropy_inequality(u, problem, ks, tol))
-        elif name == "marcinkiewicz":
-            mk_report = verify_marcinkiewicz_lemma(u, TAIL_TOLERANCE,
-                                                   tails=(df_u, tail_u, tail_grad))
-            if mk_report.applicable:
-                reports[name] = (mk_report.verdict,)
-            else:
-                skipped[name] = mk_report.reason
+    if isinstance(spec.lower, PowerAbsorption):
+        p = spec.lower.p
+        reports["lemma"] = (check_lemma_estimate(u, f_nodal, p, spec.datum.m, tol),)
+        ts = sorted({frac * u_max for frac in BG_T_FRACTIONS})
+        reports["bg"] = tuple(check_bg_estimate(u, f_nodal, p, ts, tol))
+    else:
+        skipped["lemma"] = skipped["bg"] = "needs a power absorption term"
+    reports["weighted_energy"] = tuple(check_weighted_energy(
+        u, f_nodal, gamma, WEIGHTED_ENERGY_LAMBDAS, alpha, tol))
+    reports["truncation_energy"] = tuple(check_truncation_energy(
+        u, f_nodal, gamma, alpha, _checker_levels(u_max, TRUNCATION_K_COUNT), tol))
+    if isinstance(spec.lower, SingularAbsorption):
+        reports["linfty"] = (check_linfty_bound(u, spec.lower, f_nodal),)
+    else:
+        skipped["linfty"] = "needs a singular absorption term"
+    reports["entropy"] = tuple(check_entropy_inequality(
+        u, problem, _checker_levels(u_max, ENTROPY_K_COUNT), tol))
+    mk_report = verify_marcinkiewicz_lemma(u, TAIL_TOLERANCE, tails=(df_u, tail_u, tail_grad))
+    if mk_report.applicable:
+        reports["marcinkiewicz"] = (mk_report.verdict,)
+    else:
+        skipped["marcinkiewicz"] = mk_report.reason
 
     return CheckResults(
         reports=reports, skipped=skipped, marcinkiewicz=mk_report,
@@ -278,10 +265,9 @@ def run_checks(u: GridFunction, problem: DiscreteProblem,
 
 
 def _failed_record(run_id: str, spec: ProblemSpec, mesh: MeshSpec,
-                   checks: Sequence[str], prediction: RegimePrediction | None,
-                   started: str, duration_s: float, reason: str,
-                   err: Exception) -> RunRecord:
-    """Record of a point that produced no solution; every check is skipped.
+                   prediction: RegimePrediction | None, started: str,
+                   duration_s: float, err: Exception) -> RunRecord:
+    """Record of a solve that raised; every check is skipped.
 
     It stops ``Stop.FAILED`` and is not truncation-active: no level
     finished, so nothing was clipped.  The exception is kept in ``failure``."""
@@ -291,7 +277,7 @@ def _failed_record(run_id: str, spec: ProblemSpec, mesh: MeshSpec,
         residual_inf=math.inf, prediction=prediction,
         started_at=started, duration_s=duration_s,
         failure=f"{type(err).__name__}: {err}",
-        **vars(CheckResults(skipped={name: reason for name in checks})),
+        **vars(CheckResults(skipped=dict.fromkeys(ALL_CHECKS, "solver failed"))),
     )
 
 
@@ -301,16 +287,12 @@ def _prediction(spec: ProblemSpec) -> RegimePrediction | None:
     return None
 
 
-def run_single(spec: ProblemSpec, mesh: MeshSpec, cfg: SolverConfig,
-               checks: Sequence[str] = ALL_CHECKS,
+def run_single(spec: ProblemSpec, mesh: MeshSpec, cfg: SolverConfig, *,
                run_id: str = "run_0000") -> RunRecord:
-    """Solve one problem and execute every enabled, applicable checker."""
+    """Solve one problem and, once it converges, run the whole audit on it
+    (:func:`run_checks`)."""
     started = datetime.now(timezone.utc).isoformat()
     t0 = time.perf_counter()
-    checks = tuple(checks)
-    unknown = set(checks) - set(ALL_CHECKS)
-    if unknown:
-        raise ValueError(f"unknown checks: {sorted(unknown)}")
 
     grid = build_radial_grid(spec.dimension, spec.radius, mesh.cells, mesh.grading)
     prediction = _prediction(spec)
@@ -318,14 +300,14 @@ def run_single(spec: ProblemSpec, mesh: MeshSpec, cfg: SolverConfig,
     try:
         result = truncation_continuation(grid, spec, cfg)
     except Exception as err:  # isolate solver blowups for sweep robustness
-        return _failed_record(run_id, spec, mesh, checks, prediction, started,
-                              time.perf_counter() - t0, "solver failed", err)
+        return _failed_record(run_id, spec, mesh, prediction, started,
+                              time.perf_counter() - t0, err)
 
     converged = result.flags.converged
     if converged:
-        checked = run_checks(result.u, result.problem, checks)
+        checked = run_checks(result.u, result.problem)
     else:
-        checked = CheckResults(skipped={name: "solver did not converge" for name in checks})
+        checked = CheckResults(skipped=dict.fromkeys(ALL_CHECKS, "solver did not converge"))
     return RunRecord(
         run_id=run_id, problem=spec, mesh=mesh, n_final=result.n_final,
         flags=result.flags, picard_iters=result.picard_iters,
@@ -339,20 +321,27 @@ def run_single(spec: ProblemSpec, mesh: MeshSpec, cfg: SolverConfig,
 class SweepSpec:
     """Cartesian sweep over problem and mesh axes around a base problem.
 
-    Axis names: gamma, p, m, N, delta, M.  Every point yields a record,
-    flagged rather than dropped on failure.  The constructor caps the
-    product of the axis lengths at ``SWEEP_CAP``, building no point.
+    Axis names: gamma, p, m, N, delta, M.  The constructor caps the product
+    of the axis lengths at ``SWEEP_CAP``, then builds each axis value once
+    on the base problem and mesh and raises ``ValueError("<axis>: <why>")``
+    on the first that breaks a spec's rule.  Every rule an axis value must
+    meet is a rule on one field, so every point of the product then builds.
     """
 
     base: ProblemSpec
     mesh: MeshSpec
     axes: dict[str, tuple[float, ...]] = field(default_factory=dict)
     cfg: SolverConfig = SolverConfig()
-    checks: tuple[str, ...] = ALL_CHECKS
 
     def __post_init__(self):
         if (size := math.prod(map(len, self.axes.values()))) > SWEEP_CAP:
             raise ValueError(f"sweep size {size} exceeds cap {SWEEP_CAP}")
+        for key, vals in self.axes.items():
+            for val in vals:
+                try:
+                    _apply_axis_point(self.base, self.mesh, {key: val})
+                except ValueError as err:
+                    raise ValueError(f"{key}: {err}") from err
 
 
 def _integral(val):
@@ -361,10 +350,10 @@ def _integral(val):
     return int(val) if float(val).is_integer() else val
 
 
-def _apply_axis_point(base: ProblemSpec, mesh: MeshSpec, point: dict[str, float],
-                      replace: Callable = replace) -> tuple[ProblemSpec, MeshSpec]:
-    """The problem and mesh of one sweep point.  ``replace`` makes each spec a
-    value changes; :func:`dataclasses.replace` checks it by its constructor."""
+def _apply_axis_point(base: ProblemSpec, mesh: MeshSpec,
+                      point: dict[str, float]) -> tuple[ProblemSpec, MeshSpec]:
+    """The problem and mesh of one sweep point, each spec a value changes
+    checked by its constructor."""
     spec = base
     for key, val in point.items():
         if key == "gamma":
@@ -418,27 +407,16 @@ def _reuse(first: RunRecord, spec: ProblemSpec, run_id: str, started: str,
 
 def _sweep_point(sweep: SweepSpec, idx: int, point: dict[str, float],
                  solved: dict[tuple, RunRecord]) -> RunRecord:
-    """Run one point, or reuse the record in ``solved`` of its discrete problem.
-    A point that raises is recorded under its own spec and mesh, built
-    unchecked when a value breaks a constructor's rule."""
+    """Run one point, or reuse the record in ``solved`` of its discrete problem."""
     run_id = f"run_{idx:04d}"
     started = datetime.now(timezone.utc).isoformat()
     t0 = time.perf_counter()
-    spec, mesh = sweep.base, sweep.mesh
-    try:
-        spec, mesh = _apply_axis_point(sweep.base, sweep.mesh, point)
-        key = _discrete_problem(spec, mesh)
-        if key in solved:
-            return _reuse(solved[key], spec, run_id, started, t0)
-        solved[key] = run_single(spec, mesh, sweep.cfg, sweep.checks, run_id)
-        return solved[key]
-    except Exception as err:
-        try:
-            spec, mesh = _apply_axis_point(sweep.base, sweep.mesh, point, replace_unchecked)
-        except (TypeError, ValueError):  # a value or an axis no spec can hold
-            pass
-        return _failed_record(run_id, spec, mesh, sweep.checks, None,
-                              started, 0.0, "point construction failed", err)
+    spec, mesh = _apply_axis_point(sweep.base, sweep.mesh, point)
+    key = _discrete_problem(spec, mesh)
+    if key in solved:
+        return _reuse(solved[key], spec, run_id, started, t0)
+    solved[key] = run_single(spec, mesh, sweep.cfg, run_id=run_id)
+    return solved[key]
 
 
 def run_sweep(sweep: SweepSpec) -> list[RunRecord]:
@@ -447,10 +425,11 @@ def run_sweep(sweep: SweepSpec) -> list[RunRecord]:
     Each distinct discrete problem is solved and audited once.  A later
     point that differs from an earlier one only in the claimed class m
     copies that record and recomputes what depends on m: its regime
-    prediction and, when the ``lemma`` check ran, its ``lemma`` report,
-    which keeps its place among the reports.  Flags, skips and failures
-    are shared, and the copy's ``duration_s`` is its own work only.  A
-    point that cannot be built is its own failed record.
+    prediction and, when the record has one (a converged solve with power
+    absorption), its ``lemma`` report, which keeps its place among the
+    reports.  Flags, skips and failures are shared, and the copy's
+    ``duration_s`` is its own work only.  Every point builds, because
+    :class:`SweepSpec` checks each axis value.
     """
     solved: dict[tuple, RunRecord] = {}
     return [_sweep_point(sweep, idx, dict(zip(sweep.axes, combo)), solved)
@@ -574,8 +553,8 @@ def exponent_probe(base: ProblemSpec, deltas: Sequence[float], mesh: MeshSpec,
     for delta in deltas:
         spec = replace(base, datum=replace(
             base.datum, family=replace(base.datum.family, delta=float(delta))))
-        fine = run_single(spec, mesh, cfg, checks=())
-        coarse = run_single(spec, coarse_mesh, cfg, checks=())
+        fine = run_single(spec, mesh, cfg)
+        coarse = run_single(spec, coarse_mesh, cfg)
 
         integral = integral_coarse = change = math.nan
         tail_u_val = tail_grad_val = math.nan

@@ -263,8 +263,8 @@ def _faces(problem: DiscreteProblem, nodes: FrozenNodes) -> np.ndarray:
 
 class Stop(Enum):
     """How a level's Newton iteration ended (see ``newton_semilinear``), and
-    so a solve or a record.  ``FAILED`` marks a record whose solve raised or
-    whose sweep point could not be built; no level returns it."""
+    so a solve or a record.  ``FAILED`` marks a record whose solve raised;
+    no level returns it."""
 
     CONVERGED = "converged"
     CAPPED = "capped"

@@ -69,8 +69,6 @@ class TestParse:
         assert cfg.problem.dimension == 3
         assert isinstance(cfg.problem.lower, PowerAbsorption)
         assert cfg.mesh.cells == 96
-        assert cfg.checks == ("lemma", "bg", "weighted_energy", "truncation_energy",
-                              "linfty", "entropy", "marcinkiewicz")
         assert cfg.output_dir == "out"
 
     def test_low_dimension_rejected(self):
@@ -122,12 +120,6 @@ class TestParse:
         conf.write_text(MINIMAL + f"\n[sweep]\np = 1, 2\nparallelism = {value}\n")
         with pytest.warns(FutureWarning, match="parallelism has no effect"):
             assert main(["sweep", str(conf), "-o", str(tmp_path / "out")]) == EXIT_CONFIG
-
-    def test_checks_selection(self):
-        cfg = parse_config(MINIMAL + "\n[checks]\nenable = lemma, bg\n")
-        assert cfg.checks == ("lemma", "bg")
-        with pytest.raises(ConfigError, match="unknown checker"):
-            parse_config(MINIMAL + "\n[checks]\nenable = lemma, nope\n")
 
     def test_inline_comments(self):
         cfg = parse_config("[problem]\nN = 4  # four dimensions\np = 1.0\n")
@@ -256,7 +248,7 @@ class TestDispatch:
         assert dispatch("solve", cfg) == EXIT_OK
 
         from degelab.experiments import run_single
-        rec = run_single(cfg.problem, cfg.mesh, cfg.solver, cfg.checks)
+        rec = run_single(cfg.problem, cfg.mesh, cfg.solver)
         residual, bound, clipped, checked = _verify_solution_file(cfg, str(out / "solution.dat"))
         assert residual <= bound and not clipped
         assert checked.all_passed
@@ -499,7 +491,8 @@ class TestMain:
         assert main(["solve", "/nonexistent/path.ini"]) == EXIT_CONFIG
 
     # knobs that no config set are constants now (solver.EPS_P,
-    # solver.SINGULAR_MARGIN, experiments.CHECK_TOLERANCE and its neighbours)
+    # solver.SINGULAR_MARGIN, experiments.CHECK_TOLERANCE and its
+    # neighbours), and every solve runs the whole audit, so [checks] is gone
     REMOVED_KEYS = [
         ("solver", "picard_tol", "1e-8"),
         ("solver", "eps_p", "1e-10"),
@@ -508,6 +501,7 @@ class TestMain:
         ("checks", "lambdas", "2, nan"),
         ("checks", "k_levels", "8"),
         ("checks", "tail_tolerance", "0.15"),
+        ("checks", "enable", "all"),
     ]
 
     @pytest.mark.parametrize("section,key,value", REMOVED_KEYS,
@@ -515,7 +509,9 @@ class TestMain:
     def test_removed_picard_tol_rejected(self, tmp_path, capsys, section, key, value):
         conf, out = write_config(tmp_path, MINIMAL + f"\n[{section}]\n{key} = {value}\n")
         assert main(["solve", str(conf)]) == EXIT_CONFIG
-        assert f"unknown key {key!r} in section [{section}]" in capsys.readouterr().err
+        violation = ("unknown section [checks]" if section == "checks"
+                     else f"unknown key {key!r} in section [{section}]")
+        assert capsys.readouterr().err == f"config error: {violation}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("text,violation", [

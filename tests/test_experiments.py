@@ -63,6 +63,11 @@ def canonical_sweep(M=64):
     )
 
 
+def singular_matrix(*args):
+    """A stand-in for solver.tridiag_solve that makes every solve raise."""
+    raise np.linalg.LinAlgError("singular matrix")
+
+
 def csv_body(path: Path) -> list[str]:
     return [line for line in path.read_text().splitlines()
             if not line.startswith("#")]
@@ -117,14 +122,16 @@ class TestRunSingle:
         assert rec.skipped.keys() >= {"lemma", "bg"}
 
     def test_every_enabled_checker_contributes_one_entry(self):
-        rec = run_single(power_spec(0.5, 1.0, 1.5), MeshSpec(64), CFG)
-        assert set(rec.reports) | set(rec.skipped) == set(ALL_CHECKS)
-        assert not (set(rec.reports) & set(rec.skipped))
-
-    def test_unknown_check_rejected(self):
-        with pytest.raises(ValueError, match="unknown checks"):
-            run_single(power_spec(0.5, 1.0, 1.0), MeshSpec(32), CFG,
-                       checks=("lemma", "bogus"))
+        # reports and skips each keep ALL_CHECKS order, the order of a
+        # record's records.csv rows, for every kind of lower-order term
+        for spec in (power_spec(0.5, 1.0, 1.5), singular_spec(0.5, 1.0, 3.0),
+                     no_absorption_spec(1.0, 1.0)):
+            rec = run_single(spec, MeshSpec(64), CFG)
+            assert rec.solved
+            assert set(rec.reports) | set(rec.skipped) == set(ALL_CHECKS)
+            assert not (set(rec.reports) & set(rec.skipped))
+            for names in (list(rec.reports), list(rec.skipped)):
+                assert names == [name for name in ALL_CHECKS if name in names]
 
     def test_truncation_active_run_not_all_passed(self):
         # f(r_0) ~ 1.9e9 exceeds n_max = 2^30, so the schedule runs out
@@ -174,12 +181,12 @@ class TestRunSingle:
         u = grid_function(grid, lambda r: r**-2.0)
         problem = DiscreteProblem(grid, power_spec(1.0, 1.0, 1.0), np.ones(grid.M), 2**30,
                                   "upwind")
-        res = run_checks(u, problem, checks=("marcinkiewicz",))
+        res = run_checks(u, problem)
         mk = res.marcinkiewicz
         assert mk.applicable
         assert mk.u_fit == res.tail_u and mk.grad_fit == res.tail_grad
         assert mk == verify_marcinkiewicz_lemma(u)
-        assert res.reports == {"marcinkiewicz": (mk.verdict,)}
+        assert res.reports["marcinkiewicz"] == (mk.verdict,)
 
     @pytest.mark.parametrize("spec", [
         power_spec(0.5, 2.0, 1.0, ConstantDatum(3.0)),
@@ -298,50 +305,37 @@ class TestSweep:
         with pytest.raises(ValueError, match=r"^sweep size 4097 exceeds cap 4096$"):
             sweep(17, 241)
 
-    def test_unbuildable_point_recorded_under_its_own_mesh(self, tmp_path):
-        # the point M = 4 cannot be built (MeshSpec rejects it); its record
-        # keeps M = 4 rather than the base mesh's 64
-        sweep = SweepSpec(base=power_spec(0.5, 1.0, 1.0), mesh=MeshSpec(64),
-                          axes={"M": (4.0, 64.0)})
-        failed, solved = run_sweep(sweep)
-        assert (failed.mesh.cells, failed.converged) == (4, False)
-        assert failed.failure.startswith("ValueError: cell count must be an integer >= 8")
-        assert (solved.mesh.cells, solved.converged) == (64, True)
-        assert failed.payload["cells"]["M"] == 4
-        # a fractional M or N is not truncated (M = 64.7, N = 3.5 solved as
-        # 64 and 3): the point fails with the constructor's message, under
-        # its own values, and an integral one is the count it names
-        sweep = replace(sweep, axes={"M": (64.7, 64.0), "N": (3.5, 3.0)})
-        records = run_sweep(sweep)
-        assert [(rec.payload["cells"]["M"], rec.payload["cells"]["N"], rec.converged,
-                 rec.failure) for rec in records] == [
-            (64.7, 3.5, False, "ValueError: cell count must be an integer >= 8, got 64.7"),
-            (64.7, 3, False, "ValueError: cell count must be an integer >= 8, got 64.7"),
-            (64, 3.5, False, "ValueError: dimension N must be an integer >= 3, got 3.5"),
-            (64, 3, True, None)]
-        rows = csv.DictReader(csv_body(emit_outputs(records, tmp_path)["csv"]))
-        assert list({row["run_id"]: (row["M"], row["N"]) for row in rows}.values()) == \
-            [("64.7", "3.5"), ("64.7", "3"), ("64", "3.5"), ("64", "3")]
+    # One value per row that no spec can hold, with the text the config
+    # prints after "[sweep] ": a fractional M or N is not truncated.
+    UNBUILDABLE = {
+        "M-below-8": ({"M": (4.0, 64.0)}, "M: cell count must be an integer >= 8, got 4"),
+        "M-fraction": ({"M": (64.0, 64.7)}, "M: cell count must be an integer >= 8, got 64.7"),
+        "N-fraction": ({"M": (64.0,), "N": (3.0, 3.5)},
+                       "N: dimension N must be an integer >= 3, got 3.5"),
+        "delta-on-constant": ({"delta": (0.5, 1.0)},
+                              "delta: axis 'delta' requires a radial power datum"),
+    }
 
-    def test_invalid_point_isolated_not_dropped(self):
-        sweep = SweepSpec(base=power_spec(0.5, 1.0, 1.0, ConstantDatum(1.0)),
-                          mesh=MeshSpec(32), axes={"delta": (0.5, 1.0)})
-        records = run_sweep(sweep)  # delta axis needs a radial power base
-        assert len(records) == 2
-        assert all(rec.failure is not None for rec in records)
-        assert all(not rec.converged for rec in records)
+    @pytest.mark.parametrize("case", list(UNBUILDABLE))
+    def test_unbuildable_axis_value_rejected(self, case):
+        # the constructor builds each axis value, so run_sweep never meets a
+        # point it cannot build
+        axes, message = self.UNBUILDABLE[case]
+        with pytest.raises(ValueError) as err:
+            SweepSpec(base=power_spec(0.5, 1.0, 1.0, ConstantDatum(1.0)),
+                      mesh=MeshSpec(64), axes=axes)
+        assert str(err.value) == message
 
-    # (base, M, axes, checks, distinct discrete problems, converged points):
-    # gamma x p x m shaped as the benchmark's sweep, the same without the
-    # lemma check, and a problem whose solve stalls, over m alone
+    # (base, M, axes, distinct discrete problems, converged points): gamma x
+    # p x m shaped as the benchmark's sweep, a barrier over gamma x m, whose
+    # converged records have no lemma report, and a problem whose solve
+    # stalls, over m alone
     GAMMA_P_M = {"gamma": (0.0, 0.5, 1.0), "p": (0.5, 1.0, 2.0, 4.0), "m": (1.0, 1.5, 2.0)}
     SHARED_SOLVES = {
-        "gamma_p_m": (power_spec(1.0, 2.0, 1.0, ConstantDatum(1.7)), 256, GAMMA_P_M,
-                      ALL_CHECKS, 12, 36),
-        "gamma_p_m_no_lemma": (power_spec(1.0, 2.0, 1.0, ConstantDatum(1.7)), 256, GAMMA_P_M,
-                               tuple(c for c in ALL_CHECKS if c != "lemma"), 12, 36),
-        "stalled": (no_absorption_spec(2.0, 100.0), 256,
-                    {"m": (1.0, 1.5, 2.0)}, ALL_CHECKS, 1, 0),
+        "gamma_p_m": (power_spec(1.0, 2.0, 1.0, ConstantDatum(1.7)), 256, GAMMA_P_M, 12, 36),
+        "barrier_gamma_m": (singular_spec(1.0, 1.0, 3.0), 256,
+                            {"gamma": (0.0, 1.0), "m": (1.0, 1.5, 2.0)}, 2, 6),
+        "stalled": (no_absorption_spec(2.0, 100.0), 256, {"m": (1.0, 1.5, 2.0)}, 1, 0),
     }
 
     @staticmethod
@@ -352,8 +346,8 @@ class TestSweep:
 
     @pytest.mark.parametrize("case", sorted(SHARED_SOLVES))
     def test_points_differing_only_in_m_share_one_solve(self, case, monkeypatch):
-        base, cells, axes, checks, problems, converged = self.SHARED_SOLVES[case]
-        sweep = SweepSpec(base=base, mesh=MeshSpec(cells), axes=axes, checks=checks)
+        base, cells, axes, problems, converged = self.SHARED_SOLVES[case]
+        sweep = SweepSpec(base=base, mesh=MeshSpec(cells), axes=axes)
         solves = []
 
         def counted(*args, **kwargs):
@@ -367,7 +361,7 @@ class TestSweep:
         assert sum(rec.converged for rec in records) == converged
         assert len(records) == math.prod(map(len, axes.values()))
         for rec in records:
-            alone = run_single(rec.problem, rec.mesh, CFG, checks, run_id=rec.run_id)
+            alone = run_single(rec.problem, rec.mesh, CFG, run_id=rec.run_id)
             assert self.outcome(rec) == self.outcome(alone), rec.run_id
 
     def test_parallelism_key_is_ignored(self, tmp_path):
@@ -393,13 +387,14 @@ class TestSweep:
 
 class TestEmission:
     def test_row_per_check(self, tmp_path):
-        rec = run_single(power_spec(1.0, 2.0, 1.0), MeshSpec(64), CFG,
-                         checks=("lemma", "bg"))
+        rec = run_single(power_spec(1.0, 2.0, 1.0), MeshSpec(64), CFG)
         paths = emit_outputs([rec], tmp_path)
         body = csv_body(paths["csv"])
-        # header + 1 lemma row + 4 tail rows
+        # header + 1 lemma, 4 bg, 3 weighted-energy, 8 truncation-energy and
+        # 12 entropy rows; linfty and the Marcinkiewicz gate are skipped
         assert body[0].startswith("run_id,gamma,p,m,N,delta,M,n_final,converged,")
-        assert len(body) == 1 + 1 + 4
+        assert [len(rec.reports[name]) for name in rec.reports] == [1, 4, 3, 8, 12]
+        assert len(body) == 1 + 28
 
     def test_csv_reader_reads_every_column(self, tmp_path):
         rec = run_single(power_spec(1.0, 2.0, 1.0), MeshSpec(64), CFG)
@@ -440,7 +435,7 @@ class TestEmission:
 
     def test_plotdata_format(self, tmp_path):
         rec = run_single(power_spec(1.0, 1.0, 1.0, RadialPowerDatum(1.0, 2.0)),
-                         MeshSpec(64), CFG, checks=())
+                         MeshSpec(64), CFG)
         paths = emit_outputs([rec], tmp_path)
         dat = (paths["plotdata"] / "run_0000_u.dat").read_text().splitlines()
         assert dat[0] == "# k mu(k)"
@@ -456,10 +451,11 @@ class TestEmission:
         assert csv_body(first["csv"]) == csv_body(again["csv"])
         assert first["summary"].read_bytes() == again["summary"].read_bytes()
 
-    def test_fast_emitter_matches_plain_rule(self, tmp_path):
-        failing = SweepSpec(base=power_spec(0.5, 1.0, 1.0), mesh=MeshSpec(32),
-                            axes={"delta": (0.5,)})
-        records = run_sweep(canonical_sweep(M=32)) + run_sweep(failing)
+    def test_fast_emitter_matches_plain_rule(self, tmp_path, monkeypatch):
+        records = run_sweep(canonical_sweep(M=32))
+        monkeypatch.setattr(solver, "tridiag_solve", singular_matrix)
+        records.append(run_single(no_absorption_spec(1.0, 1.0), MeshSpec(32), CFG))
+        monkeypatch.undo()
         path = tmp_path / "records.json"
         for recs in (records, []):
             save_records(recs, path)
@@ -549,8 +545,7 @@ class TestEmission:
         assert " -0\n" in bodies["2_u"]
 
     # A failed point is unconverged, not clipping, and likewise for every way
-    # a run ends today, one row each: the config it runs (None for a point
-    # that cannot be built, which parse_config rejects), its stop, its
+    # a run ends today, one row each: the config it runs, its stop, its
     # (converged, truncation_active, hit_iteration_cap), n_final, first
     # check_name, summary.md row, failure, and the exit codes of solve,
     # verify --solution on the field solve stored (3 when it stored none) and
@@ -582,10 +577,6 @@ class TestEmission:
             "| run_0000 | 1 | 2 | 1 | 3 | nan | 32 | false | false | false | 0 | 0 |",
             "LinAlgError: singular matrix",
             (EXIT_NOT_CONVERGED, EXIT_CONFIG, EXIT_NOT_CONVERGED)),
-        "point_not_built": (  # the delta axis needs a radial power datum
-            None, Stop.FAILED, (False, False, False), 0, "solve_failed",
-            "| run_0000 | 0.5 | 1 | 1 | 3 | nan | 32 | false | false | false | 0 | 0 |",
-            "ValueError: axis 'delta' requires a radial power datum", None),
     }
 
     @pytest.mark.parametrize("case", list(ENDINGS))
@@ -593,16 +584,9 @@ class TestEmission:
         config, stop, flags, n_final, check_name, summary_row, failure, exits = \
             self.ENDINGS[case]
         if case == "solver_raised":
-            def singular(*args):
-                raise np.linalg.LinAlgError("singular matrix")
-
-            monkeypatch.setattr(solver, "tridiag_solve", singular)
-        if config is None:
-            (rec,) = run_sweep(SweepSpec(base=power_spec(0.5, 1.0, 1.0, ConstantDatum(1.0)),
-                                         mesh=MeshSpec(32), axes={"delta": (0.5,)}))
-        else:
-            cfg = parse_config(config)
-            rec = run_single(cfg.problem, cfg.mesh, cfg.solver, cfg.checks)
+            monkeypatch.setattr(solver, "tridiag_solve", singular_matrix)
+        cfg = parse_config(config)
+        rec = run_single(cfg.problem, cfg.mesh, cfg.solver)
         assert (rec.flags.stop, (rec.converged, rec.truncation_active, rec.hit_iteration_cap),
                 rec.n_final, rec.failure) == (stop, flags, n_final, failure)
         assert rec.solved == (flags == (True, False, False))
@@ -626,8 +610,6 @@ class TestEmission:
         assert output_files(tmp_path / "stopless") == \
             {name: body for name, body in output_files(lib).items() if name != "records.json"}
 
-        if config is None:
-            return
         conf = tmp_path / "ending.ini"
         conf.write_text(config)
         solve = main(["solve", str(conf), "-o", str(tmp_path / "solve")])
@@ -639,10 +621,10 @@ class TestEmission:
         sweep = main(["sweep", str(conf), "-o", str(tmp_path / "sweep")])
         assert (solve, verify, sweep) == exits
 
-    def test_failed_run_still_emits_row(self, tmp_path):
-        sweep = SweepSpec(base=power_spec(0.5, 1.0, 1.0), mesh=MeshSpec(32),
-                          axes={"delta": (0.5,)})
-        paths = emit_outputs(run_sweep(sweep), tmp_path)
+    def test_failed_run_still_emits_row(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(solver, "tridiag_solve", singular_matrix)
+        paths = emit_outputs([run_single(power_spec(0.5, 1.0, 1.0), MeshSpec(32), CFG)],
+                             tmp_path)
         body = csv_body(paths["csv"])
         assert len(body) == 2
         assert "solve_failed" in body[1]
