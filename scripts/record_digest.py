@@ -36,7 +36,7 @@ from degelab import experiments  # noqa: E402
 def record_digest(rec) -> str:
     payload = {key: value for key, value in experiments._payload(rec).items()
                if key not in ("duration_s", "stop")}
-    text = repr((payload, rec.reports, rec.skipped, rec.marcinkiewicz))
+    text = repr((payload, rec.reports, rec.checks.skipped, rec.marcinkiewicz))
     return hashlib.sha256(text.encode()).hexdigest()
 
 

@@ -250,13 +250,13 @@ def parse_config(text: str) -> Config:
                   mms_amplitude=given["mms_amplitude"])
 
 
-def _print_reports(record) -> None:
-    for name, group in sorted(record.reports.items()):
+def _print_reports(checks) -> None:  # in ALL_CHECKS order, as records.csv
+    for group in checks.reports.values():
         for rep in group:
             status = "pass" if rep.passed else "FAIL"
             print(f"  [{status}] {rep.label} lhs={rep.lhs:.6e} "
                   f"rhs={rep.rhs:.6e} slack={rep.relative_slack:.3e}")
-    for name, reason in sorted(record.skipped.items()):
+    for name, reason in checks.skipped.items():
         print(f"  [skip] {name}: {reason}")
 
 
@@ -276,7 +276,7 @@ def _cmd_solve(config: Config, out_dir: Path) -> int:
         (out_dir / "solution.dat").unlink(missing_ok=True)
     emit_outputs([record], out_dir)
     save_records([record], out_dir / "records.json")
-    _print_reports(record)
+    _print_reports(record.checks)
     print(f"converged={record.converged} truncation_active={record.truncation_active} "
           f"n_final={record.n_final} residual={record.residual_inf:.3e} "
           f"stop={record.flags.stop.value}")

@@ -1,10 +1,10 @@
 """Solve-then-analyze pipelines: single runs, sweeps, refinement studies.
 
 A run solves one problem by truncation continuation, attaches the regime
-prediction, runs the whole audit (every checker that applies to the
-problem) and fits the tail exponents of the solution and its gradient.
-Sweeps run the Cartesian product of parameter axes; a solve that raises is
-a flagged record, not a lost point.  Output files
+prediction and audits the converged solution (:func:`run_checks`); the
+refinement study and the exponent probe solve without an audit.  Sweeps
+run the Cartesian product of parameter axes; a solve that raises is a
+flagged record, not a lost point.  Output files
 (records.csv, summary.md, plotdata/*.dat) are byte-deterministic apart
 from a timestamp comment so repeated executions can be diffed.
 """
@@ -27,6 +27,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .analysis import (
+    DistributionFunction,
     EstimateReport,
     MarcinkiewiczLemmaReport,
     TailFit,
@@ -71,6 +72,7 @@ __all__ = [
     "ALL_CHECKS",
     "CheckResults",
     "run_checks",
+    "tails",
     "run_single",
     "run_sweep",
     "mesh_refinement_study",
@@ -129,7 +131,7 @@ CSV_SPECIAL = re.compile(r'[,"\n]')
 
 @dataclass(frozen=True, eq=False)
 class RunRecord:
-    """Everything measured about one solve; records are append-only."""
+    """One solve and its audit (``checks``); records are append-only."""
 
     run_id: str
     problem: ProblemSpec
@@ -139,13 +141,7 @@ class RunRecord:
     picard_iters: int  # accepted Newton steps summed over the truncation levels
     residual_inf: float
     prediction: RegimePrediction | None
-    reports: dict[str, tuple[EstimateReport, ...]]
-    skipped: dict[str, str]
-    marcinkiewicz: MarcinkiewiczLemmaReport | None
-    tail_u: TailFit | None
-    tail_grad: TailFit | None
-    dist_u: tuple[tuple[float, ...], tuple[float, ...]] | None
-    dist_grad: tuple[tuple[float, ...], tuple[float, ...]] | None
+    checks: CheckResults
     started_at: str
     duration_s: float
     failure: str | None = None
@@ -155,6 +151,8 @@ class RunRecord:
     converged = property(lambda self: self.flags.converged)
     truncation_active = property(lambda self: self.flags.truncation_active)
     hit_iteration_cap = property(lambda self: self.flags.hit_iteration_cap)
+    reports = property(lambda self: self.checks.reports)
+    marcinkiewicz = property(lambda self: self.checks.marcinkiewicz)
 
     @property
     def solved(self) -> bool:
@@ -165,17 +163,13 @@ class RunRecord:
     @property
     def all_passed(self) -> bool:
         """Solved and every check passed."""
-        return self.solved and _checks_passed(self.reports)
+        return self.solved and self.checks.all_passed
 
     @cached_property
     def payload(self) -> dict:
         """Serialized form, built on first use; :func:`emit_outputs` and
         :func:`save_records` share it.  Read it, never modify it."""
         return _payload(self)
-
-
-def _checks_passed(reports: dict[str, tuple[EstimateReport, ...]]) -> bool:
-    return all(rep.passed for group in reports.values() for rep in group)
 
 
 def _problem_axes(spec: ProblemSpec) -> dict[str, float]:
@@ -207,26 +201,29 @@ class CheckResults:
 
     @property
     def all_passed(self) -> bool:
-        return _checks_passed(self.reports)
+        return all(rep.passed for group in self.reports.values() for rep in group)
+
+
+def tails(u: GridFunction) -> tuple[DistributionFunction, DistributionFunction, TailFit, TailFit]:
+    """(df_u, df_grad, fit_u, fit_grad): u's and |grad u|'s distributions and tail fits."""
+    df_u = distribution_function(u.values, u.grid.weights)
+    df_grad = distribution_function(np.abs(face_gradient(u)), u.grid.face_weights)
+    return df_u, df_grad, tail_exponent_fit(df_u), tail_exponent_fit(df_grad)
 
 
 def run_checks(u: GridFunction, problem: DiscreteProblem) -> CheckResults:
-    """Run every checker on u, in ``ALL_CHECKS`` order, and fit its tails.
+    """Audit u after its solve: every checker in ``ALL_CHECKS`` order, and its tails.
 
     A checker whose hypothesis the problem does not meet is skipped, with
     its reason.  u is audited against ``problem``, the discrete problem it
     solves, whose datum T_n f every checker reads.  Each quantity of the
-    solution is computed once and shared: the distribution functions and
-    tail fits of u and |grad u| feed both the Marcinkiewicz check and the
-    record, and each checker sampled over cutoff levels evaluates all its
-    levels in one pass.
+    solution is computed once and shared: the :func:`tails` of u feed both
+    the Marcinkiewicz check and the record, and each checker sampled over
+    cutoff levels evaluates all its levels in one pass.
     """
-    grid = u.grid
     spec = problem.spec
-    f_nodal = GridFunction(grid, problem.rhs)
-    df_u = distribution_function(u.values, grid.weights)
-    df_g = distribution_function(np.abs(face_gradient(u)), grid.face_weights)
-    tail_u, tail_grad = tail_exponent_fit(df_u), tail_exponent_fit(df_g)
+    f_nodal = GridFunction(u.grid, problem.rhs)
+    df_u, df_g, tail_u, tail_grad = fits = tails(u)
     u_max = u.max_abs()
     tol = CHECK_TOLERANCE
     alpha = spec.coefficient.alpha
@@ -250,7 +247,7 @@ def run_checks(u: GridFunction, problem: DiscreteProblem) -> CheckResults:
         skipped["linfty"] = "needs a singular absorption term"
     reports["entropy"] = tuple(check_entropy_inequality(
         u, problem, _checker_levels(u_max, ENTROPY_K_COUNT), tol))
-    mk_report = verify_marcinkiewicz_lemma(u, TAIL_TOLERANCE, tails=(df_u, tail_u, tail_grad))
+    mk_report = verify_marcinkiewicz_lemma(u, TAIL_TOLERANCE, tails=fits)
     if mk_report.applicable:
         reports["marcinkiewicz"] = (mk_report.verdict,)
     else:
@@ -276,8 +273,8 @@ def _failed_record(run_id: str, spec: ProblemSpec, mesh: MeshSpec,
         flags=SolveFlags(Stop.FAILED, False), picard_iters=0,
         residual_inf=math.inf, prediction=prediction,
         started_at=started, duration_s=duration_s,
+        checks=CheckResults(skipped=dict.fromkeys(ALL_CHECKS, "solver failed")),
         failure=f"{type(err).__name__}: {err}",
-        **vars(CheckResults(skipped=dict.fromkeys(ALL_CHECKS, "solver failed"))),
     )
 
 
@@ -311,9 +308,9 @@ def run_single(spec: ProblemSpec, mesh: MeshSpec, cfg: SolverConfig, *,
     return RunRecord(
         run_id=run_id, problem=spec, mesh=mesh, n_final=result.n_final,
         flags=result.flags, picard_iters=result.picard_iters,
-        residual_inf=result.residual_inf, prediction=prediction,
+        residual_inf=result.residual_inf, prediction=prediction, checks=checked,
         started_at=started, duration_s=time.perf_counter() - t0,
-        solution=result.u if converged else None, discrete=result.problem, **vars(checked),
+        solution=result.u if converged else None, discrete=result.problem,
     )
 
 
@@ -394,14 +391,14 @@ def _reuse(first: RunRecord, spec: ProblemSpec, run_id: str, started: str,
     """The record of a point whose discrete problem ``first`` already solved
     and audited: its prediction and ``lemma`` report are recomputed for its
     own m, everything else (flags, skips, failure, other reports) is shared."""
-    reports = first.reports
-    if "lemma" in reports:
+    checks = first.checks
+    if "lemma" in checks.reports:
         u = first.solution
         f_nodal = GridFunction(u.grid, first.discrete.rhs)
-        reports = {**reports, "lemma": (check_lemma_estimate(
-            u, f_nodal, spec.lower.p, spec.datum.m, CHECK_TOLERANCE),)}
+        checks = replace(checks, reports={**checks.reports, "lemma": (check_lemma_estimate(
+            u, f_nodal, spec.lower.p, spec.datum.m, CHECK_TOLERANCE),)})
     return replace(first, run_id=run_id, problem=spec, prediction=_prediction(spec),
-                   reports=reports, started_at=started,
+                   checks=checks, started_at=started,
                    duration_s=time.perf_counter() - t0)
 
 
@@ -524,12 +521,12 @@ def exponent_probe(base: ProblemSpec, deltas: Sequence[float], mesh: MeshSpec,
                    cfg: SolverConfig) -> ProbeTable:
     """Sweep the datum singularity toward the integrability edge.
 
-    For each delta the run is repeated on a mesh half as fine; a row is
-    consistent when the absorption integral sum w |u|^(pm) is finite and
-    changes by at most ``PROBE_STABILITY_THRESHOLD`` under that refinement
-    and the measured gradient tail exponent reaches
-    ``PROBE_TAIL_THRESHOLD`` of the predicted one.  Rows whose solution is
-    too tame for a tail fit, or where either solve raised or did not
+    Each delta is solved, with no audit, on ``mesh`` and on a mesh half as
+    fine; a row is consistent when the absorption integral sum w |u|^(pm) is
+    finite and changes by at most ``PROBE_STABILITY_THRESHOLD`` between them
+    and the gradient's :func:`tails` fit on ``mesh`` reaches
+    ``PROBE_TAIL_THRESHOLD`` of the predicted exponent.  Rows whose solution
+    is too tame for a tail fit, or where either solve raised or did not
     converge, are only marked insufficient.  At points sitting exactly on
     a regime boundary both neighbouring cases predict the same gradient
     exponent; the row is flagged rather than judged.
@@ -548,26 +545,30 @@ def exponent_probe(base: ProblemSpec, deltas: Sequence[float], mesh: MeshSpec,
         boundary = math.isclose(p, gamma + 1)
 
     pm = p * m
-    coarse_mesh = MeshSpec(max(mesh.cells // 2, 8), mesh.grading)
+    grids = [build_radial_grid(base.dimension, base.radius, cells, mesh.grading)
+             for cells in (mesh.cells, max(mesh.cells // 2, 8))]
     rows = []
     for delta in deltas:
         spec = replace(base, datum=replace(
             base.datum, family=replace(base.datum.family, delta=float(delta))))
-        fine = run_single(spec, mesh, cfg)
-        coarse = run_single(spec, coarse_mesh, cfg)
+        try:
+            fine, coarse = [truncation_continuation(grid, spec, cfg) for grid in grids]
+        except Exception:  # a solve that raises leaves its row insufficient
+            fine = coarse = None
 
         integral = integral_coarse = change = math.nan
         tail_u_val = tail_grad_val = math.nan
         insufficient = True
         consistent = False
-        if fine.converged and coarse.converged:
-            integral = _absorption_integral(fine.solution, pm)
-            integral_coarse = _absorption_integral(coarse.solution, pm)
+        if fine is not None and fine.flags.converged and coarse.flags.converged:
+            integral = _absorption_integral(fine.u, pm)
+            integral_coarse = _absorption_integral(coarse.u, pm)
             if math.isfinite(integral):
                 change = abs(integral - integral_coarse) / max(abs(integral), 1e-300)
-            tail_u_val = fine.tail_u.exponent if fine.tail_u.sufficient else math.nan
-            tail_grad_val = fine.tail_grad.exponent if fine.tail_grad.sufficient else math.nan
-            insufficient = not (fine.tail_u.sufficient and fine.tail_grad.sufficient)
+            _, _, tail_u, tail_grad = tails(fine.u)
+            tail_u_val = tail_u.exponent if tail_u.sufficient else math.nan
+            tail_grad_val = tail_grad.exponent if tail_grad.sufficient else math.nan
+            insufficient = not (tail_u.sufficient and tail_grad.sufficient)
             consistent = (not insufficient and math.isfinite(integral)
                           and change <= PROBE_STABILITY_THRESHOLD
                           and tail_grad_val >= PROBE_TAIL_THRESHOLD * prediction.gradient_exponent)
@@ -611,6 +612,7 @@ def _fmt(value) -> str:
 def _shared_cells(rec: RunRecord) -> dict:
     """The CSV cells that every row of one record shares."""
     axes = _problem_axes(rec.problem)
+    tail_u, tail_grad = rec.checks.tail_u, rec.checks.tail_grad
     return {
         "run_id": rec.run_id,
         "gamma": axes["gamma"], "p": axes["p"], "m": axes["m"],
@@ -618,9 +620,8 @@ def _shared_cells(rec: RunRecord) -> dict:
         "n_final": rec.n_final, "converged": rec.converged,
         "truncation_active": rec.truncation_active,
         "hit_iteration_cap": rec.hit_iteration_cap,
-        "tail_u": rec.tail_u.exponent if rec.tail_u and rec.tail_u.sufficient else math.nan,
-        "tail_grad": (rec.tail_grad.exponent
-                      if rec.tail_grad and rec.tail_grad.sufficient else math.nan),
+        "tail_u": tail_u.exponent if tail_u and tail_u.sufficient else math.nan,
+        "tail_grad": tail_grad.exponent if tail_grad and tail_grad.sufficient else math.nan,
         "predicted_grad": (rec.prediction.gradient_exponent
                            if rec.prediction else math.nan),
     }
@@ -644,8 +645,8 @@ def _payload(rec: RunRecord) -> dict:
         "cells": _shared_cells(rec),
         "rows": _check_rows(rec),
         "grading": rec.mesh.grading,
-        "dist_u": rec.dist_u,
-        "dist_grad": rec.dist_grad,
+        "dist_u": rec.checks.dist_u,
+        "dist_grad": rec.checks.dist_grad,
         "case": regime_label(rec.prediction, rec.problem.datum.m),
         "duration_s": rec.duration_s,
         "stop": rec.flags.stop.value,

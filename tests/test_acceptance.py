@@ -23,7 +23,7 @@ from degelab.analysis import (
     tail_exponent_fit,
     verify_marcinkiewicz_lemma,
 )
-from degelab.experiments import MeshSpec, SweepSpec, emit_outputs, run_sweep
+from degelab.experiments import MeshSpec, SweepSpec, emit_outputs, run_sweep, tails
 from degelab.grid import (
     build_radial_grid,
     face_gradient,
@@ -206,7 +206,7 @@ def test_criterion_06_singular_absorption_bounds():
 def test_criterion_07_gradient_tail_prediction_synthetic():
     grid = build_radial_grid(3, 1.0, 512)
     u = grid_function(grid, lambda r: r**-2.0)
-    rep = verify_marcinkiewicz_lemma(u)
+    rep = verify_marcinkiewicz_lemma(u, tails=tails(u))
     assert rep.applicable
     spread = abs(rep.predicted - rep.measured) / rep.predicted
     verdict(7, spread <= 0.15,

@@ -24,6 +24,7 @@ from degelab.analysis import (
     tail_exponent_fit,
     verify_marcinkiewicz_lemma,
 )
+from degelab.experiments import tails
 from degelab.grid import (
     GridFunction,
     face_gradient,
@@ -280,7 +281,7 @@ class TestMarcinkiewiczLemma:
     def test_synthetic_inverse_square(self):
         grid, _ = grid_and_weights(512)
         u = grid_function(grid, lambda r: r**-2.0)
-        rep = verify_marcinkiewicz_lemma(u)
+        rep = verify_marcinkiewicz_lemma(u, tails=tails(u))
         assert rep.applicable
         # closed forms: s = N/a = 1.5, cutoff energy ~ k^1.5, so the
         # prediction 2s/(rho+s) = 1 matches the gradient tail N/(a+1) = 1
@@ -291,7 +292,8 @@ class TestMarcinkiewiczLemma:
 
     def test_bounded_field_not_applicable(self):
         grid, _ = grid_and_weights(128)
-        rep = verify_marcinkiewicz_lemma(grid_function(grid, lambda r: 1 - r))
+        u = grid_function(grid, lambda r: 1 - r)
+        rep = verify_marcinkiewicz_lemma(u, tails=tails(u))
         assert not rep.applicable
         assert "insufficient tail" in rep.reason
 
@@ -303,14 +305,14 @@ class TestMarcinkiewiczLemma:
         res = truncation_continuation(grid, power_spec(0.0, 0.5, 1.0, ConstantDatum(2.64)),
                                       CFG)
         assert res.flags.converged and not res.flags.truncation_active
-        short = verify_marcinkiewicz_lemma(res.u, 0.5)
+        short = verify_marcinkiewicz_lemma(res.u, 0.5, tails=tails(res.u))
         assert short.applicable and not short.passed
         gate = short.verdict
         assert gate.name == gate.label == "marcinkiewicz_lemma"
         assert (gate.lhs, gate.rhs) == (short.predicted, short.measured)
         assert gate.scale == abs(short.predicted) and gate.tolerance == 0.5
         assert gate.relative_slack == pytest.approx(-0.754, abs=1e-3)
-        assert verify_marcinkiewicz_lemma(res.u, 0.9).passed
+        assert verify_marcinkiewicz_lemma(res.u, 0.9, tails=tails(res.u)).passed
 
 
 @st.composite
@@ -411,7 +413,7 @@ class TestBatchedCutoffs:
         assert_energies_per_level(u, ks)
         assert_entropy_per_pair(u, ks, 1.0, 1.0, three_phis(grid))
         # the Marcinkiewicz rho: the slope of the window's energies
-        rep = verify_marcinkiewicz_lemma(u)
+        rep = verify_marcinkiewicz_lemma(u, tails=tails(u))
         assert rep.applicable
         df_u = distribution_function(u.values, grid.weights)
         window = df_u.k_levels[(df_u.k_levels >= rep.u_fit.window[0])

@@ -258,7 +258,7 @@ class TestDispatch:
                     for group in reports.values() for rep in group}
 
         assert table(checked.reports) == table(rec.reports)
-        assert checked.skipped == rec.skipped
+        assert checked.skipped == rec.checks.skipped
 
     def test_solve_prints_every_check_under_its_csv_label(self, tmp_path, capsys):
         # radial delta=2.5 reaches the Marcinkiewicz gate, which prints like
@@ -274,6 +274,22 @@ class TestDispatch:
                                    if not line.startswith("#")))
         assert "marcinkiewicz_lemma" in printed
         assert sorted(printed) == sorted(row["check_name"] for row in rows)
+
+    def test_solve_and_verify_print_checks_in_csv_order(self, tmp_path, capsys):
+        # solve and verify --solution print the checks in ALL_CHECKS order,
+        # the order of the records.csv rows, not sorted by name
+        example = Path(__file__).resolve().parents[1] / "configs" / "example.ini"
+        out = tmp_path / "out"
+        assert main(["solve", str(example), "-o", str(out)]) == EXIT_OK
+        solved = capsys.readouterr().out
+        assert main(["verify", str(example), "--solution", str(out / "solution.dat")]) == EXIT_OK
+        verified = capsys.readouterr().out
+        rows = csv.DictReader(line for line in (out / "records.csv").read_text().splitlines()
+                              if not line.startswith("#"))
+        names = [row["check_name"] for row in rows]
+        for text in (solved, verified):
+            assert [line.split(" lhs=")[0].split("] ", 1)[1]
+                    for line in text.splitlines() if " lhs=" in line] == names
 
     # f(r_0) ~ 1.9e9 exceeds n_max = 2^30: the last level converges but
     # still clips the datum, so the problem was not solved
@@ -641,8 +657,8 @@ class TestStalledSolve:
     exits 2 from solve and sweep and writes its flags, not an audit."""
 
     EXAMPLE = Path(__file__).resolve().parents[1] / "configs" / "example.ini"
-    CHECKS = ("bg", "entropy", "lemma", "linfty", "marcinkiewicz", "truncation_energy",
-              "weighted_energy")
+    CHECKS = ("lemma", "bg", "weighted_energy", "truncation_energy", "linfty", "entropy",
+              "marcinkiewicz")
 
     def config(self, tmp_path):
         """The stalled example; its [sweep] varies only m = 1, 1.5, 2."""

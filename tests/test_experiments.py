@@ -111,7 +111,7 @@ class TestRunSingle:
         assert rec.converged and rec.all_passed
         for name in ("lemma", "bg", "weighted_energy", "truncation_energy", "entropy"):
             assert name in rec.reports
-        assert rec.skipped.keys() == {"linfty", "marcinkiewicz"}
+        assert rec.checks.skipped.keys() == {"linfty", "marcinkiewicz"}
 
     def test_singular_run_reports_sup_bound(self):
         rec = run_single(singular_spec(0.5, 1.0, 3.0), MeshSpec(96), CFG)
@@ -119,7 +119,7 @@ class TestRunSingle:
         assert "linfty" in rec.reports
         rep = rec.reports["linfty"][0]
         assert rep.passed and rep.rhs == pytest.approx(0.75)
-        assert rec.skipped.keys() >= {"lemma", "bg"}
+        assert rec.checks.skipped.keys() >= {"lemma", "bg"}
 
     def test_every_enabled_checker_contributes_one_entry(self):
         # reports and skips each keep ALL_CHECKS order, the order of a
@@ -128,9 +128,9 @@ class TestRunSingle:
                      no_absorption_spec(1.0, 1.0)):
             rec = run_single(spec, MeshSpec(64), CFG)
             assert rec.solved
-            assert set(rec.reports) | set(rec.skipped) == set(ALL_CHECKS)
-            assert not (set(rec.reports) & set(rec.skipped))
-            for names in (list(rec.reports), list(rec.skipped)):
+            assert set(rec.reports) | set(rec.checks.skipped) == set(ALL_CHECKS)
+            assert not (set(rec.reports) & set(rec.checks.skipped))
+            for names in (list(rec.reports), list(rec.checks.skipped)):
                 assert names == [name for name in ALL_CHECKS if name in names]
 
     def test_truncation_active_run_not_all_passed(self):
@@ -167,12 +167,13 @@ class TestRunSingle:
         # the gate skipped (bounded solution) leaves the run all-passed; an
         # applied gate counts like any other report
         rec = run_single(power_spec(1.0, 2.0, 1.0), MeshSpec(64), CFG)
-        assert rec.all_passed and rec.reports and "marcinkiewicz" in rec.skipped
+        assert rec.all_passed and rec.reports and "marcinkiewicz" in rec.checks.skipped
         failed = _report("marcinkiewicz_lemma", 1.0, 0.5, 0.15, scale=1.0)
         passed = _report("marcinkiewicz_lemma", 1.0, 0.9, 0.15, scale=1.0)
         for gate, verdict in ((failed, False), (passed, True)):
             reports = {**rec.reports, "marcinkiewicz": (gate,)}
-            assert replace(rec, reports=reports).all_passed is verdict
+            checks = replace(rec.checks, reports=reports)
+            assert replace(rec, checks=checks).all_passed is verdict
             assert CheckResults(reports=reports).all_passed is verdict
 
     def test_marcinkiewicz_shares_the_record_tail_fits(self):
@@ -185,7 +186,10 @@ class TestRunSingle:
         mk = res.marcinkiewicz
         assert mk.applicable
         assert mk.u_fit == res.tail_u and mk.grad_fit == res.tail_grad
-        assert mk == verify_marcinkiewicz_lemma(u)
+        df_u = distribution_function(u.values, grid.weights)
+        df_g = distribution_function(np.abs(face_gradient(u)), grid.face_weights)
+        assert mk == verify_marcinkiewicz_lemma(u, TAIL_TOLERANCE, tails=(
+            df_u, df_g, tail_exponent_fit(df_u), tail_exponent_fit(df_g)))
         assert res.reports["marcinkiewicz"] == (mk.verdict,)
 
     @pytest.mark.parametrize("spec", [
@@ -208,7 +212,8 @@ class TestRunSingle:
         grad = np.abs(face_gradient(u))
         df_g = distribution_function(grad, grid.face_weights,
                                      np.geomspace(1e-3, max(2.0 * grad.max(), 2e-3), 48))
-        mk = verify_marcinkiewicz_lemma(u, TAIL_TOLERANCE)
+        fit_u, fit_g = tail_exponent_fit(df_u), tail_exponent_fit(df_g)
+        mk = verify_marcinkiewicz_lemma(u, TAIL_TOLERANCE, tails=(df_u, df_g, fit_u, fit_g))
         assert mk.applicable
         expect = CheckResults(
             reports={
@@ -224,8 +229,7 @@ class TestRunSingle:
                 "marcinkiewicz": (mk.verdict,),
             },
             skipped={"linfty": "needs a singular absorption term"},
-            marcinkiewicz=mk, tail_u=tail_exponent_fit(df_u),
-            tail_grad=tail_exponent_fit(df_g),
+            marcinkiewicz=mk, tail_u=fit_u, tail_grad=fit_g,
             dist_u=(tuple(map(float, df_u.k_levels)), tuple(map(float, df_u.measures))),
             dist_grad=(tuple(map(float, df_g.k_levels)), tuple(map(float, df_g.measures))),
         )
@@ -268,7 +272,7 @@ class TestRunSingle:
         def everything(rec):  # what scripts/record_digest.py hashes
             payload = {key: value for key, value in experiments._payload(rec).items()
                        if key != "duration_s"}
-            return repr((payload, rec.reports, rec.skipped, rec.marcinkiewicz))
+            return repr((payload, rec.reports, rec.checks.skipped, rec.marcinkiewicz))
 
         probe = power_spec(1.0, 1.0, 1.0, RadialPowerDatum(1.0, 2.6))
         first = run_single(probe, MeshSpec(2048), CFG)
@@ -342,7 +346,7 @@ class TestSweep:
     def outcome(rec):
         """Everything a record holds but its timing, as compared text."""
         payload = {key: value for key, value in rec.payload.items() if key != "duration_s"}
-        return repr((payload, rec.reports, rec.skipped, rec.marcinkiewicz))
+        return repr((payload, rec.reports, rec.checks.skipped, rec.marcinkiewicz))
 
     @pytest.mark.parametrize("case", sorted(SHARED_SOLVES))
     def test_points_differing_only_in_m_share_one_solve(self, case, monkeypatch):
@@ -572,6 +576,15 @@ class TestEmission:
             (True, True, False), 2**30, "lemma_estimate(p=1,m=1)",
             "| run_0000 | 1 | 1 | 1 | 3 | 2.8 | 1024 | true | true | false | 1073741824 | 29 |",
             None, (EXIT_NOT_CONVERGED, EXIT_CHECK_FAILED, EXIT_NOT_CONVERGED)),
+        "bound_overflows": (  # no absorption: max|u| ~ 7e135 at n = 2^200, and the
+            # truncation-energy bound k (1+k)^gamma |f|_1 exceeds every float
+            "[problem]\ngamma = 2.2796091049319673\ndatum = radial_power\n"
+            "amplitude = 2.9672476893984823\ndelta = 0.47095858995382195\n[mesh]\nM = 64\n",
+            Stop.CONVERGED, (True, True, False), 2**200,
+            "weighted_energy(lambda=1.25,gamma=2.27961)",
+            f"| run_0000 | 2.27961 | nan | 1 | 3 | 0.470959 | 64 | true | true | false | {2**200} "
+            "| 23 |",
+            None, (EXIT_NOT_CONVERGED, EXIT_CHECK_FAILED, EXIT_NOT_CONVERGED)),
         "solver_raised": (
             SOLVED, Stop.FAILED, (False, False, False), 0, "solve_failed",
             "| run_0000 | 1 | 2 | 1 | 3 | nan | 32 | false | false | false | 0 | 0 |",
@@ -590,6 +603,8 @@ class TestEmission:
         assert (rec.flags.stop, (rec.converged, rec.truncation_active, rec.hit_iteration_cap),
                 rec.n_final, rec.failure) == (stop, flags, n_final, failure)
         assert rec.solved == (flags == (True, False, False))
+        # a bound past the float range holds for every finite lhs
+        assert all(rep.passed for rep in rec.reports.get("truncation_energy", ()))
 
         lib = tmp_path / "lib"
         paths = emit_outputs([rec], lib)
@@ -685,6 +700,31 @@ class TestExponentProbe:
         assert rows[2.8].tail_grad >= 0.85 * (2.0 / 3.0)
         # tails flatten toward the predicted exponent as the datum worsens
         assert rows[2.8].tail_grad < rows[2.0].tail_grad
+
+    def test_probe_solves_without_auditing(self, monkeypatch):
+        # each row's tails are those an audited record of the finer mesh
+        # holds; with the audit made to raise, the probe builds the same table
+        base = power_spec(1.0, 1.0, 1.0, RadialPowerDatum(1.0, 2.0))
+        table = exponent_probe(base, [2.0, 2.5, 2.8], MeshSpec(256), CFG)
+        for row in table.rows:
+            datum = replace(base.datum, family=RadialPowerDatum(1.0, row.delta))
+            checks = run_single(replace(base, datum=datum), MeshSpec(256), CFG).checks
+            assert (row.tail_u, row.tail_grad) == \
+                (checks.tail_u.exponent, checks.tail_grad.exponent)
+
+        def audit(*args, **kwargs):
+            raise AssertionError("exponent_probe audited a solve")
+
+        monkeypatch.setattr(experiments, "run_checks", audit)
+        monkeypatch.setattr(experiments, "run_single", audit)
+        assert repr(exponent_probe(base, [2.0, 2.5, 2.8], MeshSpec(256), CFG)) == repr(table)
+
+    def test_raising_solve_marks_row_insufficient(self, monkeypatch):
+        monkeypatch.setattr(solver, "tridiag_solve", singular_matrix)
+        table = exponent_probe(power_spec(1.0, 1.0, 1.0, RadialPowerDatum(1.0, 2.5)),
+                               [2.5], MeshSpec(64), CFG)
+        assert table.rows[0].insufficient and not table.rows[0].consistent
+        assert table.verdict == "insufficient"
 
     def test_tame_datum_marked_insufficient(self):
         base = power_spec(1.0, 1.0, 1.0, RadialPowerDatum(1.0, 2.0))
