@@ -287,9 +287,8 @@ def _cutoff_energies(u: GridFunction, k_levels) -> list[float]:
     """Face-weighted squared gradient of T_k(u) at every level k."""
     ks = np.asarray(k_levels, dtype=float)
     wf = u.grid.face_weights
-    return [float(np.dot(wf, row))
-            for _, grads in _cutoff_blocks(u.grid, u.values[None, :], ks)
-            for row in np.square(grads[0], out=grads[0])]  # as grads**2, in place
+    return [energy for _, grads in _cutoff_blocks(u.grid, u.values[None, :], ks)
+            for energy in np.vecdot(np.square(grads[0], out=grads[0]), wf).tolist()]
 
 
 def dirichlet_energy(u: GridFunction, k: float | None = None) -> float:
@@ -430,12 +429,10 @@ def check_entropy_inequality(u: GridFunction, problem, k_levels, tol: float = 1e
     sums: list[list[tuple[float, float]]] = [[] for _ in samples]
     for tests, grad_tests in _cutoff_blocks(grid, diffs, ks):
         face_terms = np.multiply(grad_tests, flux, out=grad_tests)
-        absorbed = g_u * tests
-        sourced = fv * tests
-        for i, row in enumerate(sums):
-            for j in range(tests.shape[1]):
-                lhs = float(np.dot(wf, face_terms[i, j])) + float(np.dot(wts, absorbed[i, j]))
-                row.append((lhs, float(np.dot(wts, sourced[i, j]))))
+        lhs = np.vecdot(face_terms, wf) + np.vecdot(g_u * tests, wts)
+        rhs = np.vecdot(fv * tests, wts)
+        for row, lhs_row, rhs_row in zip(sums, lhs.tolist(), rhs.tolist()):
+            row += zip(lhs_row, rhs_row)
     tol = float(tol)
     out = []
     for (label, _), row in zip(samples, sums):

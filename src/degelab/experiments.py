@@ -17,7 +17,6 @@ import math
 import os
 import re
 import time
-from array import array
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from functools import cached_property
@@ -113,7 +112,8 @@ PROBE_STABILITY_THRESHOLD = 0.25
 
 # A records.csv row is the run cells its record shares with every other row
 # of that record, then the cells of one check, then the shared tail and
-# prediction cells.  A payload stores the shared cells once.
+# prediction cells.  A payload stores the shared cells once; a record that
+# reuses an earlier solve stores a reference to it (see _payload).
 RUN_COLUMNS = ("run_id", "gamma", "p", "m", "N", "delta", "M", "n_final",
                "converged", "truncation_active", "hit_iteration_cap")
 ROW_COLUMNS = ("check_name", "lhs", "rhs", "slack", "passed")
@@ -145,6 +145,7 @@ class RunRecord:
     started_at: str
     duration_s: float
     failure: str | None = None
+    shares: str | None = None  # run id of the earlier record whose solve this one reuses
     solution: GridFunction | None = None  # kept in memory, never serialized
     discrete: DiscreteProblem | None = None  # the level solved; in memory only
 
@@ -398,7 +399,7 @@ def _reuse(first: RunRecord, spec: ProblemSpec, run_id: str, started: str,
         checks = replace(checks, reports={**checks.reports, "lemma": (check_lemma_estimate(
             u, f_nodal, spec.lower.p, spec.datum.m, CHECK_TOLERANCE),)})
     return replace(first, run_id=run_id, problem=spec, prediction=_prediction(spec),
-                   checks=checks, started_at=started,
+                   checks=checks, started_at=started, shares=first.run_id,
                    duration_s=time.perf_counter() - t0)
 
 
@@ -627,11 +628,14 @@ def _shared_cells(rec: RunRecord) -> dict:
     }
 
 
+def _check_row(rep: EstimateReport) -> dict:
+    return {"check_name": rep.label, "lhs": rep.lhs, "rhs": rep.rhs,
+            "slack": rep.relative_slack, "passed": rep.passed}
+
+
 def _check_rows(rec: RunRecord) -> list[dict]:
     """One dict of the ``ROW_COLUMNS`` cells per check of the record."""
-    rows = [{"check_name": rep.label, "lhs": rep.lhs, "rhs": rep.rhs,
-             "slack": rep.relative_slack, "passed": rep.passed}
-            for group in rec.reports.values() for rep in group]
+    rows = [_check_row(rep) for group in rec.reports.values() for rep in group]
     if not rows:
         rows.append({"check_name": "solve_failed" if not rec.converged else "solve",
                      "lhs": rec.residual_inf, "rhs": math.nan, "slack": math.nan,
@@ -640,7 +644,27 @@ def _check_rows(rec: RunRecord) -> list[dict]:
 
 
 def _payload(rec: RunRecord) -> dict:
-    """Serialized form of one record; every output file is rendered from it."""
+    """Serialized form of one record; every output file is rendered from it.
+
+    A record that reuses an earlier record's solve (``rec.shares``) is a
+    reference: it stores only what differs from that record, namely its
+    cells, its own ``lemma`` row (None when the shared solve has no
+    ``lemma`` report), ``case``, ``duration_s``, ``all_passed`` and
+    ``n_checks``, and under ``shares`` the run id it reuses.  Its other
+    check rows, distributions, grading, stop and failure are the earlier
+    payload's (:func:`_resolve`).
+    """
+    if rec.shares is not None:
+        lemma = rec.reports.get("lemma")
+        return {
+            "cells": _shared_cells(rec),
+            "shares": rec.shares,
+            "lemma": _check_row(lemma[0]) if lemma else None,
+            "case": regime_label(rec.prediction, rec.problem.datum.m),
+            "duration_s": rec.duration_s,
+            "all_passed": rec.all_passed,
+            "n_checks": sum(len(g) for g in rec.reports.values()),
+        }
     return {
         "cells": _shared_cells(rec),
         "rows": _check_rows(rec),
@@ -667,7 +691,9 @@ def save_records(records: Sequence[RunRecord], path) -> None:
     The file is one JSON list with one record payload per line, so it
     diffs record by record.  A payload stores its shared CSV cells once,
     under ``cells``; each entry of its ``rows`` holds only the
-    ``ROW_COLUMNS`` cells of one check.
+    ``ROW_COLUMNS`` cells of one check.  A record that reuses an earlier
+    record's solve is stored as a reference to it (:func:`_payload`), so
+    each distinct solve's rows and distributions are written once.
     """
     body = ",\n".join(json.dumps(rec.payload, allow_nan=True, separators=(",", ":"))
                        for rec in records)
@@ -683,18 +709,21 @@ def emit_from_saved(saved: Sequence[dict], out_dir) -> dict[str, Path]:
 
     :func:`emit_outputs` renders through here too, so ``report`` rewrites
     exactly what ``solve`` and ``sweep`` wrote, apart from the timestamp.
-    Every file is rendered in memory before the first directory is made or
-    file written, so a stale or malformed payload (one missing a key, or
-    one saved before the shared cells moved under ``cells``) raises and
-    leaves the output directory as it was.  Each file is then written in
-    place (:func:`_write_in_place`).  Once every file is written, the
-    ``plotdata/run_NNNN_{u,grad}.dat`` files that this call did not write,
-    left by an earlier and larger run, are deleted; no other file is
-    touched.
+    References are resolved first (:func:`_resolve`), and each shared
+    solve's check cells and plot bodies are rendered once.  Every file is
+    rendered in memory before the first directory is made or file
+    written, so a stale or malformed payload (one missing a key, one saved
+    before the shared cells moved under ``cells``, or a reference to no
+    earlier solve) raises and leaves the output directory as it was.
+    Each file is then written in place (:func:`_write_in_place`).  Once
+    every file is written, the ``plotdata/run_NNNN_{u,grad}.dat`` files
+    that this call did not write, left by an earlier and larger run, are
+    deleted; no other file is touched.
     """
-    csv_text = _csv_text(saved)
+    pairs = _resolve(saved)
+    csv_text = _csv_text(pairs)
     summary = _summary_markdown(saved)
-    plots = _plot_files(saved)
+    plots = _plot_files(pairs)
 
     out = Path(out_dir)
     plotdir = out / "plotdata"
@@ -725,23 +754,53 @@ def _write_in_place(path, text: str) -> None:
         fh.truncate()
 
 
-def _csv_text(saved: Sequence[dict]) -> str:
-    """records.csv, built row by row as strings.
+def _resolve(saved: Sequence[dict]) -> list[tuple[dict, dict]]:
+    """Pair each payload with the payload of its solve: itself, or for a
+    reference (a payload with ``shares``) the earlier full payload of that
+    run id.  Raises ``ValueError`` on a reference to a run id that no
+    earlier full payload has."""
+    solves: dict[str, dict] = {}
+    pairs = []
+    for rec in saved:
+        if "shares" in rec:
+            solve = solves.get(rec["shares"])
+            if solve is None:
+                raise ValueError(f"{rec['cells']['run_id']} shares {rec['shares']!r}, "
+                                 "which is not an earlier solve in the file")
+        else:
+            solve = solves[rec["cells"]["run_id"]] = rec
+        pairs.append((rec, solve))
+    return pairs
 
-    A record's shared cells are formatted and quoted once.  Of a check's
-    cells only ``check_name`` can need quoting: in every payload ``lhs``,
-    ``rhs`` and ``slack`` are floats and ``passed`` is a bool, which
-    :func:`_fmt` writes without a comma, quote or newline.
+
+def _csv_text(pairs: Sequence[tuple[dict, dict]]) -> str:
+    """records.csv, built row by row as strings from :func:`_resolve`'s pairs.
+
+    A record's shared cells are formatted and quoted once, and so are the
+    check cells of each solve; a reference's rows are its solve's, with its
+    own ``lemma`` row in place of the first.  Of a check's cells only
+    ``check_name`` can need quoting: in every payload ``lhs``, ``rhs`` and
+    ``slack`` are floats and ``passed`` is a bool, which :func:`_fmt`
+    writes without a comma, quote or newline.
     """
     lines = [f"# generated {datetime.now(timezone.utc).isoformat()}", ",".join(CSV_COLUMNS)]
-    for rec in saved:
+    checks: dict[int, list[str]] = {}  # id of a solve's payload -> its check cells
+    for rec, solve in pairs:
         cells = rec["cells"]
         head = ",".join(_csv_cell(_fmt(cells[col])) for col in RUN_COLUMNS)
         tail = ",".join(_csv_cell(_fmt(cells[col])) for col in FIT_COLUMNS)
-        lines += [f"{head},{_csv_cell(_fmt(row['check_name']))},{_fmt(row['lhs'])},"
-                  f"{_fmt(row['rhs'])},{_fmt(row['slack'])},{_fmt(row['passed'])},{tail}"
-                  for row in rec["rows"]]
+        if (rows := checks.get(id(solve))) is None:
+            rows = checks[id(solve)] = [_row_cells(row) for row in solve["rows"]]
+        if rec.get("lemma") is not None:
+            rows = [_row_cells(rec["lemma"]), *rows[1:]]
+        lines += [f"{head},{row},{tail}" for row in rows]
     return "\n".join(lines) + "\n"
+
+
+def _row_cells(row: dict) -> str:
+    """The ``ROW_COLUMNS`` cells of one check, joined."""
+    return (f"{_csv_cell(_fmt(row['check_name']))},{_fmt(row['lhs'])},"
+            f"{_fmt(row['rhs'])},{_fmt(row['slack'])},{_fmt(row['passed'])}")
 
 
 def _csv_cell(text: str) -> str:
@@ -752,25 +811,22 @@ def _csv_cell(text: str) -> str:
     return text
 
 
-def _plot_files(saved: Sequence[dict]) -> dict[str, str]:
+def _plot_files(pairs: Sequence[tuple[dict, dict]]) -> dict[str, str]:
     """plotdata file name -> body, for every distribution the records carry.
 
-    Each distinct distribution is rendered once: the points of a sweep
-    that share a solve carry equal ones.  The key is the float64 bytes of
-    the levels and of the measures, not their values: 0.0 and -0.0 compare
-    equal but print differently, and must not share a body.
+    Each solve's distributions are rendered once, and a reference's files
+    get its solve's bodies.
     """
-    bodies: dict[tuple[bytes, bytes], str] = {}
+    bodies: dict[tuple[int, str], str] = {}
     plots = {}
-    for rec in saved:
+    for rec, solve in pairs:
         for suffix in ("u", "grad"):
-            dist = rec[f"dist_{suffix}"]
+            dist = solve[f"dist_{suffix}"]
             if dist is None:
                 continue
-            ks, mus = dist
-            key = (array("d", ks).tobytes(), array("d", mus).tobytes())
+            key = (id(solve), suffix)
             if key not in bodies:
-                bodies[key] = _plot_body(ks, mus)
+                bodies[key] = _plot_body(*dist)
             plots[f"{rec['cells']['run_id']}_{suffix}.dat"] = bodies[key]
     return plots
 

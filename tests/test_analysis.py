@@ -423,6 +423,19 @@ class TestBatchedCutoffs:
         assert np.all(energies > 0)
         assert rep.rho_exponent == float(_line_fit(np.log(window), np.log(energies))[0])
 
+    @pytest.mark.parametrize("M", [9, 64, 255, 1024, 2048, 8193])
+    def test_vecdot_equals_dot_row_by_row(self, M):
+        # the checkers take each block's per-level sums with one np.vecdot
+        # call; it must equal np.dot of every row bit for bit on the audit's
+        # shapes: contiguous nodal rows (length M) and face rows (M + 1)
+        rng = np.random.default_rng(M)
+        for length in (M, M + 1):
+            weights = rng.random(length)
+            rows = rng.normal(size=(3, 5, length)) * np.logspace(-8, 8, length)
+            assert rows.flags.c_contiguous
+            assert np.vecdot(rows, weights).tolist() == [
+                [float(np.dot(weights, row)) for row in block] for block in rows]
+
     def test_nonpositive_level_rejected(self):
         grid, _ = grid_and_weights(16)
         u = grid_function(grid, 1.0)

@@ -483,6 +483,36 @@ class TestDispatch:
         assert dispatch("report", cfg) == EXIT_CONFIG
         assert outputs() == before
 
+    def test_report_rejects_a_reference_to_no_earlier_solve(self, tmp_path, capsys):
+        # a sweep over m stores each point at m = 2 as a reference to the
+        # solve at m = 1; a reference whose solve is not earlier in the file
+        # is a damaged file, and report leaves every output as it was
+        conf, out = write_config(tmp_path, MINIMAL + "\n[sweep]\np = 1, 2\nm = 1, 2\n")
+        cfg = parse_config(conf.read_text())
+        assert dispatch("sweep", cfg) == EXIT_OK
+        stored = out / "records.json"
+        saved = json.loads(stored.read_text())
+        assert [rec.get("shares") for rec in saved] == [None, "run_0000", None, "run_0002"]
+
+        def outputs():
+            paths = [out / "records.csv", out / "summary.md",
+                     *sorted((out / "plotdata").iterdir())]
+            return {path.name: path.read_bytes() for path in paths}
+
+        before = outputs()
+        for damaged in (saved[::-1], [*saved[:3], {**saved[3], "shares": "run_0009"}],
+                        [*saved, {**saved[3], "shares": "run_0003"}]):
+            stored.write_text(json.dumps(damaged))
+            assert dispatch("report", cfg) == EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert "ValueError" in err and "not an earlier solve" in err
+            assert outputs() == before
+        stored.write_text(json.dumps(saved))
+        assert dispatch("report", cfg) == EXIT_OK
+        after = outputs()
+        assert after["records.csv"].split(b"\n", 1)[1] == before["records.csv"].split(b"\n", 1)[1]
+        assert {**after, "records.csv": None} == {**before, "records.csv": None}
+
     def test_mms_exit_and_table(self, tmp_path, capsys):
         conf, out = write_config(tmp_path, MINIMAL + "\n[mms]\nM_list = 32 64\n")
         assert dispatch("mms", parse_config(conf.read_text())) == EXIT_OK

@@ -90,6 +90,11 @@ def plain_csv_text(saved: list[dict]) -> str:
     return text.getvalue()
 
 
+def full_payloads(records) -> list[dict]:
+    """Each record's payload as if it were its own solve: no references."""
+    return [experiments._payload(replace(rec, shares=None)) for rec in records]
+
+
 def output_files(out: Path) -> dict[str, bytes]:
     """Every file under out, records.csv without its timestamp line."""
     files = {str(path.relative_to(out)): path.read_bytes()
@@ -344,8 +349,10 @@ class TestSweep:
 
     @staticmethod
     def outcome(rec):
-        """Everything a record holds but its timing, as compared text."""
-        payload = {key: value for key, value in rec.payload.items() if key != "duration_s"}
+        """Everything a record holds but its timing and the run id it shares,
+        as compared text."""
+        (payload,) = full_payloads([rec])
+        payload = {key: value for key, value in payload.items() if key != "duration_s"}
         return repr((payload, rec.reports, rec.checks.skipped, rec.marcinkiewicz))
 
     @pytest.mark.parametrize("case", sorted(SHARED_SOLVES))
@@ -364,6 +371,7 @@ class TestSweep:
         assert len(solves) == problems
         assert sum(rec.converged for rec in records) == converged
         assert len(records) == math.prod(map(len, axes.values()))
+        assert sum(rec.shares is None for rec in records) == problems
         for rec in records:
             alone = run_single(rec.problem, rec.mesh, CFG, run_id=rec.run_id)
             assert self.outcome(rec) == self.outcome(alone), rec.run_id
@@ -461,10 +469,11 @@ class TestEmission:
         records.append(run_single(no_absorption_spec(1.0, 1.0), MeshSpec(32), CFG))
         monkeypatch.undo()
         path = tmp_path / "records.json"
+        assert any(rec.shares for rec in records)
         for recs in (records, []):
             save_records(recs, path)
             saved = load_records(path)
-            plain = plain_csv_text(saved)
+            plain = plain_csv_text(full_payloads(recs))
             assert csv_text(emit_outputs(recs, tmp_path / "fresh")["csv"]) == plain
             assert csv_text(emit_from_saved(saved, tmp_path / "saved")["csv"]) == plain
         # check names no checker writes, holding every character csv may
@@ -492,9 +501,84 @@ class TestEmission:
         for line, rec in zip(lines[1:-1], records):
             payload = json.loads(line.rstrip(","))
             assert payload["cells"]["run_id"] == rec.run_id
-            assert all(set(row) == set(ROW_COLUMNS) for row in payload["rows"])
+            rows = payload["rows"] if rec.shares is None else [payload["lemma"]]
+            assert all(set(row) == set(ROW_COLUMNS) for row in rows)
         save_records([], path)
         assert load_records(path) == []
+
+    REFERENCE_KEYS = {"cells", "shares", "lemma", "case", "duration_s", "all_passed",
+                      "n_checks"}
+
+    def test_reused_points_are_stored_as_references(self, tmp_path):
+        # canonical_sweep runs p x m, so every point at m = 1.5 reuses the
+        # solve at m = 1 and stores only what differs from it
+        records = run_sweep(canonical_sweep(M=32))
+        refs, full = tmp_path / "refs.json", tmp_path / "full.json"
+        save_records(records, refs)
+        save_records([replace(rec, shares=None) for rec in records], full)
+        saved = load_records(refs)
+        assert [rec.get("shares") for rec in saved] == [
+            None, "run_0000", None, "run_0002", None, "run_0004"]
+        assert saved[::2] == load_records(full)[::2]
+        for rec, first in zip(saved[1::2], saved[::2]):
+            assert set(rec) == self.REFERENCE_KEYS
+            assert rec["lemma"]["check_name"].endswith(",m=1.5)")
+            assert rec["lemma"] != first["rows"][0]
+            assert rec["n_checks"] == first["n_checks"]
+        assert refs.stat().st_size < 0.7 * full.stat().st_size
+
+    # sweeps over m whose shared solves have a lemma row (power absorption),
+    # none (the barrier), none because the solve stalled, or none because it
+    # raised (a solve_failed row)
+    SHARED_SOLVES = {
+        "power": (power_spec(1.0, 2.0, 1.0, ConstantDatum(1.7)),
+                  {"p": (0.5, 2.0), "m": (1.0, 1.5, 2.0)}, Stop.CONVERGED, True),
+        "barrier": (singular_spec(1.0, 1.0, 3.0), {"m": (1.0, 2.0)}, Stop.CONVERGED, False),
+        "stalled": (no_absorption_spec(2.0, 100.0), {"m": (1.0, 2.0)}, Stop.STALLED, False),
+        "raised": (power_spec(1.0, 2.0, 1.0), {"m": (1.0, 2.0)}, Stop.FAILED, False),
+    }
+
+    @pytest.mark.parametrize("case", list(SHARED_SOLVES))
+    def test_references_render_as_full_payloads(self, case, tmp_path, monkeypatch):
+        base, axes, stop, has_lemma = self.SHARED_SOLVES[case]
+        if case == "raised":
+            monkeypatch.setattr(solver, "tridiag_solve", singular_matrix)
+        records = run_sweep(SweepSpec(base=base, mesh=MeshSpec(256), axes=axes))
+        monkeypatch.undo()
+        assert {rec.flags.stop for rec in records} == {stop}
+        fresh, saved, full = tmp_path / "fresh", tmp_path / "saved", tmp_path / "full"
+        emit_outputs(records, fresh)
+        save_records(records, tmp_path / "records.json")
+        payloads = load_records(tmp_path / "records.json")
+        references = [rec for rec in payloads if "shares" in rec]
+        assert len(references) == len(records) - len(records) // len(axes["m"])
+        assert all((rec["lemma"] is not None) == has_lemma for rec in references)
+        emit_from_saved(payloads, saved)
+        emit_from_saved(full_payloads(records), full)
+        expect = output_files(full)
+        assert len(expect) == 2 + (2 * len(records) if stop == Stop.CONVERGED else 0)
+        assert output_files(fresh) == expect
+        assert output_files(saved) == expect
+
+    def test_full_payloads_reemit_the_same_files(self, tmp_path):
+        # a records.json of full payloads only, as written before reused
+        # points became references, is still valid input
+        records = run_sweep(canonical_sweep(M=32))
+        emit_outputs(records, tmp_path)
+        save_records([replace(rec, shares=None) for rec in records], tmp_path / "records.json")
+        before = output_files(tmp_path)
+        emit_from_saved(load_records(tmp_path / "records.json"), tmp_path)
+        assert output_files(tmp_path) == before
+
+    def test_reference_to_no_earlier_solve_raises(self, tmp_path):
+        path = tmp_path / "records.json"
+        save_records(run_sweep(canonical_sweep(M=32))[:2], path)
+        solve, ref = load_records(path)
+        for saved in ([ref, solve], [solve, {**ref, "shares": "run_0009"}],
+                      [solve, ref, {**ref, "shares": "run_0001"}]):
+            with pytest.raises(ValueError, match="which is not an earlier solve"):
+                emit_from_saved(saved, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
 
     def test_rewrite_in_place_leaves_no_stale_bytes(self, tmp_path):
         # a 36-point sweep, then a 4-point one with shorter numbers (a zero
@@ -519,34 +603,30 @@ class TestEmission:
         assert all(len(body) < len(before[name]) for name, body in after.items())
         assert after == output_files(fresh)
 
-    def test_equal_distributions_share_one_rendered_body(self, tmp_path, monkeypatch):
-        # records loaded from JSON carry equal distributions as separate
-        # lists; each distinct one is rendered once, and a distribution
-        # that differs only in the sign of a zero gets its own body
+    def test_each_shared_solve_is_rendered_once(self, tmp_path, monkeypatch):
+        # a reference's plot bodies and check cells are its solve's, rendered
+        # once; of its checks only its own lemma row is formatted
         path = tmp_path / "records.json"
-        save_records(run_sweep(canonical_sweep(M=32))[:1], path)
-        (rec,) = load_records(path)
-        ks, mus = rec["dist_u"]
-        zero = mus.index(0.0)
-        signed = [ks, [*mus[:zero], -0.0, *mus[zero + 1:]]]
-        moved = [[*ks[:-1], ks[-1] * 2.0], mus]
-        saved = [{**rec, "cells": {**rec["cells"], "run_id": f"run_{i:04d}"}, "dist_u": dist}
-                 for i, dist in enumerate(json.loads(json.dumps(
-                     [rec["dist_u"], rec["dist_u"], signed, moved])))]
-        rendered = []
-        original = experiments._plot_body
-        monkeypatch.setattr(experiments, "_plot_body",
-                            lambda ks, mus: rendered.append(1) or original(ks, mus))
+        save_records(run_sweep(canonical_sweep(M=32)), path)
+        saved = load_records(path)
+        solves = [rec for rec in saved if "shares" not in rec]
+        calls = {"_plot_body": 0, "_row_cells": 0}
+        for name in calls:
+            def counted(*args, _name=name, _original=getattr(experiments, name)):
+                calls[_name] += 1
+                return _original(*args)
+            monkeypatch.setattr(experiments, name, counted)
         plotdir = emit_from_saved(saved, tmp_path / "out")["plotdata"]
-        assert len(rendered) == 4  # three distinct u curves, one grad curve
-        bodies = {f"{i}_{s}": (plotdir / f"run_{i:04d}_{s}.dat").read_text()
-                  for i in range(4) for s in ("u", "grad")}
-        for i, record in enumerate(saved):
+        monkeypatch.undo()
+        assert len(solves) == 3
+        assert calls == {"_plot_body": 2 * len(solves),
+                         "_row_cells": sum(len(rec["rows"]) for rec in solves) + 3}
+        by_id = {solve["cells"]["run_id"]: solve for solve in solves}
+        for rec in saved:
+            solve = by_id[rec.get("shares", rec["cells"]["run_id"])]
             for s in ("u", "grad"):
-                assert bodies[f"{i}_{s}"] == original(*record[f"dist_{s}"])
-        assert bodies["0_u"] == bodies["1_u"]
-        assert len({bodies["0_u"], bodies["2_u"], bodies["3_u"]}) == 3
-        assert " -0\n" in bodies["2_u"]
+                body = (plotdir / f"{rec['cells']['run_id']}_{s}.dat").read_text()
+                assert body == experiments._plot_body(*solve[f"dist_{s}"])
 
     # A failed point is unconverged, not clipping, and likewise for every way
     # a run ends today, one row each: the config it runs, its stop, its
