@@ -1,14 +1,14 @@
 """Measure-theoretic post-processing and a-priori estimate checkers.
 
 Everything here is a pure function of nodal data and the grid's weights:
-Lebesgue norms, superlevel-set measures, weak-Lebesgue (Marcinkiewicz)
-constants, log-log tail-exponent fits, and one checker per inequality the
-discrete solutions are expected to satisfy.  The checkers reuse the
-assembly's face weights, and the entropy checker the face coefficients of
-the solved discrete problem, so on a converged solve its identity holds up
-to the nonlinear-solve residual, absorbed by the check tolerance (default
-1e-4 relative).  The energy checkers need only the upwind coefficient as a
-lower bound, and no arithmetic face falls below it.
+superlevel-set measures, log-log tail-exponent fits, and one checker per
+inequality the discrete solutions are expected to satisfy.  The checkers
+reuse the assembly's face weights, and the entropy checker the face
+coefficients of the solved discrete problem, so on a converged solve its
+identity holds up to the nonlinear-solve residual, absorbed by the audit's
+tolerance ``CHECK_TOLERANCE`` (the Marcinkiewicz gate's is ``TAIL_TOLERANCE``).
+The energy checkers need only the upwind coefficient as a lower bound, and
+no arithmetic face falls below it.
 
 A checker sampled over cutoff levels k clips the field at a block of
 levels in one array and takes the block's face gradients at once
@@ -46,11 +46,8 @@ __all__ = [
     "TailFit",
     "EstimateReport",
     "MarcinkiewiczLemmaReport",
-    "lebesgue_norm",
     "distribution_function",
-    "marcinkiewicz_constant",
     "tail_exponent_fit",
-    "dirichlet_energy",
     "check_lemma_estimate",
     "check_bg_estimate",
     "check_weighted_energy",
@@ -59,6 +56,12 @@ __all__ = [
     "check_entropy_inequality",
     "verify_marcinkiewicz_lemma",
 ]
+
+# The relative slack every inequality is audited with, and the shortfall of
+# the measured gradient tail that the Marcinkiewicz gate allows, relative to
+# the prediction.
+CHECK_TOLERANCE = 1e-4
+TAIL_TOLERANCE = 0.15
 
 TINY = 1e-300
 EPS = np.finfo(float).eps
@@ -86,7 +89,6 @@ class DistributionFunction:
     k_levels: np.ndarray
     measures: np.ndarray
     counts: np.ndarray      # number of nodes in each superlevel set
-    total_measure: float
 
 
 @dataclass(frozen=True)
@@ -139,13 +141,6 @@ def _report(name, lhs, rhs, tol: float, scale=None, params=()) -> EstimateReport
                           (rhs - lhs) / scale, tol, scale, params)
 
 
-def lebesgue_norm(u: GridFunction, s: float) -> float:
-    """(sum w |u|^s)^(1/s) over the grid's volume weights w."""
-    if not (s > 0):
-        raise ValueError(f"exponent must be positive, got {s}")
-    return float(np.dot(u.grid.weights, np.abs(u.values) ** s) ** (1.0 / s))
-
-
 def geomspace(start: float, stop: float, num: int) -> np.ndarray:
     """``np.geomspace(start, stop, num)`` for positive ends and num >= 2.
 
@@ -195,17 +190,7 @@ def distribution_function(values: np.ndarray, weights: np.ndarray,
     idx = vals[order].searchsorted(k_levels, side="left")
     measures = tail_weight[idx]
     counts = vals.size - idx
-    return DistributionFunction(k_levels=k_levels, measures=measures,
-                                counts=counts, total_measure=float(weights.sum()))
-
-
-def marcinkiewicz_constant(df: DistributionFunction, s: float) -> float:
-    """Smallest empirical C with mu(k) <= C k^(-s) on the sampled levels."""
-    if not (s > 0):
-        raise ValueError(f"exponent must be positive, got {s}")
-    if df.k_levels.size == 0:
-        return 0.0
-    return float(np.max(df.k_levels**s * df.measures))
+    return DistributionFunction(k_levels=k_levels, measures=measures, counts=counts)
 
 
 def _line_fit(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -269,10 +254,10 @@ def _cutoff_blocks(grid: RadialGrid, values: np.ndarray, ks: np.ndarray):
 
     ``values`` is (P, M).  Yields (clipped, grads) of shapes (P, c, M) and
     (P, c, M+1) for successive runs of c levels; each entry is the same
-    float operation as ``face_gradient(truncate(u, k))``.  A block holds at
-    most ``CUTOFF_BLOCK_BYTES`` of gradients (at least one level), so its
-    temporaries stay on the heap; when every level fits, the one block is
-    all of them.
+    float operation as the face gradient of u clipped to [-k, k].  A block
+    holds at most ``CUTOFF_BLOCK_BYTES`` of gradients (at least one level),
+    so its temporaries stay on the heap; when every level fits, the one
+    block is all of them.
     """
     if not (ks > 0).all():
         raise ValueError(f"truncation level must be positive, got {ks[~(ks > 0)][0]}")
@@ -291,15 +276,8 @@ def _cutoff_energies(u: GridFunction, k_levels) -> list[float]:
             for energy in np.vecdot(np.square(grads[0], out=grads[0]), wf).tolist()]
 
 
-def dirichlet_energy(u: GridFunction, k: float | None = None) -> float:
-    """Face-weighted squared gradient of u, optionally of its cutoff T_k(u)."""
-    if k is not None:
-        return _cutoff_energies(u, [k])[0]
-    return float(np.dot(u.grid.face_weights, face_gradient(u) ** 2))
-
-
 def check_lemma_estimate(u: GridFunction, f: GridFunction, p: float, m: float,
-                         tol: float = 1e-4) -> EstimateReport:
+                         tol: float = CHECK_TOLERANCE) -> EstimateReport:
     """Absorption summability against the datum: sum w|u|^(pm) <= sum w|f|^m."""
     wts = u.grid.weights
     lhs = float(np.dot(wts, np.abs(u.values) ** (p * m)))
@@ -309,7 +287,7 @@ def check_lemma_estimate(u: GridFunction, f: GridFunction, p: float, m: float,
 
 
 def check_bg_estimate(u: GridFunction, f: GridFunction, p: float, t_levels,
-                      tol: float = 1e-4) -> list[EstimateReport]:
+                      tol: float = CHECK_TOLERANCE) -> list[EstimateReport]:
     """Superlevel tail bound: sum_{|u|>t} w|u|^p <= sum_{|u|>t} w|f| per t."""
     abs_u, abs_f, wts = np.abs(u.values), np.abs(f.values), u.grid.weights
     f_l1 = float(np.dot(wts, abs_f))
@@ -327,7 +305,7 @@ def check_bg_estimate(u: GridFunction, f: GridFunction, p: float, t_levels,
 
 def check_weighted_energy(u: GridFunction, f: GridFunction, gamma: float,
                           lams: Sequence[float], alpha: float,
-                          tol: float = 1e-4) -> list[EstimateReport]:
+                          tol: float = CHECK_TOLERANCE) -> list[EstimateReport]:
     """Weighted energy bound with constant alpha*(lam-1):
 
         alpha (lam-1) sum_faces wf |grad u|^2 (1 + max adj |u|)^(-gamma-lam)
@@ -354,7 +332,7 @@ def check_weighted_energy(u: GridFunction, f: GridFunction, gamma: float,
 
 
 def check_truncation_energy(u: GridFunction, f: GridFunction, gamma: float, alpha: float,
-                            k_levels, tol: float = 1e-4) -> list[EstimateReport]:
+                            k_levels, tol: float = CHECK_TOLERANCE) -> list[EstimateReport]:
     """Cutoff energy growth: alpha |grad T_k(u)|^2 <= k (1+k)^gamma |f|_1 per k."""
     f_l1 = float(np.dot(u.grid.weights, np.abs(f.values)))
     ks = np.asarray(k_levels, dtype=float)
@@ -399,7 +377,8 @@ def _default_phis(u: GridFunction) -> list[tuple[str, np.ndarray]]:
     return out
 
 
-def check_entropy_inequality(u: GridFunction, problem, k_levels, tol: float = 1e-4, *,
+def check_entropy_inequality(u: GridFunction, problem, k_levels,
+                             tol: float = CHECK_TOLERANCE, *,
                              phi_samples=None) -> list[EstimateReport]:
     """Inequalities defining the entropy solution notion, sampled over (phi, k):
 
@@ -474,7 +453,7 @@ class MarcinkiewiczLemmaReport:
         return self.verdict is not None and self.verdict.passed
 
 
-def verify_marcinkiewicz_lemma(u: GridFunction, tol_exponent: float = 0.15, *,
+def verify_marcinkiewicz_lemma(u: GridFunction, tol_exponent: float = TAIL_TOLERANCE, *,
                                tails: tuple[DistributionFunction, DistributionFunction,
                                             TailFit, TailFit]) -> MarcinkiewiczLemmaReport:
     """Check the cutoff-energy route to the gradient's weak-Lebesgue class.

@@ -17,10 +17,12 @@ Exit codes, one meaning each: 0 success; 1 a stored field failed its
 audit (``verify``); 2 a run left unsolved (``solve``, ``sweep``); 3 a
 config or usage error, ``verify`` without ``--solution`` among them.
 
-The audit's tolerances and sampling families are constants of
-``degelab.experiments`` (``CHECK_TOLERANCE`` and its neighbours), and the
-Newton iteration's p < 1 regularization and barrier margin are constants of
-``degelab.solver`` (``EPS_P``, ``SINGULAR_MARGIN``); no config sets them.
+The audit's tolerances are constants of ``degelab.analysis``
+(``CHECK_TOLERANCE``, ``TAIL_TOLERANCE``), its sampling families constants
+of ``degelab.experiments`` (``WEIGHTED_ENERGY_LAMBDAS`` and its neighbours),
+and the Newton iteration's p < 1 regularization and barrier margin are
+constants of ``degelab.solver`` (``EPS_P``, ``SINGULAR_MARGIN``); no config
+sets them.
 """
 
 from __future__ import annotations
@@ -358,11 +360,11 @@ def _cmd_mms(config: Config, out_dir: Path) -> int:
     def u_star(r):
         return amp * (1.0 - (r / radius) ** 2)
 
-    study = mesh_refinement_study(spec, u_star, config.mms_cells, config.solver,
-                                  grading=config.mesh.grading)
+    rows = mesh_refinement_study(spec, u_star, config.mms_cells, config.solver,
+                                 grading=config.mesh.grading)
     out_dir.mkdir(parents=True, exist_ok=True)
     lines = ["cells,error,order"]
-    for row in study.rows:
+    for row in rows:
         lines.append(f"{row.cells},{row.error!r},{row.order!r}")
         print(f"  M={row.cells:5d}  error={row.error:.6e}  order={row.order:.3f}")
     (out_dir / "mms.csv").write_text("\n".join(lines) + "\n")

@@ -26,6 +26,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .analysis import (
+    CHECK_TOLERANCE,
+    TAIL_TOLERANCE,
     DistributionFunction,
     EstimateReport,
     MarcinkiewiczLemmaReport,
@@ -65,7 +67,6 @@ __all__ = [
     "RunRecord",
     "SweepSpec",
     "ConvergenceRow",
-    "ConvergenceStudy",
     "ProbeRow",
     "ProbeTable",
     "ALL_CHECKS",
@@ -86,17 +87,14 @@ __all__ = [
 ALL_CHECKS = ("lemma", "bg", "weighted_energy", "truncation_energy",
               "linfty", "entropy", "marcinkiewicz")
 
-# The relative slack every inequality is audited with; the lambdas of the
-# weighted-energy family (each > 1); the superlevel thresholds of the bg
-# checker, as fractions of max|u|; the numbers of cutoff levels k of the
-# truncation-energy and entropy checkers; and the shortfall of the measured
-# gradient tail that the Marcinkiewicz gate allows, relative to the prediction.
-CHECK_TOLERANCE = 1e-4
+# The audit's sampling families: the lambdas of the weighted-energy family
+# (each > 1); the superlevel thresholds of the bg checker, as fractions of
+# max|u|; and the numbers of cutoff levels k of the truncation-energy and
+# entropy checkers.  Its tolerances are constants of ``analysis``.
 WEIGHTED_ENERGY_LAMBDAS = (1.25, 2.0, 4.0)
 BG_T_FRACTIONS = (0.0, 0.25, 0.5, 0.75)
 TRUNCATION_K_COUNT = 8
 ENTROPY_K_COUNT = 4
-TAIL_TOLERANCE = 0.15
 
 SWEEP_CAP = 4096  # largest number of points one sweep may have
 
@@ -142,7 +140,6 @@ class RunRecord:
     residual_inf: float
     prediction: RegimePrediction | None
     checks: CheckResults
-    started_at: str
     duration_s: float
     failure: str | None = None
     shares: str | None = None  # run id of the earlier record whose solve this one reuses
@@ -263,8 +260,8 @@ def run_checks(u: GridFunction, problem: DiscreteProblem) -> CheckResults:
 
 
 def _failed_record(run_id: str, spec: ProblemSpec, mesh: MeshSpec,
-                   prediction: RegimePrediction | None, started: str,
-                   duration_s: float, err: Exception) -> RunRecord:
+                   prediction: RegimePrediction | None, duration_s: float,
+                   err: Exception) -> RunRecord:
     """Record of a solve that raised; every check is skipped.
 
     It stops ``Stop.FAILED`` and is not truncation-active: no level
@@ -272,8 +269,7 @@ def _failed_record(run_id: str, spec: ProblemSpec, mesh: MeshSpec,
     return RunRecord(
         run_id=run_id, problem=spec, mesh=mesh, n_final=0,
         flags=SolveFlags(Stop.FAILED, False), picard_iters=0,
-        residual_inf=math.inf, prediction=prediction,
-        started_at=started, duration_s=duration_s,
+        residual_inf=math.inf, prediction=prediction, duration_s=duration_s,
         checks=CheckResults(skipped=dict.fromkeys(ALL_CHECKS, "solver failed")),
         failure=f"{type(err).__name__}: {err}",
     )
@@ -289,7 +285,6 @@ def run_single(spec: ProblemSpec, mesh: MeshSpec, cfg: SolverConfig, *,
                run_id: str = "run_0000") -> RunRecord:
     """Solve one problem and, once it converges, run the whole audit on it
     (:func:`run_checks`)."""
-    started = datetime.now(timezone.utc).isoformat()
     t0 = time.perf_counter()
 
     grid = build_radial_grid(spec.dimension, spec.radius, mesh.cells, mesh.grading)
@@ -298,7 +293,7 @@ def run_single(spec: ProblemSpec, mesh: MeshSpec, cfg: SolverConfig, *,
     try:
         result = truncation_continuation(grid, spec, cfg)
     except Exception as err:  # isolate solver blowups for sweep robustness
-        return _failed_record(run_id, spec, mesh, prediction, started,
+        return _failed_record(run_id, spec, mesh, prediction,
                               time.perf_counter() - t0, err)
 
     converged = result.flags.converged
@@ -310,7 +305,7 @@ def run_single(spec: ProblemSpec, mesh: MeshSpec, cfg: SolverConfig, *,
         run_id=run_id, problem=spec, mesh=mesh, n_final=result.n_final,
         flags=result.flags, picard_iters=result.picard_iters,
         residual_inf=result.residual_inf, prediction=prediction, checks=checked,
-        started_at=started, duration_s=time.perf_counter() - t0,
+        duration_s=time.perf_counter() - t0,
         solution=result.u if converged else None, discrete=result.problem,
     )
 
@@ -387,8 +382,7 @@ def _discrete_problem(spec: ProblemSpec, mesh: MeshSpec) -> tuple:
             spec.datum.family, mesh)
 
 
-def _reuse(first: RunRecord, spec: ProblemSpec, run_id: str, started: str,
-           t0: float) -> RunRecord:
+def _reuse(first: RunRecord, spec: ProblemSpec, run_id: str, t0: float) -> RunRecord:
     """The record of a point whose discrete problem ``first`` already solved
     and audited: its prediction and ``lemma`` report are recomputed for its
     own m, everything else (flags, skips, failure, other reports) is shared."""
@@ -399,20 +393,18 @@ def _reuse(first: RunRecord, spec: ProblemSpec, run_id: str, started: str,
         checks = replace(checks, reports={**checks.reports, "lemma": (check_lemma_estimate(
             u, f_nodal, spec.lower.p, spec.datum.m, CHECK_TOLERANCE),)})
     return replace(first, run_id=run_id, problem=spec, prediction=_prediction(spec),
-                   checks=checks, started_at=started, shares=first.run_id,
-                   duration_s=time.perf_counter() - t0)
+                   checks=checks, shares=first.run_id, duration_s=time.perf_counter() - t0)
 
 
 def _sweep_point(sweep: SweepSpec, idx: int, point: dict[str, float],
                  solved: dict[tuple, RunRecord]) -> RunRecord:
     """Run one point, or reuse the record in ``solved`` of its discrete problem."""
     run_id = f"run_{idx:04d}"
-    started = datetime.now(timezone.utc).isoformat()
     t0 = time.perf_counter()
     spec, mesh = _apply_axis_point(sweep.base, sweep.mesh, point)
     key = _discrete_problem(spec, mesh)
     if key in solved:
-        return _reuse(solved[key], spec, run_id, started, t0)
+        return _reuse(solved[key], spec, run_id, t0)
     solved[key] = run_single(spec, mesh, sweep.cfg, run_id=run_id)
     return solved[key]
 
@@ -441,20 +433,12 @@ class ConvergenceRow:
     order: float  # vs the previous row; nan on the first
 
 
-@dataclass(frozen=True)
-class ConvergenceStudy:
-    rows: tuple[ConvergenceRow, ...]
-
-    @property
-    def observed_orders(self) -> tuple[float, ...]:
-        return tuple(row.order for row in self.rows[1:])
-
-
 def mesh_refinement_study(spec: ProblemSpec, u_star: Callable[[np.ndarray], np.ndarray],
                           M_list: Sequence[int], cfg: SolverConfig,
                           rhs: Callable[[np.ndarray], np.ndarray] | None = None,
-                          grading: float | None = None) -> ConvergenceStudy:
-    """Max-norm errors against a manufactured field under mesh refinement.
+                          grading: float | None = None) -> tuple[ConvergenceRow, ...]:
+    """Max-norm errors against a manufactured field under mesh refinement,
+    one row per mesh of ``M_list``.
 
     The datum is the continuum source for which u_star solves the
     equation: either the closed form ``rhs`` when available, or a
@@ -488,7 +472,7 @@ def mesh_refinement_study(spec: ProblemSpec, u_star: Callable[[np.ndarray], np.n
             order = math.log(prev[1] / err) / math.log(M / prev[0])
         rows.append(ConvergenceRow(cells=M, error=err, order=order))
         prev = (M, err)
-    return ConvergenceStudy(rows=tuple(rows))
+    return tuple(rows)
 
 
 @dataclass(frozen=True)
@@ -832,9 +816,8 @@ def _plot_files(pairs: Sequence[tuple[dict, dict]]) -> dict[str, str]:
 
 
 def _plot_body(ks, mus) -> str:
-    body = ["# k mu(k)"]
-    body += [f"{k:.17g} {mu:.17g}" for k, mu in zip(ks, mus)]
-    return "\n".join(body) + "\n"
+    values = tuple(itertools.chain.from_iterable(zip(ks, mus)))
+    return "# k mu(k)\n" + ("%.17g %.17g\n" * (len(values) // 2)) % values
 
 
 def _summary_markdown(saved: Sequence[dict]) -> str:

@@ -23,7 +23,7 @@ __all__ = [
     "face_gradient",
     "face_differences",
     "face_upwind_values",
-    "truncate",
+    "upwind_takes_right",
     "grid_function",
     "write_grid_function",
     "read_grid_function",
@@ -204,25 +204,24 @@ def face_differences(grid: RadialGrid, values: np.ndarray) -> np.ndarray:
     return grad
 
 
+def upwind_takes_right(mag: np.ndarray) -> np.ndarray:
+    """Per interior face, whether its upwind node, the one of larger |u|
+    (``mag``), is the right-hand one; a tie takes the right-hand node.  The
+    solver's face coefficients and the audit's face values both follow it."""
+    return mag[1:] >= mag[:-1]
+
+
 def face_upwind_values(grid: RadialGrid, values: np.ndarray) -> np.ndarray:
-    """Per-face frozen value: the adjacent node of larger magnitude.
+    """Per-face frozen value: the adjacent node ``upwind_takes_right`` picks.
 
     The outer face compares against the ghost value 0, so it always takes
     the last node; the origin face has no flux and gets the first node.
     """
     up = np.empty(grid.M + 1)
     up[0] = values[0]
-    left, right = values[:-1], values[1:]
-    up[1:grid.M] = np.where(np.abs(right) >= np.abs(left), right, left)
+    up[1:grid.M] = np.where(upwind_takes_right(np.abs(values)), values[1:], values[:-1])
     up[grid.M] = values[-1]
     return up
-
-
-def truncate(u: GridFunction, k: float) -> GridFunction:
-    """Pointwise cutoff at level k: clamp values to [-k, k]."""
-    if not (k > 0):
-        raise ValueError(f"truncation level must be positive, got {k}")
-    return GridFunction(grid=u.grid, values=np.clip(u.values, -k, k))
 
 
 def grid_function(grid: RadialGrid, source) -> GridFunction:

@@ -17,10 +17,12 @@ Conservative flux form: row i of the operator is
 -(F_{i+1/2} - F_{i-1/2}) / V_i with flux
 F = r_f^(N-1) a_f (u_{i+1} - u_i)/d_f and V_i the exact shell volume of
 cell i.  Face coefficients take the frozen value at the adjacent node of
-larger |u| ("upwinded degeneracy", the smaller coefficient), which makes
-the discrete energy chain inequalities used by the estimate checkers hold
-exactly rather than asymptotically.  Arithmetic-mean faces are available
-for convergence studies.
+larger |u| ("upwinded degeneracy", the smaller coefficient), the right-hand
+one at a tie.  That rule is ``grid.upwind_takes_right``, the one the
+audit's face values follow too, which makes the discrete energy chain
+inequalities used by the estimate checkers hold exactly rather than
+asymptotically.  Arithmetic-mean faces are available for convergence
+studies.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy
 
-from .grid import GridFunction, RadialGrid
+from .grid import GridFunction, RadialGrid, upwind_takes_right
 from .problem import (
     LowerOrderTerm,
     NoAbsorption,
@@ -200,10 +202,9 @@ class DiscreteProblem:
 
     def freeze(self, u: np.ndarray) -> FrozenNodes:
         """u's node arrays at this level.  |T_n u| is min(|u|, n) exactly,
-        and an upwind face takes its right node at a tie, as in
-        ``grid.face_upwind_values``."""
+        and an upwind face follows ``grid.upwind_takes_right``."""
         mag = np.abs(u)
-        wins = mag[1:] >= mag[:-1] if self.scheme == "upwind" else None
+        wins = upwind_takes_right(mag) if self.scheme == "upwind" else None
         return FrozenNodes(u, mag, wins,
                            coefficient_eval(self.spec.coefficient, np.minimum(mag, self.n)))
 
@@ -233,7 +234,7 @@ class FrozenNodes(NamedTuple):
 
     u: np.ndarray
     mag: np.ndarray            # |u|
-    wins: np.ndarray | None    # upwind: per interior face, right |u| >= left |u|
+    wins: np.ndarray | None    # upwind: upwind_takes_right(mag); arithmetic: None
     coeff: np.ndarray          # a(T_n u) at the nodes
 
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from common import CFG, grid_and_weights, power_spec, singular_spec
+from reference import dirichlet_energy, lebesgue_norm, marcinkiewicz_constant, truncate
 
 import degelab.analysis as analysis
 from degelab.analysis import (
@@ -16,11 +17,8 @@ from degelab.analysis import (
     check_linfty_bound,
     check_truncation_energy,
     check_weighted_energy,
-    dirichlet_energy,
     distribution_function,
     geomspace,
-    lebesgue_norm,
-    marcinkiewicz_constant,
     tail_exponent_fit,
     verify_marcinkiewicz_lemma,
 )
@@ -30,7 +28,6 @@ from degelab.grid import (
     face_gradient,
     face_upwind_values,
     grid_function,
-    truncate,
 )
 from degelab.problem import ConstantDatum, coefficient_eval, lower_order_eval
 from degelab.solver import DiscreteProblem, truncation_continuation
@@ -330,16 +327,9 @@ def cutoff_cases(draw, max_cells=300, max_levels=12):
     return grid, w, GridFunction(grid, values), ks
 
 
-def per_level_energies(u, ks):
-    return [float(np.dot(u.grid.face_weights, face_gradient(truncate(u, k)) ** 2))
-            for k in ks]
-
-
 def assert_energies_per_level(u, ks):
-    expect = per_level_energies(u, ks)
     reps = check_truncation_energy(u, grid_function(u.grid, 1.0), 0.0, 1.0, ks)
-    assert [rep.lhs for rep in reps] == expect
-    assert [dirichlet_energy(u, k) for k in ks] == expect
+    assert [rep.lhs for rep in reps] == [dirichlet_energy(u, k) for k in ks]
 
 
 def assert_entropy_per_pair(u, ks, gamma, p, phis):
@@ -419,7 +409,7 @@ class TestBatchedCutoffs:
         window = df_u.k_levels[(df_u.k_levels >= rep.u_fit.window[0])
                                & (df_u.k_levels <= rep.u_fit.window[1])]
         assert window.size > per_block
-        energies = np.array(per_level_energies(u, window))
+        energies = np.array([dirichlet_energy(u, k) for k in window])
         assert np.all(energies > 0)
         assert rep.rho_exponent == float(_line_fit(np.log(window), np.log(energies))[0])
 
@@ -440,7 +430,7 @@ class TestBatchedCutoffs:
         grid, _ = grid_and_weights(16)
         u = grid_function(grid, 1.0)
         with pytest.raises(ValueError, match="must be positive"):
-            dirichlet_energy(u, 0.0)
+            check_truncation_energy(u, u, 0.0, 1.0, [0.0])
         with pytest.raises(ValueError, match="must be positive"):
             check_truncation_energy(u, u, 0.0, 1.0, [1.0, -1.0])
 

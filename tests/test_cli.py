@@ -537,7 +537,7 @@ class TestMain:
         assert main(["solve", "/nonexistent/path.ini"]) == EXIT_CONFIG
 
     # knobs that no config set are constants now (solver.EPS_P,
-    # solver.SINGULAR_MARGIN, experiments.CHECK_TOLERANCE and its
+    # solver.SINGULAR_MARGIN, analysis.CHECK_TOLERANCE and its
     # neighbours), and every solve runs the whole audit, so [checks] is gone
     REMOVED_KEYS = [
         ("solver", "picard_tol", "1e-8"),

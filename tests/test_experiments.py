@@ -10,15 +10,17 @@ import numpy as np
 import pytest
 
 from common import CFG, no_absorption_spec, power_spec, singular_spec
+from reference import dirichlet_energy
 
 from degelab.analysis import (
+    CHECK_TOLERANCE,
+    TAIL_TOLERANCE,
     _report,
     check_bg_estimate,
     check_entropy_inequality,
     check_lemma_estimate,
     check_truncation_energy,
     check_weighted_energy,
-    dirichlet_energy,
     distribution_function,
     tail_exponent_fit,
     verify_marcinkiewicz_lemma,
@@ -29,10 +31,8 @@ from degelab.cli import (EXIT_CHECK_FAILED, EXIT_CONFIG, EXIT_NOT_CONVERGED, EXI
                          parse_config)
 from degelab.experiments import (
     ALL_CHECKS,
-    CHECK_TOLERANCE,
     CSV_COLUMNS,
     ROW_COLUMNS,
-    TAIL_TOLERANCE,
     WEIGHTED_ENERGY_LAMBDAS,
     CheckResults,
     MeshSpec,
@@ -727,16 +727,16 @@ class TestEmission:
 
 class TestRefinementStudy:
     def test_smooth_baseline_second_order(self):
-        study = mesh_refinement_study(
+        rows = mesh_refinement_study(
             power_spec(0.0, 1.0, 1.0), lambda r: (1 - r**2) / 6,
             [64, 128, 256], CFG, rhs=lambda r: np.ones_like(r) + (1 - r**2) / 6)
-        assert all(order >= 1.9 for order in study.observed_orders)
+        assert all(row.order >= 1.9 for row in rows[1:])
 
     def test_zero_field_zero_error(self):
-        study = mesh_refinement_study(power_spec(1.0, 2.0, 1.0),
-                                      lambda r: np.zeros_like(r),
-                                      [32, 64], CFG, rhs=lambda r: np.zeros_like(r))
-        assert all(row.error <= 1e-12 for row in study.rows)
+        rows = mesh_refinement_study(power_spec(1.0, 2.0, 1.0),
+                                     lambda r: np.zeros_like(r),
+                                     [32, 64], CFG, rhs=lambda r: np.zeros_like(r))
+        assert all(row.error <= 1e-12 for row in rows)
 
     def test_fractional_cell_count_rejected(self):
         # each study mesh is a MeshSpec, so a fractional count is not truncated
@@ -751,10 +751,10 @@ class TestRefinementStudy:
                                       SolverConfig(face_scheme="arithmetic"))
         upwind = mesh_refinement_study(spec, star, [32, 64, 128],
                                        SolverConfig(face_scheme="upwind"))
-        assert all(order >= 1.5 for order in arith.observed_orders)
+        assert all(row.order >= 1.5 for row in arith[1:])
         # upwinded degeneracy trades accuracy for exact energy inequalities
-        assert all(0.7 <= order <= 1.5 for order in upwind.observed_orders)
-        assert upwind.rows[-1].error > arith.rows[-1].error
+        assert all(0.7 <= row.order <= 1.5 for row in upwind[1:])
+        assert upwind[-1].error > arith[-1].error
 
 
 class TestFiniteEnergyStability:

@@ -5,13 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from reference import truncate
+
 from degelab.grid import (
     build_radial_grid,
     face_gradient,
+    face_upwind_values,
     grid_function,
     read_grid_function,
     sphere_surface,
-    truncate,
     write_grid_function,
 )
 
@@ -129,6 +131,13 @@ class TestFaceGradient:
     def test_zero_field(self):
         grid = build_radial_grid(3, 1.0, 16)
         assert np.all(face_gradient(grid_function(grid, 0.0)) == 0.0)
+
+    def test_upwind_values_take_the_right_node_at_a_tie(self):
+        # faces 1 and 5 sit between nodes of opposite sign and equal |u|
+        grid = build_radial_grid(3, 1.0, 8)
+        vals = np.array([1.0, -1.0, 2.0, 2.0, -3.0, 3.0, 0.5, 0.0])
+        assert face_upwind_values(grid, vals).tolist() == \
+            [1.0, -1.0, 2.0, 2.0, -3.0, 3.0, 3.0, 0.5, 0.0]
 
     def test_face_weights_pair_with_volume(self):
         # sum of face measures covers [r_0, R] of the radial extent

@@ -239,6 +239,17 @@ class TestExactJacobian:
             coefficient_part = np.max(np.abs(dense(jac) - dense(frozen)))
             assert coefficient_part == 0.0 if gamma == 0.0 else coefficient_part > 1e-3 * scale
 
+    @pytest.mark.parametrize("scheme", ["upwind", "arithmetic"])
+    def test_no_rate_at_a_node_exactly_on_the_clip(self, scheme):
+        # |u| = n at nodes 2 and 4: T_n holds a(T_n u) there, so neither face
+        # of either node moves with it; node 1 lies below n and does
+        grid = build_radial_grid(3, 1.0, 8)
+        problem = coefficient_level(grid, CoefficientSpec(1.0, 1.0, 1.0), 4, scheme)
+        u = np.array([0.5, 1.0, 4.0, 1.0, -4.0, 2.0, 0.5, 0.25])
+        left, right = solver._face_log_slopes(problem, problem.freeze(u))
+        assert right[2] == left[3] == right[4] == left[5] == 0.0
+        assert right[1] < 0.0
+
 
 class TestNewton:
     """newton_semilinear at gamma = 0 levels, through picard_solve: A_n does
@@ -532,6 +543,8 @@ class TestContinuation:
         (power_spec(1.0, 0.5, 1.0, ConstantDatum(5.0)), 32),  # max|u| <= 5^2
         (singular_spec(1.0, 100.0, 5.0), 128),                # u < sigma = 100
         (no_absorption_spec(0.5, 5.0), 8),                    # no bound: max|f|
+        # climbing from max|f| = 64, this case stalled at level 64 or 128
+        (power_spec(1.0, 0.5, 1.0, ConstantDatum(64.0)), 4096),
     ])
     def test_climb_starts_at_the_sup_bound(self, monkeypatch, spec, first):
         # the maximum principle bounds u before the solve, so the climb ends
