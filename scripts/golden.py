@@ -9,7 +9,10 @@ Each case is one ``experiments.run_single`` with the whole audit:
 - every gamma x p x m combination of the acceptance matrix at M = 256,
   once with the constant datum A = 2 and once with the radial datum
   r^(-delta), delta*m = 1.6;
-- the entropy probe gamma = p = m = 1, delta = 2.6 at M = 512, 1024, 2048.
+- the entropy probe gamma = p = m = 1, delta = 2.6 at M = 512, 1024, 2048;
+- one case per way a solve ends outside that matrix (``ENDINGS``): the
+  barrier, no absorption solved and stalled, truncation active at the last
+  level, and degeneracy gamma > 1 with power absorption.
 
 Per case the fingerprint holds the stop reason and truncation flag,
 ``n_final``, the Newton step count, each report's label, lhs, rhs and
@@ -40,9 +43,11 @@ from degelab.problem import (  # noqa: E402
     CoefficientSpec,
     ConstantDatum,
     DatumSpec,
+    NoAbsorption,
     PowerAbsorption,
     ProblemSpec,
     RadialPowerDatum,
+    SingularAbsorption,
 )
 from degelab.solver import SolverConfig  # noqa: E402
 
@@ -57,6 +62,24 @@ CONSTANT_AMPLITUDE = 2.0
 RADIAL_DELTA_M = 1.6
 PROBE_DELTA = 2.6
 PROBE_CELLS = (512, 1024, 2048)
+
+# (name, gamma, lower-order term, datum family, cell count); the comment
+# says how each ends under the default SolverConfig
+ENDINGS = (
+    # converged in 4 steps
+    ("barrier sigma=1 gamma=1 A=2 M=256", 1.0, SingularAbsorption(1.0),
+     ConstantDatum(2.0), 256),
+    # converged
+    ("no absorption gamma=0.5 A=1 M=256", 0.5, NoAbsorption(), ConstantDatum(1.0), 256),
+    # stalled after 76 steps
+    ("no absorption gamma=2 A=100 M=256", 2.0, NoAbsorption(), ConstantDatum(100.0), 256),
+    # truncation active at n_max = 2^200 after 229 steps
+    ("no absorption gamma=2.27961 A=2.96725 delta=0.470959 M=64", 2.2796091049319673,
+     NoAbsorption(), RadialPowerDatum(2.9672476893984823, 0.47095858995382195), 64),
+    # degeneracy gamma > 1 with absorption: converged at n = 128 and 16384
+    ("gamma=3 p=0.5 A=10 M=64", 3.0, PowerAbsorption(0.5), ConstantDatum(10.0), 64),
+    ("gamma=2 p=0.5 A=100 M=256", 2.0, PowerAbsorption(0.5), ConstantDatum(100.0), 256),
+)
 
 
 def cases() -> list[tuple[str, ProblemSpec, int]]:
@@ -75,6 +98,9 @@ def cases() -> list[tuple[str, ProblemSpec, int]]:
     for cells in PROBE_CELLS:
         out.append((f"gamma=1 p=1 m=1 delta={PROBE_DELTA:g} M={cells}",
                     problem(1.0, 1.0, 1.0, RadialPowerDatum(1.0, PROBE_DELTA)), cells))
+    for name, gamma, lower, family, cells in ENDINGS:
+        out.append((name, ProblemSpec(3, 1.0, CoefficientSpec(1.0, 1.0, gamma), lower,
+                                      DatumSpec(family, 1.0)), cells))
     return out
 
 
