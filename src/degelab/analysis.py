@@ -62,6 +62,10 @@ __all__ = [
 # the prediction.
 CHECK_TOLERANCE = 1e-4
 TAIL_TOLERANCE = 0.15
+# The barrier's sup bound is audited in absolute terms: max u may exceed
+# h^{-1}(|f|_inf) by LINFTY_TOLERANCE and min u fall below 0 by LINFTY_FLOOR.
+LINFTY_TOLERANCE = 1e-8
+LINFTY_FLOOR = 1e-12
 
 TINY = 1e-300
 EPS = np.finfo(float).eps
@@ -350,16 +354,20 @@ def check_truncation_energy(u: GridFunction, f: GridFunction, gamma: float, alph
 
 def check_linfty_bound(u: GridFunction, lower: SingularAbsorption,
                        f: GridFunction) -> EstimateReport:
-    """Barrier-absorption sup bound: 0 <= u <= h^{-1}(|f|_inf), within 1e-8."""
+    """Barrier-absorption sup bound: 0 <= u <= h^{-1}(|f|_inf).
+
+    The tolerance is absolute: max u may exceed the bound by
+    ``LINFTY_TOLERANCE`` and min u fall below 0 by ``LINFTY_FLOOR``.
+    """
     f_inf = float(np.max(np.abs(f.values)))
     bound = float(lower_order_inverse(lower, f_inf))
     u_max = float(np.max(u.values))
     u_min = float(np.min(u.values))
-    passed = (u_max <= bound + 1e-8) and (u_min >= -1e-12)
+    passed = (u_max <= bound + LINFTY_TOLERANCE) and (u_min >= -LINFTY_FLOOR)
     scale = max(bound, TINY)
     return EstimateReport(
         name="linfty_bound", lhs=u_max, rhs=bound, passed=passed,
-        relative_slack=(bound - u_max) / scale, tolerance=1e-8, scale=scale,
+        relative_slack=(bound - u_max) / scale, tolerance=LINFTY_TOLERANCE, scale=scale,
         params=(("u_min", u_min), ("f_inf", f_inf), ("sigma", lower.sigma)),
     )
 

@@ -252,6 +252,19 @@ class TestCheckers:
         rep = check_linfty_bound(res.u, spec.lower, grid_function(grid, 0.0))
         assert rep.passed and rep.rhs == 0.0
 
+    def test_linfty_tolerance_is_absolute(self):
+        # bound h^{-1}(3) = 0.75 at sigma = 1: the peak may exceed it by
+        # LINFTY_TOLERANCE = 1e-8, not by 1e-8 times the bound
+        grid, _ = grid_and_weights(16)
+        spec = singular_spec(0.5, 1.0, 3.0)
+        f = grid_function(grid, 3.0)
+        for excess, passed in ((1e-8, True), (2e-8, False)):
+            u = grid_function(grid, 0.5)
+            u.values[3] = 0.75 + excess
+            rep = check_linfty_bound(u, spec.lower, f)
+            assert (rep.rhs, rep.lhs, rep.passed) == (0.75, 0.75 + excess, passed)
+        assert rep.tolerance == analysis.LINFTY_TOLERANCE == 1e-8
+
     def test_entropy_inequality_on_run(self, converged_run):
         grid, problem, u, f = converged_run
         ks = np.geomspace(0.01 * u.max_abs(), 2 * u.max_abs(), 4)

@@ -310,6 +310,19 @@ class TestNewton:
         assert not (res.flags.converged or res.flags.hit_iteration_cap)
         assert res.picard_iters == 0 and math.isnan(res.residual_inf)
 
+    def test_a_trial_that_ties_the_residual_stalls(self):
+        # barrier sigma = 1 against the datum 1e15: every node's step points
+        # past the barrier, so each trial clamps back to the start at sigma -
+        # SINGULAR_MARGIN and its residual norm ties the current one.  A tie
+        # is no progress: the level stalls after 0 steps, where accepting it
+        # would step in place until picard_max
+        grid = build_radial_grid(3, 1.0, 16)
+        problem = level(grid, singular_spec(1.0, 1.0, 1e15), 2**60)
+        start = grid_function(grid, 1.0 - solver.SINGULAR_MARGIN)
+        res = picard_solve(problem, CFG, u_init=start)
+        assert (res.flags.stop, res.picard_iters) == (Stop.STALLED, 0)
+        assert np.all(res.u.values == start.values)
+
 
 class TestOneAssemblyPath:
     @pytest.mark.parametrize("scheme", ["upwind", "arithmetic"])
