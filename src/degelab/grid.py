@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -47,9 +47,10 @@ class RadialGrid:
     faces[M] = R; ``nodes`` the cell centers.  ``gaps`` holds the
     node-to-node distance across each face (gaps[0] is unused and set to
     inf, gaps[M] is the half-cell distance from the last node to the
-    Dirichlet boundary).  Shell volumes, volume weights, face areas and
-    face weights are computed once per grid, on first use, and shared
-    read-only.
+    Dirichlet boundary).  Every array is read-only: ``build_radial_grid``
+    hands one grid per mesh to all its callers.  Shell volumes, volume
+    weights, face areas and face weights are computed once per grid, on
+    first use, and shared the same way.
     """
 
     N: int
@@ -136,11 +137,13 @@ class MeshSpec:
 
 
 def build_radial_grid(N: int, R: float, M: int, grading: float | None = None) -> RadialGrid:
-    """Build the cell-centered mesh, optionally graded toward the origin.
+    """The cell-centered mesh, optionally graded toward the origin.
 
     With grading g > 1 the cell widths form a geometric sequence whose
     first (origin) cell is exactly 1/g times the uniform width R/M; the
-    common ratio is solved so the widths still sum to R.
+    common ratio is solved so the widths still sum to R.  The last few
+    meshes built are kept: the same (N, R, M, grading) returns the same
+    read-only grid, whose volumes and face weights are then computed once.
     """
     if int(N) != N or N < 3:
         raise ValueError(f"dimension must be an integer >= 3, got {N}")
@@ -148,8 +151,11 @@ def build_radial_grid(N: int, R: float, M: int, grading: float | None = None) ->
         raise ValueError(f"radius must be positive, got {R}")
     g = 1.0 if grading is None else float(grading)
     MeshSpec(M, g)  # holds the rules on M and the grading
+    return _radial_grid(int(N), float(R), int(M), g)
 
-    N, M = int(N), int(M)
+
+@lru_cache(maxsize=16)
+def _radial_grid(N: int, R: float, M: int, g: float) -> RadialGrid:
     if g == 1.0:
         widths = np.full(M, R / M)
     else:
@@ -175,8 +181,9 @@ def build_radial_grid(N: int, R: float, M: int, grading: float | None = None) ->
     gaps[0] = np.inf
     gaps[1:M] = nodes[1:] - nodes[:-1]
     gaps[M] = R - nodes[-1]
-    return RadialGrid(N=N, R=float(R), M=M, grading=g, faces=faces, nodes=nodes,
-                      widths=widths, gaps=gaps)
+    return RadialGrid(N=N, R=R, M=M, grading=g, faces=_read_only(faces),
+                      nodes=_read_only(nodes), widths=_read_only(widths),
+                      gaps=_read_only(gaps))
 
 
 def face_gradient(u: GridFunction) -> np.ndarray:

@@ -8,21 +8,23 @@ u is, and one below the discrete maximum principle's bound on max|u|
 of the schedule that reaches both, from u = 0, and doubles until the
 clipping no longer touches u either.  Each level is one damped Newton
 iteration on the full residual F(u) = A_n(u) u + g(u) - T_n f with its
-exact Jacobian A_n(u) + diag(g'(u)) + d_u[A_n(u)] u, halved until the
-residual falls.  Every face coefficient depends on its two adjacent nodes
-at most, so that Jacobian is tridiagonal.  ``converged`` always means
-residual <= newton_tol * (1 + |T_n f|_inf).
+exact Jacobian, halved until the residual falls.  ``converged`` always
+means residual <= newton_tol * (1 + |T_n f|_inf).
 
-Conservative flux form: row i of the operator is
--(F_{i+1/2} - F_{i-1/2}) / V_i with flux
-F = r_f^(N-1) a_f (u_{i+1} - u_i)/d_f and V_i the exact shell volume of
-cell i.  Face coefficients take the frozen value at the adjacent node of
-larger |u| ("upwinded degeneracy", the smaller coefficient), the right-hand
-one at a tie.  That rule is ``grid.upwind_takes_right``, the one the
-audit's face values follow too, which makes the discrete energy chain
-inequalities used by the estimate checkers hold exactly rather than
-asymptotically.  Arithmetic-mean faces are available for convergence
-studies.
+Conservative flux form: each face carries the transmissibility
+t_f = r_f^(N-1) a_f / d_f and the flux F_f = t_f (u_{i+1} - u_i), with the
+Dirichlet ghost value 0 beyond the last node, and row i of the residual is
+(F_{i-1/2} - F_{i+1/2}) / V_i + g(u_i) - T_n f_i with V_i the exact shell
+volume of cell i (``_evaluate``, the one residual).  The Jacobian is
+built from the same t_f and F_f: on each face dF/du_left = -t_f + F_f
+rate_left share_left and dF/du_right = t_f + F_f rate_right share_right
+(``_jacobian``), so it is tridiagonal.  Face coefficients take the frozen
+value at the adjacent node of larger |u| ("upwinded degeneracy", the
+smaller coefficient), the right-hand one at a tie.  That rule is
+``grid.upwind_takes_right``, the one the audit's face values follow too,
+which makes the discrete energy chain inequalities used by the estimate
+checkers hold exactly rather than asymptotically.  Arithmetic-mean faces
+are available for convergence studies.
 """
 
 from __future__ import annotations
@@ -150,7 +152,8 @@ class SolverConfig:
 
 @dataclass(frozen=True, eq=False)
 class DiscreteOperator:
-    """Tridiagonal operator in flux form plus a right-hand side.
+    """Tridiagonal operator plus a right-hand side: A_n(u) from
+    ``assemble_frozen``, or the Jacobian of a Newton step.
 
     ``sub[i]`` couples row i to node i-1 (sub[0] unused), ``sup[i]`` to
     node i+1 (sup[M-1] unused).  Rows are scaled by the inverse shell
@@ -171,11 +174,12 @@ class DiscreteProblem:
 
     One level of the solve iterates on it, the audit checks a field
     against it and ``verify --solution`` rebuilds it from a stored field's
-    level.  All three freeze A_n at a field by the same code: ``freeze``
-    for the node arrays, then ``_faces`` and ``assemble_frozen``.
-    ``f_nodal`` is the datum at the nodes, unclipped, and must be finite;
-    ``rhs`` is T_n f.  A_n(u) is the flux-form operator whose face
-    coefficients are frozen at T_n(u) by ``scheme``, one of FACE_SCHEMES.
+    level.  All three take its residual from the same code: ``freeze`` for
+    the node arrays, ``_transmissibilities`` for the faces and
+    ``_evaluate`` for the rows.  ``f_nodal`` is the datum at the
+    nodes, unclipped, and must be finite; ``rhs`` is T_n f.  A_n(u) is the
+    flux-form operator whose face coefficients are frozen at T_n(u) by
+    ``scheme``, one of FACE_SCHEMES.
     """
 
     grid: RadialGrid
@@ -196,10 +200,6 @@ class DiscreteProblem:
         """Diffusion coefficient at every face, frozen at T_n(u)."""
         return _faces(self, self.freeze(u))
 
-    def operator(self, u: np.ndarray) -> DiscreteOperator:
-        """A_n frozen at the finite field u, with right-hand side T_n f."""
-        return assemble_frozen(self, GridFunction(self.grid, u))
-
     def freeze(self, u: np.ndarray) -> FrozenNodes:
         """u's node arrays at this level.  |T_n u| is min(|u|, n) exactly,
         and an upwind face follows ``grid.upwind_takes_right``."""
@@ -208,9 +208,17 @@ class DiscreteProblem:
         return FrozenNodes(u, mag, wins,
                            coefficient_eval(self.spec.coefficient, np.minimum(mag, self.n)))
 
+    def residual(self, u: np.ndarray) -> np.ndarray:
+        """A_n(u) u + g(u) - T_n f at the finite field u, row by row."""
+        return self._at(u).res
+
     def residual_norm(self, u: np.ndarray) -> float:
         """Sup norm of A_n(u) u + g(u) - T_n f."""
-        return float(np.max(np.abs(_residual(self.operator(u), self.spec.lower, u))))
+        return self._at(u).norm
+
+    def _at(self, u: np.ndarray) -> _Point:
+        nodes = self.freeze(u)
+        return _evaluate(self, u, nodes, _transmissibilities(self, nodes))
 
     def tolerance(self, newton_tol: float) -> float:
         """The solver's convergence contract: a residual of at most
@@ -243,8 +251,8 @@ def _faces(problem: DiscreteProblem, nodes: FrozenNodes) -> np.ndarray:
 
     An upwind face takes the coefficient of its adjacent node of larger
     |u|, the smaller one; an arithmetic face the mean of its two nodes'
-    coefficients, with the ghost value 0 beyond the last node.  The origin
-    face, which carries no flux, takes the first node's.
+    coefficients, with the ghost value a(0) beyond the last node.  The
+    origin face, which carries no flux, takes the first node's.
     """
     coeff, M = nodes.coeff, problem.grid.M
     a = np.empty(M + 1)
@@ -260,6 +268,52 @@ def _faces(problem: DiscreteProblem, nodes: FrozenNodes) -> np.ndarray:
     a[M] = 0.5 * (coefficient_eval(spec, np.minimum(nodes.mag[-1], problem.n))
                   + coefficient_eval(spec, 0.0))
     return a
+
+
+def _transmissibilities(problem: DiscreteProblem, nodes: FrozenNodes) -> np.ndarray:
+    """t_f = r_f^(N-1) a_f / d_f at every face, with a_f frozen at ``nodes``.
+    The origin face has no area, so t_0 = 0."""
+    grid = problem.grid
+    trans = _faces(problem, nodes)
+    trans *= grid.face_areas
+    trans /= grid.gaps
+    return trans
+
+
+class _Point(NamedTuple):
+    """A field at one level and what its residual was taken from: its
+    ``FrozenNodes`` (None for a Newton trial at gamma = 0, where A_n does
+    not depend on u), transmissibilities, face fluxes, residual and norm."""
+
+    u: np.ndarray
+    nodes: FrozenNodes | None
+    trans: np.ndarray
+    flux: np.ndarray
+    res: np.ndarray
+    norm: float
+
+
+def _evaluate(problem: DiscreteProblem, u: np.ndarray, nodes: FrozenNodes | None,
+              trans: np.ndarray) -> _Point:
+    """The level's residual at u from the transmissibilities ``trans``.
+
+    F_f = t_f (u_{i+1} - u_i) with the Dirichlet ghost value 0 beyond the
+    last node, and row i is (F_{i-1/2} - F_{i+1/2}) / V_i + g(u_i) - T_n f_i
+    with V_i the exact shell volume of cell i.  This is the one residual:
+    the Newton loop, ``DiscreteProblem.residual`` and ``manufactured_rhs``
+    all take it from here.
+    """
+    M = problem.grid.M
+    flux = np.empty(M + 1)
+    flux[0] = 0.0
+    np.subtract(u[1:], u[:-1], out=flux[1:M])
+    flux[M] = -u[-1]
+    flux *= trans
+    res = flux[:-1] - flux[1:]
+    res /= problem.grid.volumes
+    res += lower_order_eval(problem.spec.lower, u)
+    res -= problem.rhs
+    return _Point(u, nodes, trans, flux, res, float(np.abs(res).max()))
 
 
 class Stop(Enum):
@@ -306,17 +360,12 @@ class SingularOperatorError(RuntimeError):
     """The assembled tridiagonal system is singular."""
 
 
-def assemble_frozen(problem: DiscreteProblem,
-                    u_frozen: GridFunction | FrozenNodes) -> DiscreteOperator:
-    """Assemble A_n(u_frozen) = -div(a(r, T_n(u_frozen)) grad .) with Dirichlet
-    ghost at R and right-hand side T_n f.  The Newton loop passes the
-    ``FrozenNodes`` of its trial point, any other caller a GridFunction."""
+def assemble_frozen(problem: DiscreteProblem, u_frozen: GridFunction) -> DiscreteOperator:
+    """A_n(u_frozen) = -div(a(r, T_n(u_frozen)) grad .) as a tridiagonal
+    operator, with Dirichlet ghost at R and right-hand side T_n f.  Its
+    faces are the residual's; the Newton loop does not assemble it."""
     grid = problem.grid
-    nodes = (problem.freeze(u_frozen.values) if isinstance(u_frozen, GridFunction)
-             else u_frozen)
-    a_face = _faces(problem, nodes)
-    trans = np.zeros(grid.M + 1)
-    trans[1:] = grid.face_areas[1:] * a_face[1:] / grid.gaps[1:]
+    trans = _transmissibilities(problem, problem.freeze(u_frozen.values))
     vol = grid.volumes
     diag = (trans[:-1] + trans[1:]) / vol
     sub = np.zeros(grid.M)
@@ -339,7 +388,7 @@ def tridiag_solve(op: DiscreteOperator, rhs: np.ndarray | None = None) -> np.nda
     _, _, _, x, info = dgtsv(op.sub[1:], op.diag, op.sup[:-1], b)
     if info != 0:
         raise SingularOperatorError(f"singular tridiagonal assembly (dgtsv info {info})")
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise SingularOperatorError("tridiagonal solve produced non-finite values")
     return x
 
@@ -361,93 +410,69 @@ def _clamp_singular(term: LowerOrderTerm, values: np.ndarray) -> np.ndarray:
     return values
 
 
-def _residual(op: DiscreteOperator, lower: LowerOrderTerm, u: np.ndarray) -> np.ndarray:
-    """Nodal residual L u + g(u) - rhs of the operator op."""
-    return apply_operator(op, u) + lower_order_eval(lower, u) - op.rhs
+def _jacobian(problem: DiscreteProblem, point: _Point, gp: np.ndarray) -> DiscreteOperator:
+    """The level residual's exact Jacobian at the point, plus diag(gp).
 
-
-def _face_log_slopes(problem: DiscreteProblem,
-                     nodes: FrozenNodes) -> tuple[np.ndarray, np.ndarray]:
-    """d(ln a_f)/du at each face's left node (i-1) and right node (i).
-
-    For either coefficient form da/ds = -gamma sgn(s) a / (1 + |s|), zero
-    where the clip |s| >= n holds.  An upwind face depends only on the node
-    it takes its value from; an arithmetic face on both, in the shares
-    a_left : a_right, with the ghost value 0 beyond the last node.
+    Each face flux F_f = t_f (u_right - u_left) moves with its two nodes as
+    dF/du_left = -t_f + F_f rate_left share_left and dF/du_right = t_f +
+    F_f rate_right share_right.  The rate d(ln a)/du = -gamma sgn(u) /
+    (1 + |u|) at a node below the clip |u| < n, and 0 at or above it,
+    where T_n holds a(T_n u).  A node's share of a face: for an upwind face
+    1 at its upwind node and 0 at the other; for an arithmetic face
+    a_node / (a_left + a_right), with the ghost value a(0) beyond the last
+    node.  Row i of the residual holds (F_{i-1/2} - F_{i+1/2}) / V_i, so
+    every face couples its two nodes only and the Jacobian is tridiagonal.
+    At gamma = 0 the faces do not move and it is A_n(u) + diag(gp).
     """
-    coeff, n, M = problem.spec.coefficient, problem.n, problem.grid.M
-    mag = nodes.mag
-    rate = np.where(mag < n, -coeff.gamma * np.sign(nodes.u) / (1.0 + mag), 0.0)
-    left = np.zeros(M + 1)
-    right = np.zeros(M + 1)
-    if problem.scheme == "upwind":
-        wins = nodes.wins
-        left[1:M] = np.where(wins, 0.0, rate[:-1])
-        right[1:M] = np.where(wins, rate[1:], 0.0)
-        left[M] = rate[-1]
-    else:
-        a_left = nodes.coeff
-        a_right = np.append(a_left[1:], coefficient_eval(coeff, 0.0))
-        total = a_left + a_right
-        left[1:] = a_left / total * rate
-        right[1:M] = (a_right / total)[:-1] * rate[1:]
-    return left, right
+    M = problem.grid.M
+    trans, flux = point.trans, point.flux
+    d_left = -trans         # dF_f/du at each face's left node
+    d_right = trans.copy()  # and at its right node
+    gamma = problem.spec.coefficient.gamma
+    if gamma > 0:
+        nodes = point.nodes
+        rate = np.where(nodes.mag < problem.n,
+                        -gamma * np.sign(nodes.u) / (1.0 + nodes.mag), 0.0)
+        if problem.scheme == "upwind":
+            upwind = flux[1:M] * np.where(nodes.wins, rate[1:], rate[:-1])
+            d_left[1:M] += np.where(nodes.wins, 0.0, upwind)
+            d_right[1:M] += np.where(nodes.wins, upwind, 0.0)
+            d_left[M] += flux[M] * rate[-1]
+        else:
+            a_left = nodes.coeff
+            a_right = np.append(a_left[1:], coefficient_eval(problem.spec.coefficient, 0.0))
+            total = a_left + a_right
+            d_left[1:] += flux[1:] * (a_left / total * rate)
+            d_right[1:M] += flux[1:M] * ((a_right / total)[:-1] * rate[1:])
+    vol = problem.grid.volumes
+    return DiscreteOperator(problem.grid, d_left[:-1] / vol,
+                            (d_right[:-1] - d_left[1:]) / vol + gp, -d_right[1:] / vol,
+                            problem.rhs)
 
 
-def _exact_jacobian(op: DiscreteOperator, frozen: DiscreteOperator, nodes: FrozenNodes,
-                    problem: DiscreteProblem) -> DiscreteOperator:
-    """frozen + d_u[A_n(u)] u, the level residual's exact Jacobian at u.
-
-    ``op`` is A_n(u), assembled from ``nodes``, and ``frozen`` is op +
-    diag(g'(u)).  Row i of A_n(u) u is lam_i (u_i - u_{i-1}) - rho_i
-    (u_{i+1} - u_i) with u_M = 0, where lam_i and rho_i are the
-    transmissibilities of the cell's left and right face over its volume,
-    read off the assembled row; each face's transmissibility varies with
-    its nodes at the rates of ``_face_log_slopes``.
-    """
-    u = nodes.u
-    slope_left, slope_right = _face_log_slopes(problem, nodes)
-    lam = -op.sub
-    rho = -op.sup
-    rho[-1] = op.diag[-1] + op.sub[-1]  # the Dirichlet face has no sup entry
-    jump = np.empty(len(u) + 1)
-    jump[0] = 0.0
-    jump[1:-1] = u[1:] - u[:-1]
-    jump[-1] = -u[-1]
-    left_flux = lam * jump[:-1]
-    right_flux = -rho * jump[1:]
-    return DiscreteOperator(frozen.grid, frozen.sub + left_flux * slope_left[:-1],
-                            frozen.diag + left_flux * slope_right[:-1]
-                            + right_flux * slope_left[1:],
-                            frozen.sup + right_flux * slope_right[1:], frozen.rhs)
-
-
-def _line_search(problem: DiscreteProblem, op: DiscreteOperator, u: np.ndarray,
-                 res: np.ndarray, res_norm: float, jac: DiscreteOperator):
+def _line_search(problem: DiscreteProblem, point: _Point, jac: DiscreteOperator):
     """First point along jac's Newton direction, halving from full length
-    down to DAMPING_MIN, whose residual norm is below res_norm.
+    down to DAMPING_MIN, whose residual norm is below the point's.
 
-    The level's operator is reassembled at each trial point from the
-    trial's ``FrozenNodes``, unless gamma = 0, where A_n does not depend on
-    u and the trial is not frozen.  Returns (u, FrozenNodes or None at
-    gamma = 0, operator, residual, norm) there, or None if no trial is
+    Each trial is frozen once and takes its own transmissibilities, unless
+    gamma = 0, where A_n does not depend on u and the point's serve.
+    Returns that trial's ``_Point``, or None if no trial is
     accepted or jac is singular.
     """
     try:
-        step = tridiag_solve(jac, -res)
+        step = tridiag_solve(jac, -point.res)
     except SingularOperatorError:
         return None
     lower = problem.spec.lower
     moving = problem.spec.coefficient.gamma > 0
     factor = 1.0
     while factor >= DAMPING_MIN:
-        trial = _clamp_singular(lower, u + factor * step)
-        nodes = problem.freeze(trial) if moving else None
-        trial_op = assemble_frozen(problem, nodes) if moving else op
-        trial_res = _residual(trial_op, lower, trial)
-        trial_norm = float(np.max(np.abs(trial_res)))
-        if np.isfinite(trial_norm) and trial_norm < res_norm:
-            return trial, nodes, trial_op, trial_res, trial_norm
+        trial_u = _clamp_singular(lower, point.u + factor * step)
+        nodes = problem.freeze(trial_u) if moving else None
+        trial = _evaluate(problem, trial_u, nodes,
+                          _transmissibilities(problem, nodes) if moving else point.trans)
+        if np.isfinite(trial.norm) and trial.norm < point.norm:
+            return trial
         factor *= 0.5
     return None
 
@@ -456,46 +481,38 @@ def newton_semilinear(problem: DiscreteProblem, u0: np.ndarray,
                       cfg: SolverConfig) -> tuple[GridFunction, int, Stop, float]:
     """Damped Newton on A_n(u) u + g(u) = T_n f at one truncation level.
 
-    Each step solves with the exact Jacobian A_n(u) + diag(g'(u)) +
-    d_u[A_n(u)] u (for gamma = 0 the last term vanishes) and halves the
-    step from full length down to DAMPING_MIN until the residual falls.
-    For gamma > 0, A_n(u) is reassembled at every trial point from the
-    trial's ``FrozenNodes``, and the next step's Jacobian reuses those of
-    the accepted one; for gamma = 0 it is assembled once.  At most
-    picard_max steps are taken, g' is regularized by EPS_P for p < 1,
-    iterates with a singular absorption term stay clamped inside [0,
-    sigma - SINGULAR_MARGIN], and the iteration stalls when no trial
-    lowers the residual.  Returns the final iterate, the number of
-    accepted steps, the ``Stop`` (``CONVERGED`` once the residual is within
-    ``problem.tolerance``, ``CAPPED`` after picard_max steps, or ``STALLED``)
-    and the residual sup norm at the final iterate.
-    A nan residual is never within the tolerance.
+    Each step solves with the exact Jacobian (``_jacobian``), built from the
+    face transmissibilities and fluxes the residual was taken from, and
+    halves the step from full length down to DAMPING_MIN until the
+    residual falls.  For gamma > 0 each trial point is frozen once, and
+    the next step's Jacobian reuses the accepted one's faces; for gamma = 0
+    the faces are computed once.  At most picard_max steps are taken, g'
+    is regularized by EPS_P for p < 1, iterates with a singular absorption
+    term stay clamped inside [0, sigma - SINGULAR_MARGIN], and the
+    iteration stalls when no trial lowers the residual.  Returns the final
+    iterate, the number of accepted steps, the ``Stop`` (``CONVERGED`` once
+    the residual is within ``problem.tolerance``, ``CAPPED`` after
+    picard_max steps, or ``STALLED``) and the residual sup norm at the
+    final iterate.  A nan residual is never within the tolerance.
     """
     lower = problem.spec.lower
     tol = problem.tolerance(cfg.newton_tol)
-    u = _clamp_singular(lower, u0.copy())
-    nodes = problem.freeze(u)
-    op = assemble_frozen(problem, nodes)
-    res = _residual(op, lower, u)
-    res_norm = float(np.max(np.abs(res)))
+    point = problem._at(_clamp_singular(lower, u0.copy()))
     steps = 0
-    while not res_norm <= tol:
+    while not point.norm <= tol:
         if steps == cfg.picard_max:
             stop = Stop.CAPPED
             break
-        gp = _absorption_prime(lower, u)
-        jac = DiscreteOperator(op.grid, op.sub, op.diag + gp, op.sup, op.rhs)
-        if problem.spec.coefficient.gamma > 0:  # else A_n does not depend on u
-            jac = _exact_jacobian(op, jac, nodes, problem)
-        accepted = _line_search(problem, op, u, res, res_norm, jac)
+        jac = _jacobian(problem, point, _absorption_prime(lower, point.u))
+        accepted = _line_search(problem, point, jac)
         if accepted is None:
             stop = Stop.STALLED
             break
-        u, nodes, op, res, res_norm = accepted
+        point = accepted
         steps += 1
     else:
         stop = Stop.CONVERGED
-    return GridFunction(problem.grid, u), steps, stop, res_norm
+    return GridFunction(problem.grid, point.u), steps, stop, point.norm
 
 
 def picard_solve(problem: DiscreteProblem, cfg: SolverConfig,
@@ -566,5 +583,4 @@ def manufactured_rhs(grid: RadialGrid, spec: ProblemSpec, u_star: GridFunction,
     """Datum for which u_star is the exact discrete solution at level n: the
     residual of u_star in the level-n problem with datum zero."""
     problem = DiscreteProblem(grid, spec, np.zeros(grid.M), n, scheme)
-    return GridFunction(grid, _residual(problem.operator(u_star.values), spec.lower,
-                                        u_star.values))
+    return GridFunction(grid, problem.residual(u_star.values))

@@ -59,6 +59,18 @@ class TestBuild:
         with pytest.raises(ValueError):
             build_radial_grid(*args)
 
+    def test_one_read_only_grid_per_mesh(self):
+        # equal arguments, however spelled, share one grid and its weights;
+        # another mesh gets its own
+        grid = build_radial_grid(3, 1.0, 16, grading=2.0)
+        assert build_radial_grid(3.0, 1, 16.0, 2) is grid
+        assert build_radial_grid(3, 1.0, 16) is build_radial_grid(3, 1.0, 16, None)
+        assert build_radial_grid(3, 1.0, 16) is not grid
+        assert build_radial_grid(3, 1.0, 32, grading=2.0) is not grid
+        for name in ("faces", "nodes", "widths", "gaps"):
+            with pytest.raises(ValueError):
+                getattr(grid, name)[1] = 0.0
+
 
 class TestQuadrature:
     def test_total_weight_is_ball_volume(self):

@@ -112,6 +112,19 @@ class TestAssemble:
         assert a[3] == pytest.approx(1.0 / 8.0)   # |-7| wins
         assert a[8] == pytest.approx(1.0 / 1.5)   # boundary face vs ghost 0
 
+    @pytest.mark.parametrize("scheme", ["upwind", "arithmetic"])
+    def test_frozen_operator_applied_is_the_residual(self, scheme):
+        # A_n(u) assembled at u and applied to u, plus g(u) - T_n f, is the
+        # flux-form residual up to rounding
+        grid = build_radial_grid(3, 1.0, 32, grading=2.0)
+        spec = power_spec(1.0, 2.0, 1.0, ConstantDatum(3.0))
+        problem = level(grid, spec, 4, scheme=scheme)
+        u = grid_function(grid, lambda r: 6.0 * (1.0 - r**2))
+        applied = apply_operator(assemble_frozen(problem, u), u.values) \
+            + lower_order_eval(spec.lower, u.values) - problem.rhs
+        residual = problem.residual(u.values)
+        assert np.max(np.abs(applied - residual)) <= 1e-12 * np.max(np.abs(residual))
+
 
 class TestDiscreteProblem:
     def test_datum_must_be_finite(self):
@@ -197,58 +210,63 @@ class TestTridiagSolve:
         assert f"in scipy {scipy.__version__}" in str(err.value)
 
 
+def dense(op):
+    """The tridiagonal operator op as a dense matrix."""
+    return np.diag(op.diag) + np.diag(op.sub[1:], -1) + np.diag(op.sup[:-1], 1)
+
+
 class TestExactJacobian:
+    @staticmethod
+    def jacobian(problem, u):
+        """The Newton loop's Jacobian at u, from the point its residual is taken at."""
+        return dense(solver._jacobian(problem, problem._at(u),
+                                      solver._absorption_prime(problem.spec.lower, u)))
+
     @pytest.mark.parametrize("scheme", ["upwind", "arithmetic"])
     @pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0])
     @pytest.mark.parametrize("scaled", [False, True])
     def test_matches_central_differences(self, scheme, gamma, scaled):
-        # the frozen part comes from the solver's own g', at two powers p
-        # so that a wrong factor or exponent in g' shows; scaled, alpha = 2
-        # shows a coefficient term off by a factor of alpha
+        # central differences of DiscreteProblem.residual, the one residual;
+        # g' is the solver's own, at two powers p so that a wrong factor or
+        # exponent in g' shows; scaled, alpha = 2 shows a coefficient term
+        # off by a factor of alpha
         grid = build_radial_grid(3, 1.0, 24, grading=2.0)
         alpha = 2.0 if scaled else 1.0
         coeff = CoefficientSpec(alpha, alpha, gamma)
         n, h = 4, 1e-6
         rng = np.random.default_rng(5)
         u = rng.normal(0.0, 3.0, grid.M)
-        rhs = rng.normal(0.0, 1.0, grid.M)
+        f = rng.normal(0.0, 1.0, grid.M)
         # the stencil crosses no upwind tie and no clip at |u| = n, and some
         # nodes are clipped
         assert np.min(np.abs(np.abs(u[1:]) - np.abs(u[:-1]))) > 100 * h
         assert np.min(np.abs(np.abs(u) - n)) > 100 * h
         assert np.any(np.abs(u) > n)
-        problem = coefficient_level(grid, coeff, n, scheme)
-        op = replace(problem.operator(u), rhs=rhs)
-
-        def dense(t):
-            return np.diag(t.diag) + np.diag(t.sub[1:], -1) + np.diag(t.sup[:-1], 1)
-
         for p in (2.0, 3.0):
-            lower = PowerAbsorption(p)
-
-            def F(v):
-                op = problem.operator(v)
-                return apply_operator(op, v) + lower_order_eval(lower, v) - rhs
-
-            fd = np.column_stack([(F(u + h * e) - F(u - h * e)) / (2 * h)
-                                  for e in np.eye(grid.M)])
-            frozen = replace(op, diag=op.diag + solver._absorption_prime(lower, u))
-            jac = solver._exact_jacobian(op, frozen, problem.freeze(u), problem)
+            spec = replace(poisson_spec(), coefficient=coeff, lower=PowerAbsorption(p))
+            problem = DiscreteProblem(grid, spec, f, n, scheme)
+            fd = np.column_stack([(problem.residual(u + h * e) - problem.residual(u - h * e))
+                                  / (2 * h) for e in np.eye(grid.M)])
+            jac = self.jacobian(problem, u)
             scale = np.max(np.abs(fd))
-            assert np.max(np.abs(dense(jac) - fd)) <= 1e-6 * scale, p
-            coefficient_part = np.max(np.abs(dense(jac) - dense(frozen)))
+            assert np.max(np.abs(jac - fd)) <= 1e-6 * scale, p
+            frozen = dense(assemble_frozen(problem, grid_function(grid, u))) \
+                + np.diag(solver._absorption_prime(spec.lower, u))
+            coefficient_part = np.max(np.abs(jac - frozen))
             assert coefficient_part == 0.0 if gamma == 0.0 else coefficient_part > 1e-3 * scale
 
     @pytest.mark.parametrize("scheme", ["upwind", "arithmetic"])
     def test_no_rate_at_a_node_exactly_on_the_clip(self, scheme):
-        # |u| = n at nodes 2 and 4: T_n holds a(T_n u) there, so neither face
-        # of either node moves with it; node 1 lies below n and does
+        # |u| = n at nodes 2 and 4: T_n holds a(T_n u) there, so no face
+        # coefficient moves with them and their Jacobian columns are the
+        # frozen operator's; node 1 lies below n and its column is not
         grid = build_radial_grid(3, 1.0, 8)
         problem = coefficient_level(grid, CoefficientSpec(1.0, 1.0, 1.0), 4, scheme)
         u = np.array([0.5, 1.0, 4.0, 1.0, -4.0, 2.0, 0.5, 0.25])
-        left, right = solver._face_log_slopes(problem, problem.freeze(u))
-        assert right[2] == left[3] == right[4] == left[5] == 0.0
-        assert right[1] < 0.0
+        jac = self.jacobian(problem, u)
+        frozen = dense(assemble_frozen(problem, grid_function(grid, u)))
+        assert np.array_equal(jac[:, [2, 4]], frozen[:, [2, 4]])
+        assert not np.allclose(jac[:, 1], frozen[:, 1])
 
 
 class TestNewton:
@@ -328,28 +346,33 @@ class TestOneAssemblyPath:
     @pytest.mark.parametrize("scheme", ["upwind", "arithmetic"])
     @pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0])
     def test_newton_operator_is_the_problems(self, monkeypatch, scheme, gamma):
-        # the operator each residual of the Newton loop is taken with is, bit
-        # for bit, DiscreteProblem.operator at that point, the one the audit
-        # and verify --solution use (at gamma = 0, the loop's one assembly);
+        # every residual the Newton loop takes, from the faces it carries
+        # (at gamma = 0, the start's), is bit for bit DiscreteProblem.residual
+        # at that point, the one the audit and verify --solution use;
         # alpha = 0.01 lifts u above n = 4 inside the ball
         seen = []
-        original = solver.apply_operator
-        monkeypatch.setattr(solver, "apply_operator",
-                            lambda op, u: seen.append((op, u)) or original(op, u))
+        original = solver._evaluate
+
+        def recording(*args):
+            point = original(*args)
+            seen.append((point.u, point.res))
+            return point
+
+        monkeypatch.setattr(solver, "_evaluate", recording)
         grid = build_radial_grid(3, 1.0, 32, grading=2.0)
         spec = ProblemSpec(3, 1.0, CoefficientSpec(0.01, 0.01, gamma), PowerAbsorption(0.5),
                            DatumSpec(ConstantDatum(50.0), 1.0))
         problem = level(grid, spec, 4, scheme=scheme)
         res = picard_solve(problem, CFG)
+        taken = list(seen)
         assert res.flags.converged and res.picard_iters > 1
-        assert len(seen) > res.picard_iters
+        assert len(taken) > res.picard_iters
         clipped = np.abs(res.u.values) > problem.n
         assert clipped.any() and not clipped.all()
-        assert seen[-1][1].tobytes() == res.u.values.tobytes()
-        for op, u in seen:
-            again = problem.operator(u)
-            for name in ("sub", "diag", "sup", "rhs"):
-                assert getattr(op, name).tobytes() == getattr(again, name).tobytes(), name
+        assert taken[-1][0].tobytes() == res.u.values.tobytes()
+        for u, residual in taken:
+            assert residual.tobytes() == problem.residual(u).tobytes()
+        assert res.residual_inf == problem.residual_norm(res.u.values)
 
 
 class TestPicard:
