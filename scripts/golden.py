@@ -21,23 +21,39 @@ skip reasons.  Two fingerprints agree when the flags, levels, steps,
 labels, skips and verdicts are equal and every value agrees to
 ``REL_TOL`` relative.  A report within ``REL_TOL`` of its own pass/fail
 edge, in either fingerprint, is listed under ``edge`` and compared by
-value only.  The case list is this file's own, so no benchmark change
-moves it.  A change that means to alter behaviour rewrites the file in
-the same commit, and the file's diff lists what moved.
+value only.
+
+Last come the product cases (``PRODUCTS``): a command of ``degelab.cli``
+on a shipped config, run in process into a temporary directory.  Each
+holds the exit status and the tables the command wrote: the cells of
+``records.csv`` (without its timestamp line), the table rows of
+``summary.md`` and the cells of ``mms.csv``.  Two agree when the status
+is equal and, cell by cell, strings are equal and numbers agree to
+``REL_TOL`` relative; a ``slack`` cell, itself a relative difference,
+agrees to ``REL_TOL`` absolute.
+
+The case list is this file's own, so no benchmark change moves it.  A
+change that means to alter behaviour rewrites the file in the same
+commit, and the file's diff lists what moved.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import csv
+import io
 import itertools
 import json
 import math
 import sys
+import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
+from degelab import cli  # noqa: E402
 from degelab.experiments import MeshSpec, run_single  # noqa: E402
 from degelab.problem import (  # noqa: E402
     CoefficientSpec,
@@ -81,6 +97,14 @@ ENDINGS = (
     ("gamma=2 p=0.5 A=100 M=256", 2.0, PowerAbsorption(0.5), ConstantDatum(100.0), 256),
 )
 
+# (command, config) of each product case
+PRODUCTS = (
+    ("solve", "configs/example.ini"),
+    ("sweep", "configs/example.ini"),
+    ("sweep", "configs/regime_sweep.ini"),
+    ("mms", "configs/mms_upwind.ini"),
+)
+
 
 def cases() -> list[tuple[str, ProblemSpec, int]]:
     """(name, problem, cell count) of every case, in fingerprint order."""
@@ -113,8 +137,33 @@ def _exponent(fit) -> float:
     return fit.exponent if fit is not None and fit.sufficient else math.nan
 
 
+def _tables(out: Path) -> dict[str, list[list[str]]]:
+    """The cells of every table a command wrote under ``out``."""
+    tables = {}
+    for name in ("records.csv", "mms.csv"):
+        path = out / name
+        if path.exists():
+            lines = [line for line in path.read_text().splitlines()
+                     if not line.startswith("#")]
+            tables[name] = list(csv.reader(lines))
+    path = out / "summary.md"
+    if path.exists():
+        tables["summary.md"] = [[cell.strip() for cell in line.strip("|").split("|")]
+                                for line in path.read_text().splitlines()
+                                if line.startswith("| ") and not line.startswith("| ---")]
+    return tables
+
+
+def product(command: str, config: str) -> dict:
+    """One product case: ``degelab COMMAND CONFIG`` into a temporary directory."""
+    with tempfile.TemporaryDirectory() as out:
+        with contextlib.redirect_stdout(io.StringIO()):
+            status = cli.main([command, str(ROOT / config), "-o", out])
+        return {"case": f"{command} {config}", "exit": status, "tables": _tables(Path(out))}
+
+
 def fingerprint() -> list[dict]:
-    """One entry per case of :func:`cases`."""
+    """One entry per case of :func:`cases`, then one per product case."""
     cfg = SolverConfig()
     out = []
     for name, spec, cells in cases():
@@ -132,11 +181,43 @@ def fingerprint() -> list[dict]:
             "tail_grad": _exponent(rec.checks.tail_grad),
             "skipped": rec.checks.skipped,
         })
-    return out
+    return out + [product(command, config) for command, config in PRODUCTS]
 
 
-def _close(a: float, b: float) -> bool:
-    return (math.isnan(a) and math.isnan(b)) or math.isclose(a, b, rel_tol=REL_TOL)
+def _close(a: float, b: float, abs_tol: float = 0.0) -> bool:
+    return (math.isnan(a) and math.isnan(b)) or math.isclose(a, b, rel_tol=REL_TOL,
+                                                             abs_tol=abs_tol)
+
+
+def _number(cell: str) -> float | None:
+    try:
+        return float(cell)
+    except ValueError:
+        return None
+
+
+def _compare_tables(case: str, expected: dict, actual: dict) -> list[str]:
+    """Every difference between two product cases' tables, one line each."""
+    if expected.keys() != actual.keys():
+        return [f"{case}: tables {sorted(expected)} -> {sorted(actual)}"]
+    diffs = []
+    for name, rows in expected.items():
+        rows2 = actual[name]
+        if len(rows) != len(rows2):
+            diffs.append(f"{case}: {name} has {len(rows)} -> {len(rows2)} rows")
+            continue
+        header = rows[0] if rows else []
+        for i, (row, row2) in enumerate(zip(rows, rows2)):
+            if len(row) != len(row2):
+                diffs.append(f"{case}: {name} row {i} has {len(row)} -> {len(row2)} cells")
+                continue
+            for j, (cell, cell2) in enumerate(zip(row, row2)):
+                x, y = _number(cell), _number(cell2)
+                slack = j < len(header) and header[j] == "slack"
+                if cell != cell2 and (x is None or y is None or
+                                      not _close(x, y, REL_TOL if slack else 0.0)):
+                    diffs.append(f"{case}: {name} row {i} cell {j} {cell!r} -> {cell2!r}")
+    return diffs
 
 
 def compare(expected: list[dict], actual: list[dict]) -> list[str]:
@@ -146,6 +227,11 @@ def compare(expected: list[dict], actual: list[dict]) -> list[str]:
     diffs = []
     for exp, act in zip(expected, actual):
         case = exp["case"]
+        if "tables" in exp:
+            if exp["exit"] != act["exit"]:
+                diffs.append(f"{case}: exit {exp['exit']!r} -> {act['exit']!r}")
+            diffs += _compare_tables(case, exp["tables"], act["tables"])
+            continue
         for key in ("stop", "truncation_active", "n_final", "steps", "skipped"):
             if exp[key] != act[key]:
                 diffs.append(f"{case}: {key} {exp[key]!r} -> {act[key]!r}")
@@ -166,10 +252,23 @@ def compare(expected: list[dict], actual: list[dict]) -> list[str]:
     return diffs
 
 
+def _dumps(entry: dict) -> str:
+    """A run case on one line; a product case with one table row per line."""
+    if "tables" not in entry:
+        return json.dumps(entry, separators=(",", ":"))
+    tables = ",".join(
+        json.dumps(name) + ":[\n" + ",\n".join(json.dumps(row, separators=(",", ":"))
+                                               for row in rows) + "\n]"
+        for name, rows in entry["tables"].items())
+    return (f'{{"case":{json.dumps(entry["case"])},"exit":{json.dumps(entry["exit"])},'
+            f'"tables":{{{tables}}}}}')
+
+
 def write(entries: list[dict], path: Path = GOLDEN_PATH) -> None:
-    """One case per line, so the file diffs case by case."""
+    """One run case per line, and one product table row per line, so the
+    file diffs case by case."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    body = ",\n".join(json.dumps(entry, separators=(",", ":")) for entry in entries)
+    body = ",\n".join(_dumps(entry) for entry in entries)
     path.write_text(f"[\n{body}\n]\n")
 
 

@@ -36,3 +36,31 @@ def test_compare_reports_moved_values_and_verdicts(golden):
     near = {**case, "edge": [label],
             "reports": [[label, lhs * (1 + 1e-10), rhs, not passed], *case["reports"][1:]]}
     assert golden.compare(expected, [near, *expected[1:]]) == []
+
+
+
+def test_compare_reports_moved_product_cells(golden):
+    expected = golden.load()
+    case = next(entry for entry in expected if entry["case"] == "solve configs/example.ini")
+    rows = case["tables"]["records.csv"]
+    header, row = rows[0], rows[1]
+    lhs, slack, passed = (header.index(col) for col in ("lhs", "slack", "passed"))
+
+    def moved(status, cells):
+        """``expected`` with the case's exit status and first row's cells replaced."""
+        new_row = [cells.get(j, cell) for j, cell in enumerate(row)]
+        tables = {**case["tables"], "records.csv": [header, new_row, *rows[2:]]}
+        return [entry if entry is not case else {**case, "exit": status, "tables": tables}
+                for entry in expected]
+
+    flipped = "false" if row[passed] == "true" else "true"
+    lhs_moved = repr(float(row[lhs]) * (1 + 1e-8))
+    assert golden.compare(expected, moved(2, {lhs: lhs_moved, passed: flipped})) == [
+        f"{case['case']}: exit 0 -> 2",
+        f"{case['case']}: records.csv row 1 cell {lhs} {row[lhs]!r} -> {lhs_moved!r}",
+        f"{case['case']}: records.csv row 1 cell {passed} {row[passed]!r} -> {flipped!r}",
+    ]
+    # a number within REL_TOL, and a slack within REL_TOL absolute, are no difference
+    assert golden.compare(expected, moved(0, {
+        lhs: repr(float(row[lhs]) * (1 + 1e-10)),
+        slack: repr(float(row[slack]) + 1e-10)})) == []
