@@ -7,8 +7,8 @@ reuse the assembly's face weights, and the entropy checker the face
 coefficients of the solved discrete problem, so on a converged solve its
 identity holds up to the nonlinear-solve residual, absorbed by the audit's
 tolerance ``CHECK_TOLERANCE`` (the Marcinkiewicz gate's is ``TAIL_TOLERANCE``).
-The energy checkers need only the upwind coefficient as a lower bound, and
-no arithmetic face falls below it.
+The energy checkers take the upwind coefficient as a lower bound on the
+face coefficient; on the solver's faces it is exact.
 
 A checker sampled over cutoff levels k clips the field at a block of
 levels in one array and takes the block's face gradients at once
@@ -395,7 +395,7 @@ def check_entropy_inequality(u: GridFunction, problem, k_levels,
 
     in the discrete problem ``problem`` (a ``solver.DiscreteProblem``) that
     u solves: its datum T_n f, its absorption g and its face coefficients
-    a_f at T_n(u), of the scheme the solve used.  The test functions phi
+    a_f at T_n(u), the solve's own upwind faces.  The test functions phi
     are bounded and vanish at the boundary; ``phi_samples`` holds
     (label, phi) pairs of GridFunctions (default: zero and two parabolic
     bumps of half the solution range).  On a converged solve this holds

@@ -99,7 +99,6 @@ _KEYS = (
     ("solver", "picard_max", int, None, "picard_max"),
     ("solver", "newton_tol", float, None, "newton_tol"),
     ("solver", "n_max", int, None, "n_max"),
-    ("solver", "face_scheme", str, None, "face_scheme"),
     ("output", "directory", str, "out", "output_dir"),
     *(("sweep", axis, _float_list, None, "sweep_axes")
       for axis in ("gamma", "p", "m", "N", "delta", "M")),
@@ -344,7 +343,7 @@ def _verify_solution_file(config: Config, solution_path: str):
     try:
         with np.errstate(over="ignore"):  # an overflowing datum is reported below
             f_nodal = datum_eval(spec.datum, grid.nodes)
-        problem = DiscreteProblem(grid, spec, f_nodal, n_final, config.solver.face_scheme)
+        problem = DiscreteProblem(grid, spec, f_nodal, n_final)
     except ValueError as err:
         raise ConfigError([f"cannot audit {solution_path} against the config's datum "
                            f"({type(err).__name__}: {err})"]) from err

@@ -454,7 +454,7 @@ def mesh_refinement_study(spec: ProblemSpec, u_star: Callable[[np.ndarray], np.n
         star_fine = grid_function(fine, u_star)
         # the first level that clips nowhere on the fine mesh
         level = cfg.level_at_least(math.floor(np.max(np.abs(star_fine.values))) + 1)
-        f_fine = manufactured_rhs(fine, spec, star_fine, level, cfg.face_scheme)
+        f_fine = manufactured_rhs(fine, spec, star_fine, level)
 
         def rhs(r):
             return np.interp(r, fine.nodes, f_fine.values)

@@ -23,8 +23,8 @@ value at the adjacent node of larger |u| ("upwinded degeneracy", the
 smaller coefficient), the right-hand one at a tie.  That rule is
 ``grid.upwind_takes_right``, the one the audit's face values follow too,
 which makes the discrete energy chain inequalities used by the estimate
-checkers hold exactly rather than asymptotically.  Arithmetic-mean faces
-are available for convergence studies.
+checkers hold exactly rather than asymptotically.  It is the only face
+rule, and it converges at first order on degenerate problems.
 """
 
 from __future__ import annotations
@@ -88,7 +88,6 @@ dgtsv = _load_flapack().dgtsv
 
 
 __all__ = [
-    "FACE_SCHEMES",
     "SolverConfig",
     "DiscreteOperator",
     "DiscreteProblem",
@@ -109,7 +108,6 @@ FIRST_LEVEL = 1            # first level of the truncation schedule
 DAMPING_MIN = 2.0**-20     # smallest line-search step factor
 EPS_P = 1e-10              # regularization of g'(s) = p |s|^(p-1) at s = 0 for p < 1
 SINGULAR_MARGIN = 1e-12    # Newton iterates stay in [0, sigma - SINGULAR_MARGIN]
-FACE_SCHEMES = ("upwind", "arithmetic")
 
 
 @dataclass(frozen=True)
@@ -122,16 +120,12 @@ class SolverConfig:
     picard_max: int = 200             # Newton steps per truncation level or Newton solve
     newton_tol: float = 1e-10         # residual tolerance, relative to 1 + |rhs|
     n_max: int = 2**200               # last truncation level
-    face_scheme: str = "upwind"       # one of FACE_SCHEMES
 
     def __post_init__(self):
         if not (isinstance(self.picard_max, int) and self.picard_max >= 1):
             raise ValueError(f"picard_max must be an integer >= 1, got {self.picard_max!r}")
         if not (0 < self.newton_tol < math.inf):
             raise ValueError(f"newton_tol must be finite and positive, got {self.newton_tol!r}")
-        if self.face_scheme not in FACE_SCHEMES:
-            raise ValueError(f"face_scheme must be {' or '.join(map(repr, FACE_SCHEMES))}, "
-                             f"got {self.face_scheme!r}")
         if not (isinstance(self.n_max, int) and self.n_max >= FIRST_LEVEL):
             raise ValueError(f"n_max must be an integer >= {FIRST_LEVEL}, got {self.n_max!r}")
 
@@ -178,20 +172,16 @@ class DiscreteProblem:
     the node arrays, ``_transmissibilities`` for the faces and
     ``_evaluate`` for the rows.  ``f_nodal`` is the datum at the
     nodes, unclipped, and must be finite; ``rhs`` is T_n f.  A_n(u) is the
-    flux-form operator whose face coefficients are frozen at T_n(u) by
-    ``scheme``, one of FACE_SCHEMES.
+    flux-form operator whose upwind face coefficients are frozen at T_n(u).
     """
 
     grid: RadialGrid
     spec: ProblemSpec
     f_nodal: np.ndarray
     n: int
-    scheme: str
     rhs: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.scheme not in FACE_SCHEMES:
-            raise ValueError(f"unknown face scheme {self.scheme!r}")
         f_nodal = GridFunction(self.grid, self.f_nodal).values  # finite, of length M
         object.__setattr__(self, "f_nodal", f_nodal)
         object.__setattr__(self, "rhs", np.clip(f_nodal, -self.n, self.n))
@@ -202,10 +192,9 @@ class DiscreteProblem:
 
     def freeze(self, u: np.ndarray) -> FrozenNodes:
         """u's node arrays at this level.  |T_n u| is min(|u|, n) exactly,
-        and an upwind face follows ``grid.upwind_takes_right``."""
+        and each face's upwind node follows ``grid.upwind_takes_right``."""
         mag = np.abs(u)
-        wins = upwind_takes_right(mag) if self.scheme == "upwind" else None
-        return FrozenNodes(u, mag, wins,
+        return FrozenNodes(u, mag, upwind_takes_right(mag),
                            coefficient_eval(self.spec.coefficient, np.minimum(mag, self.n)))
 
     def residual(self, u: np.ndarray) -> np.ndarray:
@@ -242,31 +231,22 @@ class FrozenNodes(NamedTuple):
 
     u: np.ndarray
     mag: np.ndarray            # |u|
-    wins: np.ndarray | None    # upwind: upwind_takes_right(mag); arithmetic: None
+    wins: np.ndarray           # upwind_takes_right(mag)
     coeff: np.ndarray          # a(T_n u) at the nodes
 
 
 def _faces(problem: DiscreteProblem, nodes: FrozenNodes) -> np.ndarray:
     """Diffusion coefficient at every face, frozen at T_n(u).
 
-    An upwind face takes the coefficient of its adjacent node of larger
-    |u|, the smaller one; an arithmetic face the mean of its two nodes'
-    coefficients, with the ghost value a(0) beyond the last node.  The
-    origin face, which carries no flux, takes the first node's.
+    A face takes the coefficient of its adjacent node of larger |u|, the
+    smaller one; the Dirichlet face takes the last node's.  The origin
+    face, which carries no flux, takes the first node's.
     """
     coeff, M = nodes.coeff, problem.grid.M
     a = np.empty(M + 1)
     a[0] = coeff[0]
-    if problem.scheme == "upwind":
-        a[1:M] = np.where(nodes.wins, coeff[1:], coeff[:-1])
-        a[M] = coeff[-1]
-        return a
-    a[1:M] = 0.5 * (coeff[:-1] + coeff[1:])
-    # scalar evaluations: numpy's scalar power can differ in the last bit from
-    # the array power in coeff[-1], and this scheme's outputs follow the scalar
-    spec = problem.spec.coefficient
-    a[M] = 0.5 * (coefficient_eval(spec, np.minimum(nodes.mag[-1], problem.n))
-                  + coefficient_eval(spec, 0.0))
+    a[1:M] = np.where(nodes.wins, coeff[1:], coeff[:-1])
+    a[M] = coeff[-1]
     return a
 
 
@@ -417,10 +397,9 @@ def _jacobian(problem: DiscreteProblem, point: _Point, gp: np.ndarray) -> Discre
     dF/du_left = -t_f + F_f rate_left share_left and dF/du_right = t_f +
     F_f rate_right share_right.  The rate d(ln a)/du = -gamma sgn(u) /
     (1 + |u|) at a node below the clip |u| < n, and 0 at or above it,
-    where T_n holds a(T_n u).  A node's share of a face: for an upwind face
-    1 at its upwind node and 0 at the other; for an arithmetic face
-    a_node / (a_left + a_right), with the ghost value a(0) beyond the last
-    node.  Row i of the residual holds (F_{i-1/2} - F_{i+1/2}) / V_i, so
+    where T_n holds a(T_n u).  A node's share of a face is 1 at its upwind
+    node and 0 at the other; the Dirichlet face moves with the last node
+    only.  Row i of the residual holds (F_{i-1/2} - F_{i+1/2}) / V_i, so
     every face couples its two nodes only and the Jacobian is tridiagonal.
     At gamma = 0 the faces do not move and it is A_n(u) + diag(gp).
     """
@@ -433,17 +412,10 @@ def _jacobian(problem: DiscreteProblem, point: _Point, gp: np.ndarray) -> Discre
         nodes = point.nodes
         rate = np.where(nodes.mag < problem.n,
                         -gamma * np.sign(nodes.u) / (1.0 + nodes.mag), 0.0)
-        if problem.scheme == "upwind":
-            upwind = flux[1:M] * np.where(nodes.wins, rate[1:], rate[:-1])
-            d_left[1:M] += np.where(nodes.wins, 0.0, upwind)
-            d_right[1:M] += np.where(nodes.wins, upwind, 0.0)
-            d_left[M] += flux[M] * rate[-1]
-        else:
-            a_left = nodes.coeff
-            a_right = np.append(a_left[1:], coefficient_eval(problem.spec.coefficient, 0.0))
-            total = a_left + a_right
-            d_left[1:] += flux[1:] * (a_left / total * rate)
-            d_right[1:M] += flux[1:M] * ((a_right / total)[:-1] * rate[1:])
+        upwind = flux[1:M] * np.where(nodes.wins, rate[1:], rate[:-1])
+        d_left[1:M] += np.where(nodes.wins, 0.0, upwind)
+        d_right[1:M] += np.where(nodes.wins, upwind, 0.0)
+        d_left[M] += flux[M] * rate[-1]
     vol = problem.grid.volumes
     return DiscreteOperator(problem.grid, d_left[:-1] / vol,
                             (d_right[:-1] - d_left[1:]) / vol + gp, -d_right[1:] / vol,
@@ -570,7 +542,7 @@ def truncation_continuation(grid: RadialGrid, spec: ProblemSpec, cfg: SolverConf
     steps = 0
     result: SolveResult | None = None
     while True:
-        problem = DiscreteProblem(grid, spec, f_nodal, n, cfg.face_scheme)
+        problem = DiscreteProblem(grid, spec, f_nodal, n)
         result = picard_solve(problem, cfg, u_init=None if result is None else result.u)
         steps += result.picard_iters
         if not result.flags.truncation_active or n == cfg.n_max:
@@ -579,8 +551,8 @@ def truncation_continuation(grid: RadialGrid, spec: ProblemSpec, cfg: SolverConf
 
 
 def manufactured_rhs(grid: RadialGrid, spec: ProblemSpec, u_star: GridFunction,
-                     n: int, scheme: str = "upwind") -> GridFunction:
+                     n: int) -> GridFunction:
     """Datum for which u_star is the exact discrete solution at level n: the
     residual of u_star in the level-n problem with datum zero."""
-    problem = DiscreteProblem(grid, spec, np.zeros(grid.M), n, scheme)
+    problem = DiscreteProblem(grid, spec, np.zeros(grid.M), n)
     return GridFunction(grid, problem.residual(u_star.values))

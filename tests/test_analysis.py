@@ -350,7 +350,7 @@ def assert_entropy_per_pair(u, ks, gamma, p, phis):
     spec = power_spec(gamma, p, 1.0)
     f = grid_function(grid, lambda r: 1.0 + r)
     # n = 2^30 clips neither the field nor the datum
-    problem = DiscreteProblem(grid, spec, f.values, 2**30, "upwind")
+    problem = DiscreteProblem(grid, spec, f.values, 2**30)
     a_face = coefficient_eval(spec.coefficient, face_upwind_values(grid, u.values))
     wf = grid.face_weights
     grad_u = face_gradient(u)

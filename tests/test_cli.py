@@ -84,19 +84,31 @@ class TestParse:
         with pytest.raises(ConfigError, match="unknown key"):
             parse_config("[problem]\nnonsense = 1\n")
 
+    def test_face_scheme_is_an_unknown_key(self, tmp_path, capsys):
+        # the faces are always upwind, so the key that chose them is gone:
+        # example.ini with it set, as the key's default, exits 3
+        example = Path(__file__).resolve().parents[1] / "configs" / "example.ini"
+        conf = tmp_path / "example.ini"
+        conf.write_text(example.read_text().replace("\n[output]",
+                                                    "face_scheme = upwind\n\n[output]"))
+        assert main(["solve", str(conf), "-o", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert capsys.readouterr().err == \
+            "config error: unknown key 'face_scheme' in section [solver]\n"
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_section_rejected(self):
         with pytest.raises(ConfigError, match="unknown section"):
             parse_config("[nonsense]\nx = 1\n")
 
     def test_all_violations_collected(self):
         bad = ("[problem]\nN = 2\np = -1\nm = 0.5\nfoo = 3\n"
-               "[solver]\nface_scheme = central\n")
+               "[solver]\nnewton_tol = 0\n")
         with pytest.raises(ConfigError) as err:
             parse_config(bad)
         text = "\n".join(err.value.violations)
         assert len(err.value.violations) >= 5
         assert "N" in text and "p" in text and "m" in text and "foo" in text
-        assert "face_scheme" in text
+        assert "newton_tol" in text
 
     def test_singular_family(self):
         cfg = parse_config("[problem]\nsigma = 1.0\namplitude = 3.0\n")
@@ -139,7 +151,7 @@ class TestParse:
         targets = collections.Counter(target for *_, target in _KEYS)
         scalars = {f.name for cls in specs for f in dataclasses.fields(cls)
                    if f.type in ("int", "float", "str")}
-        assert len(scalars) == 14
+        assert len(scalars) == 13
         assert {name: targets[name] for name in scalars} == dict.fromkeys(scalars, 1)
         fields = {f.name for cls in (*specs, ProblemSpec, Config)
                   for f in dataclasses.fields(cls)}
@@ -190,9 +202,6 @@ class TestParse:
                        lambda: SolverConfig(newton_tol=0.0)),
         "n_max": ("[solver]\nn_max = 0", "[solver] n_max must be an integer >= 1, got 0",
                   lambda: SolverConfig(n_max=0)),
-        "face_scheme": ("[solver]\nface_scheme = central",
-                        "[solver] face_scheme must be 'upwind' or 'arithmetic', got 'central'",
-                        lambda: SolverConfig(face_scheme="central")),
     }
 
     @pytest.mark.parametrize("rule", list(RULES))

@@ -40,16 +40,16 @@ from degelab.solver import (
 )
 
 
-def level(grid, spec, n, f_values=None, scheme="upwind"):
+def level(grid, spec, n, f_values=None):
     """The level-n discrete problem of spec's datum, or of f_values, on grid."""
     f = datum_eval(spec.datum, grid.nodes) if f_values is None else f_values.values
-    return DiscreteProblem(grid, spec, f, n, scheme)
+    return DiscreteProblem(grid, spec, f, n)
 
 
-def coefficient_level(grid, coeff, n, scheme="upwind"):
+def coefficient_level(grid, coeff, n):
     """A level-n discrete problem with coefficient coeff and datum zero."""
     return DiscreteProblem(grid, replace(poisson_spec(), coefficient=coeff),
-                           np.zeros(grid.M), n, scheme)
+                           np.zeros(grid.M), n)
 
 
 def synthetic_operator(grid, sub, diag, sup, rhs):
@@ -112,13 +112,12 @@ class TestAssemble:
         assert a[3] == pytest.approx(1.0 / 8.0)   # |-7| wins
         assert a[8] == pytest.approx(1.0 / 1.5)   # boundary face vs ghost 0
 
-    @pytest.mark.parametrize("scheme", ["upwind", "arithmetic"])
-    def test_frozen_operator_applied_is_the_residual(self, scheme):
+    def test_frozen_operator_applied_is_the_residual(self):
         # A_n(u) assembled at u and applied to u, plus g(u) - T_n f, is the
         # flux-form residual up to rounding
         grid = build_radial_grid(3, 1.0, 32, grading=2.0)
         spec = power_spec(1.0, 2.0, 1.0, ConstantDatum(3.0))
-        problem = level(grid, spec, 4, scheme=scheme)
+        problem = level(grid, spec, 4)
         u = grid_function(grid, lambda r: 6.0 * (1.0 - r**2))
         applied = apply_operator(assemble_frozen(problem, u), u.values) \
             + lower_order_eval(spec.lower, u.values) - problem.rhs
@@ -136,7 +135,7 @@ class TestDiscreteProblem:
             f = datum_eval(spec.datum, grid.nodes)
         assert f[0] == np.inf
         with pytest.raises(ValueError, match="must be finite"):
-            DiscreteProblem(grid, spec, f, 2**30, "upwind")
+            DiscreteProblem(grid, spec, f, 2**30)
 
     def test_level_clips_datum_and_sets_contract(self):
         grid = build_radial_grid(3, 1.0, 8)
@@ -222,10 +221,9 @@ class TestExactJacobian:
         return dense(solver._jacobian(problem, problem._at(u),
                                       solver._absorption_prime(problem.spec.lower, u)))
 
-    @pytest.mark.parametrize("scheme", ["upwind", "arithmetic"])
     @pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0])
     @pytest.mark.parametrize("scaled", [False, True])
-    def test_matches_central_differences(self, scheme, gamma, scaled):
+    def test_matches_central_differences(self, gamma, scaled):
         # central differences of DiscreteProblem.residual, the one residual;
         # g' is the solver's own, at two powers p so that a wrong factor or
         # exponent in g' shows; scaled, alpha = 2 shows a coefficient term
@@ -244,7 +242,7 @@ class TestExactJacobian:
         assert np.any(np.abs(u) > n)
         for p in (2.0, 3.0):
             spec = replace(poisson_spec(), coefficient=coeff, lower=PowerAbsorption(p))
-            problem = DiscreteProblem(grid, spec, f, n, scheme)
+            problem = DiscreteProblem(grid, spec, f, n)
             fd = np.column_stack([(problem.residual(u + h * e) - problem.residual(u - h * e))
                                   / (2 * h) for e in np.eye(grid.M)])
             jac = self.jacobian(problem, u)
@@ -255,13 +253,12 @@ class TestExactJacobian:
             coefficient_part = np.max(np.abs(jac - frozen))
             assert coefficient_part == 0.0 if gamma == 0.0 else coefficient_part > 1e-3 * scale
 
-    @pytest.mark.parametrize("scheme", ["upwind", "arithmetic"])
-    def test_no_rate_at_a_node_exactly_on_the_clip(self, scheme):
+    def test_no_rate_at_a_node_exactly_on_the_clip(self):
         # |u| = n at nodes 2 and 4: T_n holds a(T_n u) there, so no face
         # coefficient moves with them and their Jacobian columns are the
         # frozen operator's; node 1 lies below n and its column is not
         grid = build_radial_grid(3, 1.0, 8)
-        problem = coefficient_level(grid, CoefficientSpec(1.0, 1.0, 1.0), 4, scheme)
+        problem = coefficient_level(grid, CoefficientSpec(1.0, 1.0, 1.0), 4)
         u = np.array([0.5, 1.0, 4.0, 1.0, -4.0, 2.0, 0.5, 0.25])
         jac = self.jacobian(problem, u)
         frozen = dense(assemble_frozen(problem, grid_function(grid, u)))
@@ -343,9 +340,8 @@ class TestNewton:
 
 
 class TestOneAssemblyPath:
-    @pytest.mark.parametrize("scheme", ["upwind", "arithmetic"])
     @pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0])
-    def test_newton_operator_is_the_problems(self, monkeypatch, scheme, gamma):
+    def test_newton_operator_is_the_problems(self, monkeypatch, gamma):
         # every residual the Newton loop takes, from the faces it carries
         # (at gamma = 0, the start's), is bit for bit DiscreteProblem.residual
         # at that point, the one the audit and verify --solution use;
@@ -362,7 +358,7 @@ class TestOneAssemblyPath:
         grid = build_radial_grid(3, 1.0, 32, grading=2.0)
         spec = ProblemSpec(3, 1.0, CoefficientSpec(0.01, 0.01, gamma), PowerAbsorption(0.5),
                            DatumSpec(ConstantDatum(50.0), 1.0))
-        problem = level(grid, spec, 4, scheme=scheme)
+        problem = level(grid, spec, 4)
         res = picard_solve(problem, CFG)
         taken = list(seen)
         assert res.flags.converged and res.picard_iters > 1
