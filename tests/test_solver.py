@@ -16,6 +16,7 @@ from degelab.problem import (
     CoefficientSpec,
     ConstantDatum,
     DatumSpec,
+    NoAbsorption,
     PowerAbsorption,
     ProblemSpec,
     RadialPowerDatum,
@@ -34,6 +35,7 @@ from degelab.solver import (
     assemble_frozen,
     apply_operator,
     manufactured_rhs,
+    newton_semilinear,
     picard_solve,
     tridiag_solve,
     truncation_continuation,
@@ -653,6 +655,42 @@ class TestContinuation:
         assert res.flags.converged and not res.flags.hit_iteration_cap
         f_peak = float(np.max(grid.nodes ** -delta))
         assert res.residual_inf <= CFG.newton_tol * (1 + min(f_peak, res.n_final))
+
+
+class TestStartIndependence:
+    # gamma -> (problems solved, restarts that converge) over the grid below:
+    # no absorption at gamma = 1 and radial A = 100 stalls at M = 64 and
+    # stays truncation-active at M = 256; the restarts that do not converge
+    # stall
+    COUNTS = {0.0: (24, 120), 0.5: (24, 117), 1.0: (22, 97)}
+
+    @pytest.mark.parametrize("gamma", sorted(COUNTS))
+    def test_every_converged_restart_reaches_newtons_field(self, gamma):
+        # for gamma <= 1 the level's system is monotone: each converged,
+        # untruncated solve is re-solved at its final level from 2u, u/2,
+        # -u, a seeded random field and a flat field, and every restart
+        # that converges lands on the same field (the largest deviation,
+        # 2.9e-8 max|u|, is p = 0.5 with radial data)
+        solved = converged = 0
+        for lower, amplitude, radial, M in itertools.product(
+                (PowerAbsorption(0.5), PowerAbsorption(2.0), NoAbsorption()),
+                (1.0, 100.0), (False, True), (64, 256)):
+            datum = RadialPowerDatum(amplitude, 1.5) if radial else ConstantDatum(amplitude)
+            spec = ProblemSpec(3, 1.0, CoefficientSpec(1.0, 1.0, gamma), lower,
+                               DatumSpec(datum, 1.0))
+            res = truncation_continuation(build_radial_grid(3, 1.0, M), spec, CFG)
+            if not res.flags.converged or res.flags.truncation_active:
+                continue
+            solved += 1
+            u = res.u.values
+            peak = np.max(np.abs(u))
+            rng = np.random.default_rng(0)
+            for start in (2 * u, u / 2, -u, rng.uniform(-peak, peak, M), np.full(M, peak)):
+                field, _, stop, _ = newton_semilinear(res.problem, start, CFG)
+                if stop is Stop.CONVERGED:
+                    converged += 1
+                    assert np.max(np.abs(field.values - u)) <= 1e-6 * peak, (spec, M)
+        assert (solved, converged) == self.COUNTS[gamma]
 
 
 class TestResidualAndManufactured:
