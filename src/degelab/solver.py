@@ -23,8 +23,8 @@ value at the adjacent node of larger |u| ("upwinded degeneracy", the
 smaller coefficient), the right-hand one at a tie.  That rule is
 ``grid.upwind_takes_right``, the one the audit's face values follow too,
 which makes the discrete energy chain inequalities used by the estimate
-checkers hold exactly rather than asymptotically.  It is the only face
-rule, and it converges at first order on degenerate problems.
+checkers hold exactly rather than asymptotically, at the cost of
+first-order accuracy on degenerate problems.
 """
 
 from __future__ import annotations
