@@ -206,16 +206,15 @@ def _compare_tables(case: str, expected: dict, actual: dict) -> list[str]:
         if len(rows) != len(rows2):
             diffs.append(f"{case}: {name} has {len(rows)} -> {len(rows2)} rows")
             continue
-        header = rows[0] if rows else []
+        slack = rows[0].index("slack") if rows and "slack" in rows[0] else None
         for i, (row, row2) in enumerate(zip(rows, rows2)):
             if len(row) != len(row2):
                 diffs.append(f"{case}: {name} row {i} has {len(row)} -> {len(row2)} cells")
                 continue
             for j, (cell, cell2) in enumerate(zip(row, row2)):
                 x, y = _number(cell), _number(cell2)
-                slack = j < len(header) and header[j] == "slack"
                 if cell != cell2 and (x is None or y is None or
-                                      not _close(x, y, REL_TOL if slack else 0.0)):
+                                      not _close(x, y, REL_TOL if j == slack else 0.0)):
                     diffs.append(f"{case}: {name} row {i} cell {j} {cell!r} -> {cell2!r}")
     return diffs
 

@@ -39,17 +39,22 @@ def test_compare_reports_moved_values_and_verdicts(golden):
 
 
 
+
 def test_compare_reports_moved_product_cells(golden):
     expected = golden.load()
     case = next(entry for entry in expected if entry["case"] == "solve configs/example.ini")
     rows = case["tables"]["records.csv"]
-    header, row = rows[0], rows[1]
-    lhs, slack, passed = (header.index(col) for col in ("lhs", "slack", "passed"))
+    check, lhs, slack, passed = (rows[0].index(col)
+                                 for col in ("check_name", "lhs", "slack", "passed"))
+    # an entropy row: its slack is rounding, far below REL_TOL
+    i = next(i for i, row in enumerate(rows[1:], 1) if row[check].startswith("entropy"))
+    row = rows[i]
+    assert abs(float(row[slack])) < 1e-12
 
     def moved(status, cells):
-        """``expected`` with the case's exit status and first row's cells replaced."""
-        new_row = [cells.get(j, cell) for j, cell in enumerate(row)]
-        tables = {**case["tables"], "records.csv": [header, new_row, *rows[2:]]}
+        """``expected`` with the case's exit status and row i's cells replaced."""
+        new_rows = [*rows[:i], [cells.get(j, cell) for j, cell in enumerate(row)], *rows[i + 1:]]
+        tables = {**case["tables"], "records.csv": new_rows}
         return [entry if entry is not case else {**case, "exit": status, "tables": tables}
                 for entry in expected]
 
@@ -57,8 +62,8 @@ def test_compare_reports_moved_product_cells(golden):
     lhs_moved = repr(float(row[lhs]) * (1 + 1e-8))
     assert golden.compare(expected, moved(2, {lhs: lhs_moved, passed: flipped})) == [
         f"{case['case']}: exit 0 -> 2",
-        f"{case['case']}: records.csv row 1 cell {lhs} {row[lhs]!r} -> {lhs_moved!r}",
-        f"{case['case']}: records.csv row 1 cell {passed} {row[passed]!r} -> {flipped!r}",
+        f"{case['case']}: records.csv row {i} cell {lhs} {row[lhs]!r} -> {lhs_moved!r}",
+        f"{case['case']}: records.csv row {i} cell {passed} {row[passed]!r} -> {flipped!r}",
     ]
     # a number within REL_TOL, and a slack within REL_TOL absolute, are no difference
     assert golden.compare(expected, moved(0, {
